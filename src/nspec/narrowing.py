@@ -10,13 +10,14 @@ strategy, collecting (answer, constructor term) pairs at the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .deftree import Branch, DefTree, Leaf, ProgramClassError, is_inductively_sequential
 from .program import Program, Rule
 from .terms import (
     App,
     CONSTRUCTOR,
+    Chain,
     Demand,
     Fail,
     FreshVars,
@@ -35,6 +36,7 @@ from .terms import (
     linear_unify,
     match,
     replace_at,
+    resolve_chain,
     subterm_at,
     subterms,
     vars_of,
@@ -130,14 +132,21 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
     """
     if not is_operation_rooted(t):
         raise ValueError(f"lazy narrowing needs an operation-rooted term, got {t}")
+    require_lazy_class(program)
+    gen.reserve(vars_of(t))
+    return _lns(t, (), program, gen)
+
+
+def require_lazy_class(program: Program) -> None:
+    """The program-class gate of lazy narrowing.  `lns` runs it on every
+    call; `search` and `peval.unfold` run it once and then compute their
+    steps with `strategy_steps`."""
     bad = [r for r in program.rules
            if not r.is_left_linear() or not r.is_constructor_based()]
     if bad:
         raise ProgramClassError(
             "lazy narrowing requires left-linear constructor-based rules; "
             "offending: " + "; ".join(str(r) for r in bad))
-    gen.reserve(vars_of(t))
-    return _lns(t, (), program, gen)
 
 
 def _lns(t: Term, at: Position, program: Program, gen: FreshVars) -> List[Step]:
@@ -223,9 +232,13 @@ class Node:
     offered: int = 0  # how many steps the strategy produced here
 
     def nodes(self) -> List["Node"]:
-        out = [self]
-        for _, child in self.children:
-            out.extend(child.nodes())
+        """Every node of the tree in preorder."""
+        out: List[Node] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(child for _, child in reversed(node.children))
         return out
 
 
@@ -256,7 +269,9 @@ def strategy_steps(t: Term, program: Program, strategy: str,
 
     Both strategies act on operation-rooted terms only; a constructor
     prefix is crossed by narrowing the leftmost-outermost operation-rooted
-    subterm.
+    subterm.  The program must have passed the strategy's class gate:
+    `trees` come from `_require_inductively_sequential`, and a lazy
+    caller runs `require_lazy_class` first.
     """
     if is_root_stable(t):
         pos = _leftmost_operation_position(t)
@@ -267,7 +282,8 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     if strategy == "needed":
         return nns(t, trees, gen)
     if strategy == "lazy":
-        return lns(t, program, gen)
+        gen.reserve(vars_of(t))
+        return _lns(t, (), program, gen)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -286,13 +302,19 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     """Depth-first bounded narrowing search from a goal.
 
     Leaves are success (constructor term), failing (no step applies), or
-    incomplete (a bound cut the expansion).  Answers are the accumulated
-    substitutions restricted to the goal's variables, paired with the
-    leaf term; remaining fresh variables are canonically renamed.
+    incomplete (a bound cut the expansion).  Answers are the composed
+    step substitutions of a success path restricted to the goal's
+    variables, paired with the leaf term; remaining fresh variables are
+    canonically renamed.  Each path carries its step substitutions as a
+    `Chain`, which is composed (`resolve_chain`) only at success leaves.
+    The expansion keeps its own stack, so derivation length is limited
+    by the bounds, not by Python's recursion limit.
     """
     trees: Dict[str, DefTree] = {}
     if strategy == "needed":
         trees = _require_inductively_sequential(program)
+    elif strategy == "lazy":
+        require_lazy_class(program)
     if gen is None:
         gen = FreshVars()
     gen.reserve(vars_of(goal))
@@ -301,47 +323,59 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     goal_vars = vars_of(goal)
     root = Node(goal)
     answers: List[Tuple[Substitution, Term]] = []
-    budget = [bounds.max_nodes - 1]
-    complete = [True]
+    budget = bounds.max_nodes - 1
+    complete = True
 
     def enough_solutions() -> bool:
         return (bounds.max_solutions is not None
                 and len(answers) >= bounds.max_solutions)
 
-    def emit(node: Node, acc: Substitution) -> None:
-        node.status = SUCCESS
-        answer = acc.restrict(goal_vars)
-        renamed = canonical_rename(
-            [answer.apply(Var(v.name)) for v in goal_vars] + [node.term],
-            keep=goal_vars)
-        answers.append((
-            Substitution(dict(zip(goal_vars, renamed[:-1]))), renamed[-1]))
-
-    def expand(node: Node, acc: Substitution, depth: int) -> None:
+    def visit(node: Node, chain: Chain, depth: int) -> Optional[Iterator[Step]]:
+        """Classify a new node; the steps still to expand if it is inner."""
+        nonlocal complete
         if is_constructor_term(node.term):
-            emit(node, acc)
-            return
+            node.status = SUCCESS
+            answer = resolve_chain(chain, goal_vars)
+            renamed = canonical_rename(
+                [answer.apply(v) for v in goal_vars] + [node.term],
+                keep=goal_vars)
+            answers.append((
+                Substitution(dict(zip(goal_vars, renamed[:-1]))), renamed[-1]))
+            return None
         steps = strategy_steps(node.term, program, strategy, trees, gen)
         node.offered = len(steps)
         if not steps:
             node.status = FAILING
-            return
+            return None
         if depth >= bounds.max_steps or enough_solutions():
             node.status = INCOMPLETE
-            complete[0] = False
-            return
-        for step in steps:
-            if budget[0] <= 0 or enough_solutions():
-                node.status = INCOMPLETE
-                complete[0] = False
-                break
-            budget[0] -= 1
-            child = Node(narrow(node.term, step))
-            node.children.append((step, child))
-            expand(child, compose(step.subst, acc), depth + 1)
+            complete = False
+            return None
+        return iter(steps)
 
-    expand(root, IDENTITY, 0)
-    return SearchResult(root, answers, complete[0])
+    stack: List[Tuple[Node, Iterator[Step], Chain, int]] = []
+    pending = visit(root, None, 0)
+    if pending is not None:
+        stack.append((root, pending, None, 0))
+    while stack:
+        node, pending, chain, depth = stack[-1]
+        step = next(pending, None)
+        if step is None:
+            stack.pop()
+            continue
+        if budget <= 0 or enough_solutions():
+            node.status = INCOMPLETE
+            complete = False
+            stack.pop()
+            continue
+        budget -= 1
+        child = Node(narrow(node.term, step))
+        node.children.append((step, child))
+        child_chain = (step.subst, chain)
+        child_pending = visit(child, child_chain, depth + 1)
+        if child_pending is not None:
+            stack.append((child, child_pending, child_chain, depth + 1))
+    return SearchResult(root, answers, complete)
 
 
 def deterministically_evaluable(t: Term, program: Program,

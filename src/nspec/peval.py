@@ -19,28 +19,28 @@ from .narrowing import (
     Node,
     Step,
     SUCCESS,
-    lns,
     narrow,
-    nns,
+    require_lazy_class,
+    strategy_steps,
 )
 from .program import AND, EQ, Program, Rule, Signature, add_strict_equality
 from .terms import (
     App,
     CONSTRUCTOR,
+    Chain,
     FreshVars,
-    IDENTITY,
     OPERATION,
     Position,
     Substitution,
     Symbol,
     Term,
     Var,
-    compose,
     is_constructor_term,
     is_operation_rooted,
     is_root_stable,
     is_variant,
     match,
+    resolve_chain,
     term_size,
     vars_of,
 )
@@ -106,13 +106,6 @@ def msg(t1: Term, t2: Term, gen: Optional[FreshVars] = None
     return w, theta1, theta2
 
 
-def _step_function(program: Program, policy: UnfoldPolicy,
-                   trees: Optional[Dict[str, DefTree]], gen: FreshVars):
-    if policy.strategy == "needed":
-        return lambda t: nns(t, trees, gen)
-    return lambda t: lns(t, program, gen)
-
-
 def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
            stop: Sequence[Term] = (), gen: Optional[FreshVars] = None) -> Node:
     """Finite narrowing tree of an operation-rooted call.
@@ -129,7 +122,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
     """
     if not is_operation_rooted(call):
         raise ValueError(f"can only unfold operation-rooted terms, got {call}")
-    trees: Optional[Dict[str, DefTree]] = None
+    trees: Dict[str, DefTree] = {}
     if policy.strategy == "needed":
         report = is_inductively_sequential(program)
         if not report.ok:
@@ -138,11 +131,12 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
                 "sequential program; no definitional tree for: "
                 + ", ".join(report.failures))
         trees = report.trees
+    else:
+        require_lazy_class(program)
     if gen is None:
         gen = FreshVars()
     gen.reserve(vars_of(call))
     gen.reserve(program.all_variables())
-    steps_of = _step_function(program, policy, trees, gen)
 
     root = Node(call)
 
@@ -161,7 +155,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
             if policy.whistle and any(embeds(a, t) for a in ancestors[1:]):
                 node.status = INCOMPLETE
                 return
-        steps = steps_of(t)
+        steps = strategy_steps(t, program, policy.strategy, trees, gen)
         node.offered = len(steps)
         if not steps:
             node.status = FAILING
@@ -191,21 +185,25 @@ class Resultant:
 
 def resultants(tree: Node) -> List[Resultant]:
     """Resultants of an unfold tree: one per non-failing leaf reached by
-    at least one step, in depth-first order."""
+    at least one step, in depth-first order.
+
+    A path's step substitutions are kept as a `Chain` and composed
+    (`resolve_chain`) only at the leaves that yield a resultant.
+    """
     call = tree.term
     call_vars = vars_of(call)
     out: List[Resultant] = []
 
-    def walk(node: Node, acc: Substitution, path: Tuple[Step, ...]) -> None:
+    def walk(node: Node, chain: Chain, path: Tuple[Step, ...]) -> None:
         if node.children:
             for step, child in node.children:
-                walk(child, compose(step.subst, acc), path + (step,))
+                walk(child, (step.subst, chain), path + (step,))
             return
         if node.status != FAILING and path:
-            sigma = acc.restrict(call_vars)
+            sigma = resolve_chain(chain, call_vars)
             out.append(Resultant(sigma.apply(call), node.term, call, path, sigma))
 
-    walk(tree, IDENTITY, ())
+    walk(tree, None, ())
     return out
 
 

@@ -188,7 +188,10 @@ class Substitution:
 
     Identity bindings are dropped.  Instances are immutable and hashable;
     application is simultaneous (one pass), which is the right semantics
-    both for idempotent unifiers and for literal matchers.
+    both for idempotent unifiers and for literal matchers.  The
+    substitutions of a derivation path are not composed into one of
+    these step by step: they are kept in a `Chain` and resolved at the
+    leaf by `resolve_chain`.
     """
 
     __slots__ = ("_map",)
@@ -261,7 +264,14 @@ def apply(sigma: Substitution, t: Term) -> Term:
 
 
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
-    """The substitution mapping t to outer(inner(t))."""
+    """The substitution mapping t to outer(inner(t)).
+
+    Its cost grows with the domains and the term sizes of both, so the
+    search and the partial evaluator do not compose along a derivation:
+    they keep a `Chain` and call `resolve_chain` at its leaf.  Composing
+    is left to places that print a `Substitution`, such as the steps
+    built by `narrowing.compose_canonical`.
+    """
     m: Dict[Var, Term] = {}
     for x in inner.domain():
         m[x] = outer.apply(inner.apply(x))
@@ -269,6 +279,64 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
         if y not in m:
             m[y] = outer.apply(y)
     return Substitution(m)
+
+
+# The bindings of one derivation path, newest first: (sigma_n, (...,
+# (sigma_1, None))).  Extending a path costs one tuple; the composition
+# sigma_n o ... o sigma_1 is read off with `resolve_chain`.
+Chain = Optional[Tuple[Substitution, "Chain"]]
+
+
+def _resolve(t: Term, bound: Dict[Var, Term], memo: Dict[Var, Term]) -> Term:
+    """t with every variable bound in the triangular map `bound` replaced,
+    repeatedly, by its binding.  Iterative, so long binding chains cost
+    no recursion; `memo` keeps resolved variables across calls."""
+    stack: List[Tuple[Term, bool]] = [(t, False)]
+    out: List[Term] = []
+    while stack:
+        u, ready = stack.pop()
+        if isinstance(u, Var):
+            if ready:
+                memo[u] = out[-1]
+            elif u in memo:
+                out.append(memo[u])
+            elif u in bound:
+                stack.append((u, True))
+                stack.append((bound[u], False))
+            else:
+                out.append(u)
+        elif ready:
+            n = len(u.args)
+            args = tuple(out[len(out) - n:])
+            del out[len(out) - n:]
+            same = all(a is b for a, b in zip(args, u.args))
+            out.append(u if same else App(u.root, args))
+        elif u.args:
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+        else:
+            out.append(u)
+    return out[0]
+
+
+def resolve_chain(chain: Chain, variables: Iterable[Var]) -> Substitution:
+    """The composition sigma_n o ... o sigma_1 of a chain, restricted to
+    variables.
+
+    The chain is read as one triangular substitution: each variable's
+    binding is looked up once and resolved through the other bindings.
+    That equals the composition only if every step substitution is
+    idempotent and its domain and image avoid every variable bound by
+    an earlier step, as along a derivation, where a bound variable never
+    occurs again.  A chain that breaks this can resolve to a different
+    map or, if two bindings refer to each other, never return.
+    """
+    bound: Dict[Var, Term] = {}
+    while chain is not None:
+        sigma, chain = chain
+        bound.update(sigma._map)
+    memo: Dict[Var, Term] = {}
+    return Substitution({x: _resolve(x, bound, memo) for x in variables})
 
 
 def _solve(pairs: List[Tuple[Term, Term]]) -> Optional[Substitution]:

@@ -15,8 +15,10 @@ from nspec import (
     Substitution,
     Symbol,
     Var,
+    IDENTITY,
     add_strict_equality,
     canonical_rename,
+    compose,
     match,
     parse_program,
     replace_at,
@@ -118,6 +120,24 @@ def random_program(seed: int) -> Program:
     return Program(signature, labeled)
 
 
+def generic_calls(program):
+    """f(G1, ..., Gn) for every operation of the program but eq/and."""
+    return [App(sym, tuple(Var(f"G{i + 1}") for i in range(sym.arity)))
+            for sym in program.signature
+            if sym.kind == "operation" and sym.name not in ("eq", "and")]
+
+
+# Goals on the corpus programs, by file stem, that acceptance criterion 9
+# checks for divergent steps and independent answers.
+CORPUS_GOALS = [
+    ("leq", "leq(X, add(X, X))"), ("leq", "leq(X, Y)"),
+    ("leq", "add(X, Y)"), ("leq", "eq(leq(X, s(0)), true)"),
+    ("append", "append(Xs, Ys)"),
+    ("append", "eq(append(Xs, Ys), cons(0, nil))"),
+    ("double", "double(X)"), ("double", "eq(double(X), s(s(0)))"),
+    ("gfh", "h(X)"), ("gfh", "eq(h(g(X)), s(0))")]
+
+
 # --- comparison helpers --------------------------------------------------
 
 
@@ -140,6 +160,30 @@ def is_instance_of(general: Substitution, special: Substitution, variables) -> b
     narrow_ = App(tup, tuple(special.apply(x) for x in variables))
     wide = canonical_rename([wide])[0]
     return match(wide, narrow_) is not None
+
+
+def eager_leaves(root):
+    """(leaf, arcs, composed substitution) for every leaf of a narrowing
+    tree, in preorder.  The substitution is the left fold
+    compose(step.subst, acc) along the root-to-leaf arcs: the reference
+    for the lazily resolved answers and resultants.  Also asserts what
+    `resolve_chain` relies on: each step substitution is idempotent, and
+    its domain and image avoid every variable bound earlier on the path."""
+    out = []
+
+    def walk(node, path, acc, bound):
+        if not node.children:
+            out.append((node, path, acc))
+        for step, child in node.children:
+            sigma = step.subst
+            touched = set(sigma.domain()).union(
+                *(vars_of(sigma.apply(x)) for x in sigma.domain()))
+            assert sigma.is_idempotent() and not touched & bound, step
+            walk(child, path + (step,), compose(sigma, acc),
+                 bound | set(sigma.domain()))
+
+    walk(root, (), IDENTITY, frozenset())
+    return out
 
 
 def steps_view(steps, goal_vars):

@@ -12,7 +12,15 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import answer_set, is_instance_of, load, random_program, steps_view
+from conftest import (
+    CORPUS_GOALS,
+    answer_set,
+    generic_calls,
+    is_instance_of,
+    load,
+    random_program,
+    steps_view,
+)
 from nspec import (
     App,
     Bounds,
@@ -236,12 +244,6 @@ def test_criterion_08_root_stable_unfolding_safety(gfh, pe_gfh):
             ("{X -> s(0)}", "true")}
 
 
-def _generic_calls(program):
-    return [App(sym, tuple(Var(f"G{i + 1}") for i in range(sym.arity)))
-            for sym in program.signature
-            if sym.kind == "operation" and sym.name not in ("eq", "and")]
-
-
 def _diverges_on_constructors(a, b):
     """Whether two needed steps share a canonical prefix and then bind the
     same variable to differently rooted constructors."""
@@ -282,7 +284,7 @@ def test_criterion_09_property_suite_corpus_and_random(
         bounds = Bounds(max_steps=6, max_nodes=200)
         for seed in range(200):
             program = random_program(seed)
-            calls = _generic_calls(program)
+            calls = generic_calls(program)
             ctl = pe_control(program, calls)
             if not is_inductively_sequential(ctl.result.program).ok:
                 problems.append(f"seed {seed}: PE output not sequential")
@@ -319,13 +321,9 @@ def test_criterion_09_property_suite_corpus_and_random(
         assert multi_answer >= 150, "too few multi-answer goals to be meaningful"
 
         # (b)+(c) on corpus goals as well.
-        for program, source in [
-                (leq, "leq(X, add(X, X))"), (leq, "leq(X, Y)"),
-                (leq, "add(X, Y)"), (leq, "eq(leq(X, s(0)), true)"),
-                (append, "append(Xs, Ys)"),
-                (append, "eq(append(Xs, Ys), cons(0, nil))"),
-                (double, "double(X)"), (double, "eq(double(X), s(s(0)))"),
-                (gfh, "h(X)"), (gfh, "eq(h(g(X)), s(0))")]:
+        programs = {"leq": leq, "append": append, "double": double, "gfh": gfh}
+        for name, source in CORPUS_GOALS:
+            program = programs[name]
             goal = parse_term(source, program.signature)
             trees = is_inductively_sequential(program).trees
             steps = nns(goal, trees, FreshVars(avoid=vars_of(goal)))

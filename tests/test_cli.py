@@ -13,6 +13,7 @@ LEQ = str(DATA / "leq.flp")
 APPEND = str(DATA / "append.flp")
 DOUBLE = str(DATA / "double.flp")
 FG = str(DATA / "uniform_fg.flp")
+LOOP = str(DATA / "loop.flp")
 
 NOT_SEQUENTIAL = (
     "constructors a/0 b/0 ;\noperations f/3 ;\n"
@@ -88,6 +89,14 @@ class TestEval:
         assert proc.stdout == (
             "goal: leq(X, add(0, 0))\n"
             "suspended at: leq(X, add(0, 0))\n")
+
+    def test_long_derivation_ends_at_the_step_bound(self):
+        proc = run("eval", LOOP, "-e", "g(0)",
+                   "--max-steps", "5000", "--max-nodes", "10000")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "goal: g(0)\n"
+            "0 answer(s), incomplete (bounds reached)\n")
 
     def test_max_solutions(self):
         proc = run("eval", LEQ, "-e", "leq(X, s(0)) ~ true",

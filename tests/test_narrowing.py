@@ -2,9 +2,18 @@
 
 import pytest
 
-from conftest import answer_set, load, steps_view
+from conftest import (
+    CORPUS_GOALS,
+    answer_set,
+    eager_leaves,
+    generic_calls,
+    load,
+    random_program,
+    steps_view,
+)
 from nspec.deftree import ProgramClassError, forest
 from nspec.narrowing import (
+    SUCCESS,
     Bounds,
     compose_canonical,
     deterministically_evaluable,
@@ -17,7 +26,16 @@ from nspec.narrowing import (
     search,
 )
 from nspec.syntax import parse_program, parse_term
-from nspec.terms import App, FreshVars, Var, is_constructor_term, vars_of
+from nspec.program import Rule
+from nspec.terms import (
+    App,
+    FreshVars,
+    Substitution,
+    Var,
+    canonical_rename,
+    is_constructor_term,
+    vars_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +221,45 @@ class TestSearch:
         assert not result.complete
         assert len(list(result.root.nodes())) == 4
 
+    def test_derivation_length_is_not_limited_by_recursion(self, loop_prog):
+        result = search(goal(loop_prog, "g(0)"), loop_prog,
+                        bounds=Bounds(max_steps=5000, max_nodes=10000))
+        assert result.answers == []
+        assert not result.complete
+        nodes = result.root.nodes()
+        assert len(nodes) == 5001
+        assert [n.status for n in nodes[-2:]] == ["inner", "incomplete"]
+
+    def test_lazy_program_class_is_checked_once_per_search(
+            self, leq_prog, monkeypatch):
+        calls = []
+        checked = Rule.is_left_linear
+        monkeypatch.setattr(
+            Rule, "is_left_linear", lambda r: calls.append(r) or checked(r))
+        result = search(goal(leq_prog, "leq(X, add(X, X)) ~ true"), leq_prog,
+                        "lazy", Bounds(max_steps=4))
+        assert len(result.root.nodes()) > 10
+        assert len(calls) == len(leq_prog.rules)
+
+    def test_lazy_search_rejects_non_left_linear_programs(self):
+        p = parse_program(
+            "constructors a/0 ;\noperations same/2 ;\n"
+            "same(X, X) -> a ;\n")
+        with pytest.raises(ProgramClassError,
+                           match="lazy narrowing requires left-linear "
+                                 "constructor-based rules"):
+            search(parse_term("same(a, a)", p.signature), p, "lazy")
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_program_class_is_checked_before_a_constructor_goal(self, strategy):
+        # Both strategies check the program up front, even when the goal
+        # is already a value and no step is computed.
+        p = parse_program(
+            "constructors a/0 ;\noperations same/2 ;\n"
+            "same(X, X) -> a ;\n")
+        with pytest.raises(ProgramClassError, match=f"{strategy} narrowing requires"):
+            search(parse_term("a", p.signature), p, strategy)
+
     def test_node_to_dict(self, leq_prog):
         result = search(goal(leq_prog, "leq(0, 0)"), leq_prog)
         assert node_to_dict(result.root) == {
@@ -261,3 +318,41 @@ class TestAnswerShape:
             assert is_constructor_term(value)
             assert set(sigma.domain()) <= set(vars_of(goal(leq_prog,
                                                            "leq(X, s(0)) ~ true")))
+
+
+def _eager_answers(result, goal_term):
+    """The answers of a search tree by eager composition along each path:
+    the reference for the chains the search resolves at its leaves."""
+    goal_vars = vars_of(goal_term)
+    out = []
+    for leaf, _, acc in eager_leaves(result.root):
+        if leaf.status != SUCCESS:
+            continue
+        answer = acc.restrict(goal_vars)
+        renamed = canonical_rename(
+            [answer.apply(v) for v in goal_vars] + [leaf.term], keep=goal_vars)
+        out.append((Substitution(dict(zip(goal_vars, renamed[:-1]))),
+                    renamed[-1]))
+    return out
+
+
+class TestAnswersAgreeWithEagerComposition:
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
+    def test_corpus_goals(self, name, source, strategy):
+        program = load(f"{name}.flp")
+        g = goal(program, source)
+        result = search(g, program, strategy, Bounds(max_steps=8, max_nodes=400))
+        assert result.answers == _eager_answers(result, g)
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_random_programs(self, strategy):
+        answers = 0
+        for seed in range(60):
+            program = random_program(seed)
+            for call in generic_calls(program):
+                result = search(call, program, strategy,
+                                Bounds(max_steps=6, max_nodes=200))
+                assert result.answers == _eager_answers(result, call), (seed, call)
+                answers += len(result.answers)
+        assert answers >= 100

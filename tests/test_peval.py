@@ -3,9 +3,16 @@ renaming, and the control loop."""
 
 import pytest
 
-from conftest import answer_set, load
-from nspec.deftree import is_inductively_sequential
-from nspec.narrowing import Bounds, search
+from conftest import (
+    CORPUS_GOALS,
+    answer_set,
+    eager_leaves,
+    generic_calls,
+    load,
+    random_program,
+)
+from nspec.deftree import ProgramClassError, is_inductively_sequential
+from nspec.narrowing import FAILING, Bounds, search
 from nspec.peval import (
     PEControlError,
     UnfoldPolicy,
@@ -22,8 +29,9 @@ from nspec.peval import (
     resultants,
     unfold,
 )
-from nspec.syntax import parse_term
-from nspec.terms import FreshVars, Var
+from nspec.program import Rule
+from nspec.syntax import parse_program, parse_term
+from nspec.terms import FreshVars, Var, vars_of
 
 
 def goal(prog, text):
@@ -172,6 +180,67 @@ class TestUnfold:
         assert [(str(n.term), n.status) for n in tree.nodes()] == [
             ("h(0)", "failing")]
         assert resultants(tree) == []
+
+    def test_lazy_program_class_is_checked_once_per_unfold(
+            self, leq_prog, monkeypatch):
+        calls = []
+        checked = Rule.is_left_linear
+        monkeypatch.setattr(
+            Rule, "is_left_linear", lambda r: calls.append(r) or checked(r))
+        tree = unfold(goal(leq_prog, "leq(X, add(X, Y))"), leq_prog,
+                      UnfoldPolicy(depth=3, whistle=False, strategy="lazy"))
+        assert len(tree.nodes()) > 3
+        assert len(calls) == len(leq_prog.rules)
+
+    def test_lazy_unfold_rejects_non_left_linear_programs(self):
+        p = parse_program(
+            "constructors a/0 ;\noperations same/2 ;\n"
+            "same(X, X) -> a ;\n")
+        with pytest.raises(ProgramClassError,
+                           match="lazy narrowing requires left-linear "
+                                 "constructor-based rules"):
+            unfold(parse_term("same(a, a)", p.signature), p,
+                   UnfoldPolicy(strategy="lazy"))
+
+
+def _eager_resultants(tree):
+    """Resultants of an unfold tree by eager composition along each path:
+    the reference for the chains `resultants` resolves at its leaves."""
+    call_vars = vars_of(tree.term)
+    out = []
+    for leaf, path, acc in eager_leaves(tree):
+        if leaf.status != FAILING and path:
+            sigma = acc.restrict(call_vars)
+            out.append((sigma.apply(tree.term), leaf.term, path, sigma))
+    return out
+
+
+def _resultant_view(tree):
+    return [(r.lhs, r.rhs, r.steps, r.subst) for r in resultants(tree)]
+
+
+class TestResultantsAgreeWithEagerComposition:
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
+    def test_corpus_calls(self, name, source, strategy):
+        program = load(f"{name}.flp")
+        for depth in (1, 2, 3):
+            tree = unfold(goal(program, source), program,
+                          UnfoldPolicy(depth=depth, strategy=strategy))
+            assert _resultant_view(tree) == _eager_resultants(tree)
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_random_programs(self, strategy):
+        count = 0
+        for seed in range(60):
+            program = random_program(seed)
+            for call in generic_calls(program):
+                tree = unfold(call, program,
+                              UnfoldPolicy(depth=3, strategy=strategy))
+                view = _resultant_view(tree)
+                assert view == _eager_resultants(tree), (seed, call)
+                count += len(view)
+        assert count >= 100
 
 
 class TestClosedness:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from nspec.terms import (
     App,
+    Chain,
     Demand,
     Fail,
     FreshVars,
@@ -24,12 +25,14 @@ from nspec.terms import (
     position_prefix,
     positions_disjoint,
     replace_at,
+    resolve_chain,
     subterm_at,
     subterms,
     term_size,
     unify,
     var_positions,
     vars_of,
+    _solve,
 )
 
 ZERO = Symbol("0", 0, "constructor")
@@ -205,6 +208,36 @@ class TestUnifyAndMatch:
         assert not is_variant(leq(X, Y), leq(num(0), Y))
 
 
+class TestSolve:
+    def test_occurs_check_through_a_binding_chain(self):
+        assert _solve([(X, Y), (Y, App(S, (X,)))]) is None
+
+    def test_variable_pair_binds_the_left_variable(self):
+        assert _solve([(X, Y)]).mapping == {X: Y}
+        assert _solve([(Y, X)]).mapping == {Y: X}
+
+    def test_long_variable_chain_resolves_to_its_end(self):
+        xs = [Var(f"X{i}") for i in range(2001)]
+        sigma = _solve(list(zip(xs, xs[1:])))
+        assert sigma.is_idempotent()
+        assert sigma.mapping == {x: xs[-1] for x in xs[:-1]}
+
+    def test_later_bindings_resolve_earlier_images(self):
+        sigma = _solve([(X, App(S, (Y,))), (Y, App(S, (N,))), (N, num(0))])
+        assert repr(sigma) == "{N -> 0, X -> s(s(0)), Y -> s(0)}"
+        assert list(sigma.mapping) == [X, Y, N]
+
+
+class TestResolveChain:
+    def test_later_bindings_resolve_earlier_images(self):
+        chain: Chain = None
+        for sigma in (Substitution({X: App(S, (Y,))}),
+                      Substitution({Y: App(S, (N,))}),
+                      Substitution({N: num(0), M: num(1)})):
+            chain = (sigma, chain)
+        assert repr(resolve_chain(chain, [X, M])) == "{M -> s(0), X -> s(s(0))}"
+
+
 class TestLinearUnify:
     def test_demand(self):
         r = linear_unify(leq(Var("V1"), App(S, (Var("V2"),))),
@@ -293,6 +326,25 @@ def test_unifier_unifies_and_is_idempotent(s, t):
     if sigma is not None:
         assert sigma.apply(s) == sigma.apply(t)
         assert sigma.is_idempotent()
+
+
+@given(st.lists(st.dictionaries(VARS, TERMS, max_size=2), max_size=4), TERMS)
+def test_resolve_chain_agrees_with_eager_composition(maps, t):
+    # Along a derivation a bound variable never occurs again; keep only
+    # chains with that property.
+    chain: Chain = None
+    acc = IDENTITY
+    bound = set()
+    for m in maps:
+        sigma = Substitution(m)
+        image_vars = {v for u in m.values() for v in vars_of(u)}
+        if bound & (set(sigma.domain()) | image_vars) or not sigma.is_idempotent():
+            continue
+        bound |= set(sigma.domain())
+        chain = (sigma, chain)
+        acc = compose(sigma, acc)
+    variables = vars_of(t)
+    assert resolve_chain(chain, variables) == acc.restrict(variables)
 
 
 @given(TERMS, TERMS, TERMS)
