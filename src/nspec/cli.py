@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .deftree import DefTree, Leaf, ProgramClassError, is_inductively_sequential, uniform_transform
-from .narrowing import Bounds, Node, node_to_dict, rewrite_normalize, search
+from .narrowing import Bounds, Node, Step, node_to_dict, rewrite_normalize, search
 from .oracle import ground_solutions, rewrites_to
 from .peval import PEControlError, UnfoldPolicy, pe_control
 from .program import Program, ProgramError, add_strict_equality, validate
@@ -195,12 +195,19 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _narrow_tree_lines(node: Node, indent: str = "") -> List[str]:
-    lines = [f"{indent}{node.term}  [{node.status}]"]
-    for step, child in node.children:
-        lines.append(f"{indent}  at {list(step.position)} "
-                     f"{step.rule.label or step.rule} {step.subst}")
-        lines.extend(_narrow_tree_lines(child, indent + "    "))
+def _narrow_tree_lines(root: Node) -> List[str]:
+    """Each node indented under its parent, preceded by its arc; walked
+    from an explicit stack, so any tree depth prints."""
+    lines: List[str] = []
+    stack: List[Tuple[Optional[Step], Node, str]] = [(None, root, "")]
+    while stack:
+        step, node, indent = stack.pop()
+        if step is not None:
+            lines.append(f"{indent[:-2]}at {list(step.position)} "
+                         f"{step.rule.label or step.rule} {step.subst}")
+        lines.append(f"{indent}{node.term}  [{node.status}]")
+        stack.extend((arc, child, indent + "    ")
+                     for arc, child in reversed(node.children))
     return lines
 
 

@@ -11,24 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .program import Program, ProgramError, Rule, Signature
+from .program import Program, Rule, Signature
 from .terms import (
     App,
-    CONSTRUCTOR,
     OPERATION,
     FreshVars,
     Position,
     Substitution,
     Symbol,
-    Term,
     Var,
-    is_constructor_term,
-    is_linear,
     is_variant,
     match,
     replace_at,
     subterm_at,
-    subterms,
     var_positions,
     vars_of,
 )
@@ -56,10 +51,6 @@ class Branch:
 
 
 DefTree = Union[Leaf, Branch]
-
-
-def pattern_of(tree: DefTree) -> App:
-    return tree.pattern
 
 
 def _qualifying_positions(pattern: App, lhss: Sequence[App]) -> List[Position]:
@@ -154,6 +145,39 @@ def is_inductively_sequential(program: Program,
     return ISReport(not failures, trees, tuple(failures))
 
 
+def require_class(program: Program, strategy: str, head: str
+                  ) -> Dict[str, DefTree]:
+    """The program-class gate of a strategy, run once per search, unfold,
+    specialization, rewrite or transform.
+
+    Needed narrowing requires an inductively sequential program: the
+    error, raised only here, is `head` followed by the operations without
+    a definitional tree, and the trees are returned.  Lazy narrowing
+    requires left-linear constructor-based rules (`require_lazy_class`)
+    and uses no trees.
+    """
+    if strategy == "needed":
+        report = is_inductively_sequential(program)
+        if not report.ok:
+            raise ProgramClassError(head + ", ".join(report.failures))
+        return report.trees
+    if strategy == "lazy":
+        require_lazy_class(program)
+        return {}
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def require_lazy_class(program: Program) -> None:
+    """The program-class gate of lazy narrowing.  `narrowing.lns` runs it
+    on every call, `require_class` once per search or unfold."""
+    bad = [r for r in program.rules
+           if not r.is_left_linear() or not r.is_constructor_based()]
+    if bad:
+        raise ProgramClassError(
+            "lazy narrowing requires left-linear constructor-based rules; "
+            "offending: " + "; ".join(str(r) for r in bad))
+
+
 def trees_isomorphic(a: DefTree, b: DefTree) -> bool:
     """Structural equality of trees modulo variable names.
 
@@ -230,10 +254,7 @@ def uniform_transform(program: Program) -> Program:
     (its right-hand side is the original rule's at a leaf, or a call to
     the child's fresh operation at an inner branch).
     """
-    report = is_inductively_sequential(program)
-    if not report.ok:
-        raise ProgramClassError(
-            "not inductively sequential: " + ", ".join(report.failures))
+    trees = require_class(program, "needed", "not inductively sequential: ")
 
     signature = Signature(program.signature)
     taken: set = set()
@@ -265,8 +286,7 @@ def uniform_transform(program: Program) -> Program:
                 walk(child, child_sym, base, counter)
 
     for op in program.defined_operations():
-        tree = report.trees[op.name]
-        walk(tree, op, op.name, [0])
+        walk(trees[op.name], op, op.name, [0])
 
     labeled = [Rule(r.lhs, r.rhs, f"U{i + 1}") for i, r in enumerate(new_rules)]
     return Program(signature, labeled, program.has_strict_equality)

@@ -1,28 +1,30 @@
-"""Narrowing strategies and the bounded search engine.
+"""Narrowing strategies and the one engine that grows narrowing trees.
 
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
 by linear unification against every rule, recursing into demanded
-positions.  `search` expands a goal into a narrowing tree under either
-strategy, collecting (answer, constructor term) pairs at the leaves.
+positions.  `expand` grows the narrowing tree of a term under either
+strategy with an explicit stack; two leaf policies use it.  `search`
+bounds it by `Bounds` and collects (answer, constructor term) pairs at
+the success leaves; `peval.unfold` bounds it by the unfold depth and
+cuts it with the partial evaluator's local control.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .deftree import Branch, DefTree, Leaf, ProgramClassError, is_inductively_sequential
+from .deftree import DefTree, Leaf, require_class, require_lazy_class
 from .program import Program, Rule
 from .terms import (
     App,
     CONSTRUCTOR,
     Chain,
     Demand,
-    Fail,
     FreshVars,
     IDENTITY,
-    OPERATION,
     Position,
     Substitution,
     Succ,
@@ -137,18 +139,6 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
     return _lns(t, (), program, gen)
 
 
-def require_lazy_class(program: Program) -> None:
-    """The program-class gate of lazy narrowing.  `lns` runs it on every
-    call; `search` and `peval.unfold` run it once and then compute their
-    steps with `strategy_steps`."""
-    bad = [r for r in program.rules
-           if not r.is_left_linear() or not r.is_constructor_based()]
-    if bad:
-        raise ProgramClassError(
-            "lazy narrowing requires left-linear constructor-based rules; "
-            "offending: " + "; ".join(str(r) for r in bad))
-
-
 def _lns(t: Term, at: Position, program: Program, gen: FreshVars) -> List[Step]:
     sub = subterm_at(t, at)
     steps: List[Step] = []
@@ -170,13 +160,7 @@ def _lns(t: Term, at: Position, program: Program, gen: FreshVars) -> List[Step]:
 
 def narrow(t: Term, step: Step) -> Term:
     """The term reached from t by one narrowing step."""
-    u = step.subst.apply(t)
-    redex = subterm_at(u, step.position)
-    theta = match(step.rule.lhs, redex)
-    if theta is None:
-        raise ValueError(
-            f"step rule {step.rule} does not match {redex} in {u}")
-    return replace_at(u, step.position, theta.apply(step.rule.rhs))
+    return rewrite_step(step.subst.apply(t), step.position, step.rule)
 
 
 def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
@@ -257,7 +241,7 @@ class SearchResult:
 
 
 def _leftmost_operation_position(t: Term) -> Optional[Position]:
-    for pos, sub in sorted(subterms(t)):
+    for pos, sub in subterms(t):
         if is_operation_rooted(sub):
             return pos
     return None
@@ -269,9 +253,8 @@ def strategy_steps(t: Term, program: Program, strategy: str,
 
     Both strategies act on operation-rooted terms only; a constructor
     prefix is crossed by narrowing the leftmost-outermost operation-rooted
-    subterm.  The program must have passed the strategy's class gate:
-    `trees` come from `_require_inductively_sequential`, and a lazy
-    caller runs `require_lazy_class` first.
+    subterm.  The program must have passed `deftree.require_class`, which
+    also supplies `trees`.
     """
     if is_root_stable(t):
         pos = _leftmost_operation_position(t)
@@ -281,19 +264,98 @@ def strategy_steps(t: Term, program: Program, strategy: str,
         return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in inner]
     if strategy == "needed":
         return nns(t, trees, gen)
-    if strategy == "lazy":
-        gen.reserve(vars_of(t))
-        return _lns(t, (), program, gen)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    gen.reserve(vars_of(t))
+    return _lns(t, (), program, gen)
 
 
-def _require_inductively_sequential(program: Program) -> Dict[str, DefTree]:
-    report = is_inductively_sequential(program)
-    if not report.ok:
-        raise ProgramClassError(
-            "needed narrowing requires an inductively sequential program; "
-            "no definitional tree for: " + ", ".join(report.failures))
-    return report.trees
+# The text of the needed-class error, before the offending operations.
+_NEEDED_CLASS = ("needed narrowing requires an inductively sequential "
+                 "program; no definitional tree for: ")
+
+
+def expand(term: Term, program: Program, strategy: str,
+           trees: Dict[str, DefTree], gen: Optional[FreshVars],
+           max_depth: int, max_nodes: float = math.inf,
+           max_solutions: Optional[int] = None,
+           cut: Optional[Callable[[Term, List[Term]], bool]] = None,
+           ) -> Tuple[Node, List[Tuple[Node, Chain]], bool]:
+    """Grow the narrowing tree of a term depth-first, children in step
+    order, from an explicit stack: tree depth is limited by the bounds,
+    not by Python's recursion limit.
+
+    A new node is classified in this order: a constructor term is a
+    success leaf; `cut(term, ancestors)`, given the ancestor terms root
+    first (a list it must not keep), makes it an incomplete leaf; a term
+    without steps is a failing leaf; at `max_depth`, or once
+    `max_solutions` success leaves were found, it is an incomplete leaf.
+    At most `max_nodes` nodes are created; a node whose expansion the
+    node budget or the solution cap stops is incomplete too.
+
+    Returns the root, the success leaves in the order found with the
+    `Chain` of step substitutions on their path, and whether no node is
+    incomplete.  The program must have passed `deftree.require_class`,
+    which also supplies `trees`.
+    """
+    if gen is None:
+        gen = FreshVars()
+    gen.reserve(vars_of(term))
+    gen.reserve(program.all_variables())
+
+    root = Node(term)
+    successes: List[Tuple[Node, Chain]] = []
+    budget = max_nodes - 1
+    complete = True
+    # The stack holds the path from the root to the node being expanded,
+    # and `path` the terms of its nodes, root first.
+    stack: List[Tuple[Node, Iterator[Step], Chain]] = []
+    path: List[Term] = []
+
+    def enough_solutions() -> bool:
+        return max_solutions is not None and len(successes) >= max_solutions
+
+    def visit(node: Node, chain: Chain) -> None:
+        """Classify a new node; push it if it is inner."""
+        nonlocal complete
+        t = node.term
+        if is_constructor_term(t):
+            node.status = SUCCESS
+            successes.append((node, chain))
+            return
+        if cut is not None and cut(t, path):
+            node.status = INCOMPLETE
+            complete = False
+            return
+        steps = strategy_steps(t, program, strategy, trees, gen)
+        node.offered = len(steps)
+        if not steps:
+            node.status = FAILING
+            return
+        if len(stack) >= max_depth or enough_solutions():
+            node.status = INCOMPLETE
+            complete = False
+            return
+        stack.append((node, iter(steps), chain))
+        path.append(t)
+
+    visit(root, None)
+    while stack:
+        node, pending, chain = stack[-1]
+        step = next(pending, None)
+        if step is None:
+            stack.pop()
+            path.pop()
+            continue
+        if budget <= 0 or enough_solutions():
+            node.status = INCOMPLETE
+            complete = False
+            stack.pop()
+            path.pop()
+            continue
+        budget -= 1
+        child = Node(narrow(node.term, step))
+        node.children.append((step, child))
+        visit(child, (step.subst, chain))
+    return root, successes, complete
 
 
 def search(goal: Term, program: Program, strategy: str = "needed",
@@ -305,76 +367,21 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     incomplete (a bound cut the expansion).  Answers are the composed
     step substitutions of a success path restricted to the goal's
     variables, paired with the leaf term; remaining fresh variables are
-    canonically renamed.  Each path carries its step substitutions as a
-    `Chain`, which is composed (`resolve_chain`) only at success leaves.
-    The expansion keeps its own stack, so derivation length is limited
-    by the bounds, not by Python's recursion limit.
+    canonically renamed.  Each path's step substitutions are composed
+    (`resolve_chain`) only at its success leaf.
     """
-    trees: Dict[str, DefTree] = {}
-    if strategy == "needed":
-        trees = _require_inductively_sequential(program)
-    elif strategy == "lazy":
-        require_lazy_class(program)
-    if gen is None:
-        gen = FreshVars()
-    gen.reserve(vars_of(goal))
-    gen.reserve(program.all_variables())
-
+    trees = require_class(program, strategy, _NEEDED_CLASS)
+    root, successes, complete = expand(
+        goal, program, strategy, trees, gen, bounds.max_steps,
+        bounds.max_nodes, bounds.max_solutions)
     goal_vars = vars_of(goal)
-    root = Node(goal)
     answers: List[Tuple[Substitution, Term]] = []
-    budget = bounds.max_nodes - 1
-    complete = True
-
-    def enough_solutions() -> bool:
-        return (bounds.max_solutions is not None
-                and len(answers) >= bounds.max_solutions)
-
-    def visit(node: Node, chain: Chain, depth: int) -> Optional[Iterator[Step]]:
-        """Classify a new node; the steps still to expand if it is inner."""
-        nonlocal complete
-        if is_constructor_term(node.term):
-            node.status = SUCCESS
-            answer = resolve_chain(chain, goal_vars)
-            renamed = canonical_rename(
-                [answer.apply(v) for v in goal_vars] + [node.term],
-                keep=goal_vars)
-            answers.append((
-                Substitution(dict(zip(goal_vars, renamed[:-1]))), renamed[-1]))
-            return None
-        steps = strategy_steps(node.term, program, strategy, trees, gen)
-        node.offered = len(steps)
-        if not steps:
-            node.status = FAILING
-            return None
-        if depth >= bounds.max_steps or enough_solutions():
-            node.status = INCOMPLETE
-            complete = False
-            return None
-        return iter(steps)
-
-    stack: List[Tuple[Node, Iterator[Step], Chain, int]] = []
-    pending = visit(root, None, 0)
-    if pending is not None:
-        stack.append((root, pending, None, 0))
-    while stack:
-        node, pending, chain, depth = stack[-1]
-        step = next(pending, None)
-        if step is None:
-            stack.pop()
-            continue
-        if budget <= 0 or enough_solutions():
-            node.status = INCOMPLETE
-            complete = False
-            stack.pop()
-            continue
-        budget -= 1
-        child = Node(narrow(node.term, step))
-        node.children.append((step, child))
-        child_chain = (step.subst, chain)
-        child_pending = visit(child, child_chain, depth + 1)
-        if child_pending is not None:
-            stack.append((child, child_pending, child_chain, depth + 1))
+    for leaf, chain in successes:
+        answer = resolve_chain(chain, goal_vars)
+        renamed = canonical_rename(
+            [answer.apply(v) for v in goal_vars] + [leaf.term], keep=goal_vars)
+        answers.append((
+            Substitution(dict(zip(goal_vars, renamed[:-1]))), renamed[-1]))
     return SearchResult(root, answers, complete)
 
 
@@ -403,7 +410,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     reports that an operation-rooted (sub)term had no needed position.
     Constructor prefixes are crossed like in search.
     """
-    trees = _require_inductively_sequential(program)
+    trees = require_class(program, "needed", _NEEDED_CLASS)
     trace: List[Term] = []
     current = t
     for _ in range(max_steps):

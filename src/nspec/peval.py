@@ -1,6 +1,9 @@
 """Partial evaluation of rewrite programs by bounded narrowing.
 
-A call is unfolded into a finite narrowing tree; each non-failing leaf
+A call is unfolded into a finite narrowing tree: the tree that
+`narrowing.expand` grows for a search of the call, bounded by the unfold
+depth and cut by the local control (root-stable terms, variants of the
+specialized calls, the embedding whistle).  Each non-failing leaf
 reached by at least one step yields a resultant sigma(s) -> t.  The set
 of specialized calls S gets an independent renaming to fresh operation
 symbols, resultants are renamed into legal rules, and a control loop
@@ -9,20 +12,11 @@ grows S until every call in the output is covered (closed) by S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .deftree import DefTree, ProgramClassError, is_inductively_sequential
-from .narrowing import (
-    FAILING,
-    INCOMPLETE,
-    Node,
-    Step,
-    SUCCESS,
-    narrow,
-    require_lazy_class,
-    strategy_steps,
-)
+from .deftree import DefTree, require_class
+from .narrowing import FAILING, Node, Step, expand
 from .program import AND, EQ, Program, Rule, Signature, add_strict_equality
 from .terms import (
     App,
@@ -41,7 +35,7 @@ from .terms import (
     is_variant,
     match,
     resolve_chain,
-    term_size,
+    subterms,
     vars_of,
 )
 
@@ -106,9 +100,19 @@ def msg(t1: Term, t2: Term, gen: Optional[FreshVars] = None
     return w, theta1, theta2
 
 
+# The text of the needed-class error of unfolding, before the operations.
+_UNFOLD_CLASS = ("unfolding with needed narrowing requires an inductively "
+                 "sequential program; no definitional tree for: ")
+
+
 def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
-           stop: Sequence[Term] = (), gen: Optional[FreshVars] = None) -> Node:
-    """Finite narrowing tree of an operation-rooted call.
+           stop: Sequence[Term] = (), gen: Optional[FreshVars] = None,
+           trees: Optional[Dict[str, DefTree]] = None) -> Node:
+    """Finite narrowing tree of an operation-rooted call: the tree of
+    `narrowing.expand`, bounded by the unfold depth and cut by the rules
+    below.  `trees` are what `deftree.require_class` returned for the
+    program and the policy's strategy; without them, unfold runs that
+    gate itself.
 
     The root is always expanded.  A non-root node becomes a leaf when its
     term is constructor root-stable (success if it is a constructor term,
@@ -122,53 +126,16 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
     """
     if not is_operation_rooted(call):
         raise ValueError(f"can only unfold operation-rooted terms, got {call}")
-    trees: Dict[str, DefTree] = {}
-    if policy.strategy == "needed":
-        report = is_inductively_sequential(program)
-        if not report.ok:
-            raise ProgramClassError(
-                "unfolding with needed narrowing requires an inductively "
-                "sequential program; no definitional tree for: "
-                + ", ".join(report.failures))
-        trees = report.trees
-    else:
-        require_lazy_class(program)
-    if gen is None:
-        gen = FreshVars()
-    gen.reserve(vars_of(call))
-    gen.reserve(program.all_variables())
+    if trees is None:
+        trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
 
-    root = Node(call)
+    def cut(t: Term, ancestors: List[Term]) -> bool:
+        return is_root_stable(t) or bool(ancestors) and (
+            any(is_variant(t, s) for s in stop)
+            or policy.whistle and any(embeds(a, t) for a in ancestors[1:]))
 
-    def expand(node: Node, depth: int, ancestors: Tuple[Term, ...]) -> None:
-        t = node.term
-        if is_constructor_term(t):
-            node.status = SUCCESS
-            return
-        if is_root_stable(t):
-            node.status = INCOMPLETE
-            return
-        if depth > 0:
-            if any(is_variant(t, s) for s in stop):
-                node.status = INCOMPLETE
-                return
-            if policy.whistle and any(embeds(a, t) for a in ancestors[1:]):
-                node.status = INCOMPLETE
-                return
-        steps = strategy_steps(t, program, policy.strategy, trees, gen)
-        node.offered = len(steps)
-        if not steps:
-            node.status = FAILING
-            return
-        if depth >= policy.depth:
-            node.status = INCOMPLETE
-            return
-        for step in steps:
-            child = Node(narrow(t, step))
-            node.children.append((step, child))
-            expand(child, depth + 1, ancestors + (t,))
-
-    expand(root, 0, ())
+    root, _, _ = expand(call, program, policy.strategy, trees, gen,
+                        policy.depth, cut=cut)
     return root
 
 
@@ -185,7 +152,8 @@ class Resultant:
 
 def resultants(tree: Node) -> List[Resultant]:
     """Resultants of an unfold tree: one per non-failing leaf reached by
-    at least one step, in depth-first order.
+    at least one step, in depth-first order, walked from an explicit
+    stack.
 
     A path's step substitutions are kept as a `Chain` and composed
     (`resolve_chain`) only at the leaves that yield a resultant.
@@ -193,17 +161,15 @@ def resultants(tree: Node) -> List[Resultant]:
     call = tree.term
     call_vars = vars_of(call)
     out: List[Resultant] = []
-
-    def walk(node: Node, chain: Chain, path: Tuple[Step, ...]) -> None:
+    stack: List[Tuple[Node, Chain, Tuple[Step, ...]]] = [(tree, None, ())]
+    while stack:
+        node, chain, path = stack.pop()
         if node.children:
-            for step, child in node.children:
-                walk(child, (step.subst, chain), path + (step,))
-            return
-        if node.status != FAILING and path:
+            stack.extend((child, (step.subst, chain), path + (step,))
+                         for step, child in reversed(node.children))
+        elif node.status != FAILING and path:
             sigma = resolve_chain(chain, call_vars)
             out.append(Resultant(sigma.apply(call), node.term, call, path, sigma))
-
-    walk(tree, None, ())
     return out
 
 
@@ -279,7 +245,9 @@ def closure_sets(S: Sequence[Term], t: Term) -> List[ClosureSet]:
                     continue
                 parts: List[List[ClosureSet]] = []
                 viable = True
-                for q, sub in _var_occurrences(s):
+                for q, sub in subterms(s):
+                    if not isinstance(sub, Var):
+                        continue
                     image_sets = derive(theta.apply(sub))
                     if not image_sets:
                         viable = False
@@ -293,20 +261,6 @@ def closure_sets(S: Sequence[Term], t: Term) -> List[ClosureSet]:
         return list(seen)
 
     return derive(t)
-
-
-def _var_occurrences(s: Term) -> List[Tuple[Position, Var]]:
-    out: List[Tuple[Position, Var]] = []
-
-    def walk(u: Term, at: Position) -> None:
-        if isinstance(u, Var):
-            out.append((at, u))
-            return
-        for i, a in enumerate(u.args, start=1):
-            walk(a, at + (i,))
-
-    walk(s, ())
-    return out
 
 
 class Renaming:
@@ -441,10 +395,13 @@ def outermost_operation_subterms(t: Term) -> List[Term]:
 
 
 def partial_evaluate(program: Program, S: Sequence[Term],
-                     policy: UnfoldPolicy = UnfoldPolicy()) -> PEResult:
+                     policy: UnfoldPolicy = UnfoldPolicy(),
+                     trees: Optional[Dict[str, DefTree]] = None) -> PEResult:
     """Specialize program w.r.t. the calls in S.
 
-    Each call is unfolded (stopping at variants of S elements), its
+    Each call is unfolded (stopping at variants of S elements) with the
+    definitional trees built once for all of them (or given as `trees`,
+    as in `unfold`), its
     resultants theta(s) -> r become rules theta(rho(s)) -> ren(r) over
     fresh operation symbols, and equality builtins are injected into the
     output.  The report states whether every specialized right-hand side
@@ -456,12 +413,14 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     for s in S:
         if not is_operation_rooted(s):
             raise ValueError(f"specialized calls must be operation-rooted: {s}")
+    if trees is None:
+        trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
     rho = independent_renaming(S, program.signature)
 
     per_call: List[Tuple[Term, Tuple[Resultant, ...]]] = []
     new_rules: List[Rule] = []
     for s in S:
-        tree = unfold(s, program, policy, stop=S)
+        tree = unfold(s, program, policy, stop=S, trees=trees)
         rs = tuple(resultants(tree))
         per_call.append((s, rs))
         for r in rs:
@@ -474,8 +433,9 @@ def partial_evaluate(program: Program, S: Sequence[Term],
         signature.declare(sym)
     for rule in new_rules:
         for t in (rule.lhs, rule.rhs):
-            for u in _apps_of(t):
-                signature.declare(u.root)
+            for _, u in subterms(t):
+                if isinstance(u, App):
+                    signature.declare(u.root)
 
     specialized = tuple(new_rules)
     out = add_strict_equality(Program(signature, specialized))
@@ -489,20 +449,6 @@ def partial_evaluate(program: Program, S: Sequence[Term],
                     uncovered.append(u)
     report = PEReport(not uncovered, tuple(uncovered), tuple(per_call))
     return PEResult(out, rho, specialized, report)
-
-
-def _apps_of(t: Term) -> List[App]:
-    out: List[App] = []
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            return
-        out.append(u)
-        for a in u.args:
-            walk(a)
-
-    walk(t)
-    return out
 
 
 class PEControlError(Exception):
@@ -579,6 +525,7 @@ def pe_control(program: Program, roots: Sequence[Term],
     resultant right-hand side is folded into S by abstract_add; a pass
     that changes nothing is the fixpoint.  Exceeding the iteration cap
     raises PEControlError listing the calls that still escape coverage.
+    The definitional trees are built once and serve every pass.
     """
     roots = list(roots)
     if not roots:
@@ -591,10 +538,11 @@ def pe_control(program: Program, roots: Sequence[Term],
     S: List[Term] = []
     for r in roots:
         abstract_add(S, r, gen)
+    trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
 
     result: Optional[PEResult] = None
     for iteration in range(1, max_iters + 1):
-        result = partial_evaluate(program, S, policy)
+        result = partial_evaluate(program, S, policy, trees)
         candidates: List[Term] = []
         for _, rs in result.report.resultants:
             for r in rs:

@@ -213,6 +213,14 @@ class TestTree:
         assert payload["term"] == "leq(0, s(0))"
         assert len(payload["arcs"]) == 1
 
+    def test_deep_tree_prints_without_recursion(self):
+        proc = run("tree", LOOP, "-e", "g(0)", "--max-steps", "1200")
+        assert proc.returncode == 0, proc.stderr[-300:]
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2401
+        assert lines[-1].endswith("    g(0)  [incomplete]")
+        assert lines[-2].endswith("  at [] R3 {}")
+
     def test_seed_offsets_fresh_names(self):
         base = run("tree", LEQ, "-e", "leq(X, s(0))", "--max-steps", "3")
         seeded = run("--seed", "7", "tree", LEQ, "-e", "leq(X, s(0))",
@@ -262,6 +270,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr == "error: not inductively sequential: f\n"
         assert run("eval", str(f), "-e", "f(X, Y, Z)").returncode == 3
+
+    def test_peval_program_class_violation(self, tmp_path):
+        f = tmp_path / "p.flp"
+        f.write_text(NOT_SEQUENTIAL)
+        proc = run("peval", str(f), "-s", "f(X, Y, Z)")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: unfolding with needed narrowing requires an inductively "
+            "sequential program; no definitional tree for: f\n")
 
     def test_pe_control_failure(self):
         proc = run("peval", APPEND, "-s", "append(append(Xs, Ys), Zs)",

@@ -183,6 +183,10 @@ class TestSearch:
         with pytest.raises(ValueError, match="unknown strategy"):
             search(goal(leq_prog, "leq(X, Y) ~ true"), leq_prog, "optimal")
 
+    def test_unknown_strategy_rejected_before_a_constructor_goal(self, leq_prog):
+        with pytest.raises(ValueError, match="unknown strategy 'optimal'"):
+            search(goal(leq_prog, "s(0)"), leq_prog, "optimal")
+
     def test_needed_requires_sequential_program(self):
         p = parse_program(
             "constructors a/0 b/0 ;\noperations f3/3 ;\n"

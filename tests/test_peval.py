@@ -202,6 +202,15 @@ class TestUnfold:
             unfold(parse_term("same(a, a)", p.signature), p,
                    UnfoldPolicy(strategy="lazy"))
 
+    def test_unfold_depth_is_not_limited_by_recursion(self, loop_prog):
+        tree = unfold(goal(loop_prog, "g(0)"), loop_prog,
+                      UnfoldPolicy(depth=3000, whistle=False))
+        nodes = tree.nodes()
+        assert len(nodes) == 3001
+        assert nodes[-1].status == "incomplete"
+        [r] = resultants(tree)
+        assert (str(r.lhs), str(r.rhs), len(r.steps)) == ("g(0)", "g(0)", 3000)
+
 
 def _eager_resultants(tree):
     """Resultants of an unfold tree by eager composition along each path:
@@ -505,3 +514,20 @@ class TestControlLoop:
         assert "no closed specialization after 1 iterations" in str(err.value)
         assert [str(t) for t in err.value.uncovered] == [
             "append(V7, Zs)", "append(append(V3, Ys), Zs)"]
+
+    def test_definitional_trees_are_built_once_per_pe_control(self, monkeypatch):
+        # Every module that holds the builder is patched, so the count
+        # includes calls made through any import of it.
+        from nspec import deftree, narrowing, peval
+        calls = []
+        build = deftree.is_inductively_sequential
+        for module in (deftree, narrowing, peval):
+            if hasattr(module, "is_inductively_sequential"):
+                monkeypatch.setattr(
+                    module, "is_inductively_sequential",
+                    lambda p, *rest: calls.append(p) or build(p, *rest))
+        program = load("append.flp")
+        outcome = pe_control(program,
+                             [goal(program, "append(append(Xs, Ys), Zs)")])
+        assert outcome.iterations == 2
+        assert calls == [program]
