@@ -23,7 +23,7 @@ from .oracle import ground_solutions, rewrites_to
 from .peval import PEControlError, UnfoldPolicy, pe_control
 from .program import Program, ProgramError, add_strict_equality, validate
 from .syntax import ParseError, parse_program, parse_term, print_program
-from .terms import FreshVars
+from .terms import FreshVars, is_constructor_term
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -222,8 +222,10 @@ def _cmd_eval(args) -> int:
             print(f"-> {t}")
         if suspended:
             print(f"suspended at: {final}")
-        else:
+        elif is_constructor_term(final):
             print(f"normal form: {final}")
+        else:
+            print(f"incomplete (bounds reached) at: {final}")
         return 0
     bounds = Bounds(args.max_steps, args.max_nodes, args.max_solutions)
     gen = FreshVars(start=args.seed)

@@ -91,11 +91,13 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
     if match(tree.pattern, t) is None:
         raise ValueError(f"tree pattern {tree.pattern} does not subsume {t}")
     gen.reserve(vars_of(t))
+    return _needed_steps(t, tree, trees, gen)
 
-    out: List[Step] = []
-    for pos, rule, parts in _nns(t, tree, trees, gen):
-        out.append(Step(pos, rule, compose_canonical(parts), tuple(parts)))
-    return out
+
+def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
+                  gen: FreshVars) -> List[Step]:
+    return [Step(pos, rule, compose_canonical(parts), tuple(parts))
+            for pos, rule, parts in _nns(t, tree, trees, gen)]
 
 
 def _nns(t: App, node: DefTree, trees: Dict[str, DefTree], gen: FreshVars
@@ -254,7 +256,7 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     Both strategies act on operation-rooted terms only; a constructor
     prefix is crossed by narrowing the leftmost-outermost operation-rooted
     subterm.  The program must have passed `deftree.require_class`, which
-    also supplies `trees`.
+    also supplies `trees`; `gen` must already hold t's variables.
     """
     if is_root_stable(t):
         pos = _leftmost_operation_position(t)
@@ -263,8 +265,8 @@ def strategy_steps(t: Term, program: Program, strategy: str,
         inner = strategy_steps(subterm_at(t, pos), program, strategy, trees, gen)
         return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in inner]
     if strategy == "needed":
-        return nns(t, trees, gen)
-    gen.reserve(vars_of(t))
+        tree = trees.get(t.root.name)
+        return [] if tree is None else _needed_steps(t, tree, trees, gen)
     return _lns(t, (), program, gen)
 
 
@@ -408,7 +410,8 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
 
     Returns (final term, intermediate terms, suspended) where suspended
     reports that an operation-rooted (sub)term had no needed position.
-    Constructor prefixes are crossed like in search.
+    Constructor prefixes are crossed like in search.  A term reached at
+    the `max_steps` bound is not suspended; it may not be a normal form.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
     trace: List[Term] = []
@@ -435,7 +438,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
             current, prefix,
             rewrite_step(target, pos, rule))
         trace.append(current)
-    return current, trace, True
+    return current, trace, False
 
 
 def node_to_dict(node: Node) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .program import EQ, Program, Rule
+from .program import EQ, Program
 from .terms import (
     App,
     CONSTRUCTOR,
@@ -22,7 +22,6 @@ from .terms import (
     match,
     replace_at,
     subterms,
-    term_size,
     unify,
     vars_of,
 )

@@ -380,17 +380,15 @@ def outermost_operation_subterms(t: Term) -> List[Term]:
     """Outermost operation-rooted subterms, crossing constructors and
     the eq/and connectives, in left-to-right order."""
     out: List[Term] = []
-
-    def walk(u: Term) -> None:
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
-            return
+            continue
         if u.root.kind == OPERATION and u.root.name not in (EQ, AND):
             out.append(u)
-            return
-        for a in u.args:
-            walk(a)
-
-    walk(t)
+        else:
+            stack.extend(reversed(u.args))
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .program import Program, ProgramError, Rule, Signature
 from .terms import App, CONSTRUCTOR, OPERATION, Symbol, Term, Var
@@ -79,6 +79,7 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 _SUGAR = {"+": "add", "<=": "leq", "~": "eq", ":": "cons"}
+_LEVEL = {"~": 1, "<=": 2, ":": 3, "+": 4}  # how tightly each infix binds
 
 
 class _Parser:
@@ -115,69 +116,68 @@ class _Parser:
                 tok.line, tok.column)
         return sym
 
-    # precedence: ~ < <= < : (right) < +  (left)
+    def _apply(self, tok: _Token, sym: Symbol, operands: List[Term], base: int) -> None:
+        """Replace the operands from `base` on by sym applied to them."""
+        args = tuple(operands[base:])
+        if len(args) != sym.arity:
+            raise ParseError(
+                f"{sym} applied to {len(args)} argument(s)", tok.line, tok.column)
+        operands[base:] = [App(sym, args)]
+
     def term(self) -> Term:
-        left = self.leq_term()
-        if self.peek().text == "~":
+        """One term, by precedence climbing over explicit stacks, so that
+        nesting costs no Python frames.  Precedence: ~ < <= < : (right)
+        < + (left); a second `~` or `<=` on one level ends the level.  An
+        infix symbol is looked up once its right operand is parsed."""
+        operands: List[Term] = []
+        # Infix operator tokens, and per open bracket (its token, the
+        # applied symbol or None for a parenthesis, the operands below).
+        pending: List[Union[_Token, Tuple[_Token, Optional[Symbol], int]]] = []
+        while True:
             tok = self.advance()
-            right = self.leq_term()
-            return App(self._sugar_symbol("~", tok), (left, right))
-        return left
-
-    def leq_term(self) -> Term:
-        left = self.cons_term()
-        if self.peek().text == "<=":
-            tok = self.advance()
-            right = self.cons_term()
-            return App(self._sugar_symbol("<=", tok), (left, right))
-        return left
-
-    def cons_term(self) -> Term:
-        left = self.add_term()
-        if self.peek().text == ":":
-            tok = self.advance()
-            right = self.cons_term()
-            return App(self._sugar_symbol(":", tok), (left, right))
-        return left
-
-    def add_term(self) -> Term:
-        left = self.primary()
-        while self.peek().text == "+":
-            tok = self.advance()
-            right = self.primary()
-            left = App(self._sugar_symbol("+", tok), (left, right))
-        return left
-
-    def primary(self) -> Term:
-        tok = self.peek()
-        if tok.text == "(":
-            self.advance()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if tok.kind == "var":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "name":
-            self.advance()
-            sym = self.signature.get(tok.text)
-            if sym is None:
-                raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.column)
-            args: Tuple[Term, ...] = ()
-            if self.peek().text == "(":
-                self.advance()
-                collected = [self.term()]
-                while self.peek().text == ",":
+            if tok.text == "(":
+                pending.append((tok, None, len(operands)))
+                continue
+            if tok.kind == "var":
+                operands.append(Var(tok.text))
+            elif tok.kind == "name":
+                sym = self.signature.get(tok.text)
+                if sym is None:
+                    raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.column)
+                if self.peek().text == "(":
                     self.advance()
-                    collected.append(self.term())
+                    pending.append((tok, sym, len(operands)))
+                    continue
+                self._apply(tok, sym, operands, len(operands))
+            else:
+                shown = tok.text or "end of input"
+                raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
+            while True:  # after an operand
+                op = self.peek().text
+                level = _LEVEL.get(op)
+                while pending and isinstance(pending[-1], _Token):
+                    top = pending[-1].text
+                    if level is not None and (
+                            _LEVEL[top] < level or top == op == ":"):
+                        break
+                    if top == op and op in ("~", "<="):
+                        level = None  # the level ends here
+                    right = operands.pop()
+                    sym = self._sugar_symbol(top, pending.pop())
+                    operands[-1] = App(sym, (operands[-1], right))
+                if level is not None:
+                    pending.append(self.advance())
+                    break
+                if not pending:
+                    return operands.pop()
+                tok, sym, base = pending[-1]
+                if sym is not None and self.peek().text == ",":
+                    self.advance()
+                    break
+                pending.pop()
                 self.expect(")")
-                args = tuple(collected)
-            if len(args) != sym.arity:
-                raise ParseError(
-                    f"{sym} applied to {len(args)} argument(s)", tok.line, tok.column)
-            return App(sym, args)
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
+                if sym is not None:
+                    self._apply(tok, sym, operands, base)
 
 
 def _parse_declaration(parser: _Parser, kind: str) -> None:

@@ -3,12 +3,15 @@
 A term is either a variable or the application of a declared symbol
 (constructor or operation) to exactly arity many argument terms.
 Positions are tuples of 1-based argument indices; the empty tuple
-addresses the root.  All values here are immutable.
+addresses the root.  All values here are immutable.  Every walk over
+a term is a loop over an explicit stack, mostly `_preorder` or
+`_rebuild`, so term depth is limited by memory, not by recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 CONSTRUCTOR = "constructor"
@@ -54,9 +57,22 @@ class App:
                 f"{self.root} applied to {len(self.args)} argument(s)")
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.root.name
-        return f"{self.root.name}({', '.join(map(str, self.args))})"
+        out: List[str] = []
+        stack: List[Union[Term, str]] = [self]  # subterms and text to print
+        while stack:
+            u = stack.pop()
+            if isinstance(u, str):
+                out.append(u)
+            elif isinstance(u, Var):
+                out.append(u.name)
+            else:
+                out.append(u.root.name)
+                if u.args:
+                    stack.append(")")
+                    for a in reversed(u.args):
+                        stack += (a, ", ")
+                    stack[-1] = "("
+        return "".join(out)
 
 
 Term = Union[Var, App]
@@ -77,18 +93,22 @@ def is_root_stable(t: Term) -> bool:
     return isinstance(t, Var) or t.root.kind == CONSTRUCTOR
 
 
+def _preorder(t: Term) -> Iterator[Term]:
+    """The subterms of t in preorder, like `subterms` without positions."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        if isinstance(u, App) and u.args:
+            stack.extend(reversed(u.args))
+
+
 def is_constructor_term(t: Term) -> bool:
     """True iff every symbol occurring in t is a constructor."""
-    if isinstance(t, Var):
-        return True
-    return t.root.kind == CONSTRUCTOR and all(
-        is_constructor_term(a) for a in t.args)
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    for u in _preorder(t):
+        if isinstance(u, App) and u.root.kind != CONSTRUCTOR:
+            return False
+    return True
 
 
 def is_pattern(t: Term) -> bool:
@@ -98,39 +118,18 @@ def is_pattern(t: Term) -> bool:
 
 def term_size(t: Term) -> int:
     """Number of variable and symbol occurrences in t."""
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    return sum(1 for _ in _preorder(t))
 
 
 def vars_of(t: Term) -> Tuple[Var, ...]:
     """Variables of t in left-to-right order of first occurrence."""
-    seen: Dict[Var, None] = {}
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            seen.setdefault(u)
-        else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
-    return tuple(seen)
+    return tuple({u: None for u in _preorder(t) if isinstance(u, Var)})
 
 
 def is_linear(t: Term) -> bool:
     """True iff no variable occurs twice in t."""
-    seen = set()
-
-    def walk(u: Term) -> bool:
-        if isinstance(u, Var):
-            if u in seen:
-                return False
-            seen.add(u)
-            return True
-        return all(walk(a) for a in u.args)
-
-    return walk(t)
+    occurrences = [u for u in _preorder(t) if isinstance(u, Var)]
+    return len(occurrences) == len(set(occurrences))
 
 
 def subterms(t: Term) -> Iterator[Tuple[Position, Term]]:
@@ -148,30 +147,30 @@ def var_positions(t: Term) -> List[Position]:
     return [p for p, u in subterms(t) if isinstance(u, Var)]
 
 
-def subterm_at(t: Term, pos: Sequence[int]) -> Term:
-    """The subterm of t at pos; rejects out-of-range indices."""
+def _path(t: Term, pos: Sequence[int]) -> List[Term]:
+    """The subterms of t along pos, t first; rejects out-of-range indices."""
     u = t
+    path = [u]
     for depth, i in enumerate(pos):
         if isinstance(u, Var) or not 1 <= i <= len(u.args):
             raise ValueError(
                 f"invalid position {tuple(pos)} in {t}: index {i} "
                 f"(component {depth + 1}) is out of range")
         u = u.args[i - 1]
-    return u
+        path.append(u)
+    return path
+
+
+def subterm_at(t: Term, pos: Sequence[int]) -> Term:
+    """The subterm of t at pos; rejects out-of-range indices."""
+    return _path(t, pos)[-1]
 
 
 def replace_at(t: Term, pos: Sequence[int], s: Term) -> Term:
     """A copy of t with the subterm at pos replaced by s."""
-    if not pos:
-        return s
-    i = pos[0]
-    if isinstance(t, Var) or not 1 <= i <= len(t.args):
-        raise ValueError(
-            f"invalid position {tuple(pos)} in {t}: index {i} "
-            f"(component 1) is out of range")
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], pos[1:], s)
-    return App(t.root, tuple(args))
+    for u, i in reversed(list(zip(_path(t, pos), pos))):
+        s = App(u.root, u.args[:i - 1] + (s,) + u.args[i:])
+    return s
 
 
 def position_prefix(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -237,11 +236,12 @@ class Substitution:
         return "{" + inner + "}"
 
     def apply(self, t: Term) -> Term:
+        """sigma(t), sharing every subterm that sigma does not change."""
         if isinstance(t, Var):
             return self._map.get(t, t)
         if not self._map:
             return t
-        return App(t.root, tuple(self.apply(a) for a in t.args))
+        return _rebuild(t, self._map)
 
     __call__ = apply
 
@@ -287,33 +287,40 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
 Chain = Optional[Tuple[Substitution, "Chain"]]
 
 
-def _resolve(t: Term, bound: Dict[Var, Term], memo: Dict[Var, Term]) -> Term:
-    """t with every variable bound in the triangular map `bound` replaced,
-    repeatedly, by its binding.  Iterative, so long binding chains cost
-    no recursion; `memo` keeps resolved variables across calls."""
-    stack: List[Tuple[Term, bool]] = [(t, False)]
+_FINISH = object()  # on the stack of `_rebuild`: finish the term below
+
+
+def _rebuild(t: Term, final: Dict[Var, Term],
+             pending: Dict[Var, Term] = {}) -> Term:
+    """t with each variable of `final` replaced by its image as it is,
+    and each variable of `pending` by its binding rebuilt in turn, which
+    is then stored in `final`.  Unchanged subterms are shared.  `apply`
+    passes its map as `final`; `resolve_chain` passes the triangular
+    bindings of a chain as `pending`, where no variable may reach itself.
+    """
+    stack: List[object] = [t]
     out: List[Term] = []
     while stack:
-        u, ready = stack.pop()
-        if isinstance(u, Var):
-            if ready:
-                memo[u] = out[-1]
-            elif u in memo:
-                out.append(memo[u])
-            elif u in bound:
-                stack.append((u, True))
-                stack.append((bound[u], False))
+        u = stack.pop()
+        if u is _FINISH:
+            u = stack.pop()
+            if isinstance(u, Var):
+                final[u] = out[-1]
+                continue
+            n = len(u.args)
+            args = tuple(out[-n:])
+            del out[-n:]
+            out.append(u if all(map(is_, args, u.args)) else App(u.root, args))
+        elif isinstance(u, Var):
+            if u in final:
+                out.append(final[u])
+            elif u in pending:
+                stack += (u, _FINISH, pending[u])
             else:
                 out.append(u)
-        elif ready:
-            n = len(u.args)
-            args = tuple(out[len(out) - n:])
-            del out[len(out) - n:]
-            same = all(a is b for a, b in zip(args, u.args))
-            out.append(u if same else App(u.root, args))
         elif u.args:
-            stack.append((u, True))
-            stack.extend((a, False) for a in reversed(u.args))
+            stack += (u, _FINISH)
+            stack += reversed(u.args)
         else:
             out.append(u)
     return out[0]
@@ -335,8 +342,8 @@ def resolve_chain(chain: Chain, variables: Iterable[Var]) -> Substitution:
     while chain is not None:
         sigma, chain = chain
         bound.update(sigma._map)
-    memo: Dict[Var, Term] = {}
-    return Substitution({x: _resolve(x, bound, memo) for x in variables})
+    resolved: Dict[Var, Term] = {}
+    return Substitution({x: _rebuild(x, resolved, bound) for x in variables})
 
 
 def _solve(pairs: List[Tuple[Term, Term]]) -> Optional[Substitution]:
@@ -448,26 +455,19 @@ def linear_unify(pattern: App, goal: App) -> LUResult:
 
     demanded: List[Position] = []
     equations: List[Tuple[Term, Term]] = []
-
-    def walk(p: Term, g: Term, at: Position) -> bool:
-        if isinstance(p, Var):
+    # (pattern subterm, goal subterm, goal position), leftmost on top.
+    stack: List[Tuple[Term, Term, Position]] = [(pattern, goal, ())]
+    while stack:
+        p, g, at = stack.pop()
+        if isinstance(p, Var) or isinstance(g, Var):
             equations.append((p, g))
-            return True
-        if isinstance(g, Var):
-            equations.append((p, g))
-            return True
-        if g.root.kind == OPERATION:
+        elif g.root.kind == OPERATION and at:  # not the goal's own root
             demanded.append(at)
-            return True
-        if p.root != g.root:
-            return False  # constructor clash
-        return all(
-            walk(pa, ga, at + (i,))
-            for i, (pa, ga) in enumerate(zip(p.args, g.args), start=1))
-
-    for i, (pa, ga) in enumerate(zip(pattern.args, goal.args), start=1):
-        if not walk(pa, ga, (i,)):
-            return Fail()
+        elif p.root != g.root:
+            return Fail()  # constructor clash
+        else:
+            stack.extend((p.args[i - 1], g.args[i - 1], at + (i,))
+                         for i in range(len(p.args), 0, -1))
     if demanded:
         return Demand(tuple(demanded))
     sigma = _solve(equations)
@@ -525,22 +525,16 @@ def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),
     """
     keep_set = set(keep)
     taken = {v.name for v in keep_set}
-    mapping: Dict[Var, Var] = {}
+    mapping: Dict[Var, Term] = {}
     counter = 0
-
-    def walk(t: Term) -> Term:
-        nonlocal counter
-        if isinstance(t, Var):
-            if t in keep_set:
-                return t
-            if t not in mapping:
-                while True:
-                    counter += 1
-                    name = f"{prefix}{counter}"
-                    if name not in taken:
-                        break
-                mapping[t] = Var(name)
-            return mapping[t]
-        return App(t.root, tuple(walk(a) for a in t.args))
-
-    return [walk(t) for t in terms]
+    for t in terms:
+        for x in vars_of(t):
+            if x in keep_set or x in mapping:
+                continue
+            while True:
+                counter += 1
+                name = f"{prefix}{counter}"
+                if name not in taken:
+                    break
+            mapping[x] = Var(name)
+    return [_rebuild(t, mapping) for t in terms]

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from nspec import cli
+
 DATA = Path(__file__).parent / "data"
 
 LEQ = str(DATA / "leq.flp")
@@ -89,6 +91,40 @@ class TestEval:
         assert proc.stdout == (
             "goal: leq(X, add(0, 0))\n"
             "suspended at: leq(X, add(0, 0))\n")
+
+    def test_rewrite_step_bound_is_reported_as_incomplete(self):
+        proc = run("eval", LEQ, "-e", "add(" + "s(" * 150 + "0" + ")" * 150 + ", 0)",
+                   "--strategy", "rewrite")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 + 25 + 1
+        assert lines[-1] == "incomplete (bounds reached) at: " + lines[-2][3:]
+
+    @pytest.mark.parametrize("goal, value", [
+        ("leq(" + "s(" * 400 + "0" + ")" * 400 + ", 0)", "false"),
+        ("leq(0, " + "s(" * 400 + "0" + ")" * 400 + ")", "true"),
+    ])
+    def test_rewrite_of_a_deep_goal(self, goal, value):
+        proc = run("eval", LEQ, "-e", goal, "--strategy", "rewrite")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"goal: {goal}\n-> {value}\nnormal form: {value}\n"
+
+    def test_rewrite_round_trip_of_a_term_deeper_than_the_recursion_limit(
+            self, capsys):
+        deep = "s(" * 10 ** 5 + "0" + ")" * 10 ** 5
+        code = cli.main(["eval", LEQ, "-e", f"add(0, {deep})",
+                         "--strategy", "rewrite"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == f"goal: add(0, {deep})\n-> {deep}\nnormal form: {deep}\n"
+
+    def test_answers_deeper_than_the_recursion_limit(self):
+        proc = run("eval", LEQ, "-e", "leq(X, Y) ~ true", "--max-steps", "600")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "500 answer(s), incomplete (bounds reached)"
+        assert sum(line.startswith("answer ") for line in lines) == 500
+        assert max(line.count("s(") for line in lines) > 900
 
     def test_long_derivation_ends_at_the_step_bound(self):
         proc = run("eval", LOOP, "-e", "g(0)",

@@ -307,6 +307,13 @@ class TestRewriteNormalize:
         assert trace == []
         assert suspended
 
+    def test_step_bound_is_not_a_suspension(self, leq_prog):
+        t = goal(leq_prog, "add(" + "s(" * 150 + "0" + ")" * 150 + ", 0)")
+        final, trace, suspended = rewrite_normalize(t, leq_prog, max_steps=25)
+        assert not suspended
+        assert len(trace) == 25 and final is trace[-1]
+        assert str(final).startswith("s(" * 25 + "add(")
+
     def test_equation_normalizes_to_true(self, leq_prog):
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, "leq(0, 0) ~ true"), leq_prog)

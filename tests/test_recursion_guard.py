@@ -1,0 +1,81 @@
+"""Source checks that keep term depth independent of Python's recursion
+limit: no function in `nspec/terms.py` calls itself, and no module
+raises the limit instead."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src"
+
+# A special method that calls the builtin which dispatches to it recurses
+# as surely as a call by its own name.
+_BUILTIN_OF = {"__str__": "str", "__repr__": "repr"}
+
+
+def self_calling_functions(source: str):
+    """Names of the functions (nested ones and methods included) whose
+    body calls the function itself by name: `f(...)`, `self.f(...)`, or
+    for `__str__`/`__repr__` a call of `str`/`repr` or one that is passed
+    `str`/`repr` as a function, as in `map(str, args)`."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        builtin = _BUILTIN_OF.get(fn.name)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else None
+            passed = [] if name in ("isinstance", "issubclass") else node.args
+            if name == fn.name or (
+                    isinstance(callee, ast.Attribute) and callee.attr == fn.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id == "self") or builtin and any(
+                    isinstance(x, ast.Name) and x.id == builtin
+                    for x in [callee, *passed]):
+                found.append(fn.name)
+                break
+    return found
+
+
+def test_the_guard_finds_each_kind_of_self_call():
+    source = '''
+def size(t):
+    return 1 + sum(size(a) for a in t.args)
+
+def outer(t):
+    def walk(u):
+        return [walk(a) for a in u.args]
+    return walk(t)
+
+class T:
+    def apply(self, t):
+        return self.apply(t)
+
+    def __str__(self):
+        return ", ".join(map(str, self.args))
+
+    def __repr__(self):
+        return repr(self.args) if isinstance(self, T) else ""
+
+class Name:
+    def __str__(self):
+        return self.name if isinstance(self.name, str) else ""
+
+def apply(sigma, t):
+    return sigma.apply(t)
+'''
+    assert self_calling_functions(source) == [
+        "size", "walk", "apply", "__str__", "__repr__"]
+
+
+def test_terms_module_has_no_self_calling_function():
+    source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
+    assert self_calling_functions(source) == []
+
+
+def test_no_module_raises_the_recursion_limit():
+    offenders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                 if "setrecursionlimit" in path.read_text(encoding="utf-8")]
+    assert offenders == []

@@ -9,6 +9,12 @@ from nspec.syntax import ParseError, parse_program, parse_term, print_program
 from nspec.terms import Symbol
 
 DATA = Path(__file__).parent / "data"
+# Every infix form is declared here.
+FULL = Signature([Symbol("0", 0, "constructor"), Symbol("s", 1, "constructor"),
+                  Symbol("nil", 0, "constructor"), Symbol("cons", 2, "constructor"),
+                  Symbol("add", 2, "operation"), Symbol("leq", 2, "operation"),
+                  Symbol("eq", 2, "operation")])
+DEEP = 10 ** 5
 
 
 def source(name: str) -> str:
@@ -67,6 +73,60 @@ class TestSugar:
         with pytest.raises(ParseError, match="infix '~' needs a declared "
                                              "binary symbol 'eq'"):
             parse_term("X ~ Y", Signature())
+
+    def test_all_levels_together(self):
+        t = parse_term("X : Y + Z + W <= V ~ U", FULL)
+        assert str(t) == "eq(leq(cons(X, add(add(Y, Z), W)), V), U)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("X <= Y <= Z", "trailing input '<=' (line 1, column 8)"),
+        ("X ~ Y <= Z ~ W", "trailing input '~' (line 1, column 12)"),
+        ("(X <= Y <= Z)", "expected ')', found '<=' (line 1, column 9)"),
+        ("s(X ~ Y ~ Z)", "expected ')', found '~' (line 1, column 9)"),
+    ])
+    def test_leq_and_equation_do_not_chain(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_term(text, FULL)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # the right operand is parsed before the infix symbol is looked up
+        ("X + nil", "undeclared symbol 'nil' (line 1, column 5)"),
+        # so a chain of `:` reports its last operator first
+        ("X : Y : Z", "infix ':' needs a declared binary symbol 'cons' "
+                      "(line 1, column 7)"),
+        ("X + Y : Z", "infix '+' needs a declared binary symbol 'add' "
+                      "(line 1, column 3)"),
+    ])
+    def test_infix_symbol_checked_after_its_right_operand(self, text, message):
+        sig = Signature([Symbol("s", 1, "constructor")])
+        with pytest.raises(ParseError) as err:
+            parse_term(text, sig)
+        assert str(err.value) == message
+
+
+class TestDeepNesting:
+    """Nesting depth costs the parser and the printer no Python frames."""
+
+    def test_applications(self):
+        text = "s(" * DEEP + "X" + ")" * DEEP
+        assert str(parse_term(text, FULL)) == text
+
+    def test_parentheses(self):
+        assert str(parse_term("(" * DEEP + "0" + ")" * DEEP, FULL)) == "0"
+
+    def test_left_associative_chain(self):
+        t = parse_term("0" + " + 0" * DEEP, FULL)
+        assert str(t) == "add(" * DEEP + "0" + ", 0)" * DEEP
+
+    def test_right_associative_chain(self):
+        t = parse_term("0 : " * DEEP + "nil", FULL)
+        assert str(t) == "cons(0, " * DEEP + "nil" + ")" * DEEP
+
+    def test_error_position_inside_deep_nesting(self):
+        with pytest.raises(ParseError) as err:
+            parse_term("s(" * 1000 + "foo", FULL)
+        assert str(err.value) == "undeclared symbol 'foo' (line 1, column 2001)"
 
 
 class TestParseErrors:

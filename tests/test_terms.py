@@ -17,6 +17,7 @@ from nspec.terms import (
     apply,
     canonical_rename,
     compose,
+    is_constructor_term,
     is_linear,
     is_pattern,
     is_variant,
@@ -377,3 +378,166 @@ def test_match_recovers_instance(pattern, t):
 @given(TERMS)
 def test_size_counts_subterm_occurrences(t):
     assert term_size(t) == len(list(subterms(t)))
+
+
+# --- iterative walkers against recursive references ------------------------
+#
+# The walkers in nspec.terms loop over explicit stacks.  These recursive
+# versions are the reference they must agree with on shallow terms.
+
+
+def ref_vars_of(t):
+    if isinstance(t, Var):
+        return (t,)
+    return tuple(dict.fromkeys(v for a in t.args for v in ref_vars_of(a)))
+
+
+def ref_term_size(t):
+    return 1 if isinstance(t, Var) else 1 + sum(ref_term_size(a) for a in t.args)
+
+
+def ref_is_constructor_term(t):
+    return isinstance(t, Var) or t.root.kind == "constructor" and all(
+        ref_is_constructor_term(a) for a in t.args)
+
+
+def ref_is_linear(t):
+    occurrences = []
+
+    def walk(u):
+        if isinstance(u, Var):
+            occurrences.append(u)
+        else:
+            for a in u.args:
+                walk(a)
+
+    walk(t)
+    return len(occurrences) == len(set(occurrences))
+
+
+def ref_str(t):
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.root.name
+    return f"{t.root.name}({', '.join(ref_str(a) for a in t.args)})"
+
+
+def ref_apply(mapping, t):
+    if isinstance(t, Var):
+        return mapping.get(t, t)
+    return App(t.root, tuple(ref_apply(mapping, a) for a in t.args))
+
+
+def ref_replace_at(t, pos, s):
+    if not pos:
+        return s
+    args = list(t.args)
+    args[pos[0] - 1] = ref_replace_at(args[pos[0] - 1], pos[1:], s)
+    return App(t.root, tuple(args))
+
+
+def ref_canonical_rename(terms, keep=(), prefix="V"):
+    taken = {v.name for v in keep}
+    mapping, counter = {}, 0
+
+    def walk(t):
+        nonlocal counter
+        if isinstance(t, Var):
+            if t in keep:
+                return t
+            if t not in mapping:
+                counter += 1
+                while f"{prefix}{counter}" in taken:
+                    counter += 1
+                mapping[t] = Var(f"{prefix}{counter}")
+            return mapping[t]
+        return App(t.root, tuple(walk(a) for a in t.args))
+
+    return [walk(t) for t in terms]
+
+
+@given(TERMS)
+def test_preorder_walkers_agree_with_recursive_references(t):
+    assert vars_of(t) == ref_vars_of(t)
+    assert term_size(t) == ref_term_size(t)
+    assert is_constructor_term(t) == ref_is_constructor_term(t)
+    assert is_linear(t) == ref_is_linear(t)
+    assert str(t) == ref_str(t)
+
+
+@given(TERMS, st.dictionaries(VARS, TERMS, max_size=3))
+def test_apply_agrees_with_recursive_reference(t, mapping):
+    assert Substitution(mapping).apply(t) == ref_apply(mapping, t)
+
+
+@given(TERMS, TERMS)
+def test_replace_at_agrees_with_recursive_reference(t, s):
+    for p, _ in subterms(t):
+        assert replace_at(t, p, s) == ref_replace_at(t, p, s)
+
+
+@given(st.lists(TERMS, max_size=3), st.sets(VARS))
+def test_canonical_rename_agrees_with_recursive_reference(terms, keep):
+    keep = frozenset(keep) | {Var("V2")}
+    assert canonical_rename(terms, keep) == ref_canonical_rename(terms, keep)
+
+
+@given(TERMS)
+def test_apply_returns_the_term_itself_when_nothing_is_bound(t):
+    assert Substitution({Var("Unbound"): num(1)}).apply(t) is t
+
+
+def test_apply_shares_the_arguments_it_does_not_change():
+    t = leq(add(num(2), Y), X)
+    out = Substitution({X: num(0)}).apply(t)
+    assert str(out) == "leq(add(s(s(0)), Y), 0)"
+    assert out.args[0] is t.args[0]
+
+
+# --- terms deeper than the recursion limit ---------------------------------
+
+DEEP = 10 ** 5
+
+
+def tower(n, base):
+    """s^n(base), built bottom-up."""
+    t = base
+    for _ in range(n):
+        t = App(S, (t,))
+    return t
+
+
+def text(n, base):
+    return "s(" * n + base + ")" * n
+
+
+class TestDeepTerms:
+    """Walks of a 10^5-deep term.  Deep terms are compared by their text:
+    the generated `App.__eq__` still recurses."""
+
+    deep = tower(DEEP, X)
+
+    def test_print(self):
+        assert str(self.deep) == text(DEEP, "X")
+
+    def test_preorder_walkers(self):
+        assert vars_of(self.deep) == (X,)
+        assert term_size(self.deep) == DEEP + 1
+        assert is_constructor_term(self.deep)
+        assert not is_constructor_term(tower(DEEP, add(X, Y)))
+        assert is_linear(leq(self.deep, Y))
+        assert not is_linear(leq(self.deep, X))
+
+    def test_positions(self):
+        bottom = (1,) * DEEP
+        assert subterm_at(self.deep, bottom) is X
+        assert str(replace_at(self.deep, bottom, num(0))) == text(DEEP, "0")
+
+    def test_apply(self):
+        assert str(Substitution({X: Y}).apply(self.deep)) == text(DEEP, "Y")
+        assert Substitution({Y: X}).apply(self.deep) is self.deep
+
+    def test_canonical_rename(self):
+        [out] = canonical_rename([self.deep])
+        assert str(out) == text(DEEP, "V1")
