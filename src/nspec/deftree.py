@@ -8,7 +8,7 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .program import Program, Rule, Signature
@@ -41,13 +41,25 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Branch:
+    """A case distinction on the constructor at `position`.
+
+    `constructors[i]` is the constructor that child i's pattern has at
+    the inductive position; it is read once, at construction.
+    """
+
     pattern: App
     position: Position
     children: Tuple["DefTree", ...]
+    constructors: Tuple[Symbol, ...] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "constructors", tuple(
+            subterm_at(child.pattern, self.position).root
+            for child in self.children))
 
     def child_constructor(self, i: int) -> Symbol:
-        sub = subterm_at(self.children[i].pattern, self.position)
-        return sub.root
+        return self.constructors[i]
 
 
 DefTree = Union[Leaf, Branch]

@@ -2,9 +2,11 @@
 
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
-by linear unification against every rule, recursing into demanded
-positions.  `expand` grows the narrowing tree of a term under either
-strategy with an explicit stack; two leaf policies use it.  `search`
+by linear unification against every rule, descending into demanded
+positions.  Both descents, and the redex search of rewriting, loop over
+explicit stacks, so nested calls are limited by memory, not by the
+recursion limit.  `expand` grows the narrowing tree of a term under
+either strategy with an explicit stack; two leaf policies use it.  `search`
 bounds it by `Bounds` and collects (answer, constructor term) pairs at
 the success leaves; `peval.unfold` bounds it by the unfold depth and
 cuts it with the partial evaluator's local control.
@@ -36,11 +38,11 @@ from .terms import (
     is_operation_rooted,
     is_root_stable,
     linear_unify,
+    linear_walk,
     match,
     replace_at,
     resolve_chain,
     subterm_at,
-    subterms,
     vars_of,
 )
 
@@ -68,7 +70,8 @@ class Step:
 def compose_canonical(parts: Iterable[Substitution]) -> Substitution:
     acc = IDENTITY
     for phi in parts:
-        acc = compose(phi, acc)
+        if phi:  # composing with the identity changes nothing
+            acc = compose(phi, acc)
     return acc
 
 
@@ -78,7 +81,7 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
 
     Walks the definitional tree of the root.  At a branch with inductive
     position o: a variable at t|o is instantiated child by child, a
-    constructor selects the matching child, and an operation recurses
+    constructor selects the matching child, and an operation continues
     into its own tree with positions prefixed by o.  Leaves emit the
     renamed-apart rule at the root.
     """
@@ -96,35 +99,60 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
 
 def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
                   gen: FreshVars) -> List[Step]:
-    return [Step(pos, rule, compose_canonical(parts), tuple(parts))
-            for pos, rule, parts in _nns(t, tree, trees, gen)]
+    """The descent of `nns`, from an explicit stack, depth first with
+    the children of a branch in tree order.
 
-
-def _nns(t: App, node: DefTree, trees: Dict[str, DefTree], gen: FreshVars
-         ) -> List[Tuple[Position, Rule, List[Substitution]]]:
-    if isinstance(node, Leaf):
-        return [((), node.rule.renamed(gen), [IDENTITY])]
-
-    sub = subterm_at(t, node.position)
-    results: List[Tuple[Position, Rule, List[Substitution]]] = []
-    if isinstance(sub, Var):
-        for i, child in enumerate(node.children):
-            ctor = node.child_constructor(i)
-            tau = Substitution({sub: App(ctor, gen.fresh_tuple(ctor.arity))})
-            for pos, rule, parts in _nns(tau.apply(t), child, trees, gen):
-                results.append((pos, rule, [tau] + parts))
-    elif sub.root.kind == CONSTRUCTOR:
-        for i, child in enumerate(node.children):
-            if node.child_constructor(i) == sub.root:
-                for pos, rule, parts in _nns(t, child, trees, gen):
-                    results.append((pos, rule, [IDENTITY] + parts))
-                break
-    else:
-        inner = trees.get(sub.root.name)
-        if inner is not None:
-            for pos, rule, parts in _nns(sub, inner, trees, gen):
-                results.append((node.position + pos, rule, [IDENTITY] + parts))
-    return results
+    A variable at an inductive position is instantiated child by child,
+    but t itself is never rebuilt: each instantiation is entered in
+    `bound`, which holds the bindings of the current tree path, and
+    positions are read through it.  A frame is (tree node, the
+    operation-rooted subterm it descends, that subterm's position in t,
+    the canonical parts so far, and the (variable, constructor) to bind
+    on entry, if any); a bare variable on the stack ends that binding's
+    scope.  Fresh variables and rule variants are drawn in depth-first
+    order.
+    """
+    steps: List[Step] = []
+    bound: Dict[Var, App] = {}
+    stack: List[object] = [(tree, t, (), (), None)]
+    while stack:
+        frame = stack.pop()
+        if isinstance(frame, Var):
+            del bound[frame]
+            continue
+        node, u, at, parts, binding = frame
+        if binding is not None:
+            x, ctor = binding
+            image = App(ctor, gen.fresh_tuple(ctor.arity))
+            bound[x] = image
+            stack.append(x)
+            parts += (Substitution({x: image}),)
+        if isinstance(node, Leaf):
+            parts += (IDENTITY,)
+            steps.append(Step(at, node.rule.renamed(gen),
+                              compose_canonical(parts), parts))
+            continue
+        sub = u
+        for i in node.position:
+            if isinstance(sub, Var):
+                sub = bound[sub]
+            sub = sub.args[i - 1]
+        if isinstance(sub, Var):
+            sub = bound.get(sub, sub)
+        if isinstance(sub, Var):
+            stack.extend((child, u, at, parts, (sub, ctor)) for child, ctor
+                         in zip(reversed(node.children), reversed(node.constructors)))
+        elif sub.root.kind == CONSTRUCTOR:
+            for child, ctor in zip(node.children, node.constructors):
+                if ctor == sub.root:
+                    stack.append((child, u, at, parts + (IDENTITY,), None))
+                    break
+        else:
+            inner = trees.get(sub.root.name)
+            if inner is not None:
+                stack.append((inner, sub, at + node.position,
+                              parts + (IDENTITY,), None))
+    return steps
 
 
 def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
@@ -132,31 +160,42 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
 
     Every rule whose root matches is linearly unified against the
     subterm; successes become steps, demanded positions are collected
-    (across all rules, deduplicated) and recursed into over all rules.
+    (across all rules, deduplicated) and descended into over all rules.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"lazy narrowing needs an operation-rooted term, got {t}")
     require_lazy_class(program)
     gen.reserve(vars_of(t))
-    return _lns(t, (), program, gen)
+    return _lns(t, program, gen)
 
 
-def _lns(t: Term, at: Position, program: Program, gen: FreshVars) -> List[Step]:
-    sub = subterm_at(t, at)
+def _lns(t: App, program: Program, gen: FreshVars) -> List[Step]:
+    """The descent of `lns`, from an explicit stack: the steps at a
+    position come first, then those of each position it demands, in
+    position order, each with everything below it."""
     steps: List[Step] = []
-    demanded: Dict[Position, None] = {}
-    for rule in program.rules:
-        if not isinstance(sub, App) or rule.lhs.root != sub.root:
-            continue
-        variant = rule.renamed(gen)
-        outcome = linear_unify(variant.lhs, sub)
-        if isinstance(outcome, Succ):
-            steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
-        elif isinstance(outcome, Demand):
-            for q in outcome.positions:
-                demanded.setdefault(at + q)
-    for q in sorted(demanded):
-        steps.extend(_lns(t, q, program, gen))
+    stack: List[Tuple[Position, App]] = [((), t)]
+    while stack:
+        at, sub = stack.pop()
+        demanded: Dict[Position, None] = {}
+        for rule in program.rules_for(sub.root.name):
+            if rule.lhs.root != sub.root:
+                continue
+            # A clash or a demand does not depend on variable names, so
+            # the rule's own left-hand side tells whether a variant can
+            # unify; the others only draw their renaming, as if built.
+            walked = linear_walk(rule.lhs, sub)
+            if isinstance(walked, list):
+                variant = rule.renamed(gen)
+                outcome = linear_unify(variant.lhs, sub)
+                if isinstance(outcome, Succ):
+                    steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
+                continue
+            gen.renaming(rule.variables)
+            if isinstance(walked, Demand):
+                for q in walked.positions:
+                    demanded.setdefault(q)
+        stack.extend((at + q, subterm_at(sub, q)) for q in sorted(demanded, reverse=True))
     return steps
 
 
@@ -180,28 +219,29 @@ def outermost_needed_redex(t: Term, trees: Dict[str, DefTree],
     """The position a definitional tree sends rewriting to, if any.
 
     None means the evaluation suspends: the scrutinized subterm is a
-    variable, or a constructor without a matching child.
+    variable, or a constructor without a matching child.  A loop: an
+    operation at an inductive position continues the descent in its own
+    tree.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"expected an operation-rooted term, got {t}")
     if node is None:
         node = trees.get(t.root.name)
-        if node is None:
-            return None
-    if isinstance(node, Leaf):
-        return ()
-    sub = subterm_at(t, node.position)
-    if isinstance(sub, App) and sub.root.kind == CONSTRUCTOR:
-        for i, child in enumerate(node.children):
-            if node.child_constructor(i) == sub.root:
-                return outermost_needed_redex(t, trees, child)
-        return None
-    if is_operation_rooted(sub):
-        inner = outermost_needed_redex(sub, trees)
-        if inner is None:
-            return None
-        return node.position + inner
-    return None  # variable at the inductive position
+    at: Position = ()
+    while node is not None:
+        if isinstance(node, Leaf):
+            return at
+        sub = subterm_at(t, node.position)
+        if isinstance(sub, Var):
+            return None  # variable at the inductive position
+        if sub.root.kind == CONSTRUCTOR:
+            node = next((child for child, ctor
+                         in zip(node.children, node.constructors)
+                         if ctor == sub.root), None)
+        else:
+            at += node.position
+            t, node = sub, trees.get(sub.root.name)
+    return None
 
 
 INNER = "inner"
@@ -243,9 +283,17 @@ class SearchResult:
 
 
 def _leftmost_operation_position(t: Term) -> Optional[Position]:
-    for pos, sub in subterms(t):
-        if is_operation_rooted(sub):
+    """The leftmost-outermost operation-rooted subterm's position;
+    constructor terms are not entered."""
+    stack: List[Tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        if u.constructor_term:
+            continue
+        if u.root.kind != CONSTRUCTOR:
             return pos
+        stack.extend((pos + (i,), u.args[i - 1])
+                     for i in range(len(u.args), 0, -1))
     return None
 
 
@@ -258,16 +306,20 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     subterm.  The program must have passed `deftree.require_class`, which
     also supplies `trees`; `gen` must already hold t's variables.
     """
+    pos: Position = ()
     if is_root_stable(t):
         pos = _leftmost_operation_position(t)
         if pos is None:
             return []
-        inner = strategy_steps(subterm_at(t, pos), program, strategy, trees, gen)
-        return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in inner]
+        t = subterm_at(t, pos)
     if strategy == "needed":
         tree = trees.get(t.root.name)
-        return [] if tree is None else _needed_steps(t, tree, trees, gen)
-    return _lns(t, (), program, gen)
+        steps = [] if tree is None else _needed_steps(t, tree, trees, gen)
+    else:
+        steps = _lns(t, program, gen)
+    if not pos:
+        return steps
+    return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in steps]
 
 
 # The text of the needed-class error, before the offending operations.
@@ -429,14 +481,13 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
         if pos is None:
             return current, trace, True
         redex = subterm_at(target, pos)
-        rule = next(
-            (r for r in program.rules_for(redex.root.name)
-             if match(r.lhs, redex) is not None), None)
-        if rule is None:
+        for rule in program.rules_for(redex.root.name):
+            theta = match(rule.lhs, redex)
+            if theta is not None:
+                break
+        else:
             return current, trace, True
-        current = replace_at(
-            current, prefix,
-            rewrite_step(target, pos, rule))
+        current = replace_at(current, prefix + pos, theta.apply(rule.rhs))
         trace.append(current)
     return current, trace, False
 

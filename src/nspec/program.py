@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .terms import (
@@ -40,28 +40,36 @@ class Rule:
     lhs: App
     rhs: Term
     label: str = ""
+    # The variables of lhs in order of first occurrence, set on creation.
+    variables: Tuple[Var, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise ProgramError("rule left-hand side must not be a variable")
-        extra = set(vars_of(self.rhs)) - set(vars_of(self.lhs))
+        variables = vars_of(self.lhs)
+        extra = set(vars_of(self.rhs)).difference(variables)
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
             raise ProgramError(
                 f"rule {self.lhs} -> {self.rhs} introduces variables {names} "
                 "on the right-hand side")
+        object.__setattr__(self, "variables", variables)
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
-    @property
-    def variables(self) -> Tuple[Var, ...]:
-        return vars_of(self.lhs)
-
     def renamed(self, gen: FreshVars) -> "Rule":
-        """A variant of this rule with all variables renamed apart."""
+        """A variant of this rule with all variables renamed apart.
+
+        A variant of a valid rule is valid, so it is built without
+        running the checks of `__post_init__` again.
+        """
         theta = gen.renaming(self.variables)
-        return Rule(theta.apply(self.lhs), theta.apply(self.rhs), self.label)
+        variant = object.__new__(Rule)
+        variant.__dict__.update(
+            lhs=theta.apply(self.lhs), rhs=theta.apply(self.rhs),
+            label=self.label, variables=tuple(map(theta.apply, self.variables)))
+        return variant
 
     def is_left_linear(self) -> bool:
         return is_linear(self.lhs)
@@ -116,6 +124,7 @@ class Program:
         self.signature = signature
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.has_strict_equality = has_strict_equality
+        self._variables: Optional[Tuple[Var, ...]] = None
         for r in self.rules:
             self._check_symbols(r)
 
@@ -136,12 +145,15 @@ class Program:
         defined = {r.lhs.root.name for r in self.rules}
         return [s for s in self.signature.operations() if s.name in defined]
 
-    def all_variables(self) -> List[Var]:
-        out: Dict[Var, None] = {}
-        for r in self.rules:
-            for v in vars_of(r.lhs) + vars_of(r.rhs):
-                out.setdefault(v)
-        return list(out)
+    def all_variables(self) -> Tuple[Var, ...]:
+        """The variables of all rules, in order of first occurrence;
+        computed on the first call (the rules never change)."""
+        if self._variables is None:
+            out: Dict[Var, None] = {}
+            for r in self.rules:
+                out.update(dict.fromkeys(r.variables))
+            self._variables = tuple(out)
+        return self._variables
 
     def structure(self):
         return (

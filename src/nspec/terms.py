@@ -4,13 +4,17 @@ A term is either a variable or the application of a declared symbol
 (constructor or operation) to exactly arity many argument terms.
 Positions are tuples of 1-based argument indices; the empty tuple
 addresses the root.  All values here are immutable.  Every walk over
-a term is a loop over an explicit stack, mostly `_preorder` or
-`_rebuild`, so term depth is limited by memory, not by recursion.
+a term is a loop over an explicit stack, mostly `_var_occurrences` or
+`_rebuild`, so term depth is limited by memory, not by recursion.  An
+`App` caches whether it is ground and whether it is a constructor
+term; the walkers do not enter ground subterms, and the constructor
+test reads the flag, so their cost follows the non-ground part of a
+term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import is_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -42,19 +46,46 @@ class Symbol:
 class Var:
     name: str
 
+    # The facts `App` caches, as they hold for every variable.
+    ground = False
+    constructor_term = True
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class App:
+    """A symbol applied to its arguments.
+
+    Two facts are computed from the arguments once, at construction,
+    and take no part in equality, hashing or printing: `ground` (no
+    variable occurs) and `constructor_term` (no operation occurs).
+    Walkers use them to skip whole subterms.
+    """
+
     root: Symbol
     args: Tuple["Term", ...] = ()
+    ground: bool = field(init=False, repr=False, compare=False)
+    constructor_term: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.root.arity:
-            raise ValueError(
-                f"{self.root} applied to {len(self.args)} argument(s)")
+    def __init__(self, root: Symbol, args: Tuple["Term", ...] = ()) -> None:
+        if len(args) != root.arity:
+            raise ValueError(f"{root} applied to {len(args)} argument(s)")
+        ground = True
+        constructor_term = root.kind == CONSTRUCTOR
+        for a in args:
+            if not a.ground:
+                ground = False
+            if not a.constructor_term:
+                constructor_term = False
+        # Frozen and slotted (terms are many): each field is written
+        # once, here, past the frozen __setattr__.
+        put = object.__setattr__
+        put(self, "root", root)
+        put(self, "args", args)
+        put(self, "ground", ground)
+        put(self, "constructor_term", constructor_term)
 
     def __str__(self) -> str:
         out: List[str] = []
@@ -103,12 +134,21 @@ def _preorder(t: Term) -> Iterator[Term]:
             stack.extend(reversed(u.args))
 
 
+def _var_occurrences(t: Term) -> Iterator[Var]:
+    """The variable occurrences of t from left to right; ground
+    subterms are not entered."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            yield u
+        elif not u.ground:
+            stack.extend(reversed(u.args))
+
+
 def is_constructor_term(t: Term) -> bool:
     """True iff every symbol occurring in t is a constructor."""
-    for u in _preorder(t):
-        if isinstance(u, App) and u.root.kind != CONSTRUCTOR:
-            return False
-    return True
+    return t.constructor_term
 
 
 def is_pattern(t: Term) -> bool:
@@ -123,12 +163,12 @@ def term_size(t: Term) -> int:
 
 def vars_of(t: Term) -> Tuple[Var, ...]:
     """Variables of t in left-to-right order of first occurrence."""
-    return tuple({u: None for u in _preorder(t) if isinstance(u, Var)})
+    return tuple(dict.fromkeys(_var_occurrences(t)))
 
 
 def is_linear(t: Term) -> bool:
     """True iff no variable occurs twice in t."""
-    occurrences = [u for u in _preorder(t) if isinstance(u, Var)]
+    occurrences = list(_var_occurrences(t))
     return len(occurrences) == len(set(occurrences))
 
 
@@ -239,7 +279,7 @@ class Substitution:
         """sigma(t), sharing every subterm that sigma does not change."""
         if isinstance(t, Var):
             return self._map.get(t, t)
-        if not self._map:
+        if not self._map or t.ground:
             return t
         return _rebuild(t, self._map)
 
@@ -294,7 +334,8 @@ def _rebuild(t: Term, final: Dict[Var, Term],
              pending: Dict[Var, Term] = {}) -> Term:
     """t with each variable of `final` replaced by its image as it is,
     and each variable of `pending` by its binding rebuilt in turn, which
-    is then stored in `final`.  Unchanged subterms are shared.  `apply`
+    is then stored in `final`.  Unchanged subterms, ground ones among
+    them, are shared; ground subterms are not entered.  `apply`
     passes its map as `final`; `resolve_chain` passes the triangular
     bindings of a chain as `pending`, where no variable may reach itself.
     """
@@ -318,11 +359,11 @@ def _rebuild(t: Term, final: Dict[Var, Term],
                 stack += (u, _FINISH, pending[u])
             else:
                 out.append(u)
-        elif u.args:
+        elif u.ground:
+            out.append(u)
+        else:
             stack += (u, _FINISH)
             stack += reversed(u.args)
-        else:
-            out.append(u)
     return out[0]
 
 
@@ -452,7 +493,22 @@ def linear_unify(pattern: App, goal: App) -> LUResult:
     if shared:
         raise ValueError(
             f"pattern and goal share variables: {sorted(v.name for v in shared)}")
+    walked = linear_walk(pattern, goal)
+    if not isinstance(walked, list):
+        return walked
+    sigma = _solve(walked)
+    if sigma is None:
+        return Fail()
+    return Succ(sigma)
 
+
+def linear_walk(pattern: App, goal: App
+                ) -> Union[Fail, Demand, List[Tuple[Term, Term]]]:
+    """The walk of `linear_unify`, without its checks and before solving:
+    Fail on a constructor clash, else Demand of the demanded positions,
+    else the equations (pattern subterm, goal subterm) to solve.  Fail
+    and Demand do not depend on the names of the variables, so a caller
+    may walk a rule's own left-hand side before renaming it apart."""
     demanded: List[Position] = []
     equations: List[Tuple[Term, Term]] = []
     # (pattern subterm, goal subterm, goal position), leftmost on top.
@@ -470,10 +526,7 @@ def linear_unify(pattern: App, goal: App) -> LUResult:
                          for i in range(len(p.args), 0, -1))
     if demanded:
         return Demand(tuple(demanded))
-    sigma = _solve(equations)
-    if sigma is None:
-        return Fail()
-    return Succ(sigma)
+    return equations
 
 
 class FreshVars:
@@ -508,11 +561,11 @@ class FreshVars:
     def renaming(self, variables: Sequence[Var]) -> Substitution:
         """Rename all given variables apart with one shared suffix."""
         while True:
-            k = self._next()
-            names = {v: f"{v.name}_{k}" for v in variables}
-            if all(n not in self._used for n in names.values()):
-                self._used.update(names.values())
-                return Substitution({v: Var(n) for v, n in names.items()})
+            suffix = f"_{self._next()}"
+            names = [v.name + suffix for v in variables]
+            if self._used.isdisjoint(names):
+                self._used.update(names)
+                return Substitution(zip(variables, map(Var, names)))
 
 
 def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),

@@ -134,6 +134,21 @@ class TestEval:
             "goal: g(0)\n"
             "0 answer(s), incomplete (bounds reached)\n")
 
+    @pytest.mark.parametrize("strategy", ["needed", "lazy", "rewrite"])
+    def test_calls_nested_deeper_than_the_recursion_limit(self, strategy):
+        # Every step of the derivation descends through all nested calls.
+        goal = "add(" * 1000 + "0" + ", 0)" * 1000
+        proc = run("eval", LEQ, "-e", goal, "--strategy", strategy,
+                   "--max-steps", "1100")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"goal: {goal}"
+        if strategy == "rewrite":
+            assert len(lines) == 1 + 1000 + 1
+            assert lines[-2:] == ["-> 0", "normal form: 0"]
+        else:
+            assert lines[1:] == ["answer {} result 0", "1 answer(s), complete"]
+
     def test_max_solutions(self):
         proc = run("eval", LEQ, "-e", "leq(X, s(0)) ~ true",
                    "--strategy", "lazy", "--max-solutions", "2")

@@ -16,6 +16,7 @@ from nspec.deftree import (
     uniform_transform,
 )
 from nspec.syntax import parse_program, print_program
+from nspec.terms import subterm_at
 
 PARALLEL_OR_STYLE = (
     "constructors a/0 b/0 ;\noperations f3/3 ;\n"
@@ -60,6 +61,25 @@ class TestBuildTree:
                           leq_prog.rules_for("leq"))
         assert str(tree.child_constructor(0)) == "0/0"
         assert str(tree.child_constructor(1)) == "s/1"
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in (Path(__file__).parent / "data").glob("*.flp")))
+    def test_child_constructors_equal_the_pattern_lookup(self, name):
+        program = parse_program(
+            (Path(__file__).parent / "data" / f"{name}.flp").read_text())
+        branches = 0
+        for tree in forest(program)[0].values():
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Branch):
+                    branches += 1
+                    assert [node.child_constructor(i)
+                            for i in range(len(node.children))] == [
+                        subterm_at(child.pattern, node.position).root
+                        for child in node.children]
+                    stack.extend(node.children)
+        assert branches > 0
 
     def test_add_tree(self, leq_prog):
         tree = build_tree(leq_prog.signature.get("add"),

@@ -11,10 +11,13 @@ from conftest import (
     random_program,
     steps_view,
 )
-from nspec.deftree import ProgramClassError, forest
+from nspec.deftree import Leaf, ProgramClassError, forest
 from nspec.narrowing import (
     SUCCESS,
     Bounds,
+    Step,
+    _lns,
+    _needed_steps,
     compose_canonical,
     deterministically_evaluable,
     lns,
@@ -29,11 +32,17 @@ from nspec.syntax import parse_program, parse_term
 from nspec.program import Rule
 from nspec.terms import (
     App,
+    Demand,
     FreshVars,
+    IDENTITY,
     Substitution,
+    Succ,
     Var,
     canonical_rename,
     is_constructor_term,
+    is_operation_rooted,
+    linear_unify,
+    subterm_at,
     vars_of,
 )
 
@@ -367,3 +376,144 @@ class TestAnswersAgreeWithEagerComposition:
                 assert result.answers == _eager_answers(result, call), (seed, call)
                 answers += len(result.answers)
         assert answers >= 100
+
+
+# --- the needed descent against the apply-based recursive reference ---------
+
+
+def ref_nns(t, node, trees, gen):
+    """The recursive descent that `_needed_steps` replaced: a variable
+    branch applies each child's instantiation to the whole term and
+    descends into the result."""
+    if isinstance(node, Leaf):
+        return [((), node.rule.renamed(gen), [IDENTITY])]
+    sub = subterm_at(t, node.position)
+    results = []
+    if isinstance(sub, Var):
+        for child in node.children:
+            ctor = subterm_at(child.pattern, node.position).root
+            tau = Substitution({sub: App(ctor, gen.fresh_tuple(ctor.arity))})
+            for pos, rule, parts in ref_nns(tau.apply(t), child, trees, gen):
+                results.append((pos, rule, [tau] + parts))
+    elif sub.root.kind == "constructor":
+        for child in node.children:
+            if subterm_at(child.pattern, node.position).root == sub.root:
+                for pos, rule, parts in ref_nns(t, child, trees, gen):
+                    results.append((pos, rule, [IDENTITY] + parts))
+                break
+    else:
+        inner = trees.get(sub.root.name)
+        if inner is not None:
+            for pos, rule, parts in ref_nns(sub, inner, trees, gen):
+                results.append((node.position + pos, rule, [IDENTITY] + parts))
+    return results
+
+
+def _step_view(position, rule, subst, canonical):
+    return (position, str(rule), rule.label, repr(subst),
+            [repr(phi) for phi in canonical])
+
+
+def _descent_goals(program, call):
+    """The operation-rooted terms of a bounded needed search tree from
+    call: instantiated, nested and non-linear goals for the descent."""
+    root = search(call, program, "needed", Bounds(max_steps=5, max_nodes=80)).root
+    return [node.term for node in root.nodes() if is_operation_rooted(node.term)]
+
+
+def _assert_descent_matches_reference(t, trees):
+    tree = trees[t.root.name]
+    gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
+    new = [_step_view(s.position, s.rule, s.subst, s.canonical)
+           for s in _needed_steps(t, tree, trees, gen)]
+    ref = [_step_view(pos, rule, compose_canonical(parts), parts)
+           for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
+    assert new == ref, t
+    assert gen.fresh() == ref_gen.fresh(), t  # the same names were drawn
+
+
+class TestNeededDescentAgreesWithReference:
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
+    def test_corpus_goals(self, name, source):
+        program = load(f"{name}.flp")
+        trees, _ = forest(program)
+        for t in _descent_goals(program, goal(program, source)):
+            _assert_descent_matches_reference(t, trees)
+
+    def test_random_programs(self):
+        checked = 0
+        for seed in range(60):
+            program = random_program(seed)
+            trees, _ = forest(program)
+            for call in generic_calls(program):
+                for t in _descent_goals(program, call):
+                    if t.root.name in trees:
+                        _assert_descent_matches_reference(t, trees)
+                        checked += 1
+        assert checked >= 300
+
+    def test_a_bound_variable_is_read_through_its_binding(self, leq_prog):
+        # X is instantiated at position 1 and read again at position 2.
+        trees, _ = forest(leq_prog)
+        _assert_descent_matches_reference(goal(leq_prog, "leq(X, X)"), trees)
+        _assert_descent_matches_reference(
+            goal(leq_prog, "leq(add(X, Y), add(Y, X))"), trees)
+
+
+def ref_lns(t, at, program, gen):
+    """The recursive lazy descent that `_lns` replaced."""
+    sub = subterm_at(t, at)
+    steps, demanded = [], {}
+    for rule in program.rules:
+        if not isinstance(sub, App) or rule.lhs.root != sub.root:
+            continue
+        variant = rule.renamed(gen)
+        outcome = linear_unify(variant.lhs, sub)
+        if isinstance(outcome, Succ):
+            steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
+        elif isinstance(outcome, Demand):
+            for q in outcome.positions:
+                demanded.setdefault(at + q)
+    for q in sorted(demanded):
+        steps.extend(ref_lns(t, q, program, gen))
+    return steps
+
+
+def _assert_lazy_descent_matches_reference(t, program):
+    gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
+    new, ref = (
+        [_step_view(s.position, s.rule, s.subst, s.canonical) for s in steps]
+        for steps in (_lns(t, program, gen), ref_lns(t, (), program, ref_gen)))
+    assert new == ref, t
+    assert gen.fresh() == ref_gen.fresh(), t
+
+
+class TestLazyDescentAgreesWithReference:
+    def test_several_demanded_positions_in_order(self, leq_prog):
+        t = goal(leq_prog, "leq(add(X, Y), add(Y, add(X, 0)))")
+        positions = [s.position for s in _lns(t, leq_prog, FreshVars(vars_of(t)))]
+        assert positions == [(1,), (1,), (2,), (2,)]
+        _assert_lazy_descent_matches_reference(t, leq_prog)
+
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
+    def test_corpus_goals(self, name, source):
+        program = load(f"{name}.flp")
+        for t in _descent_goals(program, goal(program, source)):
+            _assert_lazy_descent_matches_reference(t, program)
+
+    def test_random_programs(self):
+        for seed in range(60):
+            program = random_program(seed)
+            for call in generic_calls(program):
+                for t in _descent_goals(program, call):
+                    _assert_lazy_descent_matches_reference(t, program)
+
+
+def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
+    depth = 3000
+    t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
+    [step] = nns(t, leq_trees, FreshVars())
+    assert step.position == (1,) * (depth - 1)
+    assert outermost_needed_redex(t, leq_trees) == (1,) * (depth - 1)
+    [step] = lns(t, leq_prog, FreshVars())
+    assert step.position == (1,) * (depth - 1)

@@ -11,7 +11,7 @@ from nspec.program import (
     validate,
 )
 from nspec.syntax import parse_program
-from nspec.terms import App, Symbol, Var
+from nspec.terms import App, FreshVars, Symbol, Var
 
 
 ZERO = Symbol("0", 0, "constructor")
@@ -33,11 +33,27 @@ class TestRule:
             Rule(App(F1, (X,)), Y)
 
     def test_renamed_apart(self):
-        from nspec.terms import FreshVars
         r = Rule(App(F1, (X,)), X, "R1")
         r2 = r.renamed(FreshVars())
         assert str(r2) == "f(X_1) -> X_1"
         assert r2.label == "R1"
+
+    def test_variables_in_order_of_first_occurrence(self):
+        g = Symbol("g", 2, "operation")
+        assert Rule(App(g, (Y, X)), App(F1, (X,))).variables == (Y, X)
+
+    @pytest.mark.parametrize("name", ["leq", "append", "double", "gfh", "loop"])
+    def test_renamed_equals_the_validated_rule(self, name, request):
+        program = request.getfixturevalue(f"{name}_prog")
+        fast, checked = FreshVars(), FreshVars()
+        for rule in program.rules:
+            variant = rule.renamed(fast)
+            theta = checked.renaming(rule.variables)
+            reference = Rule(theta.apply(rule.lhs), theta.apply(rule.rhs), rule.label)
+            assert variant == reference
+            assert (str(variant), variant.label) == (str(reference), reference.label)
+            assert variant.variables == reference.variables
+            assert variant.variables == tuple(theta.apply(v) for v in rule.variables)
 
 
 class TestSignature:
@@ -74,6 +90,11 @@ class TestProgram:
         g = Symbol("g", 1, "operation")
         with pytest.raises(ProgramError, match="undeclared symbol g/1"):
             Program(sig, [Rule(App(F1, (App(g, (X,)),)), X)])
+
+    def test_all_variables_in_order_of_first_occurrence(self, leq_prog):
+        assert [v.name for v in leq_prog.all_variables()] == [
+            "N", "M", "X1", "Y1", "X"]
+        assert leq_prog.all_variables() is leq_prog.all_variables()  # computed once
 
     def test_rules_for_and_defined_operations(self, leq_prog):
         assert [str(r) for r in leq_prog.rules_for("add")] == [

@@ -1,6 +1,7 @@
 """Source checks that keep term depth independent of Python's recursion
-limit: no function in `nspec/terms.py` calls itself, and no module
-raises the limit instead."""
+limit: no function in `nspec/terms.py` calls itself, nor do the step
+and redex walkers of `nspec/narrowing.py`, and no module raises the
+limit instead."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,20 @@ def apply(sigma, t):
 def test_terms_module_has_no_self_calling_function():
     source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
     assert self_calling_functions(source) == []
+
+
+def test_narrowing_steps_and_redexes_do_not_call_themselves():
+    """The step descents and the redex search loop over explicit stacks.
+    The JSON dump of a narrowing tree is the one self-calling function
+    left in the module."""
+    source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
+    defined = {fn.name for fn in ast.walk(ast.parse(source))
+               if isinstance(fn, ast.FunctionDef)}
+    walkers = {"_needed_steps", "_lns", "outermost_needed_redex",
+               "strategy_steps"}
+    assert walkers <= defined
+    assert "_nns" not in defined  # folded into the loop of _needed_steps
+    assert self_calling_functions(source) == ["node_to_dict"]
 
 
 def test_no_module_raises_the_recursion_limit():

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from nspec.program import Signature
+from nspec.syntax import parse_term
 from nspec.terms import (
     App,
     Chain,
@@ -329,10 +331,10 @@ def test_unifier_unifies_and_is_idempotent(s, t):
         assert sigma.is_idempotent()
 
 
-@given(st.lists(st.dictionaries(VARS, TERMS, max_size=2), max_size=4), TERMS)
-def test_resolve_chain_agrees_with_eager_composition(maps, t):
-    # Along a derivation a bound variable never occurs again; keep only
-    # chains with that property.
+def derivation_chain(maps):
+    """The chain of the substitutions of maps, and their composition.
+    Along a derivation a bound variable never occurs again; maps that
+    would break this are left out."""
     chain: Chain = None
     acc = IDENTITY
     bound = set()
@@ -344,6 +346,12 @@ def test_resolve_chain_agrees_with_eager_composition(maps, t):
         bound |= set(sigma.domain())
         chain = (sigma, chain)
         acc = compose(sigma, acc)
+    return chain, acc
+
+
+@given(st.lists(st.dictionaries(VARS, TERMS, max_size=2), max_size=4), TERMS)
+def test_resolve_chain_agrees_with_eager_composition(maps, t):
+    chain, acc = derivation_chain(maps)
     variables = vars_of(t)
     assert resolve_chain(chain, variables) == acc.restrict(variables)
 
@@ -481,6 +489,44 @@ def test_replace_at_agrees_with_recursive_reference(t, s):
 def test_canonical_rename_agrees_with_recursive_reference(terms, keep):
     keep = frozenset(keep) | {Var("V2")}
     assert canonical_rename(terms, keep) == ref_canonical_rename(terms, keep)
+
+
+def ref_is_ground(t):
+    return not isinstance(t, Var) and all(ref_is_ground(a) for a in t.args)
+
+
+SIGNATURE = Signature([ZERO, S, LEQ, ADD])
+
+
+@given(TERMS, TERMS, st.lists(st.dictionaries(VARS, TERMS, max_size=2), max_size=3))
+def test_cached_facts_agree_with_recursive_references(t, s, maps):
+    chain, _ = derivation_chain(maps)
+    built = [t, parse_term(str(t), SIGNATURE), *canonical_rename([t, s])]
+    built += [Substitution(m).apply(t) for m in maps]
+    built += [replace_at(t, p, s) for p, _ in subterms(t)]
+    built += resolve_chain(chain, vars_of(t) + vars_of(s)).mapping.values()
+    for u in built:
+        for _, v in subterms(u):
+            assert v.ground == ref_is_ground(v)
+            assert v.constructor_term == ref_is_constructor_term(v)
+
+
+def test_cached_facts_take_no_part_in_equality_or_printing():
+    t = add(num(1), X)
+    assert (t.ground, t.constructor_term) == (False, False)
+    assert (num(2).ground, num(2).constructor_term) == (True, True)
+    assert (X.ground, X.constructor_term) == (False, True)
+    assert "ground" not in repr(t) and "constructor_term" not in repr(t)
+    assert t == add(num(1), X) and hash(t) == hash(add(num(1), X))
+
+
+def test_ground_subterms_are_shared_not_rebuilt():
+    big = num(50)
+    t = leq(X, big)
+    assert Substitution({X: Y}).apply(t).args[1] is big
+    assert canonical_rename([t])[0].args[1] is big
+    sigma = resolve_chain((Substitution({X: leq(Y, big)}), None), [X])
+    assert sigma.apply(X).args[1] is big
 
 
 @given(TERMS)
