@@ -236,9 +236,39 @@ def _cmd_eval(args) -> int:
     print(f"{len(result.answers)} answer(s), {state}")
     if args.tree:
         with open(args.tree, "w", encoding="utf-8") as handle:
-            json.dump(node_to_dict(result.root), handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(node_to_dict(result.root)) + "\n")
     return 0
+
+
+def _json_text(value) -> str:
+    """`json.dumps(value, indent=2)` for dicts with string keys, lists and
+    scalars, written from an explicit stack: a narrowing tree nests
+    three containers per level, deeper than the `json` module's
+    recursive encoder can go."""
+    out: List[str] = []
+    # Containers and scalars to encode, with their nesting level, and
+    # the text between them.
+    stack: List[object] = [(value, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, level = item
+        if not (isinstance(v, (dict, list)) and v):
+            out.append(json.dumps(v))
+            continue
+        pad = "\n" + "  " * (level + 1)
+        is_dict = isinstance(v, dict)
+        out.append("{" if is_dict else "[")
+        stack.append("\n" + "  " * level + ("}" if is_dict else "]"))
+        entries = list(v.items()) if is_dict else [(None, x) for x in v]
+        for i in reversed(range(len(entries))):
+            key, x = entries[i]
+            stack.append((x, level + 1))
+            stack.append(("," if i else "") + pad
+                         + (json.dumps(key) + ": " if is_dict else ""))
+    return "".join(out)
 
 
 def _cmd_uniform(args) -> int:
@@ -281,7 +311,7 @@ def _cmd_tree(args) -> int:
     gen = FreshVars(start=args.seed)
     result = search(goal, program, args.strategy, bounds, gen)
     if args.format == "json":
-        print(json.dumps(node_to_dict(result.root), indent=2))
+        print(_json_text(node_to_dict(result.root)))
     else:
         for line in _narrow_tree_lines(result.root):
             print(line)

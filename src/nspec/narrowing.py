@@ -493,18 +493,25 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
 
 
 def node_to_dict(node: Node) -> dict:
-    """JSON-friendly dump of a narrowing tree."""
-    return {
-        "term": str(node.term),
-        "status": node.status,
-        "arcs": [
-            {
+    """JSON-friendly dump of a narrowing tree, built top-down from an
+    explicit stack: tree depth is not limited by Python's recursion
+    limit."""
+
+    def entry(n: Node) -> dict:
+        return {"term": str(n.term), "status": n.status, "arcs": []}
+
+    root = entry(node)
+    stack = [(node, root)]
+    while stack:
+        n, out = stack.pop()
+        for step, child in n.children:
+            inner = entry(child)
+            out["arcs"].append({
                 "position": list(step.position),
                 "rule": step.rule.label or str(step.rule),
                 "subst": {x.name: str(t) for x, t in sorted(
                     step.subst.mapping.items(), key=lambda kv: kv[0].name)},
-                "node": node_to_dict(child),
-            }
-            for step, child in node.children
-        ],
-    }
+                "node": inner,
+            })
+            stack.append((child, inner))
+    return root

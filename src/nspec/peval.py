@@ -13,7 +13,8 @@ grows S until every call in the output is covered (closed) by S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .deftree import DefTree, require_class
 from .narrowing import FAILING, Node, Step, expand
@@ -24,7 +25,6 @@ from .terms import (
     Chain,
     FreshVars,
     OPERATION,
-    Position,
     Substitution,
     Symbol,
     Term,
@@ -32,10 +32,10 @@ from .terms import (
     is_constructor_term,
     is_operation_rooted,
     is_root_stable,
-    is_variant,
     match,
     resolve_chain,
     subterms,
+    variant_key,
     vars_of,
 )
 
@@ -63,13 +63,53 @@ def embeds(s: Term, t: Term) -> bool:
     any argument of t or couples with an equal root argument-wise.  In
     particular a variable does not embed into a constant, so
     instantiation to ground constructors breaks embedding chains.
+
+    Decided from an explicit stack of pairs.  A frame [a, b, k] has
+    entered k of its sub-goals: first the dives into b's arguments (one
+    success decides the pair), then the couplings of the arguments (one
+    failure decides it); `answer` carries the outcome of the frame that
+    ended last.  Three facts decide a pair at once: a term embeds into
+    itself (tested by identity, which shared subterms give cheaply), and
+    neither a variable nor an operation symbol of a can be mapped into a
+    b that has none.  Every other pair is decided once per call and
+    remembered by the identity of its terms, which s and t keep alive:
+    the dives and couplings of two chains meet the same pairs again and
+    again, exponentially often in the chains' length.
     """
-    if isinstance(s, Var) and isinstance(t, Var):
-        return True
-    if isinstance(t, App) and any(embeds(s, a) for a in t.args):
-        return True
-    return (isinstance(s, App) and isinstance(t, App) and s.root == t.root
-            and all(embeds(x, y) for x, y in zip(s.args, t.args)))
+    stack = [[s, t, 0]]
+    answer = False
+    decided: Dict[Tuple[int, int], bool] = {}
+    while stack:
+        frame = stack[-1]
+        a, b, k = frame
+        if not k:
+            if (isinstance(b, Var) or a is b
+                    or b.ground and not a.ground
+                    or b.constructor_term and not a.constructor_term):
+                answer = a is b or isinstance(a, Var) and isinstance(b, Var)
+                stack.pop()
+                continue
+            known = decided.get((id(a), id(b)))
+            if known is not None:
+                answer = known
+                stack.pop()
+                continue
+        n = len(b.args)
+        if k and (answer if k <= n else not answer):
+            decided[id(a), id(b)] = answer
+            stack.pop()  # a dive succeeded, or a coupling failed
+            continue
+        if k < n:
+            frame[2] = k + 1
+            stack.append([a, b.args[k], 0])
+        elif isinstance(a, App) and a.root == b.root and k - n < len(a.args):
+            frame[2] = k + 1
+            stack.append([a.args[k - n], b.args[k - n], 0])
+        else:
+            # No dive succeeded; every coupling held, or none applies.
+            answer = decided[id(a), id(b)] = isinstance(a, App) and a.root == b.root
+            stack.pop()
+    return answer
 
 
 def msg(t1: Term, t2: Term, gen: Optional[FreshVars] = None
@@ -78,23 +118,36 @@ def msg(t1: Term, t2: Term, gen: Optional[FreshVars] = None
     theta1(w) == t1 and theta2(w) == t2.
 
     Clashing subterm pairs map to one shared fresh variable per pair, so
-    repeated disagreements generalize to the same variable.
+    repeated disagreements generalize to the same variable.  The pairs
+    are walked in preorder from an explicit stack, so the fresh
+    variables are drawn left to right; a pushed root symbol rebuilds its
+    application from the generalizations of its arguments.
     """
     if gen is None:
         gen = FreshVars()
     gen.reserve(vars_of(t1) + vars_of(t2))
     pairs: Dict[Tuple[Term, Term], Var] = {}
-
-    def walk(a: Term, b: Term) -> Term:
+    done: List[Term] = []
+    stack: List[Union[Tuple[Term, Term], Symbol]] = [(t1, t2)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Symbol):
+            args = tuple(done[len(done) - item.arity:])
+            del done[len(done) - item.arity:]
+            done.append(App(item, args))
+            continue
+        a, b = item
         if a == b:
-            return a
-        if isinstance(a, App) and isinstance(b, App) and a.root == b.root:
-            return App(a.root, tuple(walk(x, y) for x, y in zip(a.args, b.args)))
-        if (a, b) not in pairs:
-            pairs[(a, b)] = gen.fresh()
-        return pairs[(a, b)]
-
-    w = walk(t1, t2)
+            done.append(a)
+        elif isinstance(a, App) and isinstance(b, App) and a.root == b.root:
+            stack.append(a.root)
+            stack.extend(reversed(tuple(zip(a.args, b.args))))
+        else:
+            v = pairs.get(item)
+            if v is None:
+                v = pairs[item] = gen.fresh()
+            done.append(v)
+    w = done[0]
     theta1 = Substitution({v: a for (a, _), v in pairs.items()})
     theta2 = Substitution({v: b for (_, b), v in pairs.items()})
     return w, theta1, theta2
@@ -107,12 +160,17 @@ _UNFOLD_CLASS = ("unfolding with needed narrowing requires an inductively "
 
 def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
            stop: Sequence[Term] = (), gen: Optional[FreshVars] = None,
-           trees: Optional[Dict[str, DefTree]] = None) -> Node:
+           trees: Optional[Dict[str, DefTree]] = None,
+           stop_keys: Optional[AbstractSet[Term]] = None,
+           probes: Optional[List[Tuple[Term, bool]]] = None) -> Node:
     """Finite narrowing tree of an operation-rooted call: the tree of
     `narrowing.expand`, bounded by the unfold depth and cut by the rules
     below.  `trees` are what `deftree.require_class` returned for the
     program and the policy's strategy; without them, unfold runs that
-    gate itself.
+    gate itself.  `stop_keys` are the variant keys of `stop`, for a
+    caller that unfolds many calls against one stop set; `probes`
+    receives (key, whether it is a stop key) for every stop test made,
+    the only way the stop set reaches the tree.
 
     The root is always expanded.  A non-root node becomes a leaf when its
     term is constructor root-stable (success if it is a constructor term,
@@ -128,11 +186,19 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
         raise ValueError(f"can only unfold operation-rooted terms, got {call}")
     if trees is None:
         trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
+    if stop_keys is None:
+        stop_keys = {variant_key(s) for s in stop}
 
     def cut(t: Term, ancestors: List[Term]) -> bool:
-        return is_root_stable(t) or bool(ancestors) and (
-            any(is_variant(t, s) for s in stop)
-            or policy.whistle and any(embeds(a, t) for a in ancestors[1:]))
+        if is_root_stable(t):
+            return True
+        if not ancestors:
+            return False
+        key = variant_key(t)
+        hit = key in stop_keys
+        if probes is not None:
+            probes.append((key, hit))
+        return hit or policy.whistle and any(embeds(a, t) for a in ancestors[1:])
 
     root, _, _ = expand(call, program, policy.strategy, trees, gen,
                         policy.depth, cut=cut)
@@ -148,6 +214,10 @@ class Resultant:
     call: Term
     steps: Tuple[Step, ...]
     subst: Substitution  # restricted to the call's variables
+
+
+# A specialized call with the resultants of its unfolding.
+CallResultants = Tuple[Term, Tuple[Resultant, ...]]
 
 
 def resultants(tree: Node) -> List[Resultant]:
@@ -173,6 +243,12 @@ def resultants(tree: Node) -> List[Resultant]:
     return out
 
 
+def _same_root(S: Sequence[Term], t: App) -> List[Term]:
+    """The elements of S that can match t: `match` fails on a root
+    clash anyway."""
+    return [s for s in S if isinstance(s, Var) or s.root == t.root]
+
+
 def closed(S: Sequence[Term], t: Term) -> bool:
     """S-closedness: every operation-rooted piece of t is an instance of
     some element of S whose matching images are closed in turn.
@@ -195,7 +271,7 @@ def closed(S: Sequence[Term], t: Term) -> bool:
         if u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND):
             ok = all(check(a) for a in u.args)
         if not ok and u.root.kind == OPERATION:
-            for s in S:
+            for s in _same_root(S, u):
                 theta = match(s, u)
                 if theta is not None and all(
                         check(img) for img in theta.mapping.values()):
@@ -205,62 +281,6 @@ def closed(S: Sequence[Term], t: Term) -> bool:
         return ok
 
     return check(t)
-
-
-ClosureSet = Tuple[Tuple[Position, Term], ...]
-
-
-def closure_sets(S: Sequence[Term], t: Term) -> List[ClosureSet]:
-    """Every way of proving t closed, as ordered (position, covering
-    element) pairs; empty list iff t is not S-closed.
-
-    Positions of entries under an instance step extend the covering
-    element's variable positions, mirroring how the images sit inside
-    the covered call.
-    """
-    S = list(S)
-
-    def prefix(p: Position, sets: List[ClosureSet]) -> List[ClosureSet]:
-        return [tuple((p + q, s) for q, s in O) for O in sets]
-
-    def product(parts: List[List[ClosureSet]]) -> List[ClosureSet]:
-        acc: List[ClosureSet] = [()]
-        for alternatives in parts:
-            acc = [done + extra for done in acc for extra in alternatives]
-        return acc
-
-    def derive(u: Term) -> List[ClosureSet]:
-        if isinstance(u, Var):
-            return [()]
-        out: List[ClosureSet] = []
-        if u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND):
-            per_arg = [prefix((i,), derive(a))
-                       for i, a in enumerate(u.args, start=1)]
-            if all(per_arg):
-                out.extend(product(per_arg))
-        if u.root.kind == OPERATION:
-            for s in S:
-                theta = match(s, u)
-                if theta is None:
-                    continue
-                parts: List[List[ClosureSet]] = []
-                viable = True
-                for q, sub in subterms(s):
-                    if not isinstance(sub, Var):
-                        continue
-                    image_sets = derive(theta.apply(sub))
-                    if not image_sets:
-                        viable = False
-                        break
-                    parts.append(prefix(q, image_sets))
-                if viable:
-                    out.extend((((), s),) + rest for rest in product(parts))
-        seen: Dict[ClosureSet, None] = {}
-        for O in out:
-            seen.setdefault(tuple(sorted(O, key=lambda e: (e[0], str(e[1])))))
-        return list(seen)
-
-    return derive(t)
 
 
 class Renaming:
@@ -315,15 +335,15 @@ def independent_renaming(S: Sequence[Term], signature: Signature) -> Renaming:
     return Renaming(pairs)
 
 
-def _most_specific_match(S: Sequence[Term], t: Term) -> Optional[Term]:
-    candidates = [s for s in S if match(s, t) is not None]
+def _most_specific_match(S: Sequence[Term], t: App) -> Optional[Term]:
+    candidates = [s for s in _same_root(S, t) if match(s, t) is not None]
     if not candidates:
         return None
     best = []
     for s in candidates:
         dominated = any(
             other is not s and match(s, other) is not None
-            and not is_variant(s, other)
+            and match(other, s) is None
             for other in candidates)
         if not dominated:
             best.append(s)
@@ -359,7 +379,7 @@ def rename_term(rho: Renaming, t: Term) -> Term:
 class PEReport:
     closed: bool
     uncovered: Tuple[Term, ...]
-    resultants: Tuple[Tuple[Term, Tuple[Resultant, ...]], ...]
+    resultants: Tuple[CallResultants, ...]
 
     def resultants_for(self, s: Term) -> Tuple[Resultant, ...]:
         for call, rs in self.resultants:
@@ -394,7 +414,9 @@ def outermost_operation_subterms(t: Term) -> List[Term]:
 
 def partial_evaluate(program: Program, S: Sequence[Term],
                      policy: UnfoldPolicy = UnfoldPolicy(),
-                     trees: Optional[Dict[str, DefTree]] = None) -> PEResult:
+                     trees: Optional[Dict[str, DefTree]] = None,
+                     per_call: Optional[Sequence[CallResultants]] = None
+                     ) -> PEResult:
     """Specialize program w.r.t. the calls in S.
 
     Each call is unfolded (stopping at variants of S elements) with the
@@ -403,7 +425,9 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     resultants theta(s) -> r become rules theta(rho(s)) -> ren(r) over
     fresh operation symbols, and equality builtins are injected into the
     output.  The report states whether every specialized right-hand side
-    is closed w.r.t. the renamed calls.
+    is closed w.r.t. the renamed calls.  `per_call`, when given, holds
+    each call of S with its resultants, in the order of S, as unfolding
+    against S gave them; then nothing is unfolded here.
     """
     S = list(S)
     if not S:
@@ -411,16 +435,17 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     for s in S:
         if not is_operation_rooted(s):
             raise ValueError(f"specialized calls must be operation-rooted: {s}")
-    if trees is None:
-        trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
+    if per_call is None:
+        if trees is None:
+            trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
+        keys = {variant_key(s) for s in S}
+        per_call = [(s, tuple(resultants(unfold(s, program, policy, trees=trees,
+                                                stop_keys=keys))))
+                    for s in S]
     rho = independent_renaming(S, program.signature)
 
-    per_call: List[Tuple[Term, Tuple[Resultant, ...]]] = []
     new_rules: List[Rule] = []
-    for s in S:
-        tree = unfold(s, program, policy, stop=S, trees=trees)
-        rs = tuple(resultants(tree))
-        per_call.append((s, rs))
+    for s, rs in per_call:
         for r in rs:
             lhs = r.subst.apply(rho.pattern_for(s))
             rhs = rename_term(rho, r.rhs)
@@ -457,7 +482,8 @@ class PEControlError(Exception):
         self.uncovered = uncovered
 
 
-def abstract_add(S: List[Term], u: Term, gen: FreshVars) -> bool:
+def abstract_add(S: List[Term], u: Term, gen: FreshVars,
+                 keys: Optional[List[Term]] = None) -> bool:
     """Fold a candidate call into S; True when S changed.
 
     In order: a variant of an existing element is dropped.  A candidate
@@ -471,22 +497,30 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars) -> bool:
     call-pattern refinement), and otherwise decomposed into the
     operation-rooted pieces of its images, which are folded in
     recursively.  Anything else is appended.
+
+    `keys` holds the `variant_key` of each element of S, in step with
+    S; it is updated with S.  Without it, the keys are computed here.
     """
     if not is_operation_rooted(u):
         raise ValueError(f"candidates must be operation-rooted: {u}")
-    if any(is_variant(s, u) for s in S):
+    if keys is None:
+        keys = [variant_key(s) for s in S]
+    key = variant_key(u)
+    if key in keys:
         return False
     for i, s in enumerate(S):
         if isinstance(s, App) and s.root == u.root and embeds(s, u):
             w, th_u, th_s = msg(u, s, gen)
             changed = False
-            if not is_variant(w, s) and not any(is_variant(other, w) for other in S):
+            w_key = variant_key(w)
+            if w_key not in keys:  # s's own key is among them
                 S[i] = w
+                keys[i] = w_key
                 changed = True
             for theta in (th_u, th_s):
                 for img in theta.mapping.values():
                     for v in outermost_operation_subterms(img):
-                        changed = abstract_add(S, v, gen) or changed
+                        changed = abstract_add(S, v, gen, keys) or changed
             return changed
     covering = _most_specific_match(S, u)
     if covering is not None:
@@ -496,13 +530,15 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars) -> bool:
             return False
         if all(is_constructor_term(img) for img in images):
             S.append(u)
+            keys.append(key)
             return True
         changed = False
         for img in images:
             for v in outermost_operation_subterms(img):
-                changed = abstract_add(S, v, gen) or changed
+                changed = abstract_add(S, v, gen, keys) or changed
         return changed
     S.append(u)
+    keys.append(key)
     return True
 
 
@@ -511,6 +547,31 @@ class PEControlResult:
     S: Tuple[Term, ...]
     result: PEResult
     iterations: int
+    unfolds_built: int  # unfold trees grown, over all passes
+    unfolds_reused: int  # passes that reused a call's resultants instead
+
+
+class _Unfolded(NamedTuple):
+    """One call's unfolding, kept by `pe_control` across passes."""
+
+    call: Term
+    resultants: Tuple[Resultant, ...]
+    hits: FrozenSet[Term]  # keys of the stop tests that found a stop term
+    misses: FrozenSet[Term]  # keys of those that did not
+    candidates: Tuple[Term, ...]  # outermost calls of the right-hand sides
+    connective: Tuple[Term, ...]  # right-hand sides that hold eq/and
+
+
+def _has_connective(t: Term) -> bool:
+    """Whether eq or and occurs in t; constructor terms are not entered."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App) and not u.constructor_term:
+            if u.root.name in (EQ, AND):
+                return True
+            stack.extend(u.args)
+    return False
 
 
 def pe_control(program: Program, roots: Sequence[Term],
@@ -521,9 +582,17 @@ def pe_control(program: Program, roots: Sequence[Term],
 
     After each pass, every outermost operation-rooted subterm of every
     resultant right-hand side is folded into S by abstract_add; a pass
-    that changes nothing is the fixpoint.  Exceeding the iteration cap
-    raises PEControlError listing the calls that still escape coverage.
-    The definitional trees are built once and serve every pass.
+    that changes nothing is the fixpoint, and only its S is renamed and
+    assembled (`partial_evaluate`).  Exceeding the iteration cap raises
+    PEControlError listing the calls that still escape coverage.  The
+    definitional trees are built once and serve every pass.
+
+    S reaches a call's unfold tree only through the stop tests of its
+    cut, so each call keeps its resultants and the answers of those
+    tests, and a pass unfolds it again only when one of them would
+    answer differently against the current S.  `unfold` draws its own
+    fresh variables, so the kept resultants are the ones a new unfold
+    would give.
     """
     roots = list(roots)
     if not roots:
@@ -534,24 +603,51 @@ def pe_control(program: Program, roots: Sequence[Term],
     for r in roots:
         gen.reserve(vars_of(r))
     S: List[Term] = []
+    keys: List[Term] = []  # the variant keys of S, in step with it
     for r in roots:
-        abstract_add(S, r, gen)
+        abstract_add(S, r, gen, keys)
     trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
 
-    result: Optional[PEResult] = None
+    # kept[i] is the unfolding of S[i] while its call is S[i]: S only
+    # grows at the end or generalizes an element in place.
+    kept: List[_Unfolded] = []
+    built = reused = 0
     for iteration in range(1, max_iters + 1):
-        result = partial_evaluate(program, S, policy, trees)
-        candidates: List[Term] = []
-        for _, rs in result.report.resultants:
-            for r in rs:
-                candidates.extend(outermost_operation_subterms(r.rhs))
+        stop_keys = set(keys)
+        for i, s in enumerate(S):
+            entry = kept[i] if i < len(kept) else None
+            if (entry is not None and entry.call is s
+                    and entry.hits <= stop_keys
+                    and entry.misses.isdisjoint(stop_keys)):
+                reused += 1
+                continue
+            probes: List[Tuple[Term, bool]] = []
+            rs = tuple(resultants(unfold(s, program, policy, trees=trees,
+                                         stop_keys=stop_keys, probes=probes)))
+            kept[i:i + 1] = [_Unfolded(  # replaces kept[i], or appends
+                s, rs, frozenset(key for key, hit in probes if hit),
+                frozenset(key for key, hit in probes if not hit),
+                tuple(u for r in rs for u in outermost_operation_subterms(r.rhs)),
+                tuple(r.rhs for r in rs if _has_connective(r.rhs)))]
+            built += 1
+        per_call = [(entry.call, entry.resultants) for entry in kept]
+        connective = [t for entry in kept for t in entry.connective]
+        if connective:
+            # A renamed right-hand side that keeps eq/and makes the
+            # assembly raise (`add_strict_equality` rejects eq/and rules
+            # it did not write).  The error belongs to the first such
+            # pass, before the iteration cap or a later S can intervene.
+            rho = independent_renaming(S, program.signature)
+            if any(_has_connective(rename_term(rho, t)) for t in connective):
+                partial_evaluate(program, S, policy, trees, per_call)
+        candidates = [u for entry in kept for u in entry.candidates]
         changed = False
         for u in candidates:
-            changed = abstract_add(S, u, gen) or changed
+            changed = abstract_add(S, u, gen, keys) or changed
         if not changed:
-            return PEControlResult(tuple(S), result, iteration)
-    leftovers = tuple(u for u in candidates
-                      if not any(is_variant(s, u) for s in S))
+            result = partial_evaluate(program, S, policy, trees, per_call)
+            return PEControlResult(tuple(S), result, iteration, built, reused)
+    leftovers = tuple(u for u in candidates if variant_key(u) not in keys)
     raise PEControlError(
         "no closed specialization after "
         f"{max_iters} iterations; uncovered calls: "

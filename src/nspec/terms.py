@@ -591,3 +591,10 @@ def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),
                     break
             mapping[x] = Var(name)
     return [_rebuild(t, mapping) for t in terms]
+
+
+def variant_key(t: Term) -> Term:
+    """t with its variables renamed canonically: two terms are variants
+    (`is_variant`) iff their keys are equal, so a set of keys answers a
+    variant test with one lookup."""
+    return canonical_rename([t])[0]

@@ -1,7 +1,9 @@
-"""The functions that the benchmark's tracer wraps must exist.
+"""The functions that the benchmark's tracer wraps must exist, and the
+partial evaluator must keep calling them.
 
 `bench/tracing.py` names nspec functions by module and attribute path;
-a rename or deletion would only surface in a traced benchmark run.
+a rename or deletion, or a caller that stops going through the traced
+name, would only surface in a traced benchmark run.
 """
 
 import importlib
@@ -13,11 +15,15 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 @pytest.mark.parametrize("label, module_name, path", _targets())
@@ -26,3 +32,26 @@ def test_traced_function_resolves(label, module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), label
+
+
+def test_pe_control_trace_rows_stay_live():
+    """pe_control folds candidates through `abstract_add`, unfolds each
+    tree it builds through `unfold`, and assembles its one result
+    through `partial_evaluate`."""
+    from nspec import add_strict_equality, parse_program, parse_term, peval
+
+    text = (TRACING.parent / "programs" / "kmp.flp").read_text(encoding="utf-8")
+    program = add_strict_equality(parse_program(text))
+    root = parse_term("match(cons(a, cons(a, cons(b, nil))), S)", program.signature)
+    tracer = _tracing().Tracer()
+    with tracer:
+        tracer.enabled = True
+        outcome = peval.pe_control(program, [root], peval.UnfoldPolicy(depth=2))
+    calls = tracer.calls()
+    assert outcome.iterations > 1
+    assert calls["peval.pe_control"] == 1
+    assert calls["peval.partial_evaluate"] == 1
+    assert calls["peval.unfold"] == outcome.unfolds_built
+    assert calls["peval.resultants"] == outcome.unfolds_built
+    assert calls["peval.abstract_add"] > 0
+    assert calls["peval.embeds"] > 0 and calls["peval.msg"] > 0

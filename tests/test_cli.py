@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nspec import cli
 
@@ -272,6 +273,46 @@ class TestTree:
         assert lines[-1].endswith("    g(0)  [incomplete]")
         assert lines[-2].endswith("  at [] R3 {}")
 
+    def test_deep_json_tree_prints_without_recursion(self, tmp_path):
+        """Three nested containers per tree level: 1,020 levels of JSON,
+        past the `json` module's recursive encoder (and decoder, so the
+        text is checked line by line)."""
+        proc = run("tree", LOOP, "-e", "g(0)", "--max-steps", "340",
+                   "--format", "json")
+        assert proc.returncode == 0, proc.stderr[-300:]
+        lines = proc.stdout.splitlines()
+        # A node at tree depth d has its keys indented by 2 + 6 d.
+        terms = [line for line in lines if line.lstrip().startswith('"term"')]
+        assert len(terms) == 341
+        assert terms[-1] == " " * 2042 + '"term": "g(0)",'
+        assert " " * 2042 + '"status": "incomplete",' in lines
+        assert lines[-1] == "}"
+        out = tmp_path / "tree.json"
+        proc = run("eval", LOOP, "-e", "g(0)", "--max-steps", "340",
+                   "--tree", str(out))
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("args", [
+        (LOOP, "-e", "g(0)", "--max-steps", "300"),
+        (LEQ, "-e", "leq(X, add(X, Y))", "--max-steps", "4"),
+        (LEQ, "-e", "leq(X, Y)", "--max-steps", "5", "--strategy", "lazy"),
+        (APPEND, "-e", "eq(append(Xs, Ys), cons(0, nil))", "--max-steps", "6")])
+    def test_json_tree_bytes_equal_the_json_module(self, args):
+        from nspec.narrowing import Bounds, node_to_dict, search
+        from nspec.program import add_strict_equality
+        from nspec.syntax import parse_program, parse_term
+        from nspec.terms import FreshVars
+
+        proc = run("tree", *args, "--format", "json")
+        assert proc.returncode == 0
+        program = add_strict_equality(parse_program(Path(args[0]).read_text()))
+        bounds = Bounds(int(args[4]), 2000, None)  # the CLI's default budget
+        strategy = args[6] if len(args) > 5 else "needed"
+        result = search(parse_term(args[2], program.signature), program,
+                        strategy, bounds, FreshVars(start=0))
+        assert proc.stdout == json.dumps(node_to_dict(result.root), indent=2) + "\n"
+
     def test_seed_offsets_fresh_names(self):
         base = run("tree", LEQ, "-e", "leq(X, s(0))", "--max-steps", "3")
         seeded = run("--seed", "7", "tree", LEQ, "-e", "leq(X, s(0))",
@@ -363,3 +404,16 @@ class TestDeterminism:
         second = run(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.floats(allow_nan=False)),
+    lambda sub: st.one_of(st.lists(sub, max_size=3),
+                          st.dictionaries(st.text(max_size=3), sub, max_size=3)),
+    max_leaves=12)
+
+
+@given(JSON_VALUES)
+def test_json_text_equals_the_json_module(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)

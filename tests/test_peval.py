@@ -1,7 +1,10 @@
 """Partial evaluation: embedding, generalization, unfolding, closedness,
 renaming, and the control loop."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     CORPUS_GOALS,
@@ -16,9 +19,9 @@ from nspec.narrowing import FAILING, Bounds, search
 from nspec.peval import (
     PEControlError,
     UnfoldPolicy,
+    _most_specific_match,
     abstract_add,
     closed,
-    closure_sets,
     embeds,
     independent_renaming,
     msg,
@@ -29,9 +32,26 @@ from nspec.peval import (
     resultants,
     unfold,
 )
-from nspec.program import Rule
+from nspec.program import AND, EQ, Rule, add_strict_equality
 from nspec.syntax import parse_program, parse_term
-from nspec.terms import FreshVars, Var, vars_of
+from nspec.terms import (
+    App,
+    CONSTRUCTOR,
+    OPERATION,
+    FreshVars,
+    Substitution,
+    Symbol,
+    Var,
+    is_constructor_term,
+    is_operation_rooted,
+    is_variant,
+    match,
+    subterms,
+    variant_key,
+    vars_of,
+)
+
+BENCH_PROGRAMS = Path(__file__).resolve().parent.parent / "bench" / "programs"
 
 
 def goal(prog, text):
@@ -104,6 +124,115 @@ class TestMostSpecificGeneralization:
         w, th1, th2 = msg(t1, t2, FreshVars())
         assert th1.apply(w) == t1
         assert th2.apply(w) == t2
+
+
+# --- explicit-stack embeds and msg against recursive references -----------
+
+
+def ref_embeds(s, t):
+    """The recursive definition that `embeds` decides from a stack."""
+    if isinstance(s, Var) and isinstance(t, Var):
+        return True
+    if isinstance(t, App) and any(ref_embeds(s, a) for a in t.args):
+        return True
+    return (isinstance(s, App) and isinstance(t, App) and s.root == t.root
+            and all(ref_embeds(x, y) for x, y in zip(s.args, t.args)))
+
+
+def ref_msg(t1, t2, gen):
+    """The recursive most specific generalization that `msg` computes
+    from a stack, drawing fresh variables in the same order."""
+    gen.reserve(vars_of(t1) + vars_of(t2))
+    pairs = {}
+
+    def walk(a, b):
+        if a == b:
+            return a
+        if isinstance(a, App) and isinstance(b, App) and a.root == b.root:
+            return App(a.root, tuple(walk(x, y) for x, y in zip(a.args, b.args)))
+        if (a, b) not in pairs:
+            pairs[(a, b)] = gen.fresh()
+        return pairs[(a, b)]
+
+    w = walk(t1, t2)
+    return (w, Substitution({v: a for (a, _), v in pairs.items()}),
+            Substitution({v: b for (_, b), v in pairs.items()}))
+
+
+_Z = Symbol("z", 0, CONSTRUCTOR)
+_SC = Symbol("sc", 1, CONSTRUCTOR)
+_PR = Symbol("pr", 2, CONSTRUCTOR)
+_F = Symbol("f", 2, OPERATION)
+_G = Symbol("g", 1, OPERATION)
+PE_TERMS = st.recursive(
+    st.one_of(st.sampled_from([Var("X"), Var("Y"), Var("V1")]), st.just(App(_Z))),
+    lambda sub: st.one_of(
+        st.builds(lambda a: App(_SC, (a,)), sub),
+        st.builds(lambda a: App(_G, (a,)), sub),
+        st.builds(lambda a, b: App(_PR, (a, b)), sub, sub),
+        st.builds(lambda a, b: App(_F, (a, b)), sub, sub)),
+    max_leaves=12)
+
+
+@given(PE_TERMS, PE_TERMS)
+def test_embeds_agrees_with_the_recursive_definition(s, t):
+    assert embeds(s, t) == ref_embeds(s, t)
+    assert embeds(s, s) and ref_embeds(s, s)
+    for _, u in subterms(t):
+        assert embeds(u, t) == ref_embeds(u, t)
+
+
+@given(PE_TERMS, PE_TERMS)
+def test_msg_agrees_with_the_recursive_generalization(t1, t2):
+    gen, ref_gen = FreshVars(), FreshVars()
+    w, th1, th2 = msg(t1, t2, gen)
+    rw, rth1, rth2 = ref_msg(t1, t2, ref_gen)
+    assert (str(w), repr(th1), repr(th2)) == (str(rw), repr(rth1), repr(rth2))
+    assert w == rw and th1.apply(w) == t1 and th2.apply(w) == t2
+    assert gen.fresh() == ref_gen.fresh()  # the same names were drawn
+
+
+def s_chain(program, k, bottom):
+    """s^k(bottom)."""
+    succ = program.signature.get("s")
+    for _ in range(k):
+        bottom = App(succ, (bottom,))
+    return bottom
+
+
+def test_embeds_of_long_chains_takes_polynomial_time(leq_prog):
+    """s^k(X) against s^(k-1)(Y): the dives and couplings reach the same
+    pairs of subterms exponentially often in k, so each pair must be
+    decided once."""
+
+    def chain(k, bottom):
+        return s_chain(leq_prog, k, bottom)
+
+    assert not embeds(chain(200, Var("X")), chain(199, Var("Y")))
+    assert embeds(chain(199, Var("X")), chain(200, Var("Y")))
+    for k in range(1, 9):
+        for j in range(1, 9):
+            s, t = chain(k, Var("X")), chain(j, Var("Y"))
+            assert embeds(s, t) == ref_embeds(s, t) == (k <= j)
+
+
+def test_embeds_and_msg_walk_deep_terms(leq_prog):
+    """Neither walk recurses per term level.  (Equal but distinct deep
+    subterms are still compared, and clash pairs hashed, by the
+    recursive generated `App.__eq__`/`__hash__`.)"""
+    leq = leq_prog.signature.get("leq")
+
+    def spine(bottom, k=5000):
+        return s_chain(leq_prog, k, bottom)
+
+    ground = spine(goal(leq_prog, "0"))
+    assert embeds(App(leq, (Var("X"), ground)), App(leq, (Var("Y"), ground)))
+    assert embeds(spine(Var("X"), 10), spine(Var("Y")))
+    assert not embeds(spine(Var("X")), spine(goal(leq_prog, "0")))
+    w, th1, th2 = msg(App(leq, (Var("X"), ground)),
+                      App(leq, (goal(leq_prog, "0"), ground)), FreshVars())
+    assert w == App(leq, (Var("V1"), ground))
+    assert (repr(th1), repr(th2)) == ("{V1 -> X}", "{V1 -> 0}")
 
 
 class TestUnfold:
@@ -210,6 +339,60 @@ class TestUnfold:
         assert nodes[-1].status == "incomplete"
         [r] = resultants(tree)
         assert (str(r.lhs), str(r.rhs), len(r.steps)) == ("g(0)", "g(0)", 3000)
+
+
+def closure_sets(S, t):
+    """Every way of proving t closed, as ordered (position, covering
+    element) pairs; empty list iff t is not S-closed: the exhaustive
+    reference for `closed`.
+
+    Positions of entries under an instance step extend the covering
+    element's variable positions, mirroring how the images sit inside
+    the covered call.
+    """
+    S = list(S)
+
+    def prefix(p, sets):
+        return [tuple((p + q, s) for q, s in O) for O in sets]
+
+    def product(parts):
+        acc = [()]
+        for alternatives in parts:
+            acc = [done + extra for done in acc for extra in alternatives]
+        return acc
+
+    def derive(u):
+        if isinstance(u, Var):
+            return [()]
+        out = []
+        if u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND):
+            per_arg = [prefix((i,), derive(a))
+                       for i, a in enumerate(u.args, start=1)]
+            if all(per_arg):
+                out.extend(product(per_arg))
+        if u.root.kind == OPERATION:
+            for s in S:
+                theta = match(s, u)
+                if theta is None:
+                    continue
+                parts = []
+                viable = True
+                for q, sub in subterms(s):
+                    if not isinstance(sub, Var):
+                        continue
+                    image_sets = derive(theta.apply(sub))
+                    if not image_sets:
+                        viable = False
+                        break
+                    parts.append(prefix(q, image_sets))
+                if viable:
+                    out.extend((((), s),) + rest for rest in product(parts))
+        seen = {}
+        for O in out:
+            seen.setdefault(tuple(sorted(O, key=lambda e: (e[0], str(e[1])))))
+        return list(seen)
+
+    return derive(t)
 
 
 def _eager_resultants(tree):
@@ -531,3 +714,268 @@ class TestControlLoop:
                              [goal(program, "append(append(Xs, Ys), Zs)")])
         assert outcome.iterations == 2
         assert calls == [program]
+
+
+class TestClosednessAgainstClosureSets:
+    """`closed` against the exhaustive enumeration of `closure_sets`."""
+
+    @pytest.mark.parametrize("name", ["leq", "append", "double", "gfh", "loop"])
+    def test_corpus_programs(self, name):
+        program = load(f"{name}.flp")
+        calls = generic_calls(program)
+        call_sets = [calls, calls[:1]]
+        for call in calls:
+            outcome = pe_control(program, [call], UnfoldPolicy(depth=2))
+            call_sets.append(list(outcome.S))
+        terms = [r.rhs for r in program.rules]
+        for call in calls:
+            for depth in (1, 2):
+                tree = unfold(call, program, UnfoldPolicy(depth=depth))
+                terms += [r.rhs for r in resultants(tree)]
+        checked = 0
+        for S in call_sets:
+            for t in terms:
+                for _, u in subterms(t):
+                    assert closed(S, u) == bool(closure_sets(S, u)), (S, u)
+                    checked += 1
+        assert checked >= 50
+
+
+# --- the incremental control loop against the parent's ---------------------
+#
+# The control loop before unfold trees were kept across passes: every
+# pass runs `partial_evaluate` over all of S, and `abstract_add` and its
+# most-specific match scan S with `is_variant` and `match`.
+
+
+def ref_most_specific_match(S, t):
+    candidates = [s for s in S if match(s, t) is not None]
+    if not candidates:
+        return None
+    best = []
+    for s in candidates:
+        dominated = any(
+            other is not s and match(s, other) is not None
+            and not is_variant(s, other)
+            for other in candidates)
+        if not dominated:
+            best.append(s)
+    return best[0]
+
+
+def ref_abstract_add(S, u, gen):
+    if any(is_variant(s, u) for s in S):
+        return False
+    for i, s in enumerate(S):
+        if isinstance(s, App) and s.root == u.root and embeds(s, u):
+            w, th_u, th_s = msg(u, s, gen)
+            changed = False
+            if not is_variant(w, s) and not any(is_variant(other, w) for other in S):
+                S[i] = w
+                changed = True
+            for theta in (th_u, th_s):
+                for img in theta.mapping.values():
+                    for v in outermost_operation_subterms(img):
+                        changed = ref_abstract_add(S, v, gen) or changed
+            return changed
+    covering = ref_most_specific_match(S, u)
+    if covering is not None:
+        images = list(match(covering, u).mapping.values())
+        if all(isinstance(img, Var) for img in images):
+            return False
+        if all(is_constructor_term(img) for img in images):
+            S.append(u)
+            return True
+        changed = False
+        for img in images:
+            for v in outermost_operation_subterms(img):
+                changed = ref_abstract_add(S, v, gen) or changed
+        return changed
+    S.append(u)
+    return True
+
+
+def ref_pe_control(program, roots, policy, max_iters=32):
+    """(S, result, iterations) of the parent's control loop."""
+    gen = FreshVars(avoid=program.all_variables())
+    for r in roots:
+        gen.reserve(vars_of(r))
+    S = []
+    for r in roots:
+        ref_abstract_add(S, r, gen)
+    for iteration in range(1, max_iters + 1):
+        result = partial_evaluate(program, S, policy)
+        candidates = [u for _, rs in result.report.resultants for r in rs
+                      for u in outermost_operation_subterms(r.rhs)]
+        changed = False
+        for u in candidates:
+            changed = ref_abstract_add(S, u, gen) or changed
+        if not changed:
+            return tuple(S), result, iteration
+    leftovers = tuple(u for u in candidates
+                      if not any(is_variant(s, u) for s in S))
+    raise PEControlError(
+        "no closed specialization after "
+        f"{max_iters} iterations; uncovered calls: "
+        + ", ".join(str(u) for u in (leftovers or candidates)),
+        leftovers or tuple(candidates))
+
+
+def _control_view(run):
+    """What a control loop returned or raised, as comparable text."""
+    try:
+        S, result, iterations = run()
+    except Exception as exc:  # the error and its uncovered calls
+        return (type(exc).__name__, str(exc),
+                [str(u) for u in getattr(exc, "uncovered", ())])
+    report = result.report
+    return ([str(s) for s in S], iterations, repr(result.renaming),
+            [f"{r.label}: {r}" for r in result.rules],
+            report.closed, [str(u) for u in report.uncovered],
+            [(str(call), [(str(r.lhs), str(r.rhs), repr(r.subst), len(r.steps))
+                          for r in rs]) for call, rs in report.resultants])
+
+
+def _outcome(program, roots, policy, max_iters=32):
+    outcome = pe_control(program, roots, policy, max_iters)
+    return outcome.S, outcome.result, outcome.iterations
+
+
+POLICIES = [(strategy, whistle) for strategy in ("needed", "lazy")
+            for whistle in (True, False)]
+
+
+def _assert_same_control(program, roots, depths=(1, 2, 3), max_iters=32):
+    for strategy, whistle in POLICIES:
+        for depth in depths:
+            policy = UnfoldPolicy(depth=depth, whistle=whistle, strategy=strategy)
+            got = _control_view(lambda: _outcome(program, roots, policy, max_iters))
+            want = _control_view(
+                lambda: ref_pe_control(program, roots, policy, max_iters))
+            assert got == want, ([str(r) for r in roots], policy)
+
+
+def _bench_program(name):
+    text = (BENCH_PROGRAMS / name).read_text(encoding="utf-8")
+    return add_strict_equality(parse_program(text))
+
+
+def _kmp_call(program, pattern):
+    text = "nil"
+    for c in reversed(pattern):
+        text = f"cons({c}, {text})"
+    return goal(program, f"match({text}, S)")
+
+
+class TestIncrementalControlMatchesTheParentLoop:
+    @pytest.mark.parametrize("name, call", [
+        ("double_app.flp", "append(append(Xs, Ys), Zs)"),
+        ("length_app.flp", "length(append(Xs, Ys))"),
+        ("rev_acc.flp", "rev(append(Xs, Ys), nil)"),
+        ("allones.flp", "length(allones(Xs))")])
+    def test_classic_bench_tasks(self, name, call):
+        program = _bench_program(name)
+        _assert_same_control(program, [goal(program, call)])
+
+    @pytest.mark.parametrize("pattern", ["ab", "ba", "aab", "bba", "aaab", "bbbba"])
+    def test_kmp_patterns(self, pattern):
+        """The benchmark's a^(n-1)b patterns of lengths 2-5, a and b
+        swapped by a coin; the swap changes no shape, so lengths 4 and 5
+        run one of the two."""
+        program = _bench_program("kmp.flp")
+        _assert_same_control(program, [_kmp_call(program, pattern)])
+
+    def test_a_stop_term_generalized_away(self):
+        """With the whistle off, `next(G1, G2)` of the KMP matcher at
+        depth 3 cuts trees at calls that a later pass generalizes in
+        place: those trees must grow again past the former stop."""
+        program = _bench_program("kmp.flp")
+        _assert_same_control(program, [goal(program, "next(G1, G2)")],
+                             depths=(3,))
+
+    @pytest.mark.parametrize("name", ["leq", "append", "double", "gfh", "loop"])
+    def test_generic_calls_of_the_corpus(self, name):
+        program = load(f"{name}.flp")
+        calls = generic_calls(program)
+        for call in calls:
+            _assert_same_control(program, [call])
+        _assert_same_control(program, calls)
+
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
+    def test_corpus_goals_and_the_iteration_cap(self, name, source):
+        """Goals under eq fail to assemble on the first pass whose
+        renamed rules keep eq/and; with a small cap that pass comes
+        before the cap is reached."""
+        program = load(f"{name}.flp")
+        for max_iters in (1, 2, 32):
+            _assert_same_control(program, [goal(program, source)],
+                                 max_iters=max_iters)
+
+    def test_random_programs(self):
+        runs = 0
+        for seed in range(60):
+            program = random_program(seed)
+            for call in generic_calls(program):
+                _assert_same_control(program, [call], depths=(1, 2))
+                runs += 1
+        assert runs >= 100
+
+
+class TestUnfoldCache:
+    def test_stop_tests_are_recorded_as_probes(self, append_prog):
+        root = goal(append_prog, "append(append(Xs, Ys), Zs)")
+        inner = goal(append_prog, "append(Ys, Zs)")
+        probes = []
+        unfold(root, append_prog, UnfoldPolicy(depth=2), stop=[root],
+               probes=probes)
+        assert (variant_key(inner), False) in probes
+        probes = []
+        unfold(root, append_prog, UnfoldPolicy(depth=2),
+               stop=[root, goal(append_prog, "append(A, B)")], probes=probes)
+        assert (variant_key(inner), True) in probes
+
+    def test_a_new_variant_of_an_inner_node_unfolds_the_call_again(
+            self, append_prog):
+        """Pass 1 unfolds the root, whose tree expands append(Ys, Zs).
+        The pass adds append(V7, Zs), a variant of that inner node, to S;
+        so pass 2 must unfold the root again, now stopping there."""
+        root = goal(append_prog, "append(append(Xs, Ys), Zs)")
+        outcome = pe_control(append_prog, [root], UnfoldPolicy(depth=2))
+        assert [str(s) for s in outcome.S] == [
+            "append(append(Xs, Ys), Zs)", "append(V7, Zs)"]
+        assert (outcome.unfolds_built, outcome.unfolds_reused) == (3, 0)
+        assert [str(r.rhs) for r in outcome.result.report.resultants_for(root)
+                ] == ["append(Ys, Zs)", "cons(V2, append(append(V3, Ys), Zs))"]
+
+    def test_unchanged_calls_are_reused(self, double_prog):
+        outcome = pe_control(double_prog, [goal(double_prog, "double(X)")])
+        assert outcome.iterations == 3
+        assert (outcome.unfolds_built, outcome.unfolds_reused) == (3, 2)
+
+    def test_kmp_counts(self):
+        """KMP `bbbba` at unfold depth 2: 226 unfolds over 14 passes
+        before unfold trees were kept, 70 now."""
+        program = _bench_program("kmp.flp")
+        outcome = pe_control(program, [_kmp_call(program, "bbbba")],
+                             UnfoldPolicy(depth=2))
+        assert (len(outcome.S), outcome.iterations) == (34, 14)
+        assert (outcome.unfolds_built, outcome.unfolds_reused) == (70, 156)
+
+    def test_most_specific_match_ignores_other_roots(self, leq_prog):
+        S = [goal(leq_prog, "add(X, Y)"), goal(leq_prog, "leq(X, Y)"),
+             goal(leq_prog, "leq(0, Y)")]
+        assert _most_specific_match(S, goal(leq_prog, "leq(0, s(0))")) is S[2]
+        assert _most_specific_match(S, goal(leq_prog, "add(0, 0)")) is S[0]
+
+
+@given(PE_TERMS, PE_TERMS)
+def test_abstract_add_keys_stay_in_step(t1, t2):
+    S = []
+    keys = []
+    gen = FreshVars()
+    for u in (t1, t2, App(_F, (t1, t2)), App(_G, (t2,))):
+        if is_operation_rooted(u):
+            ref_S = list(S)
+            changed = abstract_add(S, u, gen, keys)
+            assert keys == [variant_key(s) for s in S]
+            assert changed == (S != ref_S)

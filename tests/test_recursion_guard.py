@@ -1,7 +1,7 @@
 """Source checks that keep term depth independent of Python's recursion
-limit: no function in `nspec/terms.py` calls itself, nor do the step
-and redex walkers of `nspec/narrowing.py`, and no module raises the
-limit instead."""
+limit: no function in `nspec/terms.py` or `nspec/narrowing.py` calls
+itself, `nspec/peval.py` has no self-calling function beyond a known
+list, and no module raises the limit instead."""
 
 import ast
 from pathlib import Path
@@ -77,17 +77,25 @@ def test_terms_module_has_no_self_calling_function():
 
 
 def test_narrowing_steps_and_redexes_do_not_call_themselves():
-    """The step descents and the redex search loop over explicit stacks.
-    The JSON dump of a narrowing tree is the one self-calling function
-    left in the module."""
+    """The step descents, the redex search and the JSON dump of a
+    narrowing tree loop over explicit stacks."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
     walkers = {"_needed_steps", "_lns", "outermost_needed_redex",
-               "strategy_steps"}
+               "strategy_steps", "node_to_dict"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of _needed_steps
-    assert self_calling_functions(source) == ["node_to_dict"]
+    assert self_calling_functions(source) == []
+
+
+def test_peval_self_calls_are_the_known_ones():
+    """`embeds` and `msg` loop over explicit stacks; the renaming, the
+    folding of candidates into S and the closedness check still recurse
+    once per nested call."""
+    source = (SRC / "nspec" / "peval.py").read_text(encoding="utf-8")
+    assert self_calling_functions(source) == [
+        "rename_term", "abstract_add", "check"]
 
 
 def test_no_module_raises_the_recursion_limit():

@@ -34,6 +34,7 @@ from nspec.terms import (
     term_size,
     unify,
     var_positions,
+    variant_key,
     vars_of,
     _solve,
 )
@@ -374,6 +375,20 @@ def test_canonical_rename_produces_variant(t):
     out = canonical_rename([t])[0]
     assert is_variant(out, t)
     assert canonical_rename([out])[0] == out
+
+
+RENAMINGS = st.dictionaries(VARS, st.sampled_from([X, Y, Var("V1"), Var("V2")]))
+
+
+@given(TERMS, TERMS, RENAMINGS)
+def test_variant_key_decides_is_variant(s, t, renaming):
+    """Keys are equal exactly for variants: against an unrelated term,
+    and against a renamed copy, where a renaming that merges variables
+    makes a proper instance instead."""
+    renamed = Substitution(renaming).apply(s)
+    for u in (t, renamed):
+        assert is_variant(s, u) == (variant_key(s) == variant_key(u))
+    assert variant_key(s) == canonical_rename([s])[0]
 
 
 @given(TERMS, TERMS)
