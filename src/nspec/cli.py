@@ -135,11 +135,17 @@ def _load(path: str) -> Program:
 
 
 def _tree_lines(tree: DefTree, indent: str = "") -> List[str]:
-    if isinstance(tree, Leaf):
-        return [f"{indent}leaf {tree.pattern} -> {tree.rule.rhs}"]
-    lines = [f"{indent}branch {tree.pattern} at {list(tree.position)}"]
-    for child in tree.children:
-        lines.extend(_tree_lines(child, indent + "  "))
+    """Each node of a definitional tree indented under its parent, in
+    preorder; walked from an explicit stack, so any pattern depth prints."""
+    lines: List[str] = []
+    stack = [(tree, indent)]
+    while stack:
+        node, indent = stack.pop()
+        if isinstance(node, Leaf):
+            lines.append(f"{indent}leaf {node.pattern} -> {node.rule.rhs}")
+            continue
+        lines.append(f"{indent}branch {node.pattern} at {list(node.position)}")
+        stack.extend((child, indent + "  ") for child in reversed(node.children))
     return lines
 
 

@@ -9,7 +9,7 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from .program import Program, Rule, Signature
 from .terms import (
@@ -19,6 +19,7 @@ from .terms import (
     Position,
     Substitution,
     Symbol,
+    Term,
     Var,
     is_variant,
     match,
@@ -65,41 +66,84 @@ class Branch:
 DefTree = Union[Leaf, Branch]
 
 
-def _qualifying_positions(pattern: App, lhss: Sequence[App]) -> List[Position]:
-    """Variable positions of the pattern where every lhs has a constructor."""
-    out = []
-    for p in sorted(var_positions(pattern)):
-        if all(isinstance(subterm_at(l, p), App) for l in lhss):
-            out.append(p)
-    return out
+# A hole of a pattern: a variable position and the subterms that the
+# left-hand sides of the pattern's rules have there, in rule order.
+_Hole = Tuple[Position, Tuple[Term, ...]]
+_Request = Tuple[App, Tuple[Rule, ...], List[_Hole]]
 
 
-def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
-           tie_break: str) -> Optional[DefTree]:
-    if len(rules) == 1:
+def _build_node(pattern: App, rules: Tuple[Rule, ...], holes: List[_Hole],
+                gen: FreshVars, tie_break: str
+                ) -> Generator[_Request, Optional[DefTree], Optional[DefTree]]:
+    """The tree node of one pattern, as a generator that yields each
+    child pattern it needs (with its rules and holes) and is sent the
+    child's tree back; `_build` drives it.
+
+    A pattern with one rule that is a variant of it is a leaf.  Else
+    each qualifying hole (every left-hand side has a constructor there)
+    is tried in position order (reversed for the rightmost tie-break):
+    the rules are grouped by that constructor, in rule order, and each
+    group's child pattern is built in turn, drawing its fresh variables
+    just before; a child without a tree sends the node to its next
+    candidate.  The holes of a child pattern are those of its parent
+    with the split one replaced by its arguments, in place, so they stay
+    in position order and no pattern is searched for its variables.
+    """
+    if len(rules) == 1 and all(isinstance(subs[0], Var) for _, subs in holes):
+        # The rule's left-hand side agrees with the pattern off its holes
+        # and is linear: a variable at every hole makes it a variant.
         rule = rules[0]
-        if is_variant(rule.lhs, pattern):
-            theta = match(rule.lhs, pattern)
-            return Leaf(pattern, Rule(pattern, theta.apply(rule.rhs), rule.label))
-
-    lhss = [r.lhs for r in rules]
-    candidates = _qualifying_positions(pattern, lhss)
+        theta = match(rule.lhs, pattern)
+        return Leaf(pattern, Rule(pattern, theta.apply(rule.rhs), rule.label))
+    candidates = [k for k, (_, subs) in enumerate(holes)
+                  if all(isinstance(u, App) for u in subs)]
     if tie_break == "rightmost":
-        candidates = list(reversed(candidates))
-    for pos in candidates:
-        groups: Dict[Symbol, List[Rule]] = {}
-        for r in rules:
-            groups.setdefault(subterm_at(r.lhs, pos).root, []).append(r)
+        candidates.reverse()
+    for k in candidates:
+        pos, split = holes[k]
+        groups: Dict[Symbol, List[int]] = {}
+        for j, u in enumerate(split):
+            groups.setdefault(u.root, []).append(j)
         children: List[DefTree] = []
-        for ctor, group in groups.items():
-            child_pattern = replace_at(pattern, pos, App(ctor, gen.fresh_tuple(ctor.arity)))
-            child = _build(child_pattern, group, gen, tie_break)
+        for ctor, members in groups.items():
+            child_holes: List[_Hole] = []
+            for h, (q, subs) in enumerate(holes):
+                if h == k:
+                    child_holes += [
+                        (pos + (i + 1,), tuple(split[j].args[i] for j in members))
+                        for i in range(ctor.arity)]
+                else:
+                    child_holes.append((q, tuple(subs[j] for j in members)))
+            image = App(ctor, gen.fresh_tuple(ctor.arity))
+            child = yield (replace_at(pattern, pos, image),
+                           tuple(rules[j] for j in members), child_holes)
             if child is None:
                 break
             children.append(child)
         else:
             return Branch(pattern, pos, tuple(children))
     return None
+
+
+def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
+           tie_break: str) -> Optional[DefTree]:
+    """The definitional tree of `build_tree`, or None: the nodes of
+    `_build_node` are driven depth first from an explicit stack."""
+    rules = tuple(rules)
+    holes = [(p, tuple(subterm_at(r.lhs, p) for r in rules))
+             for p in var_positions(pattern)]
+    stack = [_build_node(pattern, rules, holes, gen, tie_break)]
+    result: Optional[DefTree] = None  # sent to the node on top
+    while stack:
+        try:
+            request = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_build_node(*request, gen, tie_break))
+            result = None
+    return result
 
 
 def build_tree(f: Symbol, rules: Sequence[Rule],

@@ -14,6 +14,7 @@ cuts it with the partial evaluator's local control.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -29,15 +30,13 @@ from .terms import (
     IDENTITY,
     Position,
     Substitution,
-    Succ,
     Term,
     Var,
-    compose,
+    _solve,
     canonical_rename,
     is_constructor_term,
     is_operation_rooted,
     is_root_stable,
-    linear_unify,
     linear_walk,
     match,
     replace_at,
@@ -68,11 +67,40 @@ class Step:
 
 
 def compose_canonical(parts: Iterable[Substitution]) -> Substitution:
-    acc = IDENTITY
+    """phi_k o ... o phi_1 of the canonical parts of a needed step, read
+    as one triangular substitution (`resolve_chain`) whose domain is in
+    binding order: each part binds a variable that no earlier part bound
+    or mentions, so this equals the composition, at a cost linear in the
+    parts and their images.  Identities change nothing, so a single
+    non-identity part is the composition itself."""
+    chain: Chain = None
+    domain: List[Var] = []
     for phi in parts:
-        if phi:  # composing with the identity changes nothing
-            acc = compose(phi, acc)
-    return acc
+        if phi:
+            chain = (phi, chain)
+            domain += phi.domain()
+    if chain is None:
+        return IDENTITY
+    if chain[1] is None:
+        return chain[0]
+    return resolve_chain(chain, domain)
+
+
+def _unwind(chain: Optional[tuple]) -> List[object]:
+    """The items of a parent-pointer chain (item, parent), oldest first."""
+    items = []
+    while chain is not None:
+        item, chain = chain
+        items.append(item)
+    items.reverse()
+    return items
+
+
+def _joined(segments: Optional[tuple]) -> Position:
+    """The position spelled by a chain of position segments."""
+    if segments is None:
+        return ()
+    return tuple(itertools.chain.from_iterable(_unwind(segments)))
 
 
 def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
@@ -106,52 +134,59 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     but t itself is never rebuilt: each instantiation is entered in
     `bound`, which holds the bindings of the current tree path, and
     positions are read through it.  A frame is (tree node, the
-    operation-rooted subterm it descends, that subterm's position in t,
-    the canonical parts so far, and the (variable, constructor) to bind
-    on entry, if any); a bare variable on the stack ends that binding's
-    scope.  Fresh variables and rule variants are drawn in depth-first
-    order.
+    operation-rooted subterm u it descends, the parent branch's position
+    in u and the subterm read there, if any, u's position in t and the
+    canonical parts so far, both as parent-pointer chains read only at a
+    leaf, and the (variable, constructor) to bind on entry, if any); a
+    bare variable on the stack ends that binding's scope.  Fresh
+    variables and rule variants are drawn in depth-first order.
     """
     steps: List[Step] = []
     bound: Dict[Var, App] = {}
-    stack: List[object] = [(tree, t, (), (), None)]
+    stack: List[object] = [(tree, t, None, None, None, None)]
     while stack:
         frame = stack.pop()
         if isinstance(frame, Var):
             del bound[frame]
             continue
-        node, u, at, parts, binding = frame
+        node, u, known, at, parts, binding = frame
         if binding is not None:
             x, ctor = binding
             image = App(ctor, gen.fresh_tuple(ctor.arity))
             bound[x] = image
             stack.append(x)
-            parts += (Substitution({x: image}),)
+            parts = (Substitution._of({x: image}), parts)
         if isinstance(node, Leaf):
-            parts += (IDENTITY,)
-            steps.append(Step(at, node.rule.renamed(gen),
-                              compose_canonical(parts), parts))
+            canonical = tuple(_unwind((IDENTITY, parts)))
+            steps.append(Step(_joined(at), node.rule.renamed(gen),
+                              compose_canonical(canonical), canonical))
             continue
-        sub = u
-        for i in node.position:
+        # Read u at the inductive position, from the parent's scrutinized
+        # subterm when the position extends the parent's.
+        sub, rest = u, node.position
+        if known is not None and len(rest) > len(known[0]) and (
+                rest[:len(known[0])] == known[0]):
+            sub, rest = known[1], rest[len(known[0]):]
+        for i in rest:
             if isinstance(sub, Var):
                 sub = bound[sub]
             sub = sub.args[i - 1]
+        known = (node.position, sub)
         if isinstance(sub, Var):
             sub = bound.get(sub, sub)
         if isinstance(sub, Var):
-            stack.extend((child, u, at, parts, (sub, ctor)) for child, ctor
+            stack.extend((child, u, known, at, parts, (sub, ctor)) for child, ctor
                          in zip(reversed(node.children), reversed(node.constructors)))
         elif sub.root.kind == CONSTRUCTOR:
             for child, ctor in zip(node.children, node.constructors):
                 if ctor == sub.root:
-                    stack.append((child, u, at, parts + (IDENTITY,), None))
+                    stack.append((child, u, known, at, (IDENTITY, parts), None))
                     break
         else:
             inner = trees.get(sub.root.name)
             if inner is not None:
-                stack.append((inner, sub, at + node.position,
-                              parts + (IDENTITY,), None))
+                stack.append((inner, sub, None, (node.position, at),
+                              (IDENTITY, parts), None))
     return steps
 
 
@@ -172,30 +207,40 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
 def _lns(t: App, program: Program, gen: FreshVars) -> List[Step]:
     """The descent of `lns`, from an explicit stack: the steps at a
     position come first, then those of each position it demands, in
-    position order, each with everything below it."""
+    position order, each with everything below it.
+
+    Each rule's own left-hand side is walked once (`linear_walk`): a
+    clash or a demand does not depend on variable names, so such a rule
+    only advances `gen` as its renaming would.  Otherwise the renaming
+    is drawn and the walk's equations, their pattern sides renamed, are
+    solved; that is `linear_unify` of the variant, whose checks hold by
+    construction (the variant is linear, and its names are fresh).
+    Positions are parent-pointer chains of demanded positions, spelled
+    out once per step."""
     steps: List[Step] = []
-    stack: List[Tuple[Position, App]] = [((), t)]
+    stack: List[Tuple[Optional[tuple], App]] = [(None, t)]
     while stack:
         at, sub = stack.pop()
+        here: Optional[Position] = None
         demanded: Dict[Position, None] = {}
         for rule in program.rules_for(sub.root.name):
             if rule.lhs.root != sub.root:
                 continue
-            # A clash or a demand does not depend on variable names, so
-            # the rule's own left-hand side tells whether a variant can
-            # unify; the others only draw their renaming, as if built.
             walked = linear_walk(rule.lhs, sub)
             if isinstance(walked, list):
-                variant = rule.renamed(gen)
-                outcome = linear_unify(variant.lhs, sub)
-                if isinstance(outcome, Succ):
-                    steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
+                theta = gen.renaming(rule.variables)
+                sigma = _solve([(theta.apply(p), g) for p, g in walked])
+                if sigma is not None:
+                    if here is None:
+                        here = _joined(at)
+                    steps.append(Step(here, rule.variant(theta), sigma, (sigma,)))
                 continue
-            gen.renaming(rule.variables)
+            gen.skip_renaming(rule.variables)
             if isinstance(walked, Demand):
                 for q in walked.positions:
                     demanded.setdefault(q)
-        stack.extend((at + q, subterm_at(sub, q)) for q in sorted(demanded, reverse=True))
+        stack.extend(((q, at), subterm_at(sub, q))
+                     for q in sorted(demanded, reverse=True))
     return steps
 
 
@@ -227,10 +272,10 @@ def outermost_needed_redex(t: Term, trees: Dict[str, DefTree],
         raise ValueError(f"expected an operation-rooted term, got {t}")
     if node is None:
         node = trees.get(t.root.name)
-    at: Position = ()
+    segments: List[Position] = []  # the path to t, joined at the end
     while node is not None:
         if isinstance(node, Leaf):
-            return at
+            return tuple(itertools.chain.from_iterable(segments))
         sub = subterm_at(t, node.position)
         if isinstance(sub, Var):
             return None  # variable at the inductive position
@@ -239,7 +284,7 @@ def outermost_needed_redex(t: Term, trees: Dict[str, DefTree],
                          in zip(node.children, node.constructors)
                          if ctor == sub.root), None)
         else:
-            at += node.position
+            segments.append(node.position)
             t, node = sub, trees.get(sub.root.name)
     return None
 

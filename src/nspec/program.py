@@ -59,12 +59,15 @@ class Rule:
         return f"{self.lhs} -> {self.rhs}"
 
     def renamed(self, gen: FreshVars) -> "Rule":
-        """A variant of this rule with all variables renamed apart.
+        """A variant of this rule with all variables renamed apart."""
+        return self.variant(gen.renaming(self.variables))
+
+    def variant(self, theta: Substitution) -> "Rule":
+        """This rule under theta, a renaming of its variables.
 
         A variant of a valid rule is valid, so it is built without
         running the checks of `__post_init__` again.
         """
-        theta = gen.renaming(self.variables)
         variant = object.__new__(Rule)
         variant.__dict__.update(
             lhs=theta.apply(self.lhs), rhs=theta.apply(self.rhs),

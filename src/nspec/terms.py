@@ -245,6 +245,16 @@ class Substitution:
                 m[x] = t
         object.__setattr__(self, "_map", m)
 
+    @classmethod
+    def _of(cls, m: Dict[Var, Term]) -> "Substitution":
+        """A substitution over m itself, without the checks of the
+        constructor: for maps built in nspec that cannot hold a non-`Var`
+        key or an identity binding (renamings, solver results, the
+        one-binding parts of a needed step).  m must not change later."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "_map", m)
+        return sigma
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Substitution is immutable")
 
@@ -277,11 +287,7 @@ class Substitution:
 
     def apply(self, t: Term) -> Term:
         """sigma(t), sharing every subterm that sigma does not change."""
-        if isinstance(t, Var):
-            return self._map.get(t, t)
-        if not self._map or t.ground:
-            return t
-        return _rebuild(t, self._map)
+        return _applied(self._map, t)
 
     __call__ = apply
 
@@ -306,11 +312,11 @@ def apply(sigma: Substitution, t: Term) -> Term:
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution mapping t to outer(inner(t)).
 
-    Its cost grows with the domains and the term sizes of both, so the
-    search and the partial evaluator do not compose along a derivation:
-    they keep a `Chain` and call `resolve_chain` at its leaf.  Composing
-    is left to places that print a `Substitution`, such as the steps
-    built by `narrowing.compose_canonical`.
+    Its cost grows with the domains and the term sizes of both, so
+    nothing in nspec composes along a derivation: the search and the
+    partial evaluator keep a `Chain` and call `resolve_chain` at its
+    leaf, and a needed step resolves its parts the same way
+    (`narrowing.compose_canonical`).
     """
     m: Dict[Var, Term] = {}
     for x in inner.domain():
@@ -387,41 +393,49 @@ def resolve_chain(chain: Chain, variables: Iterable[Var]) -> Substitution:
     return Substitution({x: _rebuild(x, resolved, bound) for x in variables})
 
 
+def _applied(m: Dict[Var, Term], t: Term) -> Term:
+    """`Substitution.apply` on a plain map."""
+    if isinstance(t, Var):
+        return m.get(t, t)
+    if not m or t.ground:
+        return t
+    return _rebuild(t, m)
+
+
 def _solve(pairs: List[Tuple[Term, Term]]) -> Optional[Substitution]:
     """Most general unifier of a list of term pairs, or None.
 
-    Deterministic: pairs are processed first-in first-out, and when two
-    variables meet, the left one is bound.  The result is idempotent.
+    Deterministic: pairs are processed first-in first-out, the arguments
+    of a decomposed pair ahead of the rest, and when two variables meet,
+    the left one is bound.  Each pair is read through the bindings so
+    far, and a new binding is applied to the earlier images, so the map
+    is idempotent; it is a plain dict until the one `Substitution`
+    returned.
     """
     sub: Dict[Var, Term] = {}
-
-    def bind(x: Var, t: Term) -> bool:
-        if x in vars_of(t):
-            return False  # occurs check
-        one = Substitution({x: t})
-        for y in list(sub):
-            sub[y] = one.apply(sub[y])
-        sub[x] = t
-        return True
-
-    queue = list(pairs)
-    while queue:
-        a, b = queue.pop(0)
-        a = Substitution(sub).apply(a)
-        b = Substitution(sub).apply(b)
+    pending = pairs[::-1]  # the next pair on top
+    while pending:
+        a, b = pending.pop()
+        a = _applied(sub, a)
+        b = _applied(sub, b)
         if a == b:
             continue
         if isinstance(a, Var):
-            if not bind(a, b):
-                return None
+            x, t = a, b
         elif isinstance(b, Var):
-            if not bind(b, a):
-                return None
+            x, t = b, a
+        elif a.root != b.root:
+            return None
         else:
-            if a.root != b.root:
-                return None
-            queue = list(zip(a.args, b.args)) + queue
-    return Substitution(sub)
+            pending.extend(zip(reversed(a.args), reversed(b.args)))
+            continue
+        if x in _var_occurrences(t):
+            return None  # occurs check
+        one = {x: t}
+        for y, image in sub.items():
+            sub[y] = _applied(one, image)
+        sub[x] = t
+    return Substitution._of(sub)
 
 
 def unify(s: Term, t: Term) -> Optional[Substitution]:
@@ -558,14 +572,25 @@ class FreshVars:
     def fresh_tuple(self, n: int) -> Tuple[Var, ...]:
         return tuple(self.fresh() for _ in range(n))
 
-    def renaming(self, variables: Sequence[Var]) -> Substitution:
-        """Rename all given variables apart with one shared suffix."""
+    def _suffixed(self, variables: Sequence[Var]) -> List[str]:
+        """The names of the variables with the next suffix that makes
+        them all unused, now marked as used."""
         while True:
             suffix = f"_{self._next()}"
             names = [v.name + suffix for v in variables]
             if self._used.isdisjoint(names):
                 self._used.update(names)
-                return Substitution(zip(variables, map(Var, names)))
+                return names
+
+    def renaming(self, variables: Sequence[Var]) -> Substitution:
+        """Rename all given variables apart with one shared suffix."""
+        names = self._suffixed(variables)
+        return Substitution._of(dict(zip(variables, map(Var, names))))
+
+    def skip_renaming(self, variables: Sequence[Var]) -> None:
+        """Advance as `renaming` does, taking the same names, without
+        building the renaming."""
+        self._suffixed(variables)
 
 
 def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),

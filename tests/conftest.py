@@ -141,6 +141,40 @@ CORPUS_GOALS = [
 # --- comparison helpers --------------------------------------------------
 
 
+def parent_solve(pairs):
+    """The unifier that `_solve` replaced: it builds a `Substitution`
+    for every pair it reads and every binding it makes."""
+    sub = {}
+
+    def bind(x, t):
+        if x in vars_of(t):
+            return False  # occurs check
+        one = Substitution({x: t})
+        for y in list(sub):
+            sub[y] = one.apply(sub[y])
+        sub[x] = t
+        return True
+
+    queue = list(pairs)
+    while queue:
+        a, b = queue.pop(0)
+        a = Substitution(sub).apply(a)
+        b = Substitution(sub).apply(b)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if not bind(a, b):
+                return None
+        elif isinstance(b, Var):
+            if not bind(b, a):
+                return None
+        else:
+            if a.root != b.root:
+                return None
+            queue = list(zip(a.args, b.args)) + queue
+    return Substitution(sub)
+
+
 def answer_set(result):
     """Bounded answers as a hashable set for comparison up to renaming.
 

@@ -69,6 +69,27 @@ class TestCheck:
         assert proc.returncode == 0
         assert "inductively sequential: no (f)" in proc.stdout
 
+    def test_deep_left_hand_side(self, tmp_path):
+        """A pattern 1,500 constructors deep: the definitional tree is
+        built, printed and used for a needed step without recursion."""
+        k = 1500
+        f = tmp_path / "deep.flp"
+        f.write_text("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                     f"f({'s(' * k}0{')' * k}) -> 0 ;\n")
+        proc = run("check", str(f))
+        assert proc.returncode == 0, proc.stderr[-300:]
+        lines = proc.stdout.splitlines()
+        assert lines[3:5] == ["inductively sequential: yes", "tree for f:"]
+        branch, leaf = lines[5 + k:7 + k]  # the tree of f has k + 2 lines
+        assert branch.startswith("  " * (k + 1) + f"branch f({'s(' * k}V{k + 1})")
+        assert leaf == "  " * (k + 2) + f"leaf f({'s(' * k}0{')' * k}) -> 0"
+        assert lines[7 + k] == "tree for eq:"
+        proc = run("eval", str(f), "-e", "f(X)")
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout.splitlines()[1:] == [
+            f"answer {{X -> {'s(' * k}0{')' * k}}} result 0",
+            "1 answer(s), complete"]
+
 
 class TestEval:
     def test_needed_narrowing(self):

@@ -1,9 +1,12 @@
 """Definitional trees, inductive sequentiality, and pattern flattening."""
 
+import random
 from pathlib import Path
 
 import pytest
 
+from conftest import random_program
+from nspec import deftree
 from nspec.deftree import (
     Branch,
     Leaf,
@@ -15,8 +18,18 @@ from nspec.deftree import (
     trees_isomorphic,
     uniform_transform,
 )
+from nspec.program import Rule
 from nspec.syntax import parse_program, print_program
-from nspec.terms import subterm_at
+from nspec.terms import (
+    App,
+    Symbol,
+    Var,
+    is_variant,
+    match,
+    replace_at,
+    subterm_at,
+    var_positions,
+)
 
 PARALLEL_OR_STYLE = (
     "constructors a/0 b/0 ;\noperations f3/3 ;\n"
@@ -207,3 +220,107 @@ class TestUniform:
         helper = [s.name for s in out.signature.operations()
                   if s.name.startswith("leq_") and s.arity == 2]
         assert helper == ["leq_2"]
+
+
+# --- the builder against the recursive one it replaced ----------------------
+
+
+def parent_build(pattern, rules, gen, tie_break):
+    """The recursive builder that `deftree._build` replaced: each level
+    re-lists the pattern's variable positions, reads every left-hand
+    side there, and tests a single rule for variance."""
+    if len(rules) == 1:
+        rule = rules[0]
+        if is_variant(rule.lhs, pattern):
+            theta = match(rule.lhs, pattern)
+            return Leaf(pattern, Rule(pattern, theta.apply(rule.rhs), rule.label))
+    candidates = [p for p in sorted(var_positions(pattern))
+                  if all(isinstance(subterm_at(r.lhs, p), App) for r in rules)]
+    if tie_break == "rightmost":
+        candidates.reverse()
+    for pos in candidates:
+        groups = {}
+        for r in rules:
+            groups.setdefault(subterm_at(r.lhs, pos).root, []).append(r)
+        children = []
+        for ctor, group in groups.items():
+            child_pattern = replace_at(pattern, pos,
+                                       App(ctor, gen.fresh_tuple(ctor.arity)))
+            child = parent_build(child_pattern, group, gen, tie_break)
+            if child is None:
+                break
+            children.append(child)
+        else:
+            return Branch(pattern, pos, tuple(children))
+    return None
+
+
+def full_shape(tree):
+    """Every node in preorder with its depth: patterns (so the fresh
+    names), positions, constructors and the realigned leaf rules."""
+    if tree is None:
+        return None
+    out, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Leaf):
+            out.append((depth, str(node.pattern), str(node.rule), node.rule.label))
+        else:
+            out.append((depth, str(node.pattern), node.position,
+                        [str(c) for c in node.constructors]))
+            stack.extend((c, depth + 1) for c in reversed(node.children))
+    return out
+
+
+_CTORS = (Symbol("a", 0, "constructor"), Symbol("b", 0, "constructor"),
+          Symbol("c", 1, "constructor"), Symbol("d", 2, "constructor"))
+
+
+def _random_lhs_rules(seed):
+    """1-4 rules of an operation of arity 1-3 with random linear
+    constructor patterns up to depth 3: many are not inductively
+    sequential, overlap or repeat a left-hand side."""
+    rng = random.Random(seed)
+    f = Symbol("f", rng.randint(1, 3), "operation")
+    rules = []
+    for r in range(rng.randint(1, 4)):
+        counter = 0
+
+        def pattern(depth):
+            nonlocal counter
+            if depth == 0 or rng.random() < 0.35:
+                counter += 1
+                return Var(f"X{counter}")
+            c = rng.choice(_CTORS)
+            return App(c, tuple(pattern(depth - 1) for _ in range(c.arity)))
+
+        lhs = App(f, tuple(pattern(3) for _ in range(f.arity)))
+        rhs = rng.choice([App(_CTORS[0])] + list(lhs.args))
+        rules.append(Rule(lhs, rhs, f"R{r + 1}"))
+    return f, rules
+
+
+class TestBuilderAgreesWithTheRecursiveOne:
+    def _assert_same(self, f, rules, monkeypatch):
+        for tie_break in ("leftmost", "rightmost"):
+            new = full_shape(build_tree(f, rules, tie_break))
+            with monkeypatch.context() as patched:
+                patched.setattr(deftree, "_build", parent_build)
+                ref = full_shape(build_tree(f, rules, tie_break))
+            assert new == ref, (f, [str(r) for r in rules], tie_break)
+
+    def test_random_left_hand_sides(self, monkeypatch):
+        built = 0
+        for seed in range(600):
+            f, rules = _random_lhs_rules(seed)
+            self._assert_same(f, rules, monkeypatch)
+            built += build_tree(f, rules) is not None
+        assert 150 <= built <= 450  # with and without a tree
+
+    def test_corpus_and_random_programs(self, monkeypatch):
+        data = Path(__file__).parent / "data"
+        programs = [parse_program(p.read_text()) for p in sorted(data.glob("*.flp"))]
+        programs += [random_program(seed) for seed in range(60)]
+        for program in programs:
+            for op in program.defined_operations():
+                self._assert_same(op, program.rules_for(op.name), monkeypatch)

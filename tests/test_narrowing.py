@@ -1,5 +1,9 @@
 """Narrowing strategies and the bounded search engine."""
 
+import gc
+import time
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -8,6 +12,7 @@ from conftest import (
     eager_leaves,
     generic_calls,
     load,
+    parent_solve,
     random_program,
     steps_view,
 )
@@ -27,9 +32,10 @@ from nspec.narrowing import (
     rewrite_normalize,
     rewrite_step,
     search,
+    strategy_steps,
 )
 from nspec.syntax import parse_program, parse_term
-from nspec.program import Rule
+from nspec.program import Rule, add_strict_equality
 from nspec.terms import (
     App,
     Demand,
@@ -37,11 +43,14 @@ from nspec.terms import (
     IDENTITY,
     Substitution,
     Succ,
+    Symbol,
     Var,
     canonical_rename,
+    compose,
     is_constructor_term,
     is_operation_rooted,
     linear_unify,
+    linear_walk,
     subterm_at,
     vars_of,
 )
@@ -409,15 +418,30 @@ def ref_nns(t, node, trees, gen):
     return results
 
 
+def parent_compose_canonical(parts):
+    """The composition that `compose_canonical` replaced: a left fold of
+    `compose`, cubic in the number of parts."""
+    acc = IDENTITY
+    for phi in parts:
+        if phi:
+            acc = compose(phi, acc)
+    return acc
+
+
+def _subst_view(sigma):
+    """A substitution as printed, and its bindings in insertion order."""
+    return repr(sigma), [(x.name, str(t)) for x, t in sigma.mapping.items()]
+
+
 def _step_view(position, rule, subst, canonical):
-    return (position, str(rule), rule.label, repr(subst),
-            [repr(phi) for phi in canonical])
+    return (position, str(rule), rule.label, _subst_view(subst),
+            [_subst_view(phi) for phi in canonical])
 
 
-def _descent_goals(program, call):
-    """The operation-rooted terms of a bounded needed search tree from
-    call: instantiated, nested and non-linear goals for the descent."""
-    root = search(call, program, "needed", Bounds(max_steps=5, max_nodes=80)).root
+def _descent_goals(program, call, strategy="needed"):
+    """The operation-rooted terms of a bounded search tree from call:
+    instantiated, nested and non-linear goals for the descent."""
+    root = search(call, program, strategy, Bounds(max_steps=5, max_nodes=80)).root
     return [node.term for node in root.nodes() if is_operation_rooted(node.term)]
 
 
@@ -426,7 +450,7 @@ def _assert_descent_matches_reference(t, trees):
     gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
     new = [_step_view(s.position, s.rule, s.subst, s.canonical)
            for s in _needed_steps(t, tree, trees, gen)]
-    ref = [_step_view(pos, rule, compose_canonical(parts), parts)
+    ref = [_step_view(pos, rule, parent_compose_canonical(parts), parts)
            for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
     assert new == ref, t
     assert gen.fresh() == ref_gen.fresh(), t  # the same names were drawn
@@ -479,13 +503,55 @@ def ref_lns(t, at, program, gen):
     return steps
 
 
+def parent_lns(t, program, gen):
+    """The lazy descent that `_lns` replaced: a rule whose walk neither
+    clashes nor demands is renamed, walked again and solved by the
+    replaced unifier, as `linear_unify` did; any other rule draws its
+    renaming without using it."""
+    steps = []
+    stack = [((), t)]
+    while stack:
+        at, sub = stack.pop()
+        demanded = {}
+        for rule in program.rules_for(sub.root.name):
+            if rule.lhs.root != sub.root:
+                continue
+            walked = linear_walk(rule.lhs, sub)
+            if isinstance(walked, list):
+                variant = rule.renamed(gen)
+                sigma = parent_solve(linear_walk(variant.lhs, sub))
+                if sigma is not None:
+                    steps.append(Step(at, variant, sigma, (sigma,)))
+                continue
+            gen.renaming(rule.variables)
+            if isinstance(walked, Demand):
+                for q in walked.positions:
+                    demanded.setdefault(q)
+        stack.extend((at + q, subterm_at(sub, q)) for q in sorted(demanded, reverse=True))
+    return steps
+
+
 def _assert_lazy_descent_matches_reference(t, program):
-    gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
-    new, ref = (
+    gen, ref_gen, parent_gen = (FreshVars(vars_of(t)) for _ in range(3))
+    new, ref, parent = (
         [_step_view(s.position, s.rule, s.subst, s.canonical) for s in steps]
-        for steps in (_lns(t, program, gen), ref_lns(t, (), program, ref_gen)))
-    assert new == ref, t
-    assert gen.fresh() == ref_gen.fresh(), t
+        for steps in (_lns(t, program, gen), ref_lns(t, (), program, ref_gen),
+                      parent_lns(t, program, parent_gen)))
+    assert new == ref == parent, t
+    assert gen.fresh() == ref_gen.fresh() == parent_gen.fresh(), t
+
+
+PEANO = Path(__file__).parent.parent / "bench" / "programs" / "peano.flp"
+
+# The algebraic laws of the benchmark's narrow_wide workload, on peano.flp.
+WIDE_LAWS = (
+    "add(X, Y) ~ add(Y, X)",
+    "add(add(X, Y), Z) ~ add(X, add(Y, Z))",
+    "append(Xs, Ys) ~ append(Ys, Xs)",
+    "append(append(Xs, Ys), Zs) ~ append(Xs, append(Ys, Zs))",
+    "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))",
+    "double(X) ~ add(Y, Y)",
+)
 
 
 class TestLazyDescentAgreesWithReference:
@@ -495,18 +561,59 @@ class TestLazyDescentAgreesWithReference:
         assert positions == [(1,), (1,), (2,), (2,)]
         _assert_lazy_descent_matches_reference(t, leq_prog)
 
-    @pytest.mark.parametrize("name, source", CORPUS_GOALS)
-    def test_corpus_goals(self, name, source):
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
+    def test_corpus_goals(self, name, source, strategy):
         program = load(f"{name}.flp")
-        for t in _descent_goals(program, goal(program, source)):
+        for t in _descent_goals(program, goal(program, source), strategy):
             _assert_lazy_descent_matches_reference(t, program)
+
+    @pytest.mark.parametrize("law", WIDE_LAWS)
+    def test_wide_laws(self, law):
+        program = add_strict_equality(parse_program(PEANO.read_text()))
+        for strategy in ("needed", "lazy"):
+            for t in _descent_goals(program, goal(program, law), strategy):
+                _assert_lazy_descent_matches_reference(t, program)
 
     def test_random_programs(self):
         for seed in range(60):
             program = random_program(seed)
             for call in generic_calls(program):
-                for t in _descent_goals(program, call):
-                    _assert_lazy_descent_matches_reference(t, program)
+                for strategy in ("needed", "lazy"):
+                    for t in _descent_goals(program, call, strategy):
+                        _assert_lazy_descent_matches_reference(t, program)
+
+
+class TestComposeCanonical:
+    """`compose_canonical` resolves the parts of a needed step as one
+    triangular substitution; the left fold of `compose` is its reference."""
+
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
+    def test_corpus_steps(self, name, source):
+        program = load(f"{name}.flp")
+        trees, _ = forest(program)
+        for t in _descent_goals(program, goal(program, source)):
+            for step in nns(t, trees, FreshVars()):
+                assert (_subst_view(compose_canonical(step.canonical))
+                        == _subst_view(parent_compose_canonical(step.canonical))
+                        == _subst_view(step.subst)), t
+
+    def test_a_long_chain_binds_in_order(self):
+        xs = [Var(f"X{i}") for i in range(40)]
+        zero, s = Symbol("0", 0, "constructor"), Symbol("s", 1, "constructor")
+        parts = [Substitution({x: App(s, (y,))}) for x, y in zip(xs, xs[1:])]
+        parts[3:3] = [IDENTITY]
+        parts.append(Substitution({xs[-1]: App(zero)}))
+        sigma = compose_canonical(parts)
+        assert _subst_view(sigma) == _subst_view(parent_compose_canonical(parts))
+        assert list(sigma.mapping) == xs
+        assert str(sigma.apply(xs[0])) == "s(" * 39 + "0" + ")" * 39
+
+    def test_no_parts_or_identities_only(self):
+        assert compose_canonical([]) == IDENTITY
+        assert compose_canonical([IDENTITY, IDENTITY]) == IDENTITY
 
 
 def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
@@ -517,3 +624,53 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     assert outermost_needed_redex(t, leq_trees) == (1,) * (depth - 1)
     [step] = lns(t, leq_prog, FreshVars())
     assert step.position == (1,) * (depth - 1)
+
+
+def _best_time(f, repeats=5):
+    """The least wall time of f over a few calls, with the collector off."""
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            f()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+class TestStepCostFollowsTheWalk:
+    """Timing checks with wide slack: a step costs about its walk, so its
+    time grows linearly with the depth of the pattern or of the nested
+    calls.  Composing the k parts of a needed step one `compose` at a
+    time was cubic in k; extending position tuples at every nested call
+    was quadratic in the nesting."""
+
+    def test_needed_step_against_a_deep_pattern(self):
+        times = {}
+        for k in (100, 200, 400):
+            program = parse_program(
+                "constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                f"f({'s(' * k}0{')' * k}) -> 0 ;")
+            trees, _ = forest(program)
+            t = goal(program, "f(X)")
+            [step] = nns(t, trees, FreshVars())
+            assert len(step.canonical) == k + 2
+            times[k] = _best_time(lambda: nns(t, trees, FreshVars()))
+        assert times[400] < 1.0, times
+        # Linear growth gives 4; the cubic fold gave about 64.
+        assert times[400] < 12 * times[100], times
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_step_cost_per_nested_call_is_flat(self, leq_prog, leq_trees, strategy):
+        per_level = {}
+        for depth in (250, 4000):
+            t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
+            [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
+            assert step.position == (1,) * (depth - 1)
+            per_level[depth] = _best_time(lambda: strategy_steps(
+                t, leq_prog, strategy, leq_trees, FreshVars())) / depth
+        # Flat gives 1; copying the position prefix at each call gave
+        # about 8 for the needed step.
+        assert per_level[4000] < 4 * per_level[250], per_level

@@ -1,7 +1,8 @@
 """Source checks that keep term depth independent of Python's recursion
 limit: no function in `nspec/terms.py` or `nspec/narrowing.py` calls
-itself, `nspec/peval.py` has no self-calling function beyond a known
-list, and no module raises the limit instead."""
+itself, `nspec/peval.py`, `nspec/deftree.py` and `nspec/cli.py` have no
+self-calling function beyond a known list, and no module raises the
+limit instead."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,16 @@ def test_peval_self_calls_are_the_known_ones():
     source = (SRC / "nspec" / "peval.py").read_text(encoding="utf-8")
     assert self_calling_functions(source) == [
         "rename_term", "abstract_add", "check"]
+
+
+def test_deftree_and_cli_self_calls_are_the_known_ones():
+    """The tree builder and the text printer of definitional trees loop
+    over explicit stacks; the isomorphism test, the uniform transform's
+    walk and the JSON form of a tree still recurse once per level."""
+    deftree = (SRC / "nspec" / "deftree.py").read_text(encoding="utf-8")
+    assert self_calling_functions(deftree) == ["trees_isomorphic", "walk"]
+    cli = (SRC / "nspec" / "cli.py").read_text(encoding="utf-8")
+    assert self_calling_functions(cli) == ["_tree_dict"]
 
 
 def test_no_module_raises_the_recursion_limit():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import parent_solve
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -283,6 +284,31 @@ class TestFreshVars:
         r = FreshVars().renaming([Var("A"), Var("B")])
         assert repr(r) == "{A -> A_1, B -> B_1}"
 
+    def test_skipping_a_renaming_advances_as_drawing_it(self):
+        # X_3 is taken, so the renaming of X that would get suffix _3
+        # moves on to _4, with or without being built.
+        avoid = [Var("X_3"), Var("V9")]
+        lists = [[X], [X, Y], [X], [], [N, X], [Var("V")], [X]]
+        drawn, skipped = FreshVars(avoid), FreshVars(avoid)
+        names = []
+        for variables in lists:
+            theta = drawn.renaming(variables)
+            assert list(theta.mapping) == variables
+            names.append([theta.apply(v).name for v in variables])
+            skipped.skip_renaming(variables)
+            assert skipped._used == drawn._used
+            assert skipped._counter == drawn._counter
+        assert names[2] == ["X_4"]
+        assert names[-1] == ["X_8"]
+        assert skipped.fresh() == drawn.fresh() == Var("V10")
+
+    def test_a_renaming_equals_the_checked_substitution(self):
+        variables = [X, Y, N]
+        theta = FreshVars([Var("Y_1")]).renaming(variables)
+        checked = Substitution(dict(zip(variables, map(theta.apply, variables))))
+        assert theta == checked and repr(theta) == repr(checked)
+        assert list(theta.mapping) == list(checked.mapping) == variables
+
     def test_fresh_tuple(self):
         assert [v.name for v in FreshVars().fresh_tuple(2)] == ["V1", "V2"]
 
@@ -355,6 +381,28 @@ def test_resolve_chain_agrees_with_eager_composition(maps, t):
     chain, acc = derivation_chain(maps)
     variables = vars_of(t)
     assert resolve_chain(chain, variables) == acc.restrict(variables)
+
+
+def _solved_view(sigma):
+    if sigma is None:
+        return None
+    return repr(sigma), [(x.name, str(t)) for x, t in sigma.mapping.items()]
+
+
+@given(st.lists(st.tuples(TERMS, TERMS), max_size=4))
+def test_solve_agrees_with_the_parent_solver(pairs):
+    assert _solved_view(_solve(pairs)) == _solved_view(parent_solve(pairs))
+
+
+def test_solve_agrees_with_the_parent_solver_on_each_outcome():
+    occurs = [(X, Y), (Y, App(S, (X,)))]
+    clash = [(leq(X, num(0)), leq(Y, num(1)))]
+    variables = [(leq(X, Y), leq(Y, N)), (add(N, M), add(M, X))]
+    nested = [(leq(X, add(Y, N)), leq(App(S, (M,)), add(M, num(0))))]
+    for pairs in (occurs, clash, variables, nested):
+        assert _solved_view(_solve(pairs)) == _solved_view(parent_solve(pairs))
+    assert _solve(occurs) is None and _solve(clash) is None
+    assert _solved_view(_solve(variables))[1] == [("X", "M"), ("Y", "M"), ("N", "M")]
 
 
 @given(TERMS, TERMS, TERMS)
