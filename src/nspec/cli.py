@@ -150,12 +150,27 @@ def _tree_lines(tree: DefTree, indent: str = "") -> List[str]:
 
 
 def _tree_dict(tree: DefTree) -> dict:
-    if isinstance(tree, Leaf):
-        return {"kind": "leaf", "pattern": str(tree.pattern),
-                "rhs": str(tree.rule.rhs), "rule": tree.rule.label}
-    return {"kind": "branch", "pattern": str(tree.pattern),
-            "position": list(tree.position),
-            "children": [_tree_dict(c) for c in tree.children]}
+    """The JSON form of a definitional tree, built top-down from an
+    explicit stack, so any pattern depth converts."""
+
+    def entry(node: DefTree) -> dict:
+        if isinstance(node, Leaf):
+            return {"kind": "leaf", "pattern": str(node.pattern),
+                    "rhs": str(node.rule.rhs), "rule": node.rule.label}
+        return {"kind": "branch", "pattern": str(node.pattern),
+                "position": list(node.position), "children": []}
+
+    root = entry(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        if isinstance(node, Leaf):
+            continue
+        for child in node.children:
+            inner = entry(child)
+            out["children"].append(inner)
+            stack.append((child, inner))
+    return root
 
 
 def _cmd_check(args) -> int:
@@ -177,7 +192,7 @@ def _cmd_check(args) -> int:
             "trees": {name: _tree_dict(tree)
                       for name, tree in trees.trees.items()},
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return 0
     yn = lambda flag: "yes" if flag else "no"
     print(f"left-linear: {yn(report.left_linear)}")

@@ -239,16 +239,23 @@ def trees_isomorphic(a: DefTree, b: DefTree) -> bool:
 
     Patterns must be variants under a consistent renaming per node,
     inductive positions equal, children pairwise isomorphic in order.
+    The pairs of nodes are compared from an explicit stack.
     """
-    if isinstance(a, Leaf) and isinstance(b, Leaf):
-        return is_variant(a.pattern, b.pattern)
-    if isinstance(a, Branch) and isinstance(b, Branch):
-        return (a.position == b.position
-                and is_variant(a.pattern, b.pattern)
-                and len(a.children) == len(b.children)
-                and all(trees_isomorphic(x, y)
-                        for x, y in zip(a.children, b.children)))
-    return False
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Leaf) and isinstance(b, Leaf):
+            if not is_variant(a.pattern, b.pattern):
+                return False
+        elif isinstance(a, Branch) and isinstance(b, Branch):
+            if not (a.position == b.position
+                    and is_variant(a.pattern, b.pattern)
+                    and len(a.children) == len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        else:
+            return False
+    return True
 
 
 def is_uniform(program: Program) -> bool:
@@ -308,7 +315,8 @@ def uniform_transform(program: Program) -> Program:
     operation applied to the variables of its pattern in left-to-right
     order, and each branch level emits one rule per child constructor
     (its right-hand side is the original rule's at a leaf, or a call to
-    the child's fresh operation at an inner branch).
+    the child's fresh operation at an inner branch).  The tree is walked
+    from an explicit stack, in preorder, so any pattern depth works.
     """
     trees = require_class(program, "needed", "not inductively sequential: ")
 
@@ -319,30 +327,34 @@ def uniform_transform(program: Program) -> Program:
     def call_for(sym: Symbol, pattern: App) -> App:
         return App(sym, vars_of(pattern))
 
-    def walk(node: DefTree, sym: Symbol, base: str, counter: List[int]) -> None:
-        if isinstance(node, Leaf):
+    for op in program.defined_operations():
+        tree = trees[op.name]
+        if isinstance(tree, Leaf):
             # single-rule function whose tree is a bare leaf
-            new_rules.append(Rule(call_for(sym, node.pattern), node.rule.rhs,
-                                  node.rule.label))
-            return
-        head = call_for(sym, node.pattern)
-        x = subterm_at(node.pattern, node.position)
-        for child in node.children:
+            new_rules.append(Rule(call_for(op, tree.pattern), tree.rule.rhs,
+                                  tree.rule.label))
+            continue
+        counter = 0
+        # The arcs still to walk, depth first with children in tree
+        # order: a child, its parent branch and the parent's call.
+        head = call_for(op, tree.pattern)
+        stack = [(child, tree, head) for child in reversed(tree.children)]
+        while stack:
+            child, node, head = stack.pop()
+            x = subterm_at(node.pattern, node.position)
             binding = Substitution({x: subterm_at(child.pattern, node.position)})
             lhs = binding.apply(head)
             if isinstance(child, Leaf):
                 new_rules.append(Rule(lhs, child.rule.rhs))
-            else:
-                counter[0] += 1
-                name = _fresh_operation_name(base, counter[0], signature, taken)
-                taken.add(name)
-                child_sym = Symbol(name, len(vars_of(child.pattern)), OPERATION)
-                signature.declare(child_sym)
-                new_rules.append(Rule(lhs, call_for(child_sym, child.pattern)))
-                walk(child, child_sym, base, counter)
-
-    for op in program.defined_operations():
-        walk(trees[op.name], op, op.name, [0])
+                continue
+            counter += 1
+            name = _fresh_operation_name(op.name, counter, signature, taken)
+            taken.add(name)
+            child_sym = Symbol(name, len(vars_of(child.pattern)), OPERATION)
+            signature.declare(child_sym)
+            call = call_for(child_sym, child.pattern)
+            new_rules.append(Rule(lhs, call))
+            stack.extend((c, child, call) for c in reversed(child.children))
 
     labeled = [Rule(r.lhs, r.rhs, f"U{i + 1}") for i, r in enumerate(new_rules)]
     return Program(signature, labeled, program.has_strict_equality)

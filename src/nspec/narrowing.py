@@ -251,12 +251,17 @@ def narrow(t: Term, step: Step) -> Term:
 
 def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
     """Plain rewriting: replace the redex at position by the rule's rhs
-    instance."""
+    instance.
+
+    The rule's source rewrites in its place: a renaming is a bijection on
+    variables and the rhs has no variable that the lhs lacks, so both give
+    the same contractum, and a variant's own parts are never built."""
     redex = subterm_at(t, position)
-    theta = match(rule.lhs, redex)
+    source = rule.source
+    theta = match(source.lhs, redex)
     if theta is None:
         raise ValueError(f"rule {rule} does not match {redex}")
-    return replace_at(t, position, theta.apply(rule.rhs))
+    return replace_at(t, position, theta.apply(source.rhs))
 
 
 def outermost_needed_redex(t: Term, trees: Dict[str, DefTree],

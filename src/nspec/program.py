@@ -35,6 +35,11 @@ class Rule:
 
     The left-hand side must not be a variable and must not invent
     variables on the right.
+
+    `source` is the rule this one is a variant of; a rule built from its
+    parts is its own source.  A variant keeps its source and its renaming
+    and builds its parts the first time one of them is read, so a
+    narrowing step that only rewrites with it never builds them.
     """
 
     lhs: App
@@ -54,6 +59,19 @@ class Rule:
                 f"rule {self.lhs} -> {self.rhs} introduces variables {names} "
                 "on the right-hand side")
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "source", self)
+
+    def __getattr__(self, name: str):
+        """The parts of a variant, built from its source on the first
+        read of one; called only for attributes not set on the rule."""
+        if name not in ("lhs", "rhs", "variables"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        source, theta = self.source, self._renaming
+        parts = dict(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs),
+                     variables=tuple(map(theta.apply, source.variables)))
+        self.__dict__.update(parts)
+        return parts[name]
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
@@ -65,13 +83,18 @@ class Rule:
     def variant(self, theta: Substitution) -> "Rule":
         """This rule under theta, a renaming of its variables.
 
-        A variant of a valid rule is valid, so it is built without
-        running the checks of `__post_init__` again.
+        The variant keeps this rule's source and the renaming from it: a
+        variant of a variant renames the source once, by the composed
+        renaming.  A variant of a valid rule is valid, so the checks of
+        `__post_init__` are not run again.
         """
+        source = self.source
+        if source is not self:
+            inner = self._renaming
+            theta = Substitution(
+                {v: theta.apply(inner.apply(v)) for v in source.variables})
         variant = object.__new__(Rule)
-        variant.__dict__.update(
-            lhs=theta.apply(self.lhs), rhs=theta.apply(self.rhs),
-            label=self.label, variables=tuple(map(theta.apply, self.variables)))
+        variant.__dict__.update(label=self.label, source=source, _renaming=theta)
         return variant
 
     def is_left_linear(self) -> bool:
@@ -128,6 +151,7 @@ class Program:
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.has_strict_equality = has_strict_equality
         self._variables: Optional[Tuple[Var, ...]] = None
+        self._by_root: Optional[Dict[str, Tuple[Rule, ...]]] = None
         for r in self.rules:
             self._check_symbols(r)
 
@@ -141,8 +165,15 @@ class Program:
             raise ProgramError(
                 f"rule {rule} rewrites a constructor root {rule.lhs.root}")
 
-    def rules_for(self, name: str) -> List[Rule]:
-        return [r for r in self.rules if r.lhs.root.name == name]
+    def rules_for(self, name: str) -> Tuple[Rule, ...]:
+        """The rules whose left-hand side has root `name`, in program
+        order; indexed on the first call (the rules never change)."""
+        if self._by_root is None:
+            index: Dict[str, List[Rule]] = {}
+            for r in self.rules:
+                index.setdefault(r.lhs.root.name, []).append(r)
+            self._by_root = {root: tuple(rs) for root, rs in index.items()}
+        return self._by_root.get(name, ())
 
     def defined_operations(self) -> List[Symbol]:
         defined = {r.lhs.root.name for r in self.rules}

@@ -141,6 +141,22 @@ CORPUS_GOALS = [
 # --- comparison helpers --------------------------------------------------
 
 
+def parent_variant(rule, theta):
+    """`Rule.variant` as it was before variants built their parts on
+    demand: the left-hand side, right-hand side and variables under
+    theta at once, without the checks of `__post_init__`."""
+    variant = object.__new__(Rule)
+    variant.__dict__.update(
+        lhs=theta.apply(rule.lhs), rhs=theta.apply(rule.rhs),
+        label=rule.label, variables=tuple(map(theta.apply, rule.variables)))
+    return variant
+
+
+def parent_renamed(rule, gen):
+    """`Rule.renamed` with the eager `parent_variant`."""
+    return parent_variant(rule, gen.renaming(rule.variables))
+
+
 def parent_solve(pairs):
     """The unifier that `_solve` replaced: it builds a `Substitution`
     for every pair it reads and every binding it makes."""

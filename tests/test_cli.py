@@ -28,6 +28,14 @@ def run(*args):
                           capture_output=True, text=True)
 
 
+def run_below_recursion_limit(limit, *args):
+    """`run` with Python's recursion limit lowered to `limit`."""
+    code = (f"import sys; sys.setrecursionlimit({limit}); "
+            "from nspec.cli import main; sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+
+
 class TestCheck:
     def test_report(self):
         proc = run("check", LEQ)
@@ -71,7 +79,8 @@ class TestCheck:
 
     def test_deep_left_hand_side(self, tmp_path):
         """A pattern 1,500 constructors deep: the definitional tree is
-        built, printed and used for a needed step without recursion."""
+        built, printed, used for a needed step and flattened by the
+        uniform transform without recursion, and converted to JSON."""
         k = 1500
         f = tmp_path / "deep.flp"
         f.write_text("constructors 0/0 s/1 ;\noperations f/1 ;\n"
@@ -89,6 +98,28 @@ class TestCheck:
         assert proc.stdout.splitlines()[1:] == [
             f"answer {{X -> {'s(' * k}0{')' * k}}} result 0",
             "1 answer(s), complete"]
+        proc = run("uniform", str(f))
+        assert proc.returncode == 0, proc.stderr[-300:]
+        rules = proc.stdout.splitlines()[3:]
+        assert rules[:2] == ["f(s(V2)) -> f_1(V2) ;", "f_1(s(V3)) -> f_2(V3) ;"]
+        assert rules[k - 1:k + 1] == [
+            f"f_{k - 1}(s(V{k + 1})) -> f_{k}(V{k + 1}) ;", f"f_{k}(0) -> 0 ;"]
+        # The JSON form spells each branch's position out one number a
+        # line, so its size grows as k cubed (gigabytes at k = 1,500):
+        # it is checked at a smaller depth, below a recursion limit that
+        # the tree exceeds.
+        k = 120
+        f.write_text("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                     f"f({'s(' * k}0{')' * k}) -> 0 ;\n")
+        proc = run_below_recursion_limit(100, "check", str(f), "--format", "json")
+        assert proc.returncode == 0, proc.stderr[-300:]
+        payload = json.loads(proc.stdout)
+        assert proc.stdout == json.dumps(payload, indent=2) + "\n"
+        node, depth = payload["trees"]["f"], 0
+        while node["kind"] == "branch":
+            assert node["position"] == [1] * (depth + 1)
+            [node], depth = node["children"], depth + 1
+        assert (depth, node["pattern"]) == (k + 1, f"f({'s(' * k}0{')' * k})")
 
 
 class TestEval:

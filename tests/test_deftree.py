@@ -178,6 +178,16 @@ class TestTieBreak:
         assert left.position == right.position == (1,)
         assert trees_isomorphic(left, right)
 
+    def test_trees_deeper_than_the_recursion_limit(self):
+        def tree(k, tie_break):
+            program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                    f"f({'s(' * k}0{')' * k}) -> 0 ;")
+            return forest(program, tie_break)[0]["f"]
+
+        deep = tree(600, "leftmost")
+        assert trees_isomorphic(deep, tree(600, "rightmost"))
+        assert not trees_isomorphic(deep, tree(599, "leftmost"))
+
 
 class TestUniform:
     def test_flat_patterns_are_uniform(self):

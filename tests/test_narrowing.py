@@ -1,6 +1,7 @@
 """Narrowing strategies and the bounded search engine."""
 
 import gc
+import itertools
 import time
 from pathlib import Path
 
@@ -12,7 +13,9 @@ from conftest import (
     eager_leaves,
     generic_calls,
     load,
+    parent_renamed,
     parent_solve,
+    parent_variant,
     random_program,
     steps_view,
 )
@@ -26,6 +29,7 @@ from nspec.narrowing import (
     compose_canonical,
     deterministically_evaluable,
     lns,
+    narrow,
     nns,
     node_to_dict,
     outermost_needed_redex,
@@ -51,6 +55,8 @@ from nspec.terms import (
     is_operation_rooted,
     linear_unify,
     linear_walk,
+    match,
+    replace_at,
     subterm_at,
     vars_of,
 )
@@ -393,9 +399,9 @@ class TestAnswersAgreeWithEagerComposition:
 def ref_nns(t, node, trees, gen):
     """The recursive descent that `_needed_steps` replaced: a variable
     branch applies each child's instantiation to the whole term and
-    descends into the result."""
+    descends into the result; rule variants are built eagerly."""
     if isinstance(node, Leaf):
-        return [((), node.rule.renamed(gen), [IDENTITY])]
+        return [((), parent_renamed(node.rule, gen), [IDENTITY])]
     sub = subterm_at(t, node.position)
     results = []
     if isinstance(sub, Var):
@@ -434,8 +440,8 @@ def _subst_view(sigma):
 
 
 def _step_view(position, rule, subst, canonical):
-    return (position, str(rule), rule.label, _subst_view(subst),
-            [_subst_view(phi) for phi in canonical])
+    return (position, str(rule), rule.label, rule.variables,
+            _subst_view(subst), [_subst_view(phi) for phi in canonical])
 
 
 def _descent_goals(program, call, strategy="needed"):
@@ -485,13 +491,14 @@ class TestNeededDescentAgreesWithReference:
 
 
 def ref_lns(t, at, program, gen):
-    """The recursive lazy descent that `_lns` replaced."""
+    """The recursive lazy descent that `_lns` replaced, with eager rule
+    variants."""
     sub = subterm_at(t, at)
     steps, demanded = [], {}
     for rule in program.rules:
         if not isinstance(sub, App) or rule.lhs.root != sub.root:
             continue
-        variant = rule.renamed(gen)
+        variant = parent_renamed(rule, gen)
         outcome = linear_unify(variant.lhs, sub)
         if isinstance(outcome, Succ):
             steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
@@ -507,7 +514,7 @@ def parent_lns(t, program, gen):
     """The lazy descent that `_lns` replaced: a rule whose walk neither
     clashes nor demands is renamed, walked again and solved by the
     replaced unifier, as `linear_unify` did; any other rule draws its
-    renaming without using it."""
+    renaming without using it.  Variants are built eagerly."""
     steps = []
     stack = [((), t)]
     while stack:
@@ -518,7 +525,7 @@ def parent_lns(t, program, gen):
                 continue
             walked = linear_walk(rule.lhs, sub)
             if isinstance(walked, list):
-                variant = rule.renamed(gen)
+                variant = parent_renamed(rule, gen)
                 sigma = parent_solve(linear_walk(variant.lhs, sub))
                 if sigma is not None:
                     steps.append(Step(at, variant, sigma, (sigma,)))
@@ -583,6 +590,117 @@ class TestLazyDescentAgreesWithReference:
                 for strategy in ("needed", "lazy"):
                     for t in _descent_goals(program, call, strategy):
                         _assert_lazy_descent_matches_reference(t, program)
+
+
+def parent_rewrite_step(t, position, rule):
+    """`rewrite_step` as it was: the rule's own parts rewrite."""
+    redex = subterm_at(t, position)
+    return replace_at(t, position, match(rule.lhs, redex).apply(rule.rhs))
+
+
+# The first read of a lazy variant, taken in turn from step to step:
+# each one builds all of its parts.
+FIRST_READS = (str, lambda rule: rule.variables, lambda rule: rule == rule, hash)
+
+
+def _assert_variants_equal_the_eager_ones(t, program, strategy, trees, reads):
+    """Each step's rule, first read through the next of `reads`, equals
+    the eager variant of the parent's descent in text, variables, `==`
+    and hash; `narrow` gives the contractum of the eager variant; and
+    the next fresh name is the parent's."""
+    gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
+    steps = strategy_steps(t, program, strategy, trees, gen)
+    if strategy == "lazy":
+        eager = [s.rule for s in parent_lns(t, program, ref_gen)]
+    elif t.root.name in trees:
+        eager = [rule for _, rule, _ in
+                 ref_nns(t, trees[t.root.name], trees, ref_gen)]
+    else:
+        eager = []
+    assert len(steps) == len(eager), t
+    for step, reference in zip(steps, eager):
+        reached = narrow(t, step)  # before any read of the variant
+        assert reached == parent_rewrite_step(
+            step.subst.apply(t), step.position, reference), (t, step)
+        lazy = step.rule
+        next(reads)(lazy)
+        assert (str(lazy), lazy.label, lazy.variables, repr(lazy)) == (
+            str(reference), reference.label, reference.variables,
+            repr(reference)), (t, step)
+        assert lazy == reference and hash(lazy) == hash(reference), (t, step)
+    assert gen.fresh() == ref_gen.fresh(), t
+    return len(steps)
+
+
+class TestLazyVariantsEqualTheEagerOnes:
+    """Steps hold variants that build their parts on the first read, and
+    `narrow` rewrites with their source rule; the eager `parent_variant`
+    and the parent's `rewrite_step` are the reference."""
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
+    def test_corpus_goals(self, name, source, strategy):
+        program = load(f"{name}.flp")
+        trees, _ = forest(program)
+        reads = itertools.cycle(FIRST_READS)
+        for t in _descent_goals(program, goal(program, source), strategy):
+            _assert_variants_equal_the_eager_ones(t, program, strategy, trees, reads)
+
+    @pytest.mark.parametrize("law", WIDE_LAWS)
+    def test_wide_laws(self, law):
+        program = add_strict_equality(parse_program(PEANO.read_text()))
+        trees, _ = forest(program)
+        reads = itertools.cycle(FIRST_READS)
+        for strategy in ("needed", "lazy"):
+            for t in _descent_goals(program, goal(program, law), strategy):
+                _assert_variants_equal_the_eager_ones(
+                    t, program, strategy, trees, reads)
+
+    def test_random_programs(self):
+        reads = itertools.cycle(FIRST_READS)
+        checked = 0
+        for seed in range(60):
+            program = random_program(seed)
+            trees, _ = forest(program)
+            for call in generic_calls(program):
+                for strategy in ("needed", "lazy"):
+                    for t in _descent_goals(program, call, strategy):
+                        checked += _assert_variants_equal_the_eager_ones(
+                            t, program, strategy, trees, reads)
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("source", [
+        "add(M, N)", "add(s(N), M)", "add(add(N, M), M)", "leq(s(N), s(M))"])
+    def test_goal_variables_named_like_the_rule_variables(
+            self, leq_prog, leq_trees, source, strategy):
+        # The rules of add and leq are over M and N: matching the source
+        # rule binds M or N to itself, or swaps them.
+        t = goal(leq_prog, source)
+        reads = itertools.cycle(FIRST_READS)
+        for u in [t] + _descent_goals(leq_prog, t, strategy):
+            _assert_variants_equal_the_eager_ones(
+                u, leq_prog, strategy, leq_trees, reads)
+
+    def test_a_variant_of_a_variant(self, leq_prog):
+        rule = leq_prog.rules_for("add")[1]  # add(s(M), N) -> s(add(M, N))
+        gen = FreshVars()
+        theta = gen.renaming(rule.variables)
+        once = rule.variant(theta)
+        m_1 = theta.apply(rule.variables[0])
+        back = Substitution({y: x for x, y in theta.mapping.items()})
+        t = goal(leq_prog, "leq(add(s(N), add(N, M)), M)")
+        for renaming in (gen.renaming(once.variables), back,
+                         Substitution({m_1: Var("Z")})):
+            twice = once.variant(renaming)
+            eager = parent_variant(parent_variant(rule, theta), renaming)
+            assert twice.source is rule
+            assert (str(twice), twice.variables) == (str(eager), eager.variables)
+            assert twice == eager and hash(twice) == hash(eager)
+            assert rewrite_step(t, (1,), twice) == parent_rewrite_step(
+                t, (1,), eager)
+        assert once.variant(back) == rule
 
 
 class TestComposeCanonical:

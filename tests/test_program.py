@@ -38,6 +38,22 @@ class TestRule:
         assert str(r2) == "f(X_1) -> X_1"
         assert r2.label == "R1"
 
+    def test_a_variant_builds_its_parts_on_the_first_read(self):
+        g = Symbol("g", 2, "operation")
+        r = Rule(App(g, (Y, X)), App(F1, (X,)), "R1")
+        gen = FreshVars()
+        variant = r.renamed(gen)
+        # The names are drawn when the variant is made, not when read.
+        assert gen.renaming((X,)).apply(X) == Var("X_2")
+        assert variant.source is r and r.source is r
+        assert not {"lhs", "rhs", "variables"} & set(vars(variant))
+        assert variant.label == "R1"
+        assert variant.variables == (Var("Y_1"), Var("X_1"))
+        assert {"lhs", "rhs", "variables"} <= set(vars(variant))
+        assert str(variant) == "g(Y_1, X_1) -> f(X_1)"
+        with pytest.raises(AttributeError, match="no attribute 'other'"):
+            variant.other
+
     def test_variables_in_order_of_first_occurrence(self):
         g = Symbol("g", 2, "operation")
         assert Rule(App(g, (Y, X)), App(F1, (X,))).variables == (Y, X)
@@ -103,6 +119,15 @@ class TestProgram:
         ]
         assert [s.name for s in leq_prog.defined_operations()] == [
             "leq", "add", "eq", "and"]
+
+    def test_rules_for_is_indexed_once(self, leq_prog):
+        for name in ("leq", "add", "eq", "and"):
+            rules = leq_prog.rules_for(name)
+            assert rules is leq_prog.rules_for(name)  # computed once
+            assert rules == tuple(r for r in leq_prog.rules
+                                  if r.lhs.root.name == name)
+        assert leq_prog.rules_for("true") == ()
+        assert leq_prog.rules_for("undeclared") == ()
 
     def test_structural_equality_ignores_labels(self):
         src = "constructors 0/0 s/1 ;\noperations f/1 ;\nf(0) -> 0 ;\n"

@@ -1,8 +1,8 @@
 """Source checks that keep term depth independent of Python's recursion
-limit: no function in `nspec/terms.py` or `nspec/narrowing.py` calls
-itself, `nspec/peval.py`, `nspec/deftree.py` and `nspec/cli.py` have no
-self-calling function beyond a known list, and no module raises the
-limit instead."""
+limit: no function in `nspec/terms.py`, `nspec/narrowing.py`,
+`nspec/program.py`, `nspec/deftree.py` or `nspec/cli.py` calls itself,
+`nspec/peval.py` has no self-calling function beyond a known list, and
+no module raises the limit instead."""
 
 import ast
 from pathlib import Path
@@ -11,14 +11,14 @@ SRC = Path(__file__).parent.parent / "src"
 
 # A special method that calls the builtin which dispatches to it recurses
 # as surely as a call by its own name.
-_BUILTIN_OF = {"__str__": "str", "__repr__": "repr"}
+_BUILTIN_OF = {"__str__": "str", "__repr__": "repr", "__getattr__": "getattr"}
 
 
 def self_calling_functions(source: str):
     """Names of the functions (nested ones and methods included) whose
     body calls the function itself by name: `f(...)`, `self.f(...)`, or
-    for `__str__`/`__repr__` a call of `str`/`repr` or one that is passed
-    `str`/`repr` as a function, as in `map(str, args)`."""
+    for `__str__`/`__repr__`/`__getattr__` a call of `str`/`repr`/`getattr`
+    or one that is passed it as a function, as in `map(str, args)`."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -65,11 +65,15 @@ class Name:
     def __str__(self):
         return self.name if isinstance(self.name, str) else ""
 
+class Lazy:
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
 def apply(sigma, t):
     return sigma.apply(t)
 '''
     assert self_calling_functions(source) == [
-        "size", "walk", "apply", "__str__", "__repr__"]
+        "size", "walk", "apply", "__str__", "__repr__", "__getattr__"]
 
 
 def test_terms_module_has_no_self_calling_function():
@@ -99,14 +103,20 @@ def test_peval_self_calls_are_the_known_ones():
         "rename_term", "abstract_add", "check"]
 
 
+def test_program_module_has_no_self_calling_function():
+    """A variant builds its parts from its source rule's attributes, not
+    through its own `__getattr__`."""
+    source = (SRC / "nspec" / "program.py").read_text(encoding="utf-8")
+    assert self_calling_functions(source) == []
+
+
 def test_deftree_and_cli_self_calls_are_the_known_ones():
-    """The tree builder and the text printer of definitional trees loop
-    over explicit stacks; the isomorphism test, the uniform transform's
-    walk and the JSON form of a tree still recurse once per level."""
-    deftree = (SRC / "nspec" / "deftree.py").read_text(encoding="utf-8")
-    assert self_calling_functions(deftree) == ["trees_isomorphic", "walk"]
-    cli = (SRC / "nspec" / "cli.py").read_text(encoding="utf-8")
-    assert self_calling_functions(cli) == ["_tree_dict"]
+    """None: the tree builder, the isomorphism test, the uniform
+    transform and the text and JSON forms of a definitional tree loop
+    over explicit stacks."""
+    for module in ("deftree", "cli"):
+        source = (SRC / "nspec" / f"{module}.py").read_text(encoding="utf-8")
+        assert self_calling_functions(source) == [], module
 
 
 def test_no_module_raises_the_recursion_limit():
