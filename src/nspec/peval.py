@@ -169,8 +169,18 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
     program and the policy's strategy; without them, unfold runs that
     gate itself.  `stop_keys` are the variant keys of `stop`, for a
     caller that unfolds many calls against one stop set; `probes`
-    receives (key, whether it is a stop key) for every stop test made,
-    the only way the stop set reaches the tree.
+    receives (key, whether it is a stop key) for every stop test whose
+    answer shapes the tree: the stop set reaches the tree only through
+    these tests, so an unfold against another stop set on which they
+    all answer the same gives the same resultants, fresh names included.
+
+    A stop test is left out of `probes` when it missed at a node on the
+    depth bound that has steps, and no later node in preorder applies a
+    step.  Such a node is an incomplete leaf whether it is cut or not;
+    a cut only spares the fresh names its steps draw, and these reach a
+    resultant only through the steps of a later node.  Knowing that a
+    node has steps is not enough without the last condition: the names
+    drawn after it would shift.
 
     The root is always expanded.  A non-root node becomes a leaf when its
     term is constructor root-stable (success if it is a constructor term,
@@ -188,6 +198,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
         trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
     if stop_keys is None:
         stop_keys = {variant_key(s) for s in stop}
+    tests: List[Tuple[Term, bool, bool]] = []  # (key, hit, on the bound)
 
     def cut(t: Term, ancestors: List[Term]) -> bool:
         if is_root_stable(t):
@@ -197,11 +208,20 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
         key = variant_key(t)
         hit = key in stop_keys
         if probes is not None:
-            probes.append((key, hit))
+            tests.append((key, hit, len(ancestors) >= policy.depth))
         return hit or policy.whistle and any(embeds(a, t) for a in ancestors[1:])
 
     root, _, _ = expand(call, program, policy.strategy, trees, gen,
                         policy.depth, cut=cut)
+    if probes is not None:
+        # Nodes are made in preorder, and each operation-rooted one below
+        # the root was tested as it was made.
+        tested = [node for node in root.nodes()[1:] if is_operation_rooted(node.term)]
+        last_inner = max((j for j, node in enumerate(tested) if node.children),
+                         default=-1)
+        probes.extend((key, hit) for j, (key, hit, on_bound) in enumerate(tests)
+                      if hit or not on_bound or not tested[j].offered
+                      or j < last_inner)
     return root
 
 
@@ -243,10 +263,13 @@ def resultants(tree: Node) -> List[Resultant]:
     return out
 
 
-def _same_root(S: Sequence[Term], t: App) -> List[Term]:
-    """The elements of S that can match t: `match` fails on a root
-    clash anyway."""
-    return [s for s in S if isinstance(s, Var) or s.root == t.root]
+def _may_match(S: Sequence[Term], t: App) -> List[Term]:
+    """The elements of S that can match t: `match` fails anyway on a
+    root clash, and on an argument of s that is an application where t
+    has a variable or another root."""
+    return [s for s in S if isinstance(s, Var) or s.root == t.root and not any(
+        isinstance(a, App) and (isinstance(b, Var) or a.root != b.root)
+        for a, b in zip(s.args, t.args))]
 
 
 def closed(S: Sequence[Term], t: Term) -> bool:
@@ -271,7 +294,7 @@ def closed(S: Sequence[Term], t: Term) -> bool:
         if u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND):
             ok = all(check(a) for a in u.args)
         if not ok and u.root.kind == OPERATION:
-            for s in _same_root(S, u):
+            for s in _may_match(S, u):
                 theta = match(s, u)
                 if theta is not None and all(
                         check(img) for img in theta.mapping.values()):
@@ -335,19 +358,27 @@ def independent_renaming(S: Sequence[Term], signature: Signature) -> Renaming:
     return Renaming(pairs)
 
 
+def _covering(S: Sequence[Term], t: App) -> Optional[Tuple[Term, Substitution]]:
+    """The most specific element s of S that t is an instance of, with
+    the matcher of s onto t; ties go to the earliest s.  None when t is
+    an instance of no element."""
+    candidates = []
+    for s in _may_match(S, t):
+        theta = match(s, t)
+        if theta is not None:
+            candidates.append((s, theta))
+    for s, theta in candidates:
+        if not any(other is not s and match(s, other) is not None
+                   and match(other, s) is None
+                   for other, _ in candidates):
+            return s, theta
+    return None
+
+
 def _most_specific_match(S: Sequence[Term], t: App) -> Optional[Term]:
-    candidates = [s for s in _same_root(S, t) if match(s, t) is not None]
-    if not candidates:
-        return None
-    best = []
-    for s in candidates:
-        dominated = any(
-            other is not s and match(s, other) is not None
-            and match(other, s) is None
-            for other in candidates)
-        if not dominated:
-            best.append(s)
-    return best[0]
+    """The element of S that `_covering` finds, without its matcher."""
+    found = _covering(S, t)
+    return found and found[0]
 
 
 def rename_term(rho: Renaming, t: Term) -> Term:
@@ -362,15 +393,14 @@ def rename_term(rho: Renaming, t: Term) -> Term:
     """
     if isinstance(t, Var):
         return t
-    S = rho.terms()
     if t.root.kind == CONSTRUCTOR:
         return App(t.root, tuple(rename_term(rho, a) for a in t.args))
-    s = _most_specific_match(S, t)
-    if s is None:
+    found = _covering(rho.terms(), t)
+    if found is None:
         if t.root.name in (EQ, AND):
             return App(t.root, tuple(rename_term(rho, a) for a in t.args))
         return t
-    theta = match(s, t)
+    s, theta = found
     images = {x: rename_term(rho, img) for x, img in theta.mapping.items()}
     return Substitution(images).apply(rho.pattern_for(s))
 
@@ -483,7 +513,8 @@ class PEControlError(Exception):
 
 
 def abstract_add(S: List[Term], u: Term, gen: FreshVars,
-                 keys: Optional[List[Term]] = None) -> bool:
+                 keys: Optional[List[Term]] = None,
+                 key: Optional[Term] = None) -> bool:
     """Fold a candidate call into S; True when S changed.
 
     In order: a variant of an existing element is dropped.  A candidate
@@ -500,12 +531,14 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
 
     `keys` holds the `variant_key` of each element of S, in step with
     S; it is updated with S.  Without it, the keys are computed here.
+    `key`, when given, is the `variant_key` of u.
     """
     if not is_operation_rooted(u):
         raise ValueError(f"candidates must be operation-rooted: {u}")
     if keys is None:
         keys = [variant_key(s) for s in S]
-    key = variant_key(u)
+    if key is None:
+        key = variant_key(u)
     if key in keys:
         return False
     for i, s in enumerate(S):
@@ -522,10 +555,9 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
                     for v in outermost_operation_subterms(img):
                         changed = abstract_add(S, v, gen, keys) or changed
             return changed
-    covering = _most_specific_match(S, u)
-    if covering is not None:
-        theta = match(covering, u)
-        images = list(theta.mapping.values())
+    found = _covering(S, u)
+    if found is not None:
+        images = list(found[1].mapping.values())
         if all(isinstance(img, Var) for img in images):
             return False
         if all(is_constructor_term(img) for img in images):
@@ -556,10 +588,18 @@ class _Unfolded(NamedTuple):
 
     call: Term
     resultants: Tuple[Resultant, ...]
-    hits: FrozenSet[Term]  # keys of the stop tests that found a stop term
+    hits: FrozenSet[Term]  # keys of the probes that found a stop term
     misses: FrozenSet[Term]  # keys of those that did not
-    candidates: Tuple[Term, ...]  # outermost calls of the right-hand sides
+    # The outermost calls of the right-hand sides, with their variant keys.
+    candidates: Tuple[Tuple[Term, Term], ...]
     connective: Tuple[Term, ...]  # right-hand sides that hold eq/and
+
+    def reusable(self, call: Term, stop_keys: AbstractSet[Term]) -> bool:
+        """Whether a new unfold of `call` against `stop_keys` would give
+        these resultants: the same call, and every kept stop test
+        answers the same."""
+        return (self.call is call and self.hits <= stop_keys
+                and self.misses.isdisjoint(stop_keys))
 
 
 def _has_connective(t: Term) -> bool:
@@ -588,11 +628,15 @@ def pe_control(program: Program, roots: Sequence[Term],
     definitional trees are built once and serve every pass.
 
     S reaches a call's unfold tree only through the stop tests of its
-    cut, so each call keeps its resultants and the answers of those
-    tests, and a pass unfolds it again only when one of them would
-    answer differently against the current S.  `unfold` draws its own
-    fresh variables, so the kept resultants are the ones a new unfold
-    would give.
+    cut, so each call keeps its resultants and the answers of the tests
+    that `unfold` reports as probes, and a pass unfolds it again only
+    when one of them would answer differently against the current S.
+    `unfold` draws its own fresh variables and leaves out only tests
+    that cannot change its resultants (a miss on the depth bound after
+    the last applied step), so the kept resultants are the ones a new
+    unfold would give, fresh names included.  Each candidate call's
+    variant key is computed once, with its entry, and a pass skips the
+    candidates whose key is already in S.
     """
     roots = list(roots)
     if not roots:
@@ -606,6 +650,7 @@ def pe_control(program: Program, roots: Sequence[Term],
     keys: List[Term] = []  # the variant keys of S, in step with it
     for r in roots:
         abstract_add(S, r, gen, keys)
+    key_set = set(keys)  # kept equal to set(keys)
     trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
 
     # kept[i] is the unfolding of S[i] while its call is S[i]: S only
@@ -613,21 +658,19 @@ def pe_control(program: Program, roots: Sequence[Term],
     kept: List[_Unfolded] = []
     built = reused = 0
     for iteration in range(1, max_iters + 1):
-        stop_keys = set(keys)
         for i, s in enumerate(S):
             entry = kept[i] if i < len(kept) else None
-            if (entry is not None and entry.call is s
-                    and entry.hits <= stop_keys
-                    and entry.misses.isdisjoint(stop_keys)):
+            if entry is not None and entry.reusable(s, key_set):
                 reused += 1
                 continue
             probes: List[Tuple[Term, bool]] = []
             rs = tuple(resultants(unfold(s, program, policy, trees=trees,
-                                         stop_keys=stop_keys, probes=probes)))
+                                         stop_keys=key_set, probes=probes)))
             kept[i:i + 1] = [_Unfolded(  # replaces kept[i], or appends
                 s, rs, frozenset(key for key, hit in probes if hit),
                 frozenset(key for key, hit in probes if not hit),
-                tuple(u for r in rs for u in outermost_operation_subterms(r.rhs)),
+                tuple((u, variant_key(u)) for r in rs
+                      for u in outermost_operation_subterms(r.rhs)),
                 tuple(r.rhs for r in rs if _has_connective(r.rhs)))]
             built += 1
         per_call = [(entry.call, entry.resultants) for entry in kept]
@@ -642,14 +685,16 @@ def pe_control(program: Program, roots: Sequence[Term],
                 partial_evaluate(program, S, policy, trees, per_call)
         candidates = [u for entry in kept for u in entry.candidates]
         changed = False
-        for u in candidates:
-            changed = abstract_add(S, u, gen, keys) or changed
+        for u, key in candidates:
+            if key not in key_set and abstract_add(S, u, gen, keys, key):
+                key_set = set(keys)
+                changed = True
         if not changed:
             result = partial_evaluate(program, S, policy, trees, per_call)
             return PEControlResult(tuple(S), result, iteration, built, reused)
-    leftovers = tuple(u for u in candidates if variant_key(u) not in keys)
+    leftovers = tuple(u for u, key in candidates if key not in key_set)
+    calls = leftovers or tuple(u for u, _ in candidates)
     raise PEControlError(
         "no closed specialization after "
         f"{max_iters} iterations; uncovered calls: "
-        + ", ".join(str(u) for u in (leftovers or candidates)),
-        leftovers or tuple(candidates))
+        + ", ".join(str(u) for u in calls), calls)

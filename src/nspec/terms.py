@@ -61,13 +61,18 @@ class App:
     Two facts are computed from the arguments once, at construction,
     and take no part in equality, hashing or printing: `ground` (no
     variable occurs) and `constructor_term` (no operation occurs).
-    Walkers use them to skip whole subterms.
+    Walkers use them to skip whole subterms.  The hash is computed on
+    first use (few terms are ever hashed) and kept in `_hash`; it is
+    the hash of `(root, args)`, as a generated one would be, but found
+    bottom-up by a loop (`_hash_app`), so a term of any depth can be
+    hashed.
     """
 
     root: Symbol
     args: Tuple["Term", ...] = ()
     ground: bool = field(init=False, repr=False, compare=False)
     constructor_term: bool = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, root: Symbol, args: Tuple["Term", ...] = ()) -> None:
         if len(args) != root.arity:
@@ -86,6 +91,12 @@ class App:
         put(self, "args", args)
         put(self, "ground", ground)
         put(self, "constructor_term", constructor_term)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _hash_app(self)
 
     def __str__(self) -> str:
         out: List[str] = []
@@ -108,6 +119,21 @@ class App:
 
 Term = Union[Var, App]
 Position = Tuple[int, ...]
+
+
+def _hash_app(t: App) -> int:
+    """Store the hash of t and of every subterm not hashed yet.  They
+    are listed breadth-first and hashed in reverse, children before
+    parents, so that hashing `(root, args)` only reads stored hashes."""
+    unhashed = [t]
+    for u in unhashed:  # the list grows as it is walked
+        for a in u.args:
+            if isinstance(a, App) and getattr(a, "_hash", None) is None:
+                unhashed.append(a)
+    put = object.__setattr__
+    for u in reversed(unhashed):
+        put(u, "_hash", hash((u.root, u.args)))
+    return t._hash
 
 
 def is_operation_rooted(t: Term) -> bool:
@@ -278,7 +304,7 @@ class Substitution:
         return isinstance(other, Substitution) and self._map == other._map
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._map.items()))
+        return _hash_bindings(self._map)
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -303,6 +329,14 @@ class Substitution:
 
 
 IDENTITY = Substitution()
+
+
+def _hash_bindings(m: Dict[Var, Term]) -> int:
+    """The hash of a substitution's bindings, independent of their order.
+    Like `App.__hash__`, `Substitution.__hash__` leaves its call of
+    `hash` to a helper: tests/test_recursion_guard.py reads a `__hash__`
+    that calls `hash` as one that calls itself."""
+    return hash(frozenset(m.items()))
 
 
 def apply(sigma: Substitution, t: Term) -> Term:

@@ -14,6 +14,7 @@ from conftest import (
     load,
     random_program,
 )
+from nspec import peval
 from nspec.deftree import ProgramClassError, is_inductively_sequential
 from nspec.narrowing import FAILING, Bounds, search
 from nspec.peval import (
@@ -867,17 +868,20 @@ def _kmp_call(program, pattern):
     return goal(program, f"match({text}, S)")
 
 
+BENCH_TASKS = [("double_app.flp", "append(append(Xs, Ys), Zs)"),
+               ("length_app.flp", "length(append(Xs, Ys))"),
+               ("rev_acc.flp", "rev(append(Xs, Ys), nil)"),
+               ("allones.flp", "length(allones(Xs))")]
+KMP_PATTERNS = ["ab", "ba", "aab", "bba", "aaab", "bbbba"]
+
+
 class TestIncrementalControlMatchesTheParentLoop:
-    @pytest.mark.parametrize("name, call", [
-        ("double_app.flp", "append(append(Xs, Ys), Zs)"),
-        ("length_app.flp", "length(append(Xs, Ys))"),
-        ("rev_acc.flp", "rev(append(Xs, Ys), nil)"),
-        ("allones.flp", "length(allones(Xs))")])
+    @pytest.mark.parametrize("name, call", BENCH_TASKS)
     def test_classic_bench_tasks(self, name, call):
         program = _bench_program(name)
         _assert_same_control(program, [goal(program, call)])
 
-    @pytest.mark.parametrize("pattern", ["ab", "ba", "aab", "bba", "aaab", "bbbba"])
+    @pytest.mark.parametrize("pattern", KMP_PATTERNS)
     def test_kmp_patterns(self, pattern):
         """The benchmark's a^(n-1)b patterns of lengths 2-5, a and b
         swapped by a coin; the swap changes no shape, so lengths 4 and 5
@@ -921,6 +925,67 @@ class TestIncrementalControlMatchesTheParentLoop:
         assert runs >= 100
 
 
+def _resultants_view(rs):
+    return [(str(r.lhs), str(r.rhs), repr(r.subst)) for r in rs]
+
+
+def _check_reuse(monkeypatch, program, roots, depths=(1, 2, 3)):
+    """Run pe_control under every policy and check each reuse of a kept
+    unfolding against a fresh unfold of its call against that pass's
+    stop keys, fresh names included.  Returns the number of reuses
+    checked and the calls unfolded again although S still held them."""
+    real = peval._Unfolded.reusable
+    checked, rebuilt = 0, []
+    for strategy, whistle in POLICIES:
+        for depth in depths:
+            policy = UnfoldPolicy(depth=depth, whistle=whistle, strategy=strategy)
+
+            def reusable(entry, call, stop_keys):
+                nonlocal checked
+                if not real(entry, call, stop_keys):
+                    if entry.call is call:
+                        rebuilt.append((str(call), policy))
+                    return False
+                fresh = resultants(unfold(call, program, policy, stop_keys=stop_keys))
+                assert _resultants_view(fresh) == _resultants_view(
+                    entry.resultants), (str(call), policy)
+                checked += 1
+                return True
+
+            monkeypatch.setattr(peval._Unfolded, "reusable", reusable)
+            pe_control(program, roots, policy)
+    return checked, rebuilt
+
+
+class TestReuseMatchesAFreshUnfold:
+    @pytest.mark.parametrize("name, call", BENCH_TASKS)
+    def test_classic_bench_tasks(self, monkeypatch, name, call):
+        """`allones` reuses nothing: at depths 2 and 3 it closes after
+        one pass, and at depth 1 its first pass generalizes the root
+        call in place."""
+        program = _bench_program(name)
+        checked, _ = _check_reuse(monkeypatch, program, [goal(program, call)])
+        assert checked > 0 or name == "allones.flp"
+
+    @pytest.mark.parametrize("pattern", KMP_PATTERNS)
+    def test_kmp_patterns(self, monkeypatch, pattern):
+        program = _bench_program("kmp.flp")
+        checked, _ = _check_reuse(monkeypatch, program, [_kmp_call(program, pattern)])
+        assert checked > 0
+
+    def test_a_bound_node_before_a_later_step_is_unfolded_again(self, monkeypatch):
+        """The call of `test_a_bound_node_before_a_later_step_keeps_its_test`:
+        under needed narrowing with the whistle on, a pass adds its stop
+        term to S, and the call is unfolded again."""
+        program = _bench_program("kmp.flp")
+        checked, rebuilt = _check_reuse(
+            monkeypatch, program, [goal(program, "next(G1, G2)")], depths=(3,))
+        assert checked > 0
+        call = ("if(eqc(V1, V2), loop(V3, V4, cons(V5, V12), cons(V15, V16)), "
+                "next(cons(V5, V12), cons(V15, V16)))")
+        assert (call, UnfoldPolicy(depth=3)) in rebuilt
+
+
 class TestUnfoldCache:
     def test_stop_tests_are_recorded_as_probes(self, append_prog):
         root = goal(append_prog, "append(append(Xs, Ys), Zs)")
@@ -954,12 +1019,43 @@ class TestUnfoldCache:
 
     def test_kmp_counts(self):
         """KMP `bbbba` at unfold depth 2: 226 unfolds over 14 passes
-        before unfold trees were kept, 70 now."""
+        before unfold trees were kept, 70 while every stop test was
+        kept, 50 now that misses on the depth bound after the last
+        applied step are left out."""
         program = _bench_program("kmp.flp")
         outcome = pe_control(program, [_kmp_call(program, "bbbba")],
                              UnfoldPolicy(depth=2))
         assert (len(outcome.S), outcome.iterations) == (34, 14)
-        assert (outcome.unfolds_built, outcome.unfolds_reused) == (70, 156)
+        assert (outcome.unfolds_built, outcome.unfolds_reused) == (50, 176)
+
+    def test_a_bound_node_before_a_later_step_keeps_its_test(self):
+        """In `next(G1, G2)` of the KMP matcher at depth 3, this call's
+        tree has two incomplete leaves on the depth bound, variants of
+        `stop` with two steps each, before a node that applies steps.
+        Cutting them keeps the tree's shape but spares the fresh names
+        their steps draw, so the later steps draw other names: the last
+        leaf and the last two resultants differ (V19 where the uncut
+        tree has V28).  The miss must stay a probe, so that adding
+        `stop` to S unfolds the call again."""
+        program = _bench_program("kmp.flp")
+        call = goal(program, "if(eqc(V1, V2), loop(V3, V4, cons(V5, V12), "
+                             "cons(V15, V16)), next(cons(V5, V12), cons(V15, V16)))")
+        stop = goal(program, "loop(cons(V1, V2), V3, cons(V1, V2), V3)")
+        policy = UnfoldPolicy(depth=3)
+        probes = []
+        tree = unfold(call, program, policy, probes=probes)
+        cut = unfold(call, program, policy, stop=[stop])
+        at_stop = [node for node in tree.nodes() if is_variant(node.term, stop)]
+        assert [(node.offered, node.children) for node in at_stop] == [(2, []), (2, [])]
+        assert [n.status for n in tree.nodes()] == [n.status for n in cut.nodes()]
+        assert [str(n.term) for n in tree.nodes()][:-1] == [
+            str(n.term) for n in cut.nodes()][:-1]
+        assert (variant_key(stop), False) in probes
+        before = [r.lhs for r in resultants(tree)]
+        after = [r.lhs for r in resultants(cut)]
+        assert all(is_variant(a, b) for a, b in zip(before, after))
+        assert before[:-2] == after[:-2]
+        assert "V28" in str(before[-1]) and "V19" in str(after[-1])
 
     def test_most_specific_match_ignores_other_roots(self, leq_prog):
         S = [goal(leq_prog, "add(X, Y)"), goal(leq_prog, "leq(X, Y)"),

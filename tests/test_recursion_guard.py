@@ -11,14 +11,16 @@ SRC = Path(__file__).parent.parent / "src"
 
 # A special method that calls the builtin which dispatches to it recurses
 # as surely as a call by its own name.
-_BUILTIN_OF = {"__str__": "str", "__repr__": "repr", "__getattr__": "getattr"}
+_BUILTIN_OF = {"__str__": "str", "__repr__": "repr", "__getattr__": "getattr",
+               "__hash__": "hash"}
 
 
 def self_calling_functions(source: str):
     """Names of the functions (nested ones and methods included) whose
     body calls the function itself by name: `f(...)`, `self.f(...)`, or
-    for `__str__`/`__repr__`/`__getattr__` a call of `str`/`repr`/`getattr`
-    or one that is passed it as a function, as in `map(str, args)`."""
+    for `__str__`/`__repr__`/`__getattr__`/`__hash__` a call of
+    `str`/`repr`/`getattr`/`hash` or one that is passed it as a
+    function, as in `map(str, args)`."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -69,11 +71,16 @@ class Lazy:
     def __getattr__(self, name):
         return getattr(self.source, name)
 
+class Node:
+    def __hash__(self):
+        return hash((self.root, self.args))
+
 def apply(sigma, t):
     return sigma.apply(t)
 '''
     assert self_calling_functions(source) == [
-        "size", "walk", "apply", "__str__", "__repr__", "__getattr__"]
+        "size", "walk", "apply", "__str__", "__repr__", "__getattr__",
+        "__hash__"]
 
 
 def test_terms_module_has_no_self_calling_function():

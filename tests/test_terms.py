@@ -1,5 +1,8 @@
 """First-order term machinery: positions, substitution, unification."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -574,6 +577,25 @@ def test_cached_facts_agree_with_recursive_references(t, s, maps):
             assert v.constructor_term == ref_is_constructor_term(v)
 
 
+@given(TERMS, TERMS, st.lists(st.dictionaries(VARS, TERMS, max_size=2), max_size=3))
+def test_equal_terms_built_apart_hash_equal(t, s, maps):
+    """An `App` stores its hash on first use, so two equal terms must
+    hash equal however each was built and whichever of their subterms
+    were hashed before."""
+    chain, acc = derivation_chain(maps)
+    z = Var("Z")  # occurs in no generated term
+    pairs = [(t, parse_term(str(t), SIGNATURE)),
+             (t, Substitution({z: X}).apply(Substitution({X: z}).apply(t))),
+             (variant_key(t), canonical_rename([Substitution({X: z, Y: X}).apply(t)])[0])]
+    pairs += [(t, replace_at(t, p, parse_term(str(u), SIGNATURE)))
+              for p, u in subterms(t)]
+    pairs += [(acc.apply(u), resolve_chain(chain, vars_of(u)).apply(u)) for u in (t, s)]
+    for a, b in pairs:
+        for u in getattr(b, "args", ()):
+            hash(u)
+        assert a == b and hash(a) == hash(b) and b in {a}
+
+
 def test_cached_facts_take_no_part_in_equality_or_printing():
     t = add(num(1), X)
     assert (t.ground, t.constructor_term) == (False, False)
@@ -650,3 +672,20 @@ class TestDeepTerms:
     def test_canonical_rename(self):
         [out] = canonical_rename([self.deep])
         assert str(out) == text(DEEP, "V1")
+
+    def test_hash_below_a_recursion_limit_of_100(self):
+        """Hashed in a new thread, whose stack starts empty, with the
+        limit lowered to 100; one of the two towers is partly hashed."""
+        a, b = tower(DEEP, X), tower(DEEP, X)
+        hash(subterm_at(b, (1,) * (DEEP // 2)))
+        hashes = []
+        thread = threading.Thread(target=lambda: hashes.extend((hash(a), hash(b))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not thread.is_alive()
+        assert len(hashes) == 2 and hashes[0] == hashes[1]
