@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 unparsable or ill-formed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -365,9 +366,16 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _ArgumentParser:
+    """The parser, built once per process: `parse_args` returns a new
+    namespace and copies the lists of `append` options, so reusing it
+    changes no result."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except (ParseError, ProgramError) as exc:

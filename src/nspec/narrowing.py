@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .deftree import DefTree, Leaf, require_class, require_lazy_class
 from .program import Program, Rule
@@ -37,6 +37,7 @@ from .terms import (
     is_constructor_term,
     is_operation_rooted,
     is_root_stable,
+    linear_overlay,
     linear_walk,
     match,
     replace_at,
@@ -126,7 +127,8 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
 
 
 def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
-                  gen: FreshVars) -> List[Step]:
+                  gen: FreshVars, count: bool = False
+                  ) -> Union[List[Step], int]:
     """The descent of `nns`, from an explicit stack, depth first with
     the children of a branch in tree order.
 
@@ -140,8 +142,13 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     leaf, and the (variable, constructor) to bind on entry, if any); a
     bare variable on the stack ends that binding's scope.  Fresh
     variables and rule variants are drawn in depth-first order.
+
+    With `count`, the number of steps is returned instead: the same
+    fresh variables are drawn and each leaf advances `gen` past its
+    renaming, but no part, rule variant or step is built.
     """
     steps: List[Step] = []
+    found = 0
     bound: Dict[Var, App] = {}
     stack: List[object] = [(tree, t, None, None, None, None)]
     while stack:
@@ -155,8 +162,13 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             image = App(ctor, gen.fresh_tuple(ctor.arity))
             bound[x] = image
             stack.append(x)
-            parts = (Substitution._of({x: image}), parts)
+            if not count:
+                parts = (Substitution._of({x: image}), parts)
         if isinstance(node, Leaf):
+            if count:
+                gen.skip_renaming(node.rule.variables)
+                found += 1
+                continue
             canonical = tuple(_unwind((IDENTITY, parts)))
             steps.append(Step(_joined(at), node.rule.renamed(gen),
                               compose_canonical(canonical), canonical))
@@ -187,7 +199,7 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             if inner is not None:
                 stack.append((inner, sub, None, (node.position, at),
                               (IDENTITY, parts), None))
-    return steps
+    return found if count else steps
 
 
 def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
@@ -204,20 +216,26 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
     return _lns(t, program, gen)
 
 
-def _lns(t: App, program: Program, gen: FreshVars) -> List[Step]:
+def _lns(t: App, program: Program, gen: FreshVars, count: bool = False
+         ) -> Union[List[Step], int]:
     """The descent of `lns`, from an explicit stack: the steps at a
     position come first, then those of each position it demands, in
     position order, each with everything below it.
 
-    Each rule's own left-hand side is walked once (`linear_walk`): a
-    clash or a demand does not depend on variable names, so such a rule
-    only advances `gen` as its renaming would.  Otherwise the renaming
-    is drawn and the walk's equations, their pattern sides renamed, are
-    solved; that is `linear_unify` of the variant, whose checks hold by
+    Each rule's own left-hand side is walked once (`linear_walk`), and
+    whether the walk's equations unify is decided on them too
+    (`linear_overlay`): neither a clash, nor a demand, nor the outcome
+    of solving depends on variable names.  A rule without a step only
+    advances `gen` as its renaming would.  For a step, the renaming is
+    drawn and the equations, their pattern sides renamed, are solved;
+    that is `linear_unify` of the variant, whose checks hold by
     construction (the variant is linear, and its names are fresh).
-    Positions are parent-pointer chains of demanded positions, spelled
-    out once per step."""
+    With `count`, a step advances `gen` in the same way and is counted,
+    not built, and the number of steps is returned.  Positions are
+    parent-pointer chains of demanded positions, spelled out once per
+    step."""
     steps: List[Step] = []
+    found = 0
     stack: List[Tuple[Optional[tuple], App]] = [(None, t)]
     while stack:
         at, sub = stack.pop()
@@ -227,21 +245,22 @@ def _lns(t: App, program: Program, gen: FreshVars) -> List[Step]:
             if rule.lhs.root != sub.root:
                 continue
             walked = linear_walk(rule.lhs, sub)
-            if isinstance(walked, list):
-                theta = gen.renaming(rule.variables)
-                sigma = _solve([(theta.apply(p), g) for p, g in walked])
-                if sigma is not None:
-                    if here is None:
-                        here = _joined(at)
-                    steps.append(Step(here, rule.variant(theta), sigma, (sigma,)))
-                continue
-            gen.skip_renaming(rule.variables)
             if isinstance(walked, Demand):
                 for q in walked.positions:
                     demanded.setdefault(q)
+            elif isinstance(walked, list) and linear_overlay(walked):
+                if not count:
+                    theta = gen.renaming(rule.variables)
+                    sigma = _solve([(theta.apply(p), g) for p, g in walked])
+                    if here is None:
+                        here = _joined(at)
+                    steps.append(Step(here, rule.variant(theta), sigma, (sigma,)))
+                    continue
+                found += 1
+            gen.skip_renaming(rule.variables)
         stack.extend(((q, at), subterm_at(sub, q))
                      for q in sorted(demanded, reverse=True))
-    return steps
+    return found if count else steps
 
 
 def narrow(t: Term, step: Step) -> Term:
@@ -305,7 +324,9 @@ class Node:
     term: Term
     status: str = INNER
     children: List[Tuple[Step, "Node"]] = field(default_factory=list)
-    offered: int = 0  # how many steps the strategy produced here
+    # How many steps the strategy has here: those of a node that is
+    # expanded, or the count of a frontier node's steps, never built.
+    offered: int = 0
 
     def nodes(self) -> List["Node"]:
         """Every node of the tree in preorder."""
@@ -348,26 +369,31 @@ def _leftmost_operation_position(t: Term) -> Optional[Position]:
 
 
 def strategy_steps(t: Term, program: Program, strategy: str,
-                   trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
+                   trees: Dict[str, DefTree], gen: FreshVars,
+                   count: bool = False) -> Union[List[Step], int]:
     """Steps of a strategy, lifted over constructor prefixes.
 
     Both strategies act on operation-rooted terms only; a constructor
     prefix is crossed by narrowing the leftmost-outermost operation-rooted
     subterm.  The program must have passed `deftree.require_class`, which
-    also supplies `trees`; `gen` must already hold t's variables.
+    also supplies `trees`; `gen` must already hold t's variables.  With
+    `count`, only the number of steps is returned, and `gen` ends as
+    building them would leave it.
     """
     pos: Position = ()
     if is_root_stable(t):
         pos = _leftmost_operation_position(t)
         if pos is None:
-            return []
+            return 0 if count else []
         t = subterm_at(t, pos)
     if strategy == "needed":
         tree = trees.get(t.root.name)
-        steps = [] if tree is None else _needed_steps(t, tree, trees, gen)
+        if tree is None:
+            return 0 if count else []
+        steps = _needed_steps(t, tree, trees, gen, count)
     else:
-        steps = _lns(t, program, gen)
-    if not pos:
+        steps = _lns(t, program, gen, count)
+    if count or not pos:
         return steps
     return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in steps]
 
@@ -390,10 +416,13 @@ def expand(term: Term, program: Program, strategy: str,
     A new node is classified in this order: a constructor term is a
     success leaf; `cut(term, ancestors)`, given the ancestor terms root
     first (a list it must not keep), makes it an incomplete leaf; a term
-    without steps is a failing leaf; at `max_depth`, or once
-    `max_solutions` success leaves were found, it is an incomplete leaf.
-    At most `max_nodes` nodes are created; a node whose expansion the
-    node budget or the solution cap stops is incomplete too.
+    without steps is a failing leaf; at `max_depth`, once
+    `max_solutions` success leaves were found, or once the node budget
+    is spent, it is an incomplete leaf.  Such a frontier node's steps
+    are counted, not built (`Node.offered`); `gen` draws the same names
+    either way.  At most `max_nodes` nodes are created; a node whose
+    expansion the node budget or the solution cap stops is incomplete
+    too.
 
     Returns the root, the success leaves in the order found with the
     `Chain` of step substitutions on their path, and whether no node is
@@ -429,14 +458,19 @@ def expand(term: Term, program: Program, strategy: str,
             node.status = INCOMPLETE
             complete = False
             return
+        if len(stack) >= max_depth or budget <= 0 or enough_solutions():
+            node.offered = strategy_steps(t, program, strategy, trees, gen,
+                                          count=True)
+            if node.offered:
+                node.status = INCOMPLETE
+                complete = False
+            else:
+                node.status = FAILING
+            return
         steps = strategy_steps(t, program, strategy, trees, gen)
         node.offered = len(steps)
         if not steps:
             node.status = FAILING
-            return
-        if len(stack) >= max_depth or enough_solutions():
-            node.status = INCOMPLETE
-            complete = False
             return
         stack.append((node, iter(steps), chain))
         path.append(t)

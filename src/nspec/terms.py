@@ -92,6 +92,28 @@ class App:
         put(self, "ground", ground)
         put(self, "constructor_term", constructor_term)
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, from an explicit stack of subterm pairs
+        (a generated one would recurse once per level); a subterm shared
+        by both sides is not entered."""
+        if other.__class__ is not App:
+            return NotImplemented
+        pairs: List[Tuple[Term, Term]] = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Var:
+                if a.name != b.name:
+                    return False
+            elif a.root is not b.root and a.root != b.root:
+                return False
+            else:
+                pairs.extend(zip(a.args, b.args))
+        return True
+
     def __hash__(self) -> int:
         try:
             return self._hash
@@ -555,8 +577,9 @@ def linear_walk(pattern: App, goal: App
     """The walk of `linear_unify`, without its checks and before solving:
     Fail on a constructor clash, else Demand of the demanded positions,
     else the equations (pattern subterm, goal subterm) to solve.  Fail
-    and Demand do not depend on the names of the variables, so a caller
-    may walk a rule's own left-hand side before renaming it apart."""
+    and Demand do not depend on the names of the variables, and nor does
+    whether the equations unify (`linear_overlay`), so a caller may walk
+    a rule's own left-hand side before renaming it apart."""
     demanded: List[Position] = []
     equations: List[Tuple[Term, Term]] = []
     # (pattern subterm, goal subterm, goal position), leftmost on top.
@@ -575,6 +598,38 @@ def linear_walk(pattern: App, goal: App
     if demanded:
         return Demand(tuple(demanded))
     return equations
+
+
+def linear_overlay(equations: List[Tuple[Term, Term]]) -> bool:
+    """Whether the equations of a `linear_walk` unify once the pattern
+    is renamed apart from the goal, decided without the renaming.
+
+    An equation either has a pattern variable on the left, which occurs
+    nowhere else (the pattern is linear) and so constrains nothing, or
+    equates a constructor pattern with a goal variable.  The patterns
+    equated to one goal variable have disjoint variables, each occurring
+    once, so they unify iff no two of them carry different symbols at a
+    common position: the test is pairwise, and no occurs check can fail.
+    """
+    seen: Dict[Var, List[Term]] = {}
+    pending: List[Tuple[Term, Term]] = []  # pattern pairs to overlay
+    for p, g in equations:
+        if isinstance(p, Var):
+            continue
+        earlier = seen.get(g)
+        if earlier is None:
+            seen[g] = [p]
+        else:
+            pending.extend((p, q) for q in earlier)
+            earlier.append(p)
+    while pending:
+        a, b = pending.pop()
+        if isinstance(a, Var) or isinstance(b, Var):
+            continue
+        if a.root != b.root:
+            return False
+        pending.extend(zip(a.args, b.args))
+    return True
 
 
 class FreshVars:

@@ -303,6 +303,19 @@ class TestPeval:
         assert len(specialized) == 4
 
 
+    def test_a_deep_call_ends_in_a_control_error(self):
+        """Comparing the deep calls of S used to recurse once per level
+        (the generated `App.__eq__`).  At a recursion limit of 100, a
+        120-deep numeral stands for the 600-deep one of the default
+        limit, which `embeds` takes minutes over."""
+        proc = run_below_recursion_limit(
+            100, "peval", LEQ, "-s", f"leq(X, {'s(' * 120}0{')' * 120})")
+        assert proc.returncode == 4, proc.stderr[-300:]
+        assert proc.stderr.startswith(
+            "error: no closed specialization after 32 iterations")
+        assert "Traceback" not in proc.stderr
+
+
 class TestTree:
     def test_text_tree(self):
         proc = run("tree", LEQ, "-e", "leq(0, s(0))")
@@ -381,6 +394,12 @@ class TestOracle:
         assert run("oracle", "rewrites", LEQ, "-e", "s(0) + s(0)",
                    "-t", "0").stdout == "no\n"
 
+    def test_rewrites_to_a_deep_target(self):
+        """The visited set compares 600-deep terms."""
+        deep = "s(" * 600 + "0" + ")" * 600
+        proc = run("oracle", "rewrites", LEQ, "-e", f"add(0, {deep})", "-t", deep)
+        assert (proc.returncode, proc.stdout) == (0, "yes\n"), proc.stderr[-300:]
+
     def test_solutions(self):
         proc = run("oracle", "solutions", LEQ, "-e", "leq(X, X + X) ~ true",
                    "-k", "2")
@@ -456,6 +475,18 @@ class TestDeterminism:
         second = run(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def test_the_parser_is_built_once(capsys):
+    """`main` reuses one parser: an `append` option of one call does not
+    reach the next, and each call prints what a new process does."""
+    calls = [["peval", LEQ, "-s", "leq(X, s(0))", "-s", "add(X, Y)"],
+             ["peval", LEQ, "-s", "leq(X, s(0))"],
+             ["eval", LEQ, "-e", "leq(X, s(0)) ~ true"]]
+    for argv in calls + calls:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run(*argv).stdout
+    assert cli._parser() is cli._parser()
 
 
 JSON_VALUES = st.recursive(

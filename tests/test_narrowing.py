@@ -19,6 +19,7 @@ from conftest import (
     random_program,
     steps_view,
 )
+from nspec import narrowing
 from nspec.deftree import Leaf, ProgramClassError, forest
 from nspec.narrowing import (
     SUCCESS,
@@ -701,6 +702,92 @@ class TestLazyVariantsEqualTheEagerOnes:
             assert rewrite_step(t, (1,), twice) == parent_rewrite_step(
                 t, (1,), eager)
         assert once.variant(back) == rule
+
+
+def _tree_terms(program, call, strategy):
+    """Every node term of a bounded search tree from call, constructor
+    prefixes included."""
+    root = search(call, program, strategy, Bounds(max_steps=5, max_nodes=80)).root
+    return [node.term for node in root.nodes()]
+
+
+def _assert_count_equals_steps(t, program, strategy, trees):
+    """Counting the steps at t gives their number and leaves `gen` as
+    building them does: the same next fresh variable and the same next
+    renaming suffix."""
+    counted, built = FreshVars(vars_of(t)), FreshVars(vars_of(t))
+    n = strategy_steps(t, program, strategy, trees, counted, count=True)
+    assert n == len(strategy_steps(t, program, strategy, trees, built)), t
+    probe = (Var("M"), Var("V1"))
+    assert counted.renaming(probe) == built.renaming(probe), t
+    assert counted.fresh() == built.fresh(), t
+    return n
+
+
+class TestCountingSteps:
+    """`strategy_steps(..., count=True)`, which `expand` asks at a node
+    that a bound stops, agrees with the steps it does not build."""
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
+    def test_corpus_goals(self, name, source, strategy):
+        program = load(f"{name}.flp")
+        trees, _ = forest(program)
+        for t in _tree_terms(program, goal(program, source), strategy):
+            _assert_count_equals_steps(t, program, strategy, trees)
+
+    @pytest.mark.parametrize("law", WIDE_LAWS)
+    def test_wide_laws(self, law):
+        program = add_strict_equality(parse_program(PEANO.read_text()))
+        trees, _ = forest(program)
+        for strategy in ("needed", "lazy"):
+            for t in _tree_terms(program, goal(program, law), strategy):
+                _assert_count_equals_steps(t, program, strategy, trees)
+
+    def test_random_programs(self):
+        counted = 0
+        for seed in range(60):
+            program = random_program(seed)
+            trees, _ = forest(program)
+            for call in generic_calls(program):
+                for strategy in ("needed", "lazy"):
+                    for t in _tree_terms(program, call, strategy):
+                        counted += _assert_count_equals_steps(
+                            t, program, strategy, trees)
+        assert counted >= 1000
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_frontier_steps_are_not_built(self, monkeypatch, leq_prog, strategy):
+        """At max_steps 1 only the root is expanded: only its two steps
+        draw a rule variant, and the lazy ones alone are solved."""
+        variants, solved = [], []
+        variant, solve = Rule.variant, narrowing._solve
+        monkeypatch.setattr(Rule, "variant", lambda rule, theta: (
+            variants.append(rule), variant(rule, theta))[1])
+        monkeypatch.setattr(narrowing, "_solve", lambda pairs: (
+            solved.append(pairs), solve(pairs))[1])
+        result = search(goal(leq_prog, "leq(add(X, Y), Z)"), leq_prog,
+                        strategy, Bounds(max_steps=1))
+        assert [(node.status, node.offered) for node in result.root.nodes()] == [
+            ("inner", 2), ("incomplete", 3), ("incomplete", 2)]
+        assert len(variants) == 2
+        assert len(solved) == (2 if strategy == "lazy" else 0)
+
+    def test_a_spent_node_budget_counts(self):
+        """A node made with the budget spent is counted: incomplete when
+        it has steps, failing when it has none."""
+        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 g/1 ;\n"
+                                "f(X) -> g(X) ;\ng(0) -> 0 ;\ng(s(0)) -> f(0) ;")
+        for strategy in ("needed", "lazy"):
+            views = []
+            for source in ("f(s(X))", "f(s(s(X)))"):
+                result = search(goal(program, source), program, strategy,
+                                Bounds(max_nodes=2))
+                views.append([(node.status, node.offered)
+                              for node in result.root.nodes()] + [result.complete])
+            assert views == [[("inner", 1), ("incomplete", 1), False],
+                             [("inner", 1), ("failing", 0), True]], strategy
 
 
 class TestComposeCanonical:

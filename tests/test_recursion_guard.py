@@ -1,8 +1,9 @@
 """Source checks that keep term depth independent of Python's recursion
 limit: no function in `nspec/terms.py`, `nspec/narrowing.py`,
-`nspec/program.py`, `nspec/deftree.py` or `nspec/cli.py` calls itself,
-`nspec/peval.py` has no self-calling function beyond a known list, and
-no module raises the limit instead."""
+`nspec/program.py`, `nspec/deftree.py`, `nspec/cli.py` or
+`nspec/syntax.py` calls itself, `nspec/peval.py` and `nspec/oracle.py`
+have no self-calling function beyond a known list, and no module raises
+the limit instead."""
 
 import ast
 from pathlib import Path
@@ -84,18 +85,24 @@ def apply(sigma, t):
 
 
 def test_terms_module_has_no_self_calling_function():
+    """Equality, hashing, the walkers and the overlay test of linear
+    unification loop over explicit stacks."""
     source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
+    defined = {fn.name for fn in ast.walk(ast.parse(source))
+               if isinstance(fn, ast.FunctionDef)}
+    assert {"__eq__", "__hash__", "linear_walk", "linear_overlay"} <= defined
     assert self_calling_functions(source) == []
 
 
 def test_narrowing_steps_and_redexes_do_not_call_themselves():
-    """The step descents, the redex search and the JSON dump of a
-    narrowing tree loop over explicit stacks."""
+    """The step descents, which also count steps, the redex search, the
+    tree expansion and the JSON dump of a narrowing tree loop over
+    explicit stacks."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
     walkers = {"_needed_steps", "_lns", "outermost_needed_redex",
-               "strategy_steps", "node_to_dict"}
+               "strategy_steps", "expand", "node_to_dict"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of _needed_steps
     assert self_calling_functions(source) == []
@@ -124,6 +131,20 @@ def test_deftree_and_cli_self_calls_are_the_known_ones():
     for module in ("deftree", "cli"):
         source = (SRC / "nspec" / f"{module}.py").read_text(encoding="utf-8")
         assert self_calling_functions(source) == [], module
+
+
+def test_syntax_module_has_no_self_calling_function():
+    """The term parser climbs precedence over explicit stacks, and the
+    printer prints terms through `App.__str__`, a loop."""
+    source = (SRC / "nspec" / "syntax.py").read_text(encoding="utf-8")
+    assert self_calling_functions(source) == []
+
+
+def test_oracle_self_calls_are_the_known_ones():
+    """`_compositions` recurses once per part of a sum, as deep as a
+    symbol's arity, not as a term."""
+    source = (SRC / "nspec" / "oracle.py").read_text(encoding="utf-8")
+    assert self_calling_functions(source) == ["_compositions"]
 
 
 def test_no_module_raises_the_recursion_limit():

@@ -1,10 +1,11 @@
 """First-order term machinery: positions, substitution, unification."""
 
+import itertools
 import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import parent_solve
 from nspec.program import Signature
@@ -27,7 +28,9 @@ from nspec.terms import (
     is_linear,
     is_pattern,
     is_variant,
+    linear_overlay,
     linear_unify,
+    linear_walk,
     match,
     position_prefix,
     positions_disjoint,
@@ -271,6 +274,25 @@ class TestLinearUnify:
         assert linear_unify(leq(num(0), N), leq(num(1), num(0))) == Fail()
 
 
+    def test_overlay_of_a_nonlinear_goal(self):
+        """A goal variable met by several constructor patterns: their
+        equations unify iff the patterns overlay without a clash."""
+        a, b = Var("A"), Var("B")
+        # f(s(X), s(0), pr(s(Y), N))
+        lhs = App(F3, (App(S, (X,)), num(1), App(PAIR, (App(S, (Y,)), N))))
+        for goal_args, unifies in [
+                ((a, a, App(PAIR, (b, b))), True),  # s(X) ~ s(0) for A
+                ((a, num(1), App(PAIR, (a, b))), True),  # s(X) ~ s(Y)
+                ((a, App(S, (a,)), App(PAIR, (b, b))), False),  # s(X) ~ 0
+                ((a, App(S, (b,)), App(PAIR, (b, num(0)))), False)]:  # 0 ~ s(Y)
+            assert linear_overlay(linear_walk(lhs, App(F3, goal_args))) is unifies
+        # f(s(0), s(s(X)), Y): a pattern variable constrains nothing.
+        lhs = App(F3, (num(1), App(S, (App(S, (X,)),)), Y))
+        for goal_args, unifies in [((a, b, a), True), ((a, a, b), False),
+                                   ((a, b, App(PAIR, (a, a))), True)]:
+            assert linear_overlay(linear_walk(lhs, App(F3, goal_args))) is unifies
+
+
 class TestFreshVars:
     def test_sequential_names(self):
         g = FreshVars()
@@ -351,6 +373,61 @@ def _terms(max_depth):
 
 
 TERMS = _terms(3)
+
+
+PAIR = Symbol("pr", 2, "constructor")
+F3 = Symbol("f", 3, "operation")
+HOLE = Var("_")
+
+
+def _shapes(max_depth):
+    """Constructor patterns with holes for the variables."""
+    leaf = st.sampled_from([HOLE, num(0)])
+    if max_depth == 0:
+        return leaf
+    sub = _shapes(max_depth - 1)
+    return st.one_of(leaf, st.builds(lambda a: App(S, (a,)), sub),
+                     st.builds(lambda a, b: App(PAIR, (a, b)), sub, sub))
+
+
+def _fill_holes(t, names):
+    """t with each hole replaced by the next variable of `names`."""
+    if t == HOLE:
+        return Var(next(names))
+    return App(t.root, tuple(_fill_holes(a, names) for a in t.args))
+
+
+def _goal_args(max_depth):
+    """Goal arguments over two variables, constructors and, rarely, an
+    operation call that the walk demands."""
+    leaf = st.sampled_from([Var("A"), Var("B"), Var("A"), Var("B"), num(0)])
+    if max_depth == 0:
+        return leaf
+    sub = _goal_args(max_depth - 1)
+    return st.one_of(leaf, leaf, st.builds(lambda a: App(S, (a,)), sub),
+                     st.builds(lambda a, b: App(PAIR, (a, b)), sub, sub),
+                     st.builds(add, leaf, leaf))
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[_shapes(3)] * 3), st.tuples(*[_goal_args(2)] * 3))
+def test_overlay_decides_linear_unification(shapes, goal_args):
+    """On a linear constructor pattern and a goal, nonlinear ones
+    included, the overlay test of the walk's equations agrees with
+    solving them with the pattern renamed apart, and with
+    `linear_unify` of the renamed pattern."""
+    names = (f"X{i}" for i in itertools.count(1))
+    lhs = App(F3, tuple(_fill_holes(shape, names) for shape in shapes))
+    goal = App(F3, goal_args)
+    walked = linear_walk(lhs, goal)
+    theta = FreshVars(vars_of(goal)).renaming(vars_of(lhs))
+    result = linear_unify(theta.apply(lhs), goal)
+    if not isinstance(walked, list):
+        assert result == walked
+        return
+    sigma = _solve([(theta.apply(p), g) for p, g in walked])
+    assert linear_overlay(walked) == (sigma is not None)
+    assert isinstance(result, Succ) == (sigma is not None)
 
 
 @given(TERMS, TERMS)
@@ -644,8 +721,7 @@ def text(n, base):
 
 
 class TestDeepTerms:
-    """Walks of a 10^5-deep term.  Deep terms are compared by their text:
-    the generated `App.__eq__` still recurses."""
+    """Walks of a 10^5-deep term."""
 
     deep = tower(DEEP, X)
 
@@ -672,6 +748,27 @@ class TestDeepTerms:
     def test_canonical_rename(self):
         [out] = canonical_rename([self.deep])
         assert str(out) == text(DEEP, "V1")
+
+    def test_equality_below_a_recursion_limit_of_100(self):
+        """Compared in a new thread, whose stack starts empty, with the
+        limit lowered to 100: equal towers built apart, towers that
+        differ only at the bottom, and towers sharing a deep subterm."""
+        a, b = tower(DEEP, X), tower(DEEP, X)
+        shared = tower(DEEP // 2, X)
+        c, d = tower(DEEP // 2, shared), tower(DEEP // 2, shared)
+        results = []
+        thread = threading.Thread(target=lambda: results.extend((
+            a == b, a != b, a == tower(DEEP, Y), a == tower(DEEP - 1, X),
+            leq(a, Y) == leq(b, Y), c == d, c == a, a == X)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not thread.is_alive()
+        assert results == [True, False, False, False, True, True, True, False]
 
     def test_hash_below_a_recursion_limit_of_100(self):
         """Hashed in a new thread, whose stack starts empty, with the
