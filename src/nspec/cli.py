@@ -366,7 +366,7 @@ _DISPATCH = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _parser() -> _ArgumentParser:
     """The parser, built once per process: `parse_args` returns a new
     namespace and copies the lists of `append` options, so reusing it

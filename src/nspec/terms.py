@@ -93,25 +93,27 @@ class App:
         put(self, "constructor_term", constructor_term)
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality, from an explicit stack of subterm pairs
-        (a generated one would recurse once per level); a subterm shared
-        by both sides is not entered."""
+        """Structural equality, from an explicit stack of application
+        pairs (a generated one would recurse once per level); a subterm
+        shared by both sides is not entered."""
         if other.__class__ is not App:
             return NotImplemented
-        pairs: List[Tuple[Term, Term]] = [(self, other)]
+        if self is other:
+            return True
+        pairs: List[Tuple[App, App]] = [(self, other)]
         while pairs:
             a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
+            if a.root is not b.root and a.root != b.root:
                 return False
-            if a.__class__ is Var:
-                if a.name != b.name:
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is App:
+                    if y.__class__ is not App:
+                        return False
+                    pairs.append((x, y))
+                elif y.__class__ is not Var or x.name != y.name:
                     return False
-            elif a.root is not b.root and a.root != b.root:
-                return False
-            else:
-                pairs.extend(zip(a.args, b.args))
         return True
 
     def __hash__(self) -> int:
