@@ -6,7 +6,8 @@ by linear unification against every rule, descending into demanded
 positions.  Both descents, and the redex search of rewriting, loop over
 explicit stacks, so nested calls are limited by memory, not by the
 recursion limit.  `expand` grows the narrowing tree of a term under
-either strategy with an explicit stack; two leaf policies use it.  `search`
+either strategy with an explicit stack, and only counts the steps of a
+node that a bound stops; two leaf policies use it.  `search`
 bounds it by `Bounds` and collects (answer, constructor term) pairs at
 the success leaves; `peval.unfold` bounds it by the unfold depth and
 cuts it with the partial evaluator's local control.

@@ -302,7 +302,6 @@ class TestPeval:
                        if r.lhs.root.name.startswith("append_pe")]
         assert len(specialized) == 4
 
-
     def test_a_deep_call_ends_in_a_control_error(self):
         """Comparing the deep calls of S used to recurse once per level
         (the generated `App.__eq__`).  At a recursion limit of 100, a
