@@ -8,19 +8,21 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .program import Program, Rule, Signature
 from .terms import (
     App,
     OPERATION,
     FreshVars,
+    Frozen,
     Position,
     Substitution,
     Symbol,
     Term,
     Var,
+    _put,
     is_variant,
     match,
     replace_at,
@@ -34,33 +36,29 @@ class ProgramClassError(Exception):
     """The program violates the class a strategy or transform needs."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     pattern: App
     rule: Rule  # aligned: rule.lhs is exactly the pattern
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Frozen):
     """A case distinction on the constructor at `position`.
 
     `constructors[i]` is the constructor that child i's pattern has at
-    the inductive position; it is read once, at construction.
+    the inductive position; it is read once, at construction, and takes
+    no part in equality, hashing or printing.
     """
 
-    pattern: App
-    position: Position
-    children: Tuple["DefTree", ...]
-    constructors: Tuple[Symbol, ...] = field(init=False, repr=False,
-                                             compare=False)
+    __slots__ = ("pattern", "position", "children", "constructors")
+    _fields = ("pattern", "position", "children")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constructors", tuple(
-            subterm_at(child.pattern, self.position).root
-            for child in self.children))
-
-    def child_constructor(self, i: int) -> Symbol:
-        return self.constructors[i]
+    def __init__(self, pattern: App, position: Position,
+                 children: Tuple["DefTree", ...]) -> None:
+        _put(self, "pattern", pattern)
+        _put(self, "position", position)
+        _put(self, "children", children)
+        _put(self, "constructors", tuple(
+            subterm_at(child.pattern, position).root for child in children))
 
 
 DefTree = Union[Leaf, Branch]
@@ -187,8 +185,7 @@ def forest(program: Program, tie_break: str = "leftmost"
     return trees, failures
 
 
-@dataclass(frozen=True)
-class ISReport:
+class ISReport(NamedTuple):
     ok: bool
     trees: Dict[str, DefTree]
     failures: Tuple[str, ...]

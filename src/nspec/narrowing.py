@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .deftree import DefTree, Leaf, require_class, require_lazy_class
 from .program import Program, Rule
@@ -48,8 +48,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One narrowing step: rewrite at `position` with a renamed-apart
     `rule` after instantiating by `subst`.
 
@@ -320,14 +319,20 @@ FAILING = "failing"
 INCOMPLETE = "incomplete"
 
 
-@dataclass
 class Node:
-    term: Term
-    status: str = INNER
-    children: List[Tuple[Step, "Node"]] = field(default_factory=list)
-    # How many steps the strategy has here: those of a node that is
-    # expanded, or the count of a frontier node's steps, never built.
-    offered: int = 0
+    """A node of a narrowing tree, filled in as `expand` grows it."""
+
+    __slots__ = ("term", "status", "children", "offered")
+
+    def __init__(self, term: Term, status: str = INNER,
+                 children: Optional[List[Tuple[Step, "Node"]]] = None,
+                 offered: int = 0) -> None:
+        self.term = term
+        self.status = status
+        self.children = [] if children is None else children
+        # How many steps the strategy has here: those of a node that is
+        # expanded, or the count of a frontier node's steps, never built.
+        self.offered = offered
 
     def nodes(self) -> List["Node"]:
         """Every node of the tree in preorder."""
@@ -340,15 +345,13 @@ class Node:
         return out
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     max_steps: int = 25
     max_nodes: int = 2000
     max_solutions: Optional[int] = None
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     root: Node
     answers: List[Tuple[Substitution, Term]]
     complete: bool

@@ -12,7 +12,6 @@ grows S until every call in the output is covered (closed) by S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
@@ -24,11 +23,13 @@ from .terms import (
     CONSTRUCTOR,
     Chain,
     FreshVars,
+    Frozen,
     OPERATION,
     Substitution,
     Symbol,
     Term,
     Var,
+    _put,
     is_constructor_term,
     is_operation_rooted,
     is_root_stable,
@@ -40,20 +41,21 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class UnfoldPolicy:
+class UnfoldPolicy(Frozen):
     """Local control of unfolding: tree depth, embedding whistle, and the
     step strategy driving the expansion."""
 
-    depth: int = 2
-    whistle: bool = True
-    strategy: str = "needed"
+    __slots__ = _fields = ("depth", "whistle", "strategy")
 
-    def __post_init__(self) -> None:
-        if self.depth < 1:
+    def __init__(self, depth: int = 2, whistle: bool = True,
+                 strategy: str = "needed") -> None:
+        if depth < 1:
             raise ValueError("unfold depth must be at least 1")
-        if self.strategy not in ("needed", "lazy"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if strategy not in ("needed", "lazy"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        _put(self, "depth", depth)
+        _put(self, "whistle", whistle)
+        _put(self, "strategy", strategy)
 
 
 def embeds(s: Term, t: Term) -> bool:
@@ -225,8 +227,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
     return root
 
 
-@dataclass(frozen=True)
-class Resultant:
+class Resultant(NamedTuple):
     """One rule sigma(call) -> rhs extracted from a tree path."""
 
     lhs: Term
@@ -405,21 +406,13 @@ def rename_term(rho: Renaming, t: Term) -> Term:
     return Substitution(images).apply(rho.pattern_for(s))
 
 
-@dataclass(frozen=True)
-class PEReport:
+class PEReport(NamedTuple):
     closed: bool
     uncovered: Tuple[Term, ...]
     resultants: Tuple[CallResultants, ...]
 
-    def resultants_for(self, s: Term) -> Tuple[Resultant, ...]:
-        for call, rs in self.resultants:
-            if call == s:
-                return rs
-        raise KeyError(str(s))
 
-
-@dataclass(frozen=True)
-class PEResult:
+class PEResult(NamedTuple):
     program: Program
     renaming: Renaming
     rules: Tuple[Rule, ...]  # the specialized rules, before builtins
@@ -574,8 +567,7 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
     return True
 
 
-@dataclass(frozen=True)
-class PEControlResult:
+class PEControlResult(NamedTuple):
     S: Tuple[Term, ...]
     result: PEResult
     iterations: int

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .terms import (
     App,
     CONSTRUCTOR,
+    Frozen,
     OPERATION,
     Substitution,
     Symbol,
@@ -29,56 +29,65 @@ class ProgramError(Exception):
     """A structurally ill-formed rule, signature, or program."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """A rewrite rule lhs -> rhs.
 
     The left-hand side must not be a variable and must not invent
-    variables on the right.
+    variables on the right.  `variables` are those of the left-hand
+    side, in order of first occurrence.
 
     `source` is the rule this one is a variant of; a rule built from its
-    parts is its own source.  A variant keeps its source and its renaming
-    and builds its parts the first time one of them is read, so a
-    narrowing step that only rewrites with it never builds them.
+    parts is its own source.  A variant keeps its source and either its
+    renaming or, if `renamed` drew it, the new names of the source's
+    variables; it builds its parts and its renaming the first time one
+    of them is read, so a narrowing step that only rewrites with it
+    never builds them.  The fields live in the instance `__dict__`,
+    which holds those parts once built.
     """
 
-    lhs: App
-    rhs: Term
-    label: str = ""
-    # The variables of lhs in order of first occurrence, set on creation.
-    variables: Tuple[Var, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("lhs", "rhs", "label")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
+    def __init__(self, lhs: App, rhs: Term, label: str = "") -> None:
+        if isinstance(lhs, Var):
             raise ProgramError("rule left-hand side must not be a variable")
-        variables = vars_of(self.lhs)
-        extra = set(vars_of(self.rhs)).difference(variables)
+        variables = vars_of(lhs)
+        extra = set(vars_of(rhs)).difference(variables)
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
             raise ProgramError(
-                f"rule {self.lhs} -> {self.rhs} introduces variables {names} "
+                f"rule {lhs} -> {rhs} introduces variables {names} "
                 "on the right-hand side")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "source", self)
+        self.__dict__.update(lhs=lhs, rhs=rhs, label=label,
+                             variables=variables, source=self)
 
     def __getattr__(self, name: str):
         """The parts of a variant, built from its source on the first
         read of one; called only for attributes not set on the rule."""
-        if name not in ("lhs", "rhs", "variables"):
+        if name not in ("lhs", "rhs", "variables", "_renaming"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, theta = self.source, self._renaming
-        parts = dict(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs),
-                     variables=tuple(map(theta.apply, source.variables)))
-        self.__dict__.update(parts)
+        source, parts = self.source, self.__dict__
+        if "_renaming" in parts:
+            theta = parts["_renaming"]
+            variables = tuple(map(theta.apply, source.variables))
+        else:
+            variables = tuple(map(Var, self._names))
+            theta = Substitution._of(dict(zip(source.variables, variables)))
+        parts.update(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs),
+                     variables=variables, _renaming=theta)
         return parts[name]
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
     def renamed(self, gen: FreshVars) -> "Rule":
-        """A variant of this rule with all variables renamed apart."""
-        return self.variant(gen.renaming(self.variables))
+        """A variant of this rule with all variables renamed apart.  Only
+        the new names are drawn (`FreshVars.renaming` without building
+        it); the renaming is built with the variant's parts."""
+        variant = object.__new__(Rule)
+        variant.__dict__.update(label=self.label, source=self.source,
+                                _names=gen._suffixed(self.variables))
+        return variant
 
     def variant(self, theta: Substitution) -> "Rule":
         """This rule under theta, a renaming of its variables.
@@ -86,7 +95,7 @@ class Rule:
         The variant keeps this rule's source and the renaming from it: a
         variant of a variant renames the source once, by the composed
         renaming.  A variant of a valid rule is valid, so the checks of
-        `__post_init__` are not run again.
+        `__init__` are not run again.
         """
         source = self.source
         if source is not self:
@@ -205,16 +214,14 @@ class Program:
         return isinstance(other, Program) and self.structure() == other.structure()
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(NamedTuple):
     rule: str
     other: str
     position: Tuple[int, ...]
     mgu: Substitution
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     left_linear: bool
     constructor_based: bool
     overlaps: Tuple[Overlap, ...]

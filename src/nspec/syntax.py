@@ -20,8 +20,7 @@ exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .program import Program, ProgramError, Rule, Signature
 from .terms import App, CONSTRUCTOR, OPERATION, Symbol, Term, Var
@@ -47,8 +46,7 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -14,7 +14,6 @@ term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -23,39 +22,106 @@ OPERATION = "operation"
 
 ROOT: "Position" = ()
 
+_put = object.__setattr__  # writes a field of a frozen instance, in __init__
 
-@dataclass(frozen=True)
-class Symbol:
+
+class Frozen:
+    """Base of the immutable value classes: assigning or deleting an
+    attribute raises `AttributeError`.  `_fields` names the attributes
+    that `==`, the hash and the printed form read, in that order; a
+    subclass whose values are hot writes its own `__eq__` and
+    `__hash__`."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __hash__(self) -> int:
+        return _hash_values(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields, _values(self)))
+        return f"{self.__class__.__name__}({shown})"
+
+
+def _values(v: Frozen) -> tuple:
+    return tuple([getattr(v, name) for name in v._fields])
+
+
+def _hash_values(v: Frozen) -> int:
+    """The hash of v's fields, left to a helper as in `_hash_bindings`."""
+    return hash(_values(v))
+
+
+class Symbol(Frozen):
     """A declared constructor or operation with a fixed arity."""
 
-    name: str
-    arity: int
-    kind: str
+    __slots__ = ("name", "arity", "kind", "_hash")
+    _fields = ("name", "arity", "kind")
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError(f"negative arity for symbol {self.name!r}")
-        if self.kind not in (CONSTRUCTOR, OPERATION):
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+    def __init__(self, name: str, arity: int, kind: str) -> None:
+        if arity < 0:
+            raise ValueError(f"negative arity for symbol {name!r}")
+        if kind not in (CONSTRUCTOR, OPERATION):
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        _put(self, "name", name)
+        _put(self, "arity", arity)
+        _put(self, "kind", kind)
+        _put(self, "_hash", hash((name, arity, kind)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return (self.name == other.name and self.arity == other.arity
+                and self.kind == other.kind)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    """A variable; its hash, the hash of its name, is computed once."""
+
+    __slots__ = ("name", "_hash")
+    _fields = ("name",)
 
     # The facts `App` caches, as they hold for every variable.
     ground = False
     constructor_term = True
 
+    def __init__(self, name: str) -> None:
+        _put(self, "name", name)
+        _put(self, "_hash", hash(name))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class App:
+class App(Frozen):
     """A symbol applied to its arguments.
 
     Two facts are computed from the arguments once, at construction,
@@ -63,16 +129,12 @@ class App:
     variable occurs) and `constructor_term` (no operation occurs).
     Walkers use them to skip whole subterms.  The hash is computed on
     first use (few terms are ever hashed) and kept in `_hash`; it is
-    the hash of `(root, args)`, as a generated one would be, but found
-    bottom-up by a loop (`_hash_app`), so a term of any depth can be
-    hashed.
+    the hash of `(root, args)`, found bottom-up by a loop
+    (`_hash_app`), so a term of any depth can be hashed.
     """
 
-    root: Symbol
-    args: Tuple["Term", ...] = ()
-    ground: bool = field(init=False, repr=False, compare=False)
-    constructor_term: bool = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("root", "args", "ground", "constructor_term", "_hash")
+    _fields = ("root", "args")
 
     def __init__(self, root: Symbol, args: Tuple["Term", ...] = ()) -> None:
         if len(args) != root.arity:
@@ -84,13 +146,10 @@ class App:
                 ground = False
             if not a.constructor_term:
                 constructor_term = False
-        # Frozen and slotted (terms are many): each field is written
-        # once, here, past the frozen __setattr__.
-        put = object.__setattr__
-        put(self, "root", root)
-        put(self, "args", args)
-        put(self, "ground", ground)
-        put(self, "constructor_term", constructor_term)
+        _put(self, "root", root)
+        _put(self, "args", args)
+        _put(self, "ground", ground)
+        _put(self, "constructor_term", constructor_term)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality, from an explicit stack of application
@@ -140,6 +199,11 @@ class App:
                     stack[-1] = "("
         return "".join(out)
 
+    def __repr__(self) -> str:
+        """The term as text, inside `App(...)`: printing loops, so a
+        term of any depth can be shown."""
+        return f"App({self.__str__()!r})"
+
 
 Term = Union[Var, App]
 Position = Tuple[int, ...]
@@ -154,18 +218,13 @@ def _hash_app(t: App) -> int:
         for a in u.args:
             if isinstance(a, App) and getattr(a, "_hash", None) is None:
                 unhashed.append(a)
-    put = object.__setattr__
     for u in reversed(unhashed):
-        put(u, "_hash", hash((u.root, u.args)))
+        _put(u, "_hash", hash((u.root, u.args)))
     return t._hash
 
 
 def is_operation_rooted(t: Term) -> bool:
     return isinstance(t, App) and t.root.kind == OPERATION
-
-
-def is_constructor_rooted(t: Term) -> bool:
-    return isinstance(t, App) and t.root.kind == CONSTRUCTOR
 
 
 def is_root_stable(t: Term) -> bool:
@@ -529,19 +588,22 @@ def is_variant(s: Term, t: Term) -> bool:
     return match(s, t) is not None and match(t, s) is not None
 
 
-@dataclass(frozen=True)
-class Succ:
-    subst: Substitution
+class Succ(Frozen):
+    __slots__ = _fields = ("subst",)
+
+    def __init__(self, subst: Substitution) -> None:
+        _put(self, "subst", subst)
 
 
-@dataclass(frozen=True)
-class Fail:
-    pass
+class Fail(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Demand:
-    positions: Tuple[Position, ...]
+class Demand(Frozen):
+    __slots__ = _fields = ("positions",)
+
+    def __init__(self, positions: Tuple[Position, ...]) -> None:
+        _put(self, "positions", positions)
 
 
 LUResult = Union[Succ, Fail, Demand]

@@ -236,6 +236,14 @@ def eager_leaves(root):
     return out
 
 
+def resultants_for(report, call):
+    """The resultants that a `PEReport` holds for the specialized call."""
+    for s, rs in report.resultants:
+        if s == call:
+            return rs
+    raise KeyError(str(call))
+
+
 def steps_view(steps, goal_vars):
     """(position, rule label, answer-relevant substitution) per step,
     canonically renamed for golden comparisons."""

@@ -72,8 +72,8 @@ class TestBuildTree:
     def test_child_constructor(self, leq_prog):
         tree = build_tree(leq_prog.signature.get("leq"),
                           leq_prog.rules_for("leq"))
-        assert str(tree.child_constructor(0)) == "0/0"
-        assert str(tree.child_constructor(1)) == "s/1"
+        assert str(tree.constructors[0]) == "0/0"
+        assert str(tree.constructors[1]) == "s/1"
 
     @pytest.mark.parametrize("name", sorted(
         p.stem for p in (Path(__file__).parent / "data").glob("*.flp")))
@@ -87,7 +87,7 @@ class TestBuildTree:
                 node = stack.pop()
                 if isinstance(node, Branch):
                     branches += 1
-                    assert [node.child_constructor(i)
+                    assert [node.constructors[i]
                             for i in range(len(node.children))] == [
                         subterm_at(child.pattern, node.position).root
                         for child in node.children]

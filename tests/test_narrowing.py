@@ -77,6 +77,30 @@ def goal(prog, text):
 X = Var("X")
 
 
+def _a_step():
+    """A step built from scratch, the same each time."""
+    f = Symbol("f", 1, "operation")
+    rule = Rule(App(f, (Var("X_1"),)), Var("X_1"), "R1")
+    sigma = Substitution({Var("Y"): App(Symbol("0", 0, "constructor"))})
+    return Step((1,), rule, sigma, (sigma,))
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make", [
+        Bounds, lambda: Bounds(10, max_solutions=3), _a_step],
+        ids=["Bounds", "Bounds-args", "Step"])
+    def test_separately_built_records_are_equal_and_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+
+    def test_bounds_defaults(self):
+        assert Bounds() == Bounds(max_steps=25, max_nodes=2000, max_solutions=None)
+
+    def test_a_step_prints_its_label(self):
+        assert str(_a_step()) == "([1], R1, {Y -> 0})"
+
+
 class TestNeededSteps:
     def test_two_steps_for_leq_of_add(self, leq_prog, leq_trees):
         steps = nns(goal(leq_prog, "leq(X, add(X, X))"), leq_trees, FreshVars())
@@ -760,11 +784,14 @@ class TestCountingSteps:
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_frontier_steps_are_not_built(self, monkeypatch, leq_prog, strategy):
         """At max_steps 1 only the root is expanded: only its two steps
-        draw a rule variant, and the lazy ones alone are solved."""
+        draw a rule variant (needed steps through `Rule.renamed`, lazy
+        ones through `Rule.variant`), and the lazy ones alone are solved."""
         variants, solved = [], []
-        variant, solve = Rule.variant, narrowing._solve
+        variant, renamed, solve = Rule.variant, Rule.renamed, narrowing._solve
         monkeypatch.setattr(Rule, "variant", lambda rule, theta: (
             variants.append(rule), variant(rule, theta))[1])
+        monkeypatch.setattr(Rule, "renamed", lambda rule, gen: (
+            variants.append(rule), renamed(rule, gen))[1])
         monkeypatch.setattr(narrowing, "_solve", lambda pairs: (
             solved.append(pairs), solve(pairs))[1])
         result = search(goal(leq_prog, "leq(add(X, Y), Z)"), leq_prog,

@@ -13,6 +13,7 @@ from conftest import (
     generic_calls,
     load,
     random_program,
+    resultants_for,
 )
 from nspec import peval
 from nspec.deftree import ProgramClassError, is_inductively_sequential
@@ -63,6 +64,18 @@ class TestUnfoldPolicy:
     def test_defaults(self):
         policy = UnfoldPolicy()
         assert (policy.depth, policy.whistle, policy.strategy) == (2, True, "needed")
+
+    @pytest.mark.parametrize("args", [{}, {"depth": 3, "whistle": False,
+                                          "strategy": "lazy"}])
+    def test_equal_policies_hash_alike(self, args):
+        a, b = UnfoldPolicy(**args), UnfoldPolicy(**args)
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != UnfoldPolicy(depth=a.depth + 1)
+
+    def test_assignment_raises(self):
+        with pytest.raises(AttributeError):
+            UnfoldPolicy().depth = 3
 
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -1009,7 +1022,7 @@ class TestUnfoldCache:
         assert [str(s) for s in outcome.S] == [
             "append(append(Xs, Ys), Zs)", "append(V7, Zs)"]
         assert (outcome.unfolds_built, outcome.unfolds_reused) == (3, 0)
-        assert [str(r.rhs) for r in outcome.result.report.resultants_for(root)
+        assert [str(r.rhs) for r in resultants_for(outcome.result.report, root)
                 ] == ["append(Ys, Zs)", "cons(V2, append(append(V3, Ys), Zs))"]
 
     def test_unchanged_calls_are_reused(self, double_prog):

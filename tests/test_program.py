@@ -11,7 +11,7 @@ from nspec.program import (
     validate,
 )
 from nspec.syntax import parse_program
-from nspec.terms import App, FreshVars, Symbol, Var
+from nspec.terms import App, FreshVars, Substitution, Symbol, Var
 
 
 ZERO = Symbol("0", 0, "constructor")
@@ -53,6 +53,40 @@ class TestRule:
         assert str(variant) == "g(Y_1, X_1) -> f(X_1)"
         with pytest.raises(AttributeError, match="no attribute 'other'"):
             variant.other
+
+    def test_the_renaming_of_a_variant_is_built_on_the_first_read(self):
+        r = Rule(App(Symbol("g", 2, "operation"), (Y, X)), App(F1, (X,)), "R1")
+        variant = r.renamed(FreshVars())
+        assert "_renaming" not in vars(variant)
+        assert variant.rhs == App(F1, (Var("X_1"),))
+        assert vars(variant)["_renaming"] == Substitution(
+            {Y: Var("Y_1"), X: Var("X_1")})
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_a_variant_equals_the_rule_built_from_its_parts(self, lazy):
+        g = Symbol("g", 2, "operation")
+        source = Rule(App(g, (Y, X)), App(F1, (X,)), "R1")
+        variant = source.renamed(FreshVars()) if lazy else source
+        names = ("Y_1", "X_1") if lazy else ("Y", "X")
+        y, x = map(Var, names)
+        built = Rule(App(g, (y, x)), App(F1, (x,)), "R1")
+        assert variant is not built
+        assert variant == built and not variant != built
+        assert hash(variant) == hash(built)
+        assert repr(variant) == repr(built) == (
+            f"Rule(lhs=App('g({y}, {x})'), rhs=App('f({x})'), label='R1')")
+
+    @pytest.mark.parametrize("name", ["lhs", "rhs", "label", "variables", "other"])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_assignment_raises(self, name, lazy):
+        rule = Rule(App(F1, (X,)), X, "R1")
+        if lazy:
+            rule = rule.renamed(FreshVars())
+        with pytest.raises(AttributeError):
+            setattr(rule, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rule, name)
+        assert str(rule) in ("f(X) -> X", "f(X_1) -> X_1")
 
     def test_variables_in_order_of_first_occurrence(self):
         g = Symbol("g", 2, "operation")

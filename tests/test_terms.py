@@ -98,6 +98,50 @@ class TestSymbolsAndTerms:
         assert num(1) != num(2)
 
 
+# Builders of values that are equal each time, one per value class.
+EQUAL_VALUES = {
+    "Var": lambda: Var("X"),
+    "Symbol": lambda: Symbol("s", 1, "constructor"),
+    "App": lambda: leq(Var("X"), add(num(1), Var("Y"))),
+    "Demand": lambda: Demand(((1,), (2, 1))),
+    "Fail": Fail,
+}
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("make", EQUAL_VALUES.values(), ids=EQUAL_VALUES)
+    def test_separately_built_values_are_equal_and_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("a, b", [
+        (Var("X"), Var("Y")), (S, Symbol("s", 1, "operation")),
+        (num(1), num(2)), (X, num(0)),
+        (Demand(((1,),)), Demand(((2,),))), (Fail(), Demand(((1,),)))])
+    def test_different_values_differ(self, a, b):
+        assert a != b and b != a
+
+    def test_a_variable_is_not_its_name(self):
+        assert Var("X") != "X" and "X" != Var("X")
+
+    @pytest.mark.parametrize("value, name", [
+        (Var("X"), "name"), (S, "arity"), (num(1), "args"), (num(1), "ground"),
+        (Var("X"), "other")])
+    def test_assignment_raises(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+    def test_printed_forms(self):
+        assert repr(X) == "Var(name='X')"
+        assert repr(S) == "Symbol(name='s', arity=1, kind='constructor')"
+        assert repr(add(X, num(1))) == "App('add(X, s(0))')"
+        assert repr(Demand(((1,),))) == "Demand(positions=((1,),))"
+        assert repr(num(sys.getrecursionlimit() + 10)).startswith("App('s(s(")
+
+
 class TestPositions:
     def test_subterms_preorder(self):
         t = leq(X, add(num(0), Y))
