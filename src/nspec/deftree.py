@@ -60,6 +60,27 @@ class Branch(Frozen):
         _put(self, "constructors", tuple(
             subterm_at(child.pattern, position).root for child in children))
 
+    def __repr__(self) -> str:
+        """The `Frozen` form, written from an explicit stack: a tree of
+        any depth has a repr."""
+        parts: List[str] = []
+        stack: List[object] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Leaf):
+                parts.append(f"Leaf(pattern={item.pattern!r}, rule={item.rule!r})")
+            else:
+                parts.append(f"Branch(pattern={item.pattern!r}, "
+                             f"position={item.position!r}, children=(")
+                stack.append(",))" if len(item.children) == 1 else "))")
+                for i in range(len(item.children) - 1, -1, -1):
+                    stack.append(item.children[i])
+                    if i:
+                        stack.append(", ")
+        return "".join(parts)
+
 
 DefTree = Union[Leaf, Branch]
 

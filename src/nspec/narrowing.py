@@ -6,8 +6,9 @@ by linear unification against every rule, descending into demanded
 positions.  Both descents, and the redex search of rewriting, loop over
 explicit stacks, so nested calls are limited by memory, not by the
 recursion limit.  `expand` grows the narrowing tree of a term under
-either strategy with an explicit stack, and only counts the steps of a
-node that a bound stops; two leaf policies use it.  `search`
+either strategy with an explicit stack, decides each node's fate once
+(`Node.cause`), and only counts the steps of a node that a bound stops;
+two leaf policies use it.  `search`
 bounds it by `Bounds` and collects (answer, constructor term) pairs at
 the success leaves; `peval.unfold` bounds it by the unfold depth and
 cuts it with the partial evaluator's local control.
@@ -318,21 +319,44 @@ SUCCESS = "success"
 FAILING = "failing"
 INCOMPLETE = "incomplete"
 
+# The causes of an incomplete leaf: the bounds of `expand` (tree depth,
+# node budget, solution cap), then those of a local-control callback
+# (a constructor-rooted term, a variant of a stop term, the whistle).
+DEPTH = "depth"
+BUDGET = "budget"
+CAP = "cap"
+ROOT_STABLE = "root-stable"
+STOP = "stop"
+WHISTLE = "whistle"
+
+# The status of a node, read off its cause; None is a node being expanded.
+STATUS_OF = {None: INNER, SUCCESS: SUCCESS, FAILING: FAILING,
+             **dict.fromkeys((DEPTH, BUDGET, CAP, ROOT_STABLE, STOP, WHISTLE),
+                             INCOMPLETE)}
+
 
 class Node:
-    """A node of a narrowing tree, filled in as `expand` grows it."""
+    """A node of a narrowing tree, filled in as `expand` grows it.
 
-    __slots__ = ("term", "status", "children", "offered")
+    `cause` is the node's fate, decided once: None while it is expanded,
+    `SUCCESS`, `FAILING`, or why it stayed incomplete.  A node that a
+    bound stopped after some of its steps were applied has children and
+    the cause `BUDGET` or `CAP`."""
 
-    def __init__(self, term: Term, status: str = INNER,
-                 children: Optional[List[Tuple[Step, "Node"]]] = None,
-                 offered: int = 0) -> None:
+    __slots__ = ("term", "cause", "children", "offered")
+
+    def __init__(self, term: Term) -> None:
         self.term = term
-        self.status = status
-        self.children = [] if children is None else children
+        self.cause: Optional[str] = None
+        self.children: List[Tuple[Step, Node]] = []
         # How many steps the strategy has here: those of a node that is
         # expanded, or the count of a frontier node's steps, never built.
-        self.offered = offered
+        self.offered = 0
+
+    @property
+    def status(self) -> str:
+        """`INNER`, `SUCCESS`, `FAILING` or `INCOMPLETE`, from the cause."""
+        return STATUS_OF[self.cause]
 
     def nodes(self) -> List["Node"]:
         """Every node of the tree in preorder."""
@@ -411,22 +435,22 @@ def expand(term: Term, program: Program, strategy: str,
            trees: Dict[str, DefTree], gen: Optional[FreshVars],
            max_depth: int, max_nodes: float = math.inf,
            max_solutions: Optional[int] = None,
-           cut: Optional[Callable[[Term, List[Term]], bool]] = None,
+           cut: Optional[Callable[[Node, List[Term]], Optional[str]]] = None,
            ) -> Tuple[Node, List[Tuple[Node, Chain]], bool]:
     """Grow the narrowing tree of a term depth-first, children in step
     order, from an explicit stack: tree depth is limited by the bounds,
     not by Python's recursion limit.
 
-    A new node is classified in this order: a constructor term is a
-    success leaf; `cut(term, ancestors)`, given the ancestor terms root
-    first (a list it must not keep), makes it an incomplete leaf; a term
-    without steps is a failing leaf; at `max_depth`, once
-    `max_solutions` success leaves were found, or once the node budget
-    is spent, it is an incomplete leaf.  Such a frontier node's steps
-    are counted, not built (`Node.offered`); `gen` draws the same names
-    either way.  At most `max_nodes` nodes are created; a node whose
-    expansion the node budget or the solution cap stops is incomplete
-    too.
+    Each new node's `Node.cause` is decided once, in this order: a
+    constructor term is a `SUCCESS` leaf; `cut(node, ancestors)`, given
+    the ancestor terms root first (a list it must not keep), returns an
+    incomplete leaf's cause or None; a term without steps is a `FAILING`
+    leaf; at `max_depth` (`DEPTH`), once the node budget is spent
+    (`BUDGET`) or once `max_solutions` success leaves were found (`CAP`),
+    an incomplete one, whose steps are counted, not built (`Node.offered`;
+    `gen` draws the same names either way).  At most `max_nodes` nodes
+    are created; a node whose expansion the budget or the cap stops
+    keeps its children and gets that cause too.
 
     Returns the root, the success leaves in the order found with the
     `Chain` of step substitutions on their path, and whether no node is
@@ -441,62 +465,62 @@ def expand(term: Term, program: Program, strategy: str,
     root = Node(term)
     successes: List[Tuple[Node, Chain]] = []
     budget = max_nodes - 1
+    cap = math.inf if max_solutions is None else max_solutions
     complete = True
     # The stack holds the path from the root to the node being expanded,
     # and `path` the terms of its nodes, root first.
     stack: List[Tuple[Node, Iterator[Step], Chain]] = []
     path: List[Term] = []
 
-    def enough_solutions() -> bool:
-        return max_solutions is not None and len(successes) >= max_solutions
+    def bound() -> Optional[str]:
+        """The bound that stops all further expansion, if any."""
+        if budget <= 0:
+            return BUDGET
+        return CAP if len(successes) >= cap else None
 
     def visit(node: Node, chain: Chain) -> None:
-        """Classify a new node; push it if it is inner."""
+        """Decide a new node's cause; push it if it is expanded."""
         nonlocal complete
         t = node.term
         if is_constructor_term(t):
-            node.status = SUCCESS
+            node.cause = SUCCESS
             successes.append((node, chain))
             return
-        if cut is not None and cut(t, path):
-            node.status = INCOMPLETE
-            complete = False
-            return
-        if len(stack) >= max_depth or budget <= 0 or enough_solutions():
-            node.offered = strategy_steps(t, program, strategy, trees, gen,
-                                          count=True)
-            if node.offered:
-                node.status = INCOMPLETE
-                complete = False
+        cause = None if cut is None else cut(node, path)
+        if cause is None:
+            cause = DEPTH if len(stack) >= max_depth else bound()
+            if cause is None:
+                steps = strategy_steps(t, program, strategy, trees, gen)
+                node.offered = len(steps)
+                if steps:
+                    stack.append((node, iter(steps), chain))
+                    path.append(t)
+                    return
             else:
-                node.status = FAILING
-            return
-        steps = strategy_steps(t, program, strategy, trees, gen)
-        node.offered = len(steps)
-        if not steps:
-            node.status = FAILING
-            return
-        stack.append((node, iter(steps), chain))
-        path.append(t)
+                node.offered = strategy_steps(t, program, strategy, trees, gen,
+                                              count=True)
+            if not node.offered:
+                node.cause = FAILING
+                return
+        node.cause = cause
+        complete = False
 
     visit(root, None)
     while stack:
         node, pending, chain = stack[-1]
         step = next(pending, None)
-        if step is None:
-            stack.pop()
-            path.pop()
-            continue
-        if budget <= 0 or enough_solutions():
-            node.status = INCOMPLETE
+        if step is not None:
+            cause = bound()
+            if cause is None:
+                budget -= 1
+                child = Node(narrow(node.term, step))
+                node.children.append((step, child))
+                visit(child, (step.subst, chain))
+                continue
+            node.cause = cause
             complete = False
-            stack.pop()
-            path.pop()
-            continue
-        budget -= 1
-        child = Node(narrow(node.term, step))
-        node.children.append((step, child))
-        visit(child, (step.subst, chain))
+        stack.pop()
+        path.pop()
     return root, successes, complete
 
 
@@ -536,12 +560,9 @@ def deterministically_evaluable(t: Term, program: Program,
     narrowing tree has at most one step.
     """
     result = search(t, program, "needed", bounds)
-    nodes = result.root.nodes()
-    if any(node.offered > 1 for node in nodes):
+    if any(node.offered > 1 for node in result.root.nodes()):
         return False
-    if not result.complete or any(n.status == INCOMPLETE for n in nodes):
-        return None
-    return True
+    return True if result.complete else None
 
 
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000

@@ -16,7 +16,7 @@ from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
 from .deftree import DefTree, require_class
-from .narrowing import FAILING, Node, Step, expand
+from .narrowing import DEPTH, FAILING, ROOT_STABLE, STOP, WHISTLE, Node, Step, expand
 from .program import AND, EQ, Program, Rule, Signature, add_strict_equality
 from .terms import (
     App,
@@ -161,69 +161,64 @@ _UNFOLD_CLASS = ("unfolding with needed narrowing requires an inductively "
 
 
 def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
-           stop: Sequence[Term] = (), gen: Optional[FreshVars] = None,
+           gen: Optional[FreshVars] = None,
            trees: Optional[Dict[str, DefTree]] = None,
-           stop_keys: Optional[AbstractSet[Term]] = None,
+           stop_keys: AbstractSet[Term] = frozenset(),
            probes: Optional[List[Tuple[Term, bool]]] = None) -> Node:
     """Finite narrowing tree of an operation-rooted call: the tree of
-    `narrowing.expand`, bounded by the unfold depth and cut by the rules
-    below.  `trees` are what `deftree.require_class` returned for the
-    program and the policy's strategy; without them, unfold runs that
-    gate itself.  `stop_keys` are the variant keys of `stop`, for a
-    caller that unfolds many calls against one stop set; `probes`
-    receives (key, whether it is a stop key) for every stop test whose
-    answer shapes the tree: the stop set reaches the tree only through
-    these tests, so an unfold against another stop set on which they
-    all answer the same gives the same resultants, fresh names included.
+    `narrowing.expand`, bounded by the unfold depth and cut by the local
+    control below.  `trees` are what `deftree.require_class` returned
+    for the program and the policy's strategy; without them, unfold runs
+    that gate itself.  `stop_keys` are the variant keys of the stop
+    terms.
 
-    A stop test is left out of `probes` when it missed at a node on the
-    depth bound that has steps, and no later node in preorder applies a
-    step.  Such a node is an incomplete leaf whether it is cut or not;
-    a cut only spares the fresh names its steps draw, and these reach a
-    resultant only through the steps of a later node.  Knowing that a
-    node has steps is not enough without the last condition: the names
-    drawn after it would shift.
+    The root is always expanded.  A non-root node becomes an incomplete
+    leaf when its term is constructor root-stable (`ROOT_STABLE`; such
+    terms are never narrowed at the root or below it here), or a variant
+    of a stop term (`STOP`), or, with the whistle on, some non-root
+    ancestor on its path embeds into it (`WHISTLE`); the root call is
+    exempt from the whistle, since it must contribute at least one step
+    and its proper subcalls routinely embed it.  Then `expand`'s depth
+    bound applies, and nodes without steps are failing leaves.
 
-    The root is always expanded.  A non-root node becomes a leaf when its
-    term is constructor root-stable (success if it is a constructor term,
-    incomplete otherwise — such terms are never narrowed at the root or
-    below it here), or a variant of a stop term, or — with the whistle
-    on — some non-root ancestor on its path embeds into it, or the depth
-    bound is reached.  Nodes without steps are failing leaves.
-
-    The root call itself is exempt from the whistle: it must contribute
-    at least one step, and its proper subcalls routinely embed it.
+    `probes` receives (key, whether it is a stop key) for every stop
+    test whose answer shapes the tree: the stop set reaches the tree
+    only through these tests, so an unfold against another stop set on
+    which they all answer the same gives the same resultants, fresh
+    names included.  A test is left out when its node ended with the
+    cause `DEPTH` after the last node that applied a step: that node is
+    an incomplete leaf whether it is cut or not, and a cut only spares
+    the fresh names its steps draw, which reach a resultant only through
+    the steps of a later node.
     """
     if not is_operation_rooted(call):
         raise ValueError(f"can only unfold operation-rooted terms, got {call}")
     if trees is None:
         trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
-    if stop_keys is None:
-        stop_keys = {variant_key(s) for s in stop}
-    tests: List[Tuple[Term, bool, bool]] = []  # (key, hit, on the bound)
+    tests: List[Tuple[Term, bool, Node]] = []  # in the order nodes are made
 
-    def cut(t: Term, ancestors: List[Term]) -> bool:
+    def cut(node: Node, ancestors: List[Term]) -> Optional[str]:
+        t = node.term
         if is_root_stable(t):
-            return True
+            return ROOT_STABLE
         if not ancestors:
-            return False
+            return None
         key = variant_key(t)
         hit = key in stop_keys
-        if probes is not None:
-            tests.append((key, hit, len(ancestors) >= policy.depth))
-        return hit or policy.whistle and any(embeds(a, t) for a in ancestors[1:])
+        tests.append((key, hit, node))
+        if hit:
+            return STOP
+        if policy.whistle and any(embeds(a, t) for a in ancestors[1:]):
+            return WHISTLE
+        return None
 
     root, _, _ = expand(call, program, policy.strategy, trees, gen,
                         policy.depth, cut=cut)
     if probes is not None:
-        # Nodes are made in preorder, and each operation-rooted one below
-        # the root was tested as it was made.
-        tested = [node for node in root.nodes()[1:] if is_operation_rooted(node.term)]
-        last_inner = max((j for j, node in enumerate(tested) if node.children),
-                         default=-1)
-        probes.extend((key, hit) for j, (key, hit, on_bound) in enumerate(tests)
-                      if hit or not on_bound or not tested[j].offered
-                      or j < last_inner)
+        last = max((j for j, (_, _, node) in enumerate(tests) if node.children),
+                   default=-1)
+        probes.extend((key, hit) for j, (key, hit, node) in enumerate(tests)
+                      if j < last or node.cause != DEPTH)
     return root
 
 
@@ -258,13 +253,13 @@ def resultants(tree: Node) -> List[Resultant]:
         if node.children:
             stack.extend((child, (step.subst, chain), path + (step,))
                          for step, child in reversed(node.children))
-        elif node.status != FAILING and path:
+        elif node.cause != FAILING and path:
             sigma = resolve_chain(chain, call_vars)
             out.append(Resultant(sigma.apply(call), node.term, call, path, sigma))
     return out
 
 
-def _may_match(S: Sequence[Term], t: App) -> List[Term]:
+def _may_match(S: Iterable[Term], t: App) -> List[Term]:
     """The elements of S that can match t: `match` fails anyway on a
     root clash, and on an argument of s that is an application where t
     has a variable or another root."""
@@ -307,41 +302,13 @@ def closed(S: Sequence[Term], t: Term) -> bool:
     return check(t)
 
 
-class Renaming:
-    """An independent renaming: each specialized term maps to a fresh
-    operation applied to the term's distinct variables."""
-
-    def __init__(self, pairs: Iterable[Tuple[Term, App]] = ()):
-        self._pairs: Dict[Term, App] = dict(pairs)
-
-    def terms(self) -> Tuple[Term, ...]:
-        return tuple(self._pairs)
-
-    def pattern_for(self, s: Term) -> App:
-        return self._pairs[s]
-
-    def symbols(self) -> Tuple[Symbol, ...]:
-        return tuple(p.root for p in self._pairs.values())
-
-    def items(self) -> Tuple[Tuple[Term, App], ...]:
-        return tuple(self._pairs.items())
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, s: Term) -> bool:
-        return s in self._pairs
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{s} |-> {p}" for s, p in self._pairs.items())
-        return "{" + inner + "}"
-
-
-def independent_renaming(S: Sequence[Term], signature: Signature) -> Renaming:
-    """Fresh pattern rootname_peK(x1..xn) for the K-th element of S,
-    over its distinct variables in order of first occurrence; K counts
-    globally and skips names already declared."""
-    pairs: List[Tuple[Term, App]] = []
+def independent_renaming(S: Sequence[Term], signature: Signature
+                         ) -> Dict[Term, App]:
+    """An independent renaming: the fresh pattern rootname_peK(x1..xn)
+    of the K-th element of S, over its distinct variables in order of
+    first occurrence; K counts globally and skips names already
+    declared."""
+    rho: Dict[Term, App] = {}
     taken: Set[str] = set()
     k = 0
     for s in S:
@@ -355,11 +322,11 @@ def independent_renaming(S: Sequence[Term], signature: Signature) -> Renaming:
                 break
         taken.add(name)
         sym = Symbol(name, len(variables), OPERATION)
-        pairs.append((s, App(sym, variables)))
-    return Renaming(pairs)
+        rho[s] = App(sym, variables)
+    return rho
 
 
-def _covering(S: Sequence[Term], t: App) -> Optional[Tuple[Term, Substitution]]:
+def _covering(S: Iterable[Term], t: App) -> Optional[Tuple[Term, Substitution]]:
     """The most specific element s of S that t is an instance of, with
     the matcher of s onto t; ties go to the earliest s.  None when t is
     an instance of no element."""
@@ -376,13 +343,7 @@ def _covering(S: Sequence[Term], t: App) -> Optional[Tuple[Term, Substitution]]:
     return None
 
 
-def _most_specific_match(S: Sequence[Term], t: App) -> Optional[Term]:
-    """The element of S that `_covering` finds, without its matcher."""
-    found = _covering(S, t)
-    return found and found[0]
-
-
-def rename_term(rho: Renaming, t: Term) -> Term:
+def rename_term(rho: Dict[Term, App], t: Term) -> Term:
     """The deterministic renaming of a term under rho.
 
     Variables stay; constructor applications are renamed argument-wise;
@@ -396,14 +357,14 @@ def rename_term(rho: Renaming, t: Term) -> Term:
         return t
     if t.root.kind == CONSTRUCTOR:
         return App(t.root, tuple(rename_term(rho, a) for a in t.args))
-    found = _covering(rho.terms(), t)
+    found = _covering(rho, t)
     if found is None:
         if t.root.name in (EQ, AND):
             return App(t.root, tuple(rename_term(rho, a) for a in t.args))
         return t
     s, theta = found
     images = {x: rename_term(rho, img) for x, img in theta.mapping.items()}
-    return Substitution(images).apply(rho.pattern_for(s))
+    return Substitution(images).apply(rho[s])
 
 
 class PEReport(NamedTuple):
@@ -414,7 +375,7 @@ class PEReport(NamedTuple):
 
 class PEResult(NamedTuple):
     program: Program
-    renaming: Renaming
+    renaming: Dict[Term, App]
     rules: Tuple[Rule, ...]  # the specialized rules, before builtins
     report: PEReport
 
@@ -470,13 +431,13 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     new_rules: List[Rule] = []
     for s, rs in per_call:
         for r in rs:
-            lhs = r.subst.apply(rho.pattern_for(s))
+            lhs = r.subst.apply(rho[s])
             rhs = rename_term(rho, r.rhs)
             new_rules.append(Rule(lhs, rhs, f"P{len(new_rules) + 1}"))
 
     signature = Signature(program.signature.constructors())
-    for sym in rho.symbols():
-        signature.declare(sym)
+    for p in rho.values():
+        signature.declare(p.root)
     for rule in new_rules:
         for t in (rule.lhs, rule.rhs):
             for _, u in subterms(t):
@@ -486,7 +447,7 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     specialized = tuple(new_rules)
     out = add_strict_equality(Program(signature, specialized))
 
-    targets = [p for _, p in rho.items()]
+    targets = list(rho.values())
     uncovered: List[Term] = []
     for rule in specialized:
         if not closed(targets, rule.rhs):

@@ -20,8 +20,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 CONSTRUCTOR = "constructor"
 OPERATION = "operation"
 
-ROOT: "Position" = ()
-
 _put = object.__setattr__  # writes a field of a frozen instance, in __init__
 
 
@@ -260,11 +258,6 @@ def is_constructor_term(t: Term) -> bool:
     return t.constructor_term
 
 
-def is_pattern(t: Term) -> bool:
-    """A pattern is an operation applied to constructor terms."""
-    return is_operation_rooted(t) and all(is_constructor_term(a) for a in t.args)
-
-
 def term_size(t: Term) -> int:
     """Number of variable and symbol occurrences in t."""
     return sum(1 for _ in _preorder(t))
@@ -320,15 +313,6 @@ def replace_at(t: Term, pos: Sequence[int], s: Term) -> Term:
     for u, i in reversed(list(zip(_path(t, pos), pos))):
         s = App(u.root, u.args[:i - 1] + (s,) + u.args[i:])
     return s
-
-
-def position_prefix(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True iff p is a (not necessarily proper) prefix of q."""
-    return len(p) <= len(q) and tuple(q[:len(p)]) == tuple(p)
-
-
-def positions_disjoint(p: Sequence[int], q: Sequence[int]) -> bool:
-    return not position_prefix(p, q) and not position_prefix(q, p)
 
 
 class Substitution:
@@ -403,12 +387,6 @@ class Substitution:
     def restrict(self, variables: Iterable[Var]) -> "Substitution":
         keep = set(variables)
         return Substitution({x: t for x, t in self._map.items() if x in keep})
-
-    def is_idempotent(self) -> bool:
-        rng_vars = set()
-        for t in self._map.values():
-            rng_vars.update(vars_of(t))
-        return rng_vars.isdisjoint(self._map)
 
 
 IDENTITY = Substitution()

@@ -212,6 +212,14 @@ def is_instance_of(general: Substitution, special: Substitution, variables) -> b
     return match(wide, narrow_) is not None
 
 
+def is_idempotent(sigma: Substitution) -> bool:
+    """Whether no variable of sigma's domain occurs in its images."""
+    image_vars = set()
+    for t in sigma.mapping.values():
+        image_vars.update(vars_of(t))
+    return image_vars.isdisjoint(sigma.mapping)
+
+
 def eager_leaves(root):
     """(leaf, arcs, composed substitution) for every leaf of a narrowing
     tree, in preorder.  The substitution is the left fold
@@ -228,7 +236,7 @@ def eager_leaves(root):
             sigma = step.subst
             touched = set(sigma.domain()).union(
                 *(vars_of(sigma.apply(x)) for x in sigma.domain()))
-            assert sigma.is_idempotent() and not touched & bound, step
+            assert is_idempotent(sigma) and not touched & bound, step
             walk(child, path + (step,), compose(sigma, acc),
                  bound | set(sigma.domain()))
 

@@ -22,6 +22,7 @@ from nspec.program import Rule
 from nspec.syntax import parse_program, print_program
 from nspec.terms import (
     App,
+    Frozen,
     Symbol,
     Var,
     is_variant,
@@ -187,6 +188,28 @@ class TestTieBreak:
         deep = tree(600, "leftmost")
         assert trees_isomorphic(deep, tree(600, "rightmost"))
         assert not trees_isomorphic(deep, tree(599, "leftmost"))
+
+
+class TestRepr:
+    def test_repr_is_the_field_form(self, leq_prog):
+        for name in ("leq", "add", "eq"):
+            tree = build_tree(leq_prog.signature.get(name), leq_prog.rules_for(name))
+            assert repr(tree) == Frozen.__repr__(tree)
+        one_child = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                  "f(s(X)) -> 0 ;")
+        tree = build_tree(one_child.signature.get("f"), one_child.rules_for("f"))
+        assert len(tree.children) == 1
+        assert repr(tree) == Frozen.__repr__(tree)
+
+    def test_repr_of_a_tree_deeper_than_the_recursion_limit(self):
+        k = 1200
+        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                f"f({'s(' * k}0{')' * k}) -> 0 ;")
+        tree = build_tree(program.signature.get("f"), program.rules_for("f"))
+        text = repr(tree)
+        assert text.startswith("Branch(pattern=App('f(V1)'), position=(1,), children=(")
+        assert text.count("Branch(") == k + 1
+        assert text.endswith(",))" * (k + 1))
 
 
 class TestUniform:

@@ -20,7 +20,8 @@ from conftest import (
     steps_view,
 )
 from nspec import narrowing
-from nspec.deftree import Leaf, ProgramClassError, forest
+from nspec.peval import UnfoldPolicy, unfold
+from nspec.deftree import Leaf, ProgramClassError, forest, require_class
 from nspec.narrowing import (
     SUCCESS,
     Bounds,
@@ -29,6 +30,7 @@ from nspec.narrowing import (
     _needed_steps,
     compose_canonical,
     deterministically_evaluable,
+    expand,
     lns,
     narrow,
     nns,
@@ -59,6 +61,7 @@ from nspec.terms import (
     match,
     replace_at,
     subterm_at,
+    variant_key,
     vars_of,
 )
 
@@ -325,6 +328,86 @@ class TestSearch:
                 "node": {"term": "true", "status": "success", "arcs": []},
             }],
         }
+
+
+# The status that each leaf cause stands for, written out apart from
+# `narrowing.STATUS_OF`; None is a node that is being expanded.
+STATUS_OF_CAUSE = {None: "inner", "success": "success", "failing": "failing",
+                   "depth": "incomplete", "budget": "incomplete",
+                   "cap": "incomplete", "root-stable": "incomplete",
+                   "stop": "incomplete", "whistle": "incomplete"}
+
+
+def check_causes(root, seen=None):
+    """Every node's status is the one its cause stands for, every leaf
+    has a cause, and a node with children is being expanded or was
+    stopped by the node budget or the solution cap.  Returns whether
+    some node is incomplete; `seen`, if given, collects the causes."""
+    incomplete = False
+    for node in root.nodes():
+        if seen is not None:
+            seen.add(node.cause)
+        assert node.cause in STATUS_OF_CAUSE, node.cause
+        assert node.status == STATUS_OF_CAUSE[node.cause]
+        if node.children:
+            assert node.cause in (None, "budget", "cap"), node.cause
+        else:
+            assert node.cause is not None, str(node.term)
+        incomplete |= node.status == "incomplete"
+    return incomplete
+
+
+class TestLeafCauses:
+    @pytest.mark.parametrize("source, bounds, causes, complete", [
+        ("h(X)", Bounds(max_solutions=1), [None, "success"], True),
+        ("h(0)", Bounds(max_solutions=1), ["failing"], True),
+        ("g(0)", Bounds(max_steps=2, max_solutions=1), [None, None, "depth"], False),
+        ("g(0)", Bounds(max_nodes=2, max_solutions=1), [None, "budget"], False),
+        ("eq(X, Y)", Bounds(max_nodes=4, max_solutions=1), ["cap", "success"], False),
+    ])
+    def test_each_cause_ends_a_search(self, loop_prog, source, bounds, causes,
+                                      complete):
+        result = search(goal(loop_prog, source), loop_prog, bounds=bounds)
+        assert [node.cause for node in result.root.nodes()] == causes
+        assert result.complete is complete
+        assert check_causes(result.root) is not complete
+
+    def test_a_callback_cause_makes_an_incomplete_leaf(self, loop_prog):
+        trees = require_class(loop_prog, "needed", "")
+        seen = []
+
+        def cut(node, ancestors):
+            seen.append((str(node.term), list(ancestors)))
+            return "stop" if ancestors else None
+
+        root, successes, complete = expand(
+            goal(loop_prog, "g(0)"), loop_prog, "needed", trees, None, 5, cut=cut)
+        assert [(str(n.term), n.cause, n.offered) for n in root.nodes()] == [
+            ("g(0)", None, 1), ("g(0)", "stop", 0)]
+        assert (successes, complete) == ([], False)
+        assert [(t, [str(a) for a in path]) for t, path in seen] == [
+            ("g(0)", []), ("g(0)", ["g(0)"])]
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_causes_agree_with_status_on_random_programs(self, strategy):
+        """On the random programs of acceptance criterion 9, under bounds
+        that stop searches in each way, and on unfold trees that stop at
+        the calls themselves: every cause occurs."""
+        seen = set()
+        for seed in range(200):
+            program = random_program(seed)
+            calls = generic_calls(program)
+            stop_keys = {variant_key(call) for call in calls}
+            for call in calls:
+                for bounds in (Bounds(max_steps=6, max_nodes=200),
+                               Bounds(max_steps=4, max_nodes=12),
+                               Bounds(max_steps=6, max_nodes=200, max_solutions=1)):
+                    result = search(call, program, strategy, bounds)
+                    assert check_causes(result.root, seen) is not result.complete
+                for depth in (1, 3):
+                    check_causes(unfold(call, program, UnfoldPolicy(
+                        depth=depth, strategy=strategy), stop_keys=stop_keys), seen)
+        assert seen == set(STATUS_OF_CAUSE)
 
 
 class TestDeterministicEvaluation:

@@ -21,7 +21,7 @@ from nspec.narrowing import FAILING, Bounds, search
 from nspec.peval import (
     PEControlError,
     UnfoldPolicy,
-    _most_specific_match,
+    _covering,
     abstract_add,
     closed,
     embeds,
@@ -298,7 +298,7 @@ class TestUnfold:
     def test_stop_set_matches_variants_below_the_root(self, leq_prog):
         tree = unfold(goal(leq_prog, "leq(X, add(X, Y))"), leq_prog,
                       UnfoldPolicy(depth=5),
-                      stop=(goal(leq_prog, "leq(A, add(A, B))"),))
+                      stop_keys={variant_key(goal(leq_prog, "leq(A, add(A, B))"))})
         assert [(str(n.term), n.status) for n in tree.nodes()] == [
             ("leq(X, add(X, Y))", "inner"),
             ("true", "success"),
@@ -344,6 +344,21 @@ class TestUnfold:
                                  "constructor-based rules"):
             unfold(parse_term("same(a, a)", p.signature), p,
                    UnfoldPolicy(strategy="lazy"))
+
+    @pytest.mark.parametrize("program, source, policy, stop, causes", [
+        ("gfh", "g(X)", UnfoldPolicy(), None, [None, "root-stable"]),
+        ("leq", "leq(X, add(X, Y))", UnfoldPolicy(depth=5), "leq(A, add(A, B))",
+         [None, "success", None, "stop"]),
+        ("loop", "g(0)", UnfoldPolicy(depth=5), None, [None, None, "whistle"]),
+        ("leq", "leq(X, add(X, Y))", UnfoldPolicy(depth=1), None,
+         [None, "success", "depth"]),
+    ])
+    def test_each_local_control_cause_ends_an_unfold(
+            self, request, program, source, policy, stop, causes):
+        prog = request.getfixturevalue(f"{program}_prog")
+        keys = {variant_key(goal(prog, stop))} if stop else frozenset()
+        tree = unfold(goal(prog, source), prog, policy, stop_keys=keys)
+        assert [n.cause for n in tree.nodes()] == causes
 
     def test_unfold_depth_is_not_limited_by_recursion(self, loop_prog):
         tree = unfold(goal(loop_prog, "g(0)"), loop_prog,
@@ -490,17 +505,18 @@ class TestRenaming:
         S = [goal(append_prog, "append(append(Xs, Ys), Zs)"),
              goal(append_prog, "append(Xs, Ys)")]
         rho = independent_renaming(S, append_prog.signature)
-        assert repr(rho) == ("{append(append(Xs, Ys), Zs) |-> "
-                             "append_pe0(Xs, Ys, Zs), "
-                             "append(Xs, Ys) |-> append_pe1(Xs, Ys)}")
+        assert [(str(s), str(p)) for s, p in rho.items()] == [
+            ("append(append(Xs, Ys), Zs)", "append_pe0(Xs, Ys, Zs)"),
+            ("append(Xs, Ys)", "append_pe1(Xs, Ys)")]
         assert len(rho) == 2
         assert S[0] in rho
-        assert [str(s) for s in rho.symbols()] == ["append_pe0/3", "append_pe1/2"]
+        assert [str(p.root) for p in rho.values()] == ["append_pe0/3", "append_pe1/2"]
 
     def test_repeated_variables_collapse_in_pattern(self, leq_prog):
         S = [goal(leq_prog, "leq(X, add(X, Y))")]
         rho = independent_renaming(S, leq_prog.signature)
-        assert repr(rho) == "{leq(X, add(X, Y)) |-> leq_pe0(X, Y)}"
+        assert [(str(s), str(p)) for s, p in rho.items()] == [
+            ("leq(X, add(X, Y))", "leq_pe0(X, Y)")]
 
     def test_name_collisions_are_skipped(self, append_prog):
         from nspec.program import Signature
@@ -508,7 +524,8 @@ class TestRenaming:
         sig = Signature(list(append_prog.signature))
         sig.declare(Symbol("append_pe0", 1, "operation"))
         rho = independent_renaming([goal(append_prog, "append(Xs, Ys)")], sig)
-        assert repr(rho) == "{append(Xs, Ys) |-> append_pe1(Xs, Ys)}"
+        assert [(str(s), str(p)) for s, p in rho.items()] == [
+            ("append(Xs, Ys)", "append_pe1(Xs, Ys)")]
 
     def test_rename_term_rewrites_instances_recursively(self, append_prog):
         S = [goal(append_prog, "append(append(Xs, Ys), Zs)"),
@@ -1004,12 +1021,14 @@ class TestUnfoldCache:
         root = goal(append_prog, "append(append(Xs, Ys), Zs)")
         inner = goal(append_prog, "append(Ys, Zs)")
         probes = []
-        unfold(root, append_prog, UnfoldPolicy(depth=2), stop=[root],
-               probes=probes)
+        unfold(root, append_prog, UnfoldPolicy(depth=2),
+               stop_keys={variant_key(root)}, probes=probes)
         assert (variant_key(inner), False) in probes
         probes = []
         unfold(root, append_prog, UnfoldPolicy(depth=2),
-               stop=[root, goal(append_prog, "append(A, B)")], probes=probes)
+               stop_keys={variant_key(root),
+                          variant_key(goal(append_prog, "append(A, B)"))},
+               probes=probes)
         assert (variant_key(inner), True) in probes
 
     def test_a_new_variant_of_an_inner_node_unfolds_the_call_again(
@@ -1057,7 +1076,7 @@ class TestUnfoldCache:
         policy = UnfoldPolicy(depth=3)
         probes = []
         tree = unfold(call, program, policy, probes=probes)
-        cut = unfold(call, program, policy, stop=[stop])
+        cut = unfold(call, program, policy, stop_keys={variant_key(stop)})
         at_stop = [node for node in tree.nodes() if is_variant(node.term, stop)]
         assert [(node.offered, node.children) for node in at_stop] == [(2, []), (2, [])]
         assert [n.status for n in tree.nodes()] == [n.status for n in cut.nodes()]
@@ -1073,8 +1092,8 @@ class TestUnfoldCache:
     def test_most_specific_match_ignores_other_roots(self, leq_prog):
         S = [goal(leq_prog, "add(X, Y)"), goal(leq_prog, "leq(X, Y)"),
              goal(leq_prog, "leq(0, Y)")]
-        assert _most_specific_match(S, goal(leq_prog, "leq(0, s(0))")) is S[2]
-        assert _most_specific_match(S, goal(leq_prog, "add(0, 0)")) is S[0]
+        assert _covering(S, goal(leq_prog, "leq(0, s(0))"))[0] is S[2]
+        assert _covering(S, goal(leq_prog, "add(0, 0)"))[0] is S[0]
 
 
 @given(PE_TERMS, PE_TERMS)

@@ -126,8 +126,8 @@ def test_program_module_has_no_self_calling_function():
 
 def test_deftree_and_cli_self_calls_are_the_known_ones():
     """None: the tree builder, the isomorphism test, the uniform
-    transform and the text and JSON forms of a definitional tree loop
-    over explicit stacks."""
+    transform and the text, JSON and repr forms of a definitional tree
+    loop over explicit stacks."""
     for module in ("deftree", "cli"):
         source = (SRC / "nspec" / f"{module}.py").read_text(encoding="utf-8")
         assert self_calling_functions(source) == [], module

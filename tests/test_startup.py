@@ -1,11 +1,14 @@
 """Start-up guards: importing nspec and its CLI loads no `dataclasses`
 (with `inspect` and the rest it pulls in, it cost a fresh process more
-than its own work), and no module under `src/nspec` imports it."""
+than its own work), no module under `src/nspec` imports it, and every
+name the package exports exists."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import nspec
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -31,3 +34,10 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 offenders.append(str(path.relative_to(SRC)))
     assert offenders == []
+
+
+def test_every_exported_name_exists():
+    """`from nspec import *` raises on a name in `__all__` that the
+    package lacks, and nothing else would notice it."""
+    assert [name for name in nspec.__all__ if not hasattr(nspec, name)] == []
+    assert len(set(nspec.__all__)) == len(nspec.__all__)
