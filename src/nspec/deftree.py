@@ -8,8 +8,8 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 
 from __future__ import annotations
 
-from typing import (Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Generator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .program import Program, Rule, Signature
 from .terms import (
@@ -46,7 +46,9 @@ class Branch(Frozen):
 
     `constructors[i]` is the constructor that child i's pattern has at
     the inductive position; it is read once, at construction, and takes
-    no part in equality, hashing or printing.
+    no part in equality, hashing or printing.  Equality compares whole
+    trees from an explicit stack; the hash reads the pattern and the
+    position only, so a tree of any depth hashes.
     """
 
     __slots__ = ("pattern", "position", "children", "constructors")
@@ -59,6 +61,15 @@ class Branch(Frozen):
         _put(self, "children", children)
         _put(self, "constructors", tuple(
             subterm_at(child.pattern, position).root for child in children))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Branch:
+            return NotImplemented
+        return _trees_agree(self, other, lambda a, b: (
+            a == b if isinstance(a, Leaf) else a.pattern == b.pattern))
+
+    def __hash__(self) -> int:
+        return _hash_head(self)
 
     def __repr__(self) -> str:
         """The `Frozen` form, written from an explicit stack: a tree of
@@ -83,6 +94,28 @@ class Branch(Frozen):
 
 
 DefTree = Union[Leaf, Branch]
+
+
+def _hash_head(branch: Branch) -> int:
+    """The hash of a branch's pattern and position, not of its children."""
+    return hash((branch.pattern, branch.position))
+
+
+def _trees_agree(a: DefTree, b: DefTree,
+                 same: Callable[[DefTree, DefTree], bool]) -> bool:
+    """Whether two trees have the same shape and inductive positions, and
+    `same` holds of each pair of nodes; the pairs are compared from an
+    explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a.__class__ is not b.__class__ or not same(a, b):
+            return False
+        if isinstance(a, Branch):
+            if a.position != b.position or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+    return True
 
 
 # A hole of a pattern: a variable position and the subterms that the
@@ -257,23 +290,8 @@ def trees_isomorphic(a: DefTree, b: DefTree) -> bool:
 
     Patterns must be variants under a consistent renaming per node,
     inductive positions equal, children pairwise isomorphic in order.
-    The pairs of nodes are compared from an explicit stack.
     """
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, Leaf) and isinstance(b, Leaf):
-            if not is_variant(a.pattern, b.pattern):
-                return False
-        elif isinstance(a, Branch) and isinstance(b, Branch):
-            if not (a.position == b.position
-                    and is_variant(a.pattern, b.pattern)
-                    and len(a.children) == len(b.children)):
-                return False
-            stack.extend(zip(a.children, b.children))
-        else:
-            return False
-    return True
+    return _trees_agree(a, b, lambda u, v: is_variant(u.pattern, v.pattern))
 
 
 def is_uniform(program: Program) -> bool:

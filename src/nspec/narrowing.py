@@ -3,15 +3,15 @@
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
 by linear unification against every rule, descending into demanded
-positions.  Both descents, and the redex search of rewriting, loop over
-explicit stacks, so nested calls are limited by memory, not by the
-recursion limit.  `expand` grows the narrowing tree of a term under
-either strategy with an explicit stack, decides each node's fate once
-(`Node.cause`), and only counts the steps of a node that a bound stops;
-two leaf policies use it.  `search`
-bounds it by `Bounds` and collects (answer, constructor term) pairs at
-the success leaves; `peval.unfold` bounds it by the unfold depth and
-cuts it with the partial evaluator's local control.
+positions.  Both descents loop over explicit stacks, so nested calls
+are limited by memory, not by the recursion limit.  `expand` grows the
+narrowing tree of a term under either strategy with an explicit stack,
+decides each node's fate once (`Node.cause`), and only counts the steps
+of a node that a bound stops; two leaf policies use it.  `search` bounds
+it by `Bounds` and collects (answer, constructor term) pairs at the
+success leaves; `peval.unfold` bounds it by the unfold depth and cuts
+it with the partial evaluator's local control.  Rewriting
+(`rewrite_normalize`) takes needed steps that bind no variable.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _path,
+    _replace_on,
     _solve,
     canonical_rename,
     is_constructor_term,
@@ -42,7 +44,6 @@ from .terms import (
     linear_overlay,
     linear_walk,
     match,
-    replace_at,
     resolve_chain,
     subterm_at,
     vars_of,
@@ -105,8 +106,7 @@ def _joined(segments: Optional[tuple]) -> Position:
     return tuple(itertools.chain.from_iterable(_unwind(segments)))
 
 
-def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
-        tree: Optional[DefTree] = None) -> List[Step]:
+def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
     """Needed narrowing steps of an operation-rooted term.
 
     Walks the definitional tree of the root.  At a branch with inductive
@@ -117,12 +117,9 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
     """
     if not is_operation_rooted(t):
         raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
+    tree = trees.get(t.root.name)
     if tree is None:
-        tree = trees.get(t.root.name)
-        if tree is None:
-            return []
-    if match(tree.pattern, t) is None:
-        raise ValueError(f"tree pattern {tree.pattern} does not subsume {t}")
+        return []
     gen.reserve(vars_of(t))
     return _needed_steps(t, tree, trees, gen)
 
@@ -271,47 +268,17 @@ def narrow(t: Term, step: Step) -> Term:
 
 def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
     """Plain rewriting: replace the redex at position by the rule's rhs
-    instance.
+    instance, from one walk along the position.
 
     The rule's source rewrites in its place: a renaming is a bijection on
     variables and the rhs has no variable that the lhs lacks, so both give
     the same contractum, and a variant's own parts are never built."""
-    redex = subterm_at(t, position)
+    path = _path(t, position)
     source = rule.source
-    theta = match(source.lhs, redex)
+    theta = match(source.lhs, path[-1])
     if theta is None:
-        raise ValueError(f"rule {rule} does not match {redex}")
-    return replace_at(t, position, theta.apply(source.rhs))
-
-
-def outermost_needed_redex(t: Term, trees: Dict[str, DefTree],
-                           node: Optional[DefTree] = None) -> Optional[Position]:
-    """The position a definitional tree sends rewriting to, if any.
-
-    None means the evaluation suspends: the scrutinized subterm is a
-    variable, or a constructor without a matching child.  A loop: an
-    operation at an inductive position continues the descent in its own
-    tree.
-    """
-    if not is_operation_rooted(t):
-        raise ValueError(f"expected an operation-rooted term, got {t}")
-    if node is None:
-        node = trees.get(t.root.name)
-    segments: List[Position] = []  # the path to t, joined at the end
-    while node is not None:
-        if isinstance(node, Leaf):
-            return tuple(itertools.chain.from_iterable(segments))
-        sub = subterm_at(t, node.position)
-        if isinstance(sub, Var):
-            return None  # variable at the inductive position
-        if sub.root.kind == CONSTRUCTOR:
-            node = next((child for child, ctor
-                         in zip(node.children, node.constructors)
-                         if ctor == sub.root), None)
-        else:
-            segments.append(node.position)
-            t, node = sub, trees.get(sub.root.name)
-    return None
+        raise ValueError(f"rule {rule} does not match {path[-1]}")
+    return _replace_on(path, position, theta.apply(source.rhs))
 
 
 INNER = "inner"
@@ -381,21 +348,6 @@ class SearchResult(NamedTuple):
     complete: bool
 
 
-def _leftmost_operation_position(t: Term) -> Optional[Position]:
-    """The leftmost-outermost operation-rooted subterm's position;
-    constructor terms are not entered."""
-    stack: List[Tuple[Position, Term]] = [((), t)]
-    while stack:
-        pos, u = stack.pop()
-        if u.constructor_term:
-            continue
-        if u.root.kind != CONSTRUCTOR:
-            return pos
-        stack.extend((pos + (i,), u.args[i - 1])
-                     for i in range(len(u.args), 0, -1))
-    return None
-
-
 def strategy_steps(t: Term, program: Program, strategy: str,
                    trees: Dict[str, DefTree], gen: FreshVars,
                    count: bool = False) -> Union[List[Step], int]:
@@ -410,10 +362,18 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     """
     pos: Position = ()
     if is_root_stable(t):
-        pos = _leftmost_operation_position(t)
-        if pos is None:
+        # The leftmost-outermost operation-rooted subterm; constructor
+        # terms are not entered.
+        stack: List[Tuple[Position, Term]] = [((), t)]
+        while stack:
+            pos, t = stack.pop()
+            if not t.constructor_term:
+                if t.root.kind != CONSTRUCTOR:
+                    break
+                stack.extend((pos + (i,), t.args[i - 1])
+                             for i in range(len(t.args), 0, -1))
+        else:
             return 0 if count else []
-        t = subterm_at(t, pos)
     if strategy == "needed":
         tree = trees.get(t.root.name)
         if tree is None:
@@ -567,36 +527,29 @@ def deterministically_evaluable(t: Term, program: Program,
 
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
                       ) -> Tuple[Term, List[Term], bool]:
-    """Repeatedly rewrite at the outermost needed redex.
+    """Repeatedly rewrite at the needed redex: take the needed narrowing
+    step (`strategy_steps`, which crosses constructor prefixes) while it
+    binds nothing.
 
-    Returns (final term, intermediate terms, suspended) where suspended
-    reports that an operation-rooted (sub)term had no needed position.
-    Constructor prefixes are crossed like in search.  A term reached at
-    the `max_steps` bound is not suspended; it may not be a normal form.
+    Returns (final term, intermediate terms, suspended).  On an
+    inductively sequential program the needed descent of a term meets
+    no variable exactly when it yields at most one step, binding
+    nothing; so the term is suspended when it has no step or its first
+    step binds one of its variables.  A term reached at the `max_steps`
+    bound is not suspended; it may not be a normal form.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
+    gen = FreshVars(vars_of(t))
+    gen.reserve(program.all_variables())
     trace: List[Term] = []
     current = t
     for _ in range(max_steps):
         if is_constructor_term(current):
             return current, trace, False
-        if is_root_stable(current):
-            prefix = _leftmost_operation_position(current)
-            target = subterm_at(current, prefix)
-        else:
-            prefix = ()
-            target = current
-        pos = outermost_needed_redex(target, trees)
-        if pos is None:
+        steps = strategy_steps(current, program, "needed", trees, gen)
+        if not steps or steps[0].subst:
             return current, trace, True
-        redex = subterm_at(target, pos)
-        for rule in program.rules_for(redex.root.name):
-            theta = match(rule.lhs, redex)
-            if theta is not None:
-                break
-        else:
-            return current, trace, True
-        current = replace_at(current, prefix + pos, theta.apply(rule.rhs))
+        current = narrow(current, steps[0])
         trace.append(current)
     return current, trace, False
 

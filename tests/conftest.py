@@ -67,7 +67,10 @@ _R_CTORS = (
 )
 
 
-def _random_rhs(rng: random.Random, variables, ops, depth):
+def random_term(rng: random.Random, variables, ops, depth):
+    """A random term over z/sc/pr, the given variables and operations,
+    at most depth deep below its root; the right-hand sides of
+    `random_program`."""
     kinds = ["ctor"]
     if variables:
         kinds.append("var")
@@ -78,11 +81,11 @@ def _random_rhs(rng: random.Random, variables, ops, depth):
         return rng.choice(variables)
     if kind == "op":
         f = rng.choice(ops)
-        return App(f, tuple(_random_rhs(rng, variables, ops, depth - 1)
+        return App(f, tuple(random_term(rng, variables, ops, depth - 1)
                             for _ in range(f.arity)))
     pool = _R_CTORS if depth > 0 else _R_CTORS[:1]
     c = rng.choice(pool)
-    return App(c, tuple(_random_rhs(rng, variables, ops, depth - 1)
+    return App(c, tuple(random_term(rng, variables, ops, depth - 1)
                         for _ in range(c.arity)))
 
 
@@ -113,7 +116,7 @@ def random_program(seed: int) -> Program:
 
         grow(App(op, gen.fresh_tuple(op.arity)), 2)
         for pattern in leaves[:3]:
-            rhs = _random_rhs(rng, list(vars_of(pattern)), ops, rng.randint(0, 2))
+            rhs = random_term(rng, list(vars_of(pattern)), ops, rng.randint(0, 2))
             rules.append(Rule(pattern, rhs))
 
     labeled = [Rule(r.lhs, r.rhs, f"R{i + 1}") for i, r in enumerate(rules)]

@@ -145,6 +145,37 @@ class TestEval:
             "goal: leq(X, add(0, 0))\n"
             "suspended at: leq(X, add(0, 0))\n")
 
+    def test_rewrite_suspends_under_a_constructor_prefix(self):
+        proc = run("eval", LEQ, "-e", "s(leq(X, 0))", "--strategy", "rewrite")
+        assert proc.stdout == (
+            "goal: s(leq(X, 0))\n"
+            "suspended at: s(leq(X, 0))\n")
+
+    def test_rewrite_suspends_on_an_operation_without_rules(self, tmp_path):
+        f = tmp_path / "norules.flp"
+        f.write_text("constructors 0/0 s/1 ;\noperations f/1 g/1 ;\n"
+                     "g(X) -> s(f(X)) ;\n")
+        proc = run("eval", str(f), "-e", "g(0)", "--strategy", "rewrite")
+        assert proc.stdout == (
+            "goal: g(0)\n"
+            "-> s(f(0))\n"
+            "suspended at: s(f(0))\n")
+
+    def test_rewrite_suspends_on_a_constructor_without_a_child(self):
+        # h has the one rule h(s(X)) -> 0, and the inner call reaches 0.
+        proc = run("eval", LOOP, "-e", "h(h(s(0)))", "--strategy", "rewrite")
+        assert proc.stdout == (
+            "goal: h(h(s(0)))\n"
+            "-> h(0)\n"
+            "suspended at: h(0)\n")
+
+    def test_rewrite_suspends_on_a_variable_demanded_in_a_nested_call(self):
+        proc = run("eval", LEQ, "-e", "leq(0 + s(0), X + 0)", "--strategy", "rewrite")
+        assert proc.stdout == (
+            "goal: leq(add(0, s(0)), add(X, 0))\n"
+            "-> leq(s(0), add(X, 0))\n"
+            "suspended at: leq(s(0), add(X, 0))\n")
+
     def test_rewrite_step_bound_is_reported_as_incomplete(self):
         proc = run("eval", LEQ, "-e", "add(" + "s(" * 150 + "0" + ")" * 150 + ", 0)",
                    "--strategy", "rewrite")

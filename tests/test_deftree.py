@@ -210,6 +210,10 @@ class TestRepr:
         assert text.startswith("Branch(pattern=App('f(V1)'), position=(1,), children=(")
         assert text.count("Branch(") == k + 1
         assert text.endswith(",))" * (k + 1))
+        # Equality and the hash do not recurse through the children.
+        again = build_tree(program.signature.get("f"), program.rules_for("f"))
+        assert tree == tree and tree == again and hash(tree) == hash(again)
+        assert tree != tree.children[0]
 
 
 class TestUniform:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import time
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from conftest import (
     parent_solve,
     parent_variant,
     random_program,
+    random_term,
     steps_view,
 )
 from nspec import narrowing
+from nspec.oracle import one_step_rewrites
 from nspec.peval import UnfoldPolicy, unfold
 from nspec.deftree import Leaf, ProgramClassError, forest, require_class
 from nspec.narrowing import (
@@ -35,7 +38,6 @@ from nspec.narrowing import (
     narrow,
     nns,
     node_to_dict,
-    outermost_needed_redex,
     rewrite_normalize,
     rewrite_step,
     search,
@@ -172,24 +174,6 @@ class TestRewriteStep:
         r4 = leq_prog.rules[3]
         with pytest.raises(ValueError, match="does not match"):
             rewrite_step(goal(leq_prog, "add(s(0), 0)"), (), r4)
-
-
-class TestOutermostNeededRedex:
-    def test_root_redex(self, leq_prog, leq_trees):
-        assert outermost_needed_redex(goal(leq_prog, "leq(0, 0)"), leq_trees) == ()
-
-    def test_demanded_inner_redex(self, leq_prog, leq_trees):
-        t = goal(leq_prog, "leq(add(0, 0), 0)")
-        assert outermost_needed_redex(t, leq_trees) == (1,)
-        nested = goal(leq_prog, "add(add(0, 0), add(0, 0))")
-        assert outermost_needed_redex(nested, leq_trees) == (1,)
-
-    def test_suspends_on_demanded_variable(self, leq_prog, leq_trees):
-        assert outermost_needed_redex(goal(leq_prog, "leq(X, 0)"), leq_trees) is None
-
-    def test_rejects_constructor_rooted_terms(self, leq_prog, leq_trees):
-        with pytest.raises(ValueError, match="operation-rooted"):
-            outermost_needed_redex(goal(leq_prog, "s(add(0, 0))"), leq_trees)
 
 
 class TestSearch:
@@ -452,6 +436,22 @@ class TestRewriteNormalize:
         assert str(final) == "true"
         assert [str(t) for t in trace] == ["eq(true, true)", "true"]
         assert not suspended
+
+    def test_root_redex(self, leq_prog):
+        final, trace, suspended = rewrite_normalize(goal(leq_prog, "leq(0, 0)"), leq_prog)
+        assert [str(t) for t in trace] == ["true"]
+        assert final is trace[-1] and not suspended
+
+    def test_demanded_inner_redex(self, leq_prog):
+        for source, first in [("leq(add(0, 0), 0)", "leq(0, 0)"),
+                              ("add(add(0, 0), add(0, 0))", "add(0, add(0, 0))")]:
+            _, trace, suspended = rewrite_normalize(goal(leq_prog, source), leq_prog)
+            assert str(trace[0]) == first, source
+            assert not suspended
+
+    def test_suspends_on_demanded_variable(self, leq_prog):
+        t = goal(leq_prog, "leq(X, 0)")
+        assert rewrite_normalize(t, leq_prog) == (t, [], True)
 
 
 class TestAnswerShape:
@@ -811,6 +811,110 @@ class TestLazyVariantsEqualTheEagerOnes:
         assert once.variant(back) == rule
 
 
+def parent_leftmost_operation_position(t):
+    """`narrowing._leftmost_operation_position` as it was: the
+    leftmost-outermost operation-rooted subterm's position; constructor
+    terms are not entered."""
+    stack = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        if is_constructor_term(u):
+            continue
+        if u.root.kind != "constructor":
+            return pos
+        stack.extend((pos + (i,), u.args[i - 1]) for i in range(len(u.args), 0, -1))
+    return None
+
+
+def parent_outermost_needed_redex(t, trees):
+    """The redex search that `rewrite_normalize` had of its own: the
+    position the definitional trees send rewriting to, or None when a
+    variable or a constructor without a matching child is demanded."""
+    node = trees.get(t.root.name)
+    segments = []
+    while node is not None:
+        if isinstance(node, Leaf):
+            return tuple(itertools.chain.from_iterable(segments))
+        sub = subterm_at(t, node.position)
+        if isinstance(sub, Var):
+            return None
+        if sub.root.kind == "constructor":
+            node = next((child for child, ctor
+                         in zip(node.children, node.constructors)
+                         if ctor == sub.root), None)
+        else:
+            segments.append(node.position)
+            t, node = sub, trees.get(sub.root.name)
+    return None
+
+
+def parent_rewrite_normalize(t, program, max_steps):
+    """`rewrite_normalize` as it was: cross the constructor prefix, search
+    the redex, scan the operation's rules for the one that matches."""
+    trees = require_class(program, "needed", narrowing._NEEDED_CLASS)
+    trace = []
+    current = t
+    for _ in range(max_steps):
+        if is_constructor_term(current):
+            return current, trace, False
+        prefix = ()
+        if current.root.kind == "constructor":
+            prefix = parent_leftmost_operation_position(current)
+        pos = parent_outermost_needed_redex(subterm_at(current, prefix), trees)
+        if pos is None:
+            return current, trace, True
+        redex = subterm_at(current, prefix + pos)
+        for rule in program.rules_for(redex.root.name):
+            theta = match(rule.lhs, redex)
+            if theta is not None:
+                break
+        else:
+            return current, trace, True
+        current = replace_at(current, prefix + pos, theta.apply(rule.rhs))
+        trace.append(current)
+    return current, trace, False
+
+
+def _random_goals(program, rng):
+    """Generic calls, and per operation a ground and a non-ground call
+    with random arguments, each also under a constructor."""
+    ops = [sym for sym in program.signature if sym.kind == "operation"]
+    goals = generic_calls(program)
+    for op in ops:
+        for variables in ([], [Var("G1"), Var("G2")]):
+            call = App(op, tuple(random_term(rng, variables, ops, 2)
+                                 for _ in range(op.arity)))
+            wrapper = rng.choice([c for c in program.signature
+                                  if c.kind == "constructor" and c.arity])
+            goals += [call, App(wrapper, (call,) * wrapper.arity)]
+    return goals
+
+
+class TestRewriteAgreesWithTheParentLoop:
+    """`rewrite_normalize` takes the needed narrowing step and suspends
+    when there is none or it binds a variable; the parent's loop, with
+    its own redex search and rule scan, is the reference."""
+
+    def test_random_programs(self):
+        runs = suspended = steps = 0
+        for seed in range(200):
+            program = random_program(seed)
+            rng = random.Random(seed)
+            for t in _random_goals(program, rng):
+                for max_steps in (1, 3, 40):
+                    new = rewrite_normalize(t, program, max_steps)
+                    assert new == parent_rewrite_normalize(t, program, max_steps), (
+                        seed, t, max_steps)
+                    _, trace, stuck = new
+                    for before, after in zip([t] + trace, trace):
+                        assert after in one_step_rewrites(program, before), (seed, t)
+                    runs += 1
+                    suspended += stuck
+                    steps += len(trace)
+        assert runs >= 5000 and suspended >= 2000 and steps >= 10000, (
+            runs, suspended, steps)
+
+
 def _tree_terms(program, call, strategy):
     """Every node term of a bounded search tree from call, constructor
     prefixes included."""
@@ -936,7 +1040,8 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
     [step] = nns(t, leq_trees, FreshVars())
     assert step.position == (1,) * (depth - 1)
-    assert outermost_needed_redex(t, leq_trees) == (1,) * (depth - 1)
+    _, [reached], suspended = rewrite_normalize(t, leq_prog, max_steps=1)
+    assert reached == narrow(t, step) and not suspended
     [step] = lns(t, leq_prog, FreshVars())
     assert step.position == (1,) * (depth - 1)
 
