@@ -295,43 +295,17 @@ def trees_isomorphic(a: DefTree, b: DefTree) -> bool:
 
 
 def is_uniform(program: Program) -> bool:
-    """Uniformity: each operation either has one rule f(x1..xn) -> r, or
-    all its lhss are linear and differ only by distinct constructor
-    patterns at one fixed argument position (plain variables elsewhere).
+    """Uniformity, read off the definitional forest: every operation has
+    a tree, and each tree is a leaf (one rule f(x1..xn) -> r) or one
+    branch at an argument whose children are all leaves (linear
+    left-hand sides that differ only by distinct constructors applied to
+    variables at that argument, with plain variables elsewhere).
     """
-    for op in program.defined_operations():
-        rules = program.rules_for(op.name)
-        if not all(r.is_left_linear() for r in rules):
-            return False
-        if len(rules) == 1:
-            lhs = rules[0].lhs
-            if all(isinstance(a, Var) for a in lhs.args):
-                continue
-        ok = False
-        for j in range(op.arity):
-            seen_ctors = set()
-            good = True
-            for r in rules:
-                args = r.lhs.args
-                pivot = args[j]
-                others = args[:j] + args[j + 1:]
-                if not isinstance(pivot, App) or not all(
-                        isinstance(a, Var) for a in others):
-                    good = False
-                    break
-                if not all(isinstance(x, Var) for x in pivot.args):
-                    good = False
-                    break
-                if pivot.root in seen_ctors:
-                    good = False
-                    break
-                seen_ctors.add(pivot.root)
-            if good:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    trees, failures = forest(program)
+    return not failures and all(
+        isinstance(tree, Leaf) or len(tree.position) == 1
+        and all(isinstance(child, Leaf) for child in tree.children)
+        for tree in trees.values())
 
 
 def _fresh_operation_name(base: str, index: int, signature: Signature,

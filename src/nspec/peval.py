@@ -8,6 +8,9 @@ reached by at least one step yields a resultant sigma(s) -> t.  The set
 of specialized calls S gets an independent renaming to fresh operation
 symbols, resultants are renamed into legal rules, and a control loop
 grows S until every call in the output is covered (closed) by S.
+Goals may be strict equations: eq/and count as constructors, and the
+residual program's rules may call the builtin eq/and rules that
+`program.add_strict_equality` appends to them.
 """
 
 from __future__ import annotations
@@ -405,13 +408,14 @@ def partial_evaluate(program: Program, S: Sequence[Term],
 
     Each call is unfolded (stopping at variants of S elements) with the
     definitional trees built once for all of them (or given as `trees`,
-    as in `unfold`), its
-    resultants theta(s) -> r become rules theta(rho(s)) -> ren(r) over
-    fresh operation symbols, and equality builtins are injected into the
-    output.  The report states whether every specialized right-hand side
-    is closed w.r.t. the renamed calls.  `per_call`, when given, holds
-    each call of S with its resultants, in the order of S, as unfolding
-    against S gave them; then nothing is unfolded here.
+    as in `unfold`), and its resultants theta(s) -> r become rules
+    theta(rho(s)) -> ren(r) over fresh operation symbols, followed in
+    the output by the builtin eq/and rules (`add_strict_equality`),
+    which a program without them may not call.  The report states
+    whether every specialized right-hand side is closed w.r.t. the
+    renamed calls.  `per_call`, when given, holds each call of S with
+    its resultants, in the order of S, as unfolding against S gave
+    them; then nothing is unfolded here.
     """
     S = list(S)
     if not S:
@@ -438,14 +442,17 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     signature = Signature(program.signature.constructors())
     for p in rho.values():
         signature.declare(p.root)
+    builtin = (EQ, AND) if program.has_strict_equality else ()
     for rule in new_rules:
         for t in (rule.lhs, rule.rhs):
             for _, u in subterms(t):
-                if isinstance(u, App):
+                if isinstance(u, App) and u.root.name not in builtin:
                     signature.declare(u.root)
 
     specialized = tuple(new_rules)
-    out = add_strict_equality(Program(signature, specialized))
+    equality = add_strict_equality(Program(signature, ()))
+    out = Program(equality.signature, specialized + equality.rules,
+                  has_strict_equality=True)
 
     targets = list(rho.values())
     uncovered: List[Term] = []
@@ -467,7 +474,7 @@ class PEControlError(Exception):
 
 
 def abstract_add(S: List[Term], u: Term, gen: FreshVars,
-                 keys: Optional[List[Term]] = None,
+                 keys: Optional[Set[Term]] = None,
                  key: Optional[Term] = None) -> bool:
     """Fold a candidate call into S; True when S changed.
 
@@ -483,14 +490,14 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
     operation-rooted pieces of its images, which are folded in
     recursively.  Anything else is appended.
 
-    `keys` holds the `variant_key` of each element of S, in step with
-    S; it is updated with S.  Without it, the keys are computed here.
-    `key`, when given, is the `variant_key` of u.
+    `keys` is the set of the `variant_key`s of S, one per element; it is
+    updated with S.  Without it, the keys are computed here.  `key`,
+    when given, is the `variant_key` of u.
     """
     if not is_operation_rooted(u):
         raise ValueError(f"candidates must be operation-rooted: {u}")
     if keys is None:
-        keys = [variant_key(s) for s in S]
+        keys = {variant_key(s) for s in S}
     if key is None:
         key = variant_key(u)
     if key in keys:
@@ -501,8 +508,9 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
             changed = False
             w_key = variant_key(w)
             if w_key not in keys:  # s's own key is among them
+                keys.remove(variant_key(s))
+                keys.add(w_key)
                 S[i] = w
-                keys[i] = w_key
                 changed = True
             for theta in (th_u, th_s):
                 for img in theta.mapping.values():
@@ -516,7 +524,7 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
             return False
         if all(is_constructor_term(img) for img in images):
             S.append(u)
-            keys.append(key)
+            keys.add(key)
             return True
         changed = False
         for img in images:
@@ -524,7 +532,7 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
                 changed = abstract_add(S, v, gen, keys) or changed
         return changed
     S.append(u)
-    keys.append(key)
+    keys.add(key)
     return True
 
 
@@ -545,7 +553,6 @@ class _Unfolded(NamedTuple):
     misses: FrozenSet[Term]  # keys of those that did not
     # The outermost calls of the right-hand sides, with their variant keys.
     candidates: Tuple[Tuple[Term, Term], ...]
-    connective: Tuple[Term, ...]  # right-hand sides that hold eq/and
 
     def reusable(self, call: Term, stop_keys: AbstractSet[Term]) -> bool:
         """Whether a new unfold of `call` against `stop_keys` would give
@@ -555,18 +562,6 @@ class _Unfolded(NamedTuple):
                 and self.misses.isdisjoint(stop_keys))
 
 
-def _has_connective(t: Term) -> bool:
-    """Whether eq or and occurs in t; constructor terms are not entered."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App) and not u.constructor_term:
-            if u.root.name in (EQ, AND):
-                return True
-            stack.extend(u.args)
-    return False
-
-
 def pe_control(program: Program, roots: Sequence[Term],
                policy: UnfoldPolicy = UnfoldPolicy(),
                max_iters: int = 32) -> PEControlResult:
@@ -574,11 +569,13 @@ def pe_control(program: Program, roots: Sequence[Term],
     specialization is closed, then return the final partial evaluation.
 
     After each pass, every outermost operation-rooted subterm of every
-    resultant right-hand side is folded into S by abstract_add; a pass
-    that changes nothing is the fixpoint, and only its S is renamed and
-    assembled (`partial_evaluate`).  Exceeding the iteration cap raises
-    PEControlError listing the calls that still escape coverage.  The
-    definitional trees are built once and serve every pass.
+    resultant right-hand side (eq/and are crossed, as constructors) is
+    folded into S by abstract_add; a pass that changes nothing is the
+    fixpoint, and only its S is renamed and assembled, once
+    (`partial_evaluate`), equation goals included.  Exceeding the
+    iteration cap raises PEControlError listing the calls that still
+    escape coverage.  The definitional trees are built once and serve
+    every pass.
 
     S reaches a call's unfold tree only through the stop tests of its
     cut, so each call keeps its resultants and the answers of the tests
@@ -589,7 +586,7 @@ def pe_control(program: Program, roots: Sequence[Term],
     the last applied step), so the kept resultants are the ones a new
     unfold would give, fresh names included.  Each candidate call's
     variant key is computed once, with its entry, and a pass skips the
-    candidates whose key is already in S.
+    candidates whose key is already among S's keys.
     """
     roots = list(roots)
     if not roots:
@@ -600,10 +597,9 @@ def pe_control(program: Program, roots: Sequence[Term],
     for r in roots:
         gen.reserve(vars_of(r))
     S: List[Term] = []
-    keys: List[Term] = []  # the variant keys of S, in step with it
+    keys: Set[Term] = set()  # the variant keys of S, one per element
     for r in roots:
         abstract_add(S, r, gen, keys)
-    key_set = set(keys)  # kept equal to set(keys)
     trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
 
     # kept[i] is the unfolding of S[i] while its call is S[i]: S only
@@ -613,39 +609,28 @@ def pe_control(program: Program, roots: Sequence[Term],
     for iteration in range(1, max_iters + 1):
         for i, s in enumerate(S):
             entry = kept[i] if i < len(kept) else None
-            if entry is not None and entry.reusable(s, key_set):
+            if entry is not None and entry.reusable(s, keys):
                 reused += 1
                 continue
             probes: List[Tuple[Term, bool]] = []
             rs = tuple(resultants(unfold(s, program, policy, trees=trees,
-                                         stop_keys=key_set, probes=probes)))
+                                         stop_keys=keys, probes=probes)))
             kept[i:i + 1] = [_Unfolded(  # replaces kept[i], or appends
                 s, rs, frozenset(key for key, hit in probes if hit),
                 frozenset(key for key, hit in probes if not hit),
                 tuple((u, variant_key(u)) for r in rs
-                      for u in outermost_operation_subterms(r.rhs)),
-                tuple(r.rhs for r in rs if _has_connective(r.rhs)))]
+                      for u in outermost_operation_subterms(r.rhs)))]
             built += 1
-        per_call = [(entry.call, entry.resultants) for entry in kept]
-        connective = [t for entry in kept for t in entry.connective]
-        if connective:
-            # A renamed right-hand side that keeps eq/and makes the
-            # assembly raise (`add_strict_equality` rejects eq/and rules
-            # it did not write).  The error belongs to the first such
-            # pass, before the iteration cap or a later S can intervene.
-            rho = independent_renaming(S, program.signature)
-            if any(_has_connective(rename_term(rho, t)) for t in connective):
-                partial_evaluate(program, S, policy, trees, per_call)
         candidates = [u for entry in kept for u in entry.candidates]
         changed = False
         for u, key in candidates:
-            if key not in key_set and abstract_add(S, u, gen, keys, key):
-                key_set = set(keys)
+            if key not in keys and abstract_add(S, u, gen, keys, key):
                 changed = True
         if not changed:
+            per_call = [(entry.call, entry.resultants) for entry in kept]
             result = partial_evaluate(program, S, policy, trees, per_call)
             return PEControlResult(tuple(S), result, iteration, built, reused)
-    leftovers = tuple(u for u, key in candidates if key not in key_set)
+    leftovers = tuple(u for u, key in candidates if key not in keys)
     calls = leftovers or tuple(u for u, _ in candidates)
     raise PEControlError(
         "no closed specialization after "

@@ -55,3 +55,21 @@ def test_pe_control_trace_rows_stay_live():
     assert calls["peval.resultants"] == outcome.unfolds_built
     assert calls["peval.abstract_add"] > 0
     assert calls["peval.embeds"] > 0 and calls["peval.msg"] > 0
+
+
+def test_pe_control_of_an_equation_goal_assembles_once():
+    """An equation goal's residual calls the builtin eq/and, so the
+    loop assembles one result, at its fixpoint, as for any other goal."""
+    from nspec import add_strict_equality, parse_program, parse_term, peval
+
+    text = (TRACING.parent.parent / "tests" / "data" / "append.flp").read_text(
+        encoding="utf-8")
+    program = add_strict_equality(parse_program(text))
+    root = parse_term("eq(append(Xs, Ys), cons(0, nil))", program.signature)
+    tracer = _tracing().Tracer()
+    with tracer:
+        tracer.enabled = True
+        outcome = peval.pe_control(program, [root], peval.UnfoldPolicy(depth=2))
+    calls = tracer.calls()
+    assert outcome.iterations > 1
+    assert calls["peval.partial_evaluate"] == 1

@@ -309,6 +309,28 @@ class TestPeval:
             "eq(false, false) -> true ;\n"
             "and(true, X) -> X ;\n")
 
+    def test_equation_goal(self):
+        """The residual of an equation goal calls the builtin eq/and,
+        whose rules follow the specialized ones."""
+        proc = run("peval", APPEND, "-s", "eq(append(Xs, Ys), cons(0, nil))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "constructors nil/0 cons/2 0/0 s/1 true/0 false/0 ;\n"
+            "operations eq_pe0/2 append_pe1/2 eq/2 and/2 ;\n"
+            "\n"
+            "eq_pe0(nil, cons(V5, V6)) -> and(eq(V5, 0), eq(V6, nil)) ;\n"
+            "eq_pe0(cons(V2, V3), Ys) -> "
+            "and(eq(V2, 0), eq(append_pe1(V3, Ys), nil)) ;\n"
+            "append_pe1(nil, Ys) -> Ys ;\n"
+            "append_pe1(cons(V2, V4), Ys) -> cons(V2, append_pe1(V4, Ys)) ;\n"
+            "eq(nil, nil) -> true ;\n"
+            "eq(cons(X1, X2), cons(Y1, Y2)) -> and(eq(X1, Y1), eq(X2, Y2)) ;\n"
+            "eq(0, 0) -> true ;\n"
+            "eq(s(X1), s(Y1)) -> eq(X1, Y1) ;\n"
+            "eq(true, true) -> true ;\n"
+            "eq(false, false) -> true ;\n"
+            "and(true, X) -> X ;\n")
+
     def test_output_and_map_files(self, tmp_path):
         out = tmp_path / "out.flp"
         mapping = tmp_path / "map.json"

@@ -228,6 +228,16 @@ class TestUniform:
         p = parse_program("constructors a/0 ;\noperations f/1 ;\nf(X) -> X ;\n")
         assert is_uniform(p)
 
+    def test_an_operation_in_a_pattern_is_not_uniform(self):
+        """Uniform patterns are constructor patterns: `f(g(X))` with g
+        an operation has no definitional tree, so the transform rejects
+        it too."""
+        p = parse_program("constructors a/0 ;\noperations f/1 g/1 ;\n"
+                          "f(g(X)) -> X ;\ng(X) -> X ;\n")
+        assert not is_uniform(p)
+        with pytest.raises(ProgramClassError, match="not inductively sequential: f"):
+            uniform_transform(p)
+
     def test_transform_output(self):
         out = uniform_transform(parse_program(LEQ_ONLY))
         assert [f"{r.label}: {r}" for r in out.rules] == [

@@ -34,7 +34,7 @@ from nspec.peval import (
     resultants,
     unfold,
 )
-from nspec.program import AND, EQ, Rule, add_strict_equality
+from nspec.program import AND, EQ, ProgramError, Rule, add_strict_equality
 from nspec.syntax import parse_program, parse_term
 from nspec.terms import (
     App,
@@ -646,6 +646,17 @@ class TestPartialEvaluate:
         with pytest.raises(ValueError, match="operation-rooted"):
             partial_evaluate(leq_prog, [goal(leq_prog, "s(0)")])
 
+    def test_a_user_defined_eq_is_not_taken_for_the_builtin(self):
+        """Without `add_strict_equality`, eq is the program's own
+        operation, and a residual that calls it is refused as a program
+        with user eq/and rules is."""
+        program = parse_program(
+            "constructors true/0 zero/0 ;\noperations eq/2 f/1 ;\n"
+            "eq(zero, zero) -> true ;\nf(X) -> eq(X, zero) ;\n")
+        with pytest.raises(ProgramError, match="eq/and rules are user-defined"):
+            partial_evaluate(program, [goal(program, "f(X)")],
+                             UnfoldPolicy(depth=1))
+
 
 class TestControlLoop:
     def test_append_reaches_closedness_by_generalizing(self, append_prog):
@@ -745,6 +756,38 @@ class TestControlLoop:
                              [goal(program, "append(append(Xs, Ys), Zs)")])
         assert outcome.iterations == 2
         assert calls == [program]
+
+
+EQUATION_GOALS = [(name, source) for name, source in CORPUS_GOALS
+                  if source.startswith("eq(")] + [
+    ("append", "append(Xs, Ys) ~ Zs"), ("leq", "(X + X) ~ s(s(0))"),
+    ("leq", "(X + Y) ~ s(s(0))")]
+
+
+class TestEquationGoals:
+    """Equation goals specialize: the residual calls the builtin eq/and
+    that `add_strict_equality` writes after the specialized rules."""
+
+    @pytest.mark.parametrize("name, source", EQUATION_GOALS)
+    def test_closed_sequential_and_answer_preserving(self, name, source):
+        """Unfold depths 1-3, whistle on and off.  The answer set of
+        `append(Xs, Ys) ~ Zs` is infinite, so neither search completes."""
+        program = load(f"{name}.flp")
+        g = goal(program, source)
+        original = search(g, program)
+        compared = 0
+        for depth in (1, 2, 3):
+            for whistle in (True, False):
+                policy = UnfoldPolicy(depth=depth, whistle=whistle)
+                result = pe_control(program, [g], policy).result
+                assert result.report.closed, policy
+                assert is_inductively_sequential(result.program).ok, policy
+                assert result.program.has_strict_equality
+                special = search(rename_term(result.renaming, g), result.program)
+                if original.complete and special.complete:
+                    assert answer_set(special) == answer_set(original), policy
+                    compared += 1
+        assert compared == (0 if "~ Zs" in source else 6)
 
 
 class TestClosednessAgainstClosureSets:
@@ -937,9 +980,8 @@ class TestIncrementalControlMatchesTheParentLoop:
 
     @pytest.mark.parametrize("name, source", CORPUS_GOALS)
     def test_corpus_goals_and_the_iteration_cap(self, name, source):
-        """Goals under eq fail to assemble on the first pass whose
-        renamed rules keep eq/and; with a small cap that pass comes
-        before the cap is reached."""
+        """Goals under eq assemble like the others, and a small cap ends
+        both loops at the same pass with the same error."""
         program = load(f"{name}.flp")
         for max_iters in (1, 2, 32):
             _assert_same_control(program, [goal(program, source)],
@@ -1099,11 +1141,12 @@ class TestUnfoldCache:
 @given(PE_TERMS, PE_TERMS)
 def test_abstract_add_keys_stay_in_step(t1, t2):
     S = []
-    keys = []
+    keys = set()
     gen = FreshVars()
     for u in (t1, t2, App(_F, (t1, t2)), App(_G, (t2,))):
         if is_operation_rooted(u):
             ref_S = list(S)
             changed = abstract_add(S, u, gen, keys)
-            assert keys == [variant_key(s) for s in S]
+            assert keys == {variant_key(s) for s in S}
+            assert len(keys) == len(S)
             assert changed == (S != ref_S)
