@@ -125,7 +125,7 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
 
 
 def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
-                  gen: FreshVars, count: bool = False
+                  gen: FreshVars, count: bool = False, at: Optional[tuple] = None
                   ) -> Union[List[Step], int]:
     """The descent of `nns`, from an explicit stack, depth first with
     the children of a branch in tree order.
@@ -135,11 +135,11 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     `bound`, which holds the bindings of the current tree path, and
     positions are read through it.  A frame is (tree node, the
     operation-rooted subterm u it descends, the parent branch's position
-    in u and the subterm read there, if any, u's position in t and the
-    canonical parts so far, both as parent-pointer chains read only at a
-    leaf, and the (variable, constructor) to bind on entry, if any); a
-    bare variable on the stack ends that binding's scope.  Fresh
-    variables and rule variants are drawn in depth-first order.
+    in u and the subterm read there, if any, u's position, extending
+    `at` (t's own), and the canonical parts so far, both as parent-pointer
+    chains read only at a leaf, and the (variable, constructor) to bind
+    on entry, if any); a bare variable on the stack ends that binding's
+    scope.  Fresh variables and rule variants are drawn depth first.
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
@@ -148,7 +148,7 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     steps: List[Step] = []
     found = 0
     bound: Dict[Var, App] = {}
-    stack: List[object] = [(tree, t, None, None, None, None)]
+    stack: List[object] = [(tree, t, None, at, None, None)]
     while stack:
         frame = stack.pop()
         if isinstance(frame, Var):
@@ -214,8 +214,8 @@ def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
     return _lns(t, program, gen)
 
 
-def _lns(t: App, program: Program, gen: FreshVars, count: bool = False
-         ) -> Union[List[Step], int]:
+def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
+         at: Optional[tuple] = None) -> Union[List[Step], int]:
     """The descent of `lns`, from an explicit stack: the steps at a
     position come first, then those of each position it demands, in
     position order, each with everything below it.
@@ -224,17 +224,17 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False
     whether the walk's equations unify is decided on them too
     (`linear_overlay`): neither a clash, nor a demand, nor the outcome
     of solving depends on variable names.  A rule without a step only
-    advances `gen` as its renaming would.  For a step, the renaming is
-    drawn and the equations, their pattern sides renamed, are solved;
-    that is `linear_unify` of the variant, whose checks hold by
-    construction (the variant is linear, and its names are fresh).
-    With `count`, a step advances `gen` in the same way and is counted,
-    not built, and the number of steps is returned.  Positions are
-    parent-pointer chains of demanded positions, spelled out once per
-    step."""
+    advances `gen` as its renaming would.  For a step, the variant is
+    drawn (`Rule.renamed`) and the equations, their pattern sides under
+    its renaming, are solved: `linear_unify` of the variant, whose checks
+    hold by construction (it is linear, and its names are fresh).  With
+    `count`, a step advances `gen` in the same way and is counted, not
+    built, and the number of steps is returned.  Positions are chains of
+    demanded positions extending `at` (t's own), spelled out once per
+    position that has steps."""
     steps: List[Step] = []
     found = 0
-    stack: List[Tuple[Optional[tuple], App]] = [(None, t)]
+    stack: List[Tuple[Optional[tuple], App]] = [(at, t)]
     while stack:
         at, sub = stack.pop()
         here: Optional[Position] = None
@@ -248,11 +248,12 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False
                     demanded.setdefault(q)
             elif isinstance(walked, list) and linear_overlay(walked):
                 if not count:
-                    theta = gen.renaming(rule.variables)
+                    variant = rule.renamed(gen)
+                    theta = variant._renaming
                     sigma = _solve([(theta.apply(p), g) for p, g in walked])
                     if here is None:
                         here = _joined(at)
-                    steps.append(Step(here, rule.variant(theta), sigma, (sigma,)))
+                    steps.append(Step(here, variant, sigma, (sigma,)))
                     continue
                 found += 1
             gen.skip_renaming(rule.variables)
@@ -355,12 +356,13 @@ def strategy_steps(t: Term, program: Program, strategy: str,
 
     Both strategies act on operation-rooted terms only; a constructor
     prefix is crossed by narrowing the leftmost-outermost operation-rooted
-    subterm.  The program must have passed `deftree.require_class`, which
-    also supplies `trees`; `gen` must already hold t's variables.  With
-    `count`, only the number of steps is returned, and `gen` ends as
-    building them would leave it.
+    subterm, whose position starts the descent's position chain: each
+    step is built once, at its full position.  The program must have
+    passed `deftree.require_class`, which also supplies `trees`; `gen`
+    must already hold t's variables.  With `count`, only the number of
+    steps is returned, and `gen` ends as building them would leave it.
     """
-    pos: Position = ()
+    at: Optional[tuple] = None
     if is_root_stable(t):
         # The leftmost-outermost operation-rooted subterm; constructor
         # terms are not entered.
@@ -374,16 +376,13 @@ def strategy_steps(t: Term, program: Program, strategy: str,
                              for i in range(len(t.args), 0, -1))
         else:
             return 0 if count else []
+        at = (pos, None)
     if strategy == "needed":
         tree = trees.get(t.root.name)
         if tree is None:
             return 0 if count else []
-        steps = _needed_steps(t, tree, trees, gen, count)
-    else:
-        steps = _lns(t, program, gen, count)
-    if count or not pos:
-        return steps
-    return [Step(pos + s.position, s.rule, s.subst, s.canonical) for s in steps]
+        return _needed_steps(t, tree, trees, gen, count, at)
+    return _lns(t, program, gen, count, at)
 
 
 # The text of the needed-class error, before the offending operations.

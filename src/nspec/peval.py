@@ -32,6 +32,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _preorder,
     _put,
     is_constructor_term,
     is_operation_rooted,
@@ -262,11 +263,11 @@ def resultants(tree: Node) -> List[Resultant]:
     return out
 
 
-def _may_match(S: Iterable[Term], t: App) -> List[Term]:
-    """The elements of S that can match t: `match` fails anyway on a
-    root clash, and on an argument of s that is an application where t
-    has a variable or another root."""
-    return [s for s in S if isinstance(s, Var) or s.root == t.root and not any(
+def _may_match(S: Iterable[App], t: App) -> List[App]:
+    """The elements of S, all applications, that can match t: `match`
+    fails anyway on a root clash, and on an argument of s that is an
+    application where t has a variable or another root."""
+    return [s for s in S if s.root == t.root and not any(
         isinstance(a, App) and (isinstance(b, Var) or a.root != b.root)
         for a, b in zip(s.args, t.args))]
 
@@ -278,31 +279,27 @@ def closed(S: Sequence[Term], t: Term) -> bool:
     Variables are closed; a term rooted by a constructor (or by eq/and,
     which behave like constructors here) is closed when its arguments
     are; an operation-rooted term must be an instance of some s in S with
-    closed images — for eq/and both readings are admitted.
+    closed images — for eq/and both readings are admitted.  Each subterm
+    is decided once, after its own subterms (the reversed preorder): the
+    images of a match are proper subterms, as S holds applications.
     """
     S = list(S)
-    memo: Dict[Term, bool] = {}
-
-    def check(u: Term) -> bool:
+    ok: Dict[Term, bool] = {}
+    for u in reversed(list(_preorder(t))):
+        if u in ok:
+            continue
         if isinstance(u, Var):
-            return True
-        cached = memo.get(u)
-        if cached is not None:
-            return cached
-        ok = False
-        if u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND):
-            ok = all(check(a) for a in u.args)
-        if not ok and u.root.kind == OPERATION:
+            ok[u] = True
+            continue
+        ok[u] = (u.root.kind == CONSTRUCTOR or u.root.name in (EQ, AND)) and all(
+            ok[a] for a in u.args)
+        if not ok[u] and u.root.kind == OPERATION:
             for s in _may_match(S, u):
                 theta = match(s, u)
-                if theta is not None and all(
-                        check(img) for img in theta.mapping.values()):
-                    ok = True
+                if theta is not None and all(ok[img] for img in theta.mapping.values()):
+                    ok[u] = True
                     break
-        memo[u] = ok
-        return ok
-
-    return check(t)
+    return ok[t]
 
 
 def independent_renaming(S: Sequence[Term], signature: Signature
@@ -347,27 +344,38 @@ def _covering(S: Iterable[Term], t: App) -> Optional[Tuple[Term, Substitution]]:
 
 
 def rename_term(rho: Dict[Term, App], t: Term) -> Term:
-    """The deterministic renaming of a term under rho.
+    """The deterministic renaming of a term under rho (`independent_renaming`).
 
     Variables stay; constructor applications are renamed argument-wise;
     an operation-rooted term matching some specialized call s becomes
-    rho(s) with the matching images renamed recursively (the most
-    specific matching s wins, ties resolved by insertion order); eq/and
-    prefer a whole-term match and otherwise decompose; anything else is
-    left unchanged.
+    rho(s) with the matching images renamed in turn (the most specific
+    matching s wins, ties resolved by insertion order); eq/and prefer a
+    whole-term match and otherwise decompose; anything else is left
+    unchanged.  Renamed top-down from an explicit stack: a term's cover
+    is chosen on entry, then the root symbol of the result is pushed,
+    above the images or arguments whose renamings it is rebuilt from.
     """
-    if isinstance(t, Var):
-        return t
-    if t.root.kind == CONSTRUCTOR:
-        return App(t.root, tuple(rename_term(rho, a) for a in t.args))
-    found = _covering(rho, t)
-    if found is None:
-        if t.root.name in (EQ, AND):
-            return App(t.root, tuple(rename_term(rho, a) for a in t.args))
-        return t
-    s, theta = found
-    images = {x: rename_term(rho, img) for x, img in theta.mapping.items()}
-    return Substitution(images).apply(rho[s])
+    done: List[Term] = []
+    stack: List[Union[Term, Symbol]] = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Symbol):
+            parts = tuple(done[len(done) - u.arity:])
+            del done[len(done) - u.arity:]
+            done.append(App(u, parts))
+            continue
+        found = None if is_root_stable(u) else _covering(rho, u)
+        if found is not None:
+            call = rho[found[0]]  # over the variables of the covering s
+            stack.append(call.root)
+            stack.extend(reversed([found[1].apply(x) for x in call.args]))
+        elif isinstance(u, Var) or (u.root.kind == OPERATION
+                                    and u.root.name not in (EQ, AND)):
+            done.append(u)
+        else:
+            stack.append(u.root)
+            stack.extend(reversed(u.args))
+    return done[0]
 
 
 class PEReport(NamedTuple):
@@ -457,10 +465,9 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     targets = list(rho.values())
     uncovered: List[Term] = []
     for rule in specialized:
-        if not closed(targets, rule.rhs):
-            for u in outermost_operation_subterms(rule.rhs):
-                if not closed(targets, u) and u not in uncovered:
-                    uncovered.append(u)
+        for u in outermost_operation_subterms(rule.rhs):
+            if not closed(targets, u) and u not in uncovered:
+                uncovered.append(u)
     report = PEReport(not uncovered, tuple(uncovered), tuple(per_call))
     return PEResult(out, rho, specialized, report)
 
@@ -482,13 +489,14 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
     into which a same-root element embeds generalizes that element in
     place to their most specific generalization (when a variant of the
     generalization already lives elsewhere in S, both the element and
-    the candidate are kept as they are), and the generalization's clash
-    images are folded in recursively.  An instance of an existing
-    element is dropped when its matching images only collapse
-    variables, appended when they are constructor terms (a genuine
-    call-pattern refinement), and otherwise decomposed into the
-    operation-rooted pieces of its images, which are folded in
-    recursively.  Anything else is appended.
+    the candidate are kept as they are), and the operation-rooted pieces
+    of the generalization's clash images are folded in.  An instance of
+    an existing element is dropped when its matching images only
+    collapse variables, appended when they are constructor terms (a
+    genuine call-pattern refinement), and otherwise decomposed into the
+    operation-rooted pieces of its images, which are folded in.
+    Anything else is appended.  The pieces are folded depth first from
+    an explicit stack of (call, key), each key computed when popped.
 
     `keys` is the set of the `variant_key`s of S, one per element; it is
     updated with S.  Without it, the keys are computed here.  `key`,
@@ -498,42 +506,38 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
         raise ValueError(f"candidates must be operation-rooted: {u}")
     if keys is None:
         keys = {variant_key(s) for s in S}
-    if key is None:
-        key = variant_key(u)
-    if key in keys:
-        return False
-    for i, s in enumerate(S):
-        if isinstance(s, App) and s.root == u.root and embeds(s, u):
-            w, th_u, th_s = msg(u, s, gen)
-            changed = False
-            w_key = variant_key(w)
-            if w_key not in keys:  # s's own key is among them
-                keys.remove(variant_key(s))
-                keys.add(w_key)
-                S[i] = w
+    changed = False
+    stack: List[Tuple[Term, Optional[Term]]] = [(u, key)]
+    while stack:
+        u, key = stack.pop()
+        if key is None:
+            key = variant_key(u)
+        if key in keys:
+            continue
+        for i, s in enumerate(S):
+            if s.root == u.root and embeds(s, u):
+                w, th_u, th_s = msg(u, s, gen)
+                w_key = variant_key(w)
+                if w_key not in keys:  # s's own key is among them
+                    keys.remove(variant_key(s))
+                    keys.add(w_key)
+                    S[i] = w
+                    changed = True
+                images = [*th_u.mapping.values(), *th_s.mapping.values()]
+                break
+        else:
+            found = _covering(S, u)
+            images = [] if found is None else list(found[1].mapping.values())
+            if found is not None and all(isinstance(img, Var) for img in images):
+                continue
+            if found is None or all(is_constructor_term(img) for img in images):
+                S.append(u)
+                keys.add(key)
                 changed = True
-            for theta in (th_u, th_s):
-                for img in theta.mapping.values():
-                    for v in outermost_operation_subterms(img):
-                        changed = abstract_add(S, v, gen, keys) or changed
-            return changed
-    found = _covering(S, u)
-    if found is not None:
-        images = list(found[1].mapping.values())
-        if all(isinstance(img, Var) for img in images):
-            return False
-        if all(is_constructor_term(img) for img in images):
-            S.append(u)
-            keys.add(key)
-            return True
-        changed = False
-        for img in images:
-            for v in outermost_operation_subterms(img):
-                changed = abstract_add(S, v, gen, keys) or changed
-        return changed
-    S.append(u)
-    keys.add(key)
-    return True
+                continue
+        stack.extend(reversed([(v, None) for img in images
+                               for v in outermost_operation_subterms(img)]))
+    return changed
 
 
 class PEControlResult(NamedTuple):

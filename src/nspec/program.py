@@ -37,12 +37,12 @@ class Rule(Frozen):
     side, in order of first occurrence.
 
     `source` is the rule this one is a variant of; a rule built from its
-    parts is its own source.  A variant keeps its source and either its
-    renaming or, if `renamed` drew it, the new names of the source's
-    variables; it builds its parts and its renaming the first time one
-    of them is read, so a narrowing step that only rewrites with it
-    never builds them.  The fields live in the instance `__dict__`,
-    which holds those parts once built.
+    parts is its own source.  A variant (`renamed`) keeps its source rule
+    and the names drawn for it.  It builds its variables with its
+    renaming on the first read of either, and both sides on the first
+    read of one, so a narrowing step that only rewrites with it never
+    builds them.  The fields live in the instance `__dict__`, which
+    holds those parts once built.
     """
 
     _fields = ("lhs", "rhs", "label")
@@ -66,44 +66,28 @@ class Rule(Frozen):
         if name not in ("lhs", "rhs", "variables", "_renaming"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        source, parts = self.source, self.__dict__
-        if "_renaming" in parts:
-            theta = parts["_renaming"]
-            variables = tuple(map(theta.apply, source.variables))
+        parts, source = self.__dict__, self.source
+        if name in ("lhs", "rhs"):
+            theta = self._renaming
+            parts.update(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs))
         else:
             variables = tuple(map(Var, self._names))
-            theta = Substitution._of(dict(zip(source.variables, variables)))
-        parts.update(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs),
-                     variables=variables, _renaming=theta)
+            parts.update(variables=variables, _renaming=Substitution._of(
+                dict(zip(source.variables, variables))))
         return parts[name]
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
     def renamed(self, gen: FreshVars) -> "Rule":
-        """A variant of this rule with all variables renamed apart.  Only
-        the new names are drawn (`FreshVars.renaming` without building
-        it); the renaming is built with the variant's parts."""
+        """A variant of this rule with all variables renamed apart, the
+        one kind of variant there is.  Only the new names are drawn, as
+        `FreshVars.renaming` would draw them; the renaming is built with
+        the variant's variables.  A variant of a valid rule is valid, so
+        the checks of `__init__` are not run again."""
         variant = object.__new__(Rule)
         variant.__dict__.update(label=self.label, source=self.source,
                                 _names=gen._suffixed(self.variables))
-        return variant
-
-    def variant(self, theta: Substitution) -> "Rule":
-        """This rule under theta, a renaming of its variables.
-
-        The variant keeps this rule's source and the renaming from it: a
-        variant of a variant renames the source once, by the composed
-        renaming.  A variant of a valid rule is valid, so the checks of
-        `__init__` are not run again.
-        """
-        source = self.source
-        if source is not self:
-            inner = self._renaming
-            theta = Substitution(
-                {v: theta.apply(inner.apply(v)) for v in source.variables})
-        variant = object.__new__(Rule)
-        variant.__dict__.update(label=self.label, source=source, _renaming=theta)
         return variant
 
     def is_left_linear(self) -> bool:

@@ -309,6 +309,27 @@ class TestPeval:
             "eq(false, false) -> true ;\n"
             "and(true, X) -> X ;\n")
 
+    def test_a_deep_right_hand_side(self, tmp_path):
+        """Renaming, closedness and the folding of candidates into S loop
+        over explicit stacks.  At a recursion limit of 100, a right-hand
+        side of 120 nested calls stands for the 600 that used to end in
+        a RecursionError at the default limit."""
+        body = "X"
+        for _ in range(120):
+            body = f"add({body}, 0)"
+        program = tmp_path / "deep.flp"
+        program.write_text("constructors 0/0 s/1 ;\noperations add/2 f/1 ;\n"
+                           "add(0, N) -> N ;\nadd(s(M), N) -> s(add(M, N)) ;\n"
+                           f"f(X) -> {body} ;\n")
+        args = ("peval", str(program), "--depth", "1",
+                "-s", "f(X)", "-s", "add(X, Y)")
+        proc = run_below_recursion_limit(100, *args)
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout.startswith(
+            "constructors 0/0 s/1 true/0 ;\n"
+            "operations f_pe0/1 add_pe1/2 add_pe2/1 eq/2 and/2 ;\n")
+        assert proc.stdout == run(*args).stdout
+
     def test_equation_goal(self):
         """The residual of an equation goal calls the builtin eq/and,
         whose rules follow the specialized ones."""

@@ -16,7 +16,6 @@ from conftest import (
     load,
     parent_renamed,
     parent_solve,
-    parent_variant,
     random_program,
     random_term,
     steps_view,
@@ -791,24 +790,17 @@ class TestLazyVariantsEqualTheEagerOnes:
             _assert_variants_equal_the_eager_ones(
                 u, leq_prog, strategy, leq_trees, reads)
 
-    def test_a_variant_of_a_variant(self, leq_prog):
-        rule = leq_prog.rules_for("add")[1]  # add(s(M), N) -> s(add(M, N))
-        gen = FreshVars()
-        theta = gen.renaming(rule.variables)
-        once = rule.variant(theta)
-        m_1 = theta.apply(rule.variables[0])
-        back = Substitution({y: x for x, y in theta.mapping.items()})
-        t = goal(leq_prog, "leq(add(s(N), add(N, M)), M)")
-        for renaming in (gen.renaming(once.variables), back,
-                         Substitution({m_1: Var("Z")})):
-            twice = once.variant(renaming)
-            eager = parent_variant(parent_variant(rule, theta), renaming)
-            assert twice.source is rule
-            assert (str(twice), twice.variables) == (str(eager), eager.variables)
-            assert twice == eager and hash(twice) == hash(eager)
-            assert rewrite_step(t, (1,), twice) == parent_rewrite_step(
-                t, (1,), eager)
-        assert once.variant(back) == rule
+    def test_a_lazy_search_builds_no_side_of_a_variant(self):
+        """A lazy step solves its walk with its variant's renaming, and
+        `narrow` rewrites with the source rule: neither side is built."""
+        program = add_strict_equality(parse_program(PEANO.read_text()))
+        result = search(goal(program, WIDE_LAWS[1]), program, "lazy",
+                        Bounds(max_steps=4))
+        rules = [step.rule for node in result.root.nodes()
+                 for step, _ in node.children]
+        assert len(rules) > 20
+        assert all(rule.source is not rule for rule in rules)
+        assert not any({"lhs", "rhs"} & set(vars(rule)) for rule in rules)
 
 
 def parent_leftmost_operation_position(t):
@@ -971,12 +963,10 @@ class TestCountingSteps:
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_frontier_steps_are_not_built(self, monkeypatch, leq_prog, strategy):
         """At max_steps 1 only the root is expanded: only its two steps
-        draw a rule variant (needed steps through `Rule.renamed`, lazy
-        ones through `Rule.variant`), and the lazy ones alone are solved."""
+        draw a rule variant, under either strategy through `Rule.renamed`,
+        and the lazy ones alone are solved."""
         variants, solved = [], []
-        variant, renamed, solve = Rule.variant, Rule.renamed, narrowing._solve
-        monkeypatch.setattr(Rule, "variant", lambda rule, theta: (
-            variants.append(rule), variant(rule, theta))[1])
+        renamed, solve = Rule.renamed, narrowing._solve
         monkeypatch.setattr(Rule, "renamed", lambda rule, gen: (
             variants.append(rule), renamed(rule, gen))[1])
         monkeypatch.setattr(narrowing, "_solve", lambda pairs: (

@@ -610,6 +610,17 @@ class TestAbstractAdd:
 
 
 class TestPartialEvaluate:
+    def test_the_uncovered_calls_of_an_open_specialization(self):
+        """Each outermost call of each right-hand side is tested on its
+        own and reported once, in rule order."""
+        program = _bench_program("double_app.flp")
+        result = partial_evaluate(
+            program, [goal(program, "append(append(Xs, Ys), Zs)")],
+            UnfoldPolicy(depth=1))
+        assert not result.report.closed
+        assert [str(u) for u in result.report.uncovered] == [
+            "append(Ys, Zs)", "append(cons(V2, append(V3, Ys)), Zs)"]
+
     def test_leq_specialization(self, leq_prog):
         result = partial_evaluate(leq_prog,
                                   [goal(leq_prog, "leq(X, add(X, Y))")])

@@ -46,10 +46,13 @@ class TestRule:
         # The names are drawn when the variant is made, not when read.
         assert gen.renaming((X,)).apply(X) == Var("X_2")
         assert variant.source is r and r.source is r
-        assert not {"lhs", "rhs", "variables"} & set(vars(variant))
+        assert not {"lhs", "rhs", "variables", "_renaming"} & set(vars(variant))
         assert variant.label == "R1"
         assert variant.variables == (Var("Y_1"), Var("X_1"))
-        assert {"lhs", "rhs", "variables"} <= set(vars(variant))
+        assert {"variables", "_renaming"} <= set(vars(variant))
+        assert not {"lhs", "rhs"} & set(vars(variant))
+        assert variant.lhs == App(g, (Var("Y_1"), Var("X_1")))
+        assert {"lhs", "rhs"} <= set(vars(variant))
         assert str(variant) == "g(Y_1, X_1) -> f(X_1)"
         with pytest.raises(AttributeError, match="no attribute 'other'"):
             variant.other
