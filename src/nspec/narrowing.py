@@ -11,7 +11,10 @@ of a node that a bound stops; two leaf policies use it.  `search` bounds
 it by `Bounds` and collects (answer, constructor term) pairs at the
 success leaves; `peval.unfold` bounds it by the unfold depth and cuts
 it with the partial evaluator's local control.  Rewriting
-(`rewrite_normalize`) takes needed steps that bind no variable.
+(`rewrite_normalize`) takes needed steps that bind no variable, found
+by the needed descent's redex mode, which draws no names and builds no
+`Step`; it crosses each constructor prefix once for the whole sequence,
+as the crossing's stack is kept from one step to the next.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .terms import (
     canonical_rename,
     is_constructor_term,
     is_operation_rooted,
-    is_root_stable,
     linear_overlay,
     linear_walk,
     match,
@@ -125,8 +127,9 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
 
 
 def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
-                  gen: FreshVars, count: bool = False, at: Optional[tuple] = None
-                  ) -> Union[List[Step], int]:
+                  gen: Optional[FreshVars], count: bool = False,
+                  at: Optional[tuple] = None, redex: bool = False
+                  ) -> Union[List[Step], int, Optional[Tuple[Position, Rule]]]:
     """The descent of `nns`, from an explicit stack, depth first with
     the children of a branch in tree order.
 
@@ -143,7 +146,11 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
-    renaming, but no part, rule variant or step is built.
+    renaming, but no part, rule variant or step is built.  With `redex`,
+    the descent looks for a rewrite step, one that binds nothing: it
+    returns (position, leaf rule) at the first leaf it reaches, and None
+    at the first variable it would bind or when no child matches.  It
+    reads no `gen` and builds no variant, part or step.
     """
     steps: List[Step] = []
     found = 0
@@ -163,6 +170,8 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             if not count:
                 parts = (Substitution._of({x: image}), parts)
         if isinstance(node, Leaf):
+            if redex:
+                return _joined(at), node.rule
             if count:
                 gen.skip_renaming(node.rule.variables)
                 found += 1
@@ -185,6 +194,8 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
         if isinstance(sub, Var):
             sub = bound.get(sub, sub)
         if isinstance(sub, Var):
+            if redex:
+                return None
             stack.extend((child, u, known, at, parts, (sub, ctor)) for child, ctor
                          in zip(reversed(node.children), reversed(node.constructors)))
         elif sub.root.kind == CONSTRUCTOR:
@@ -197,6 +208,8 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             if inner is not None:
                 stack.append((inner, sub, None, (node.position, at),
                               (IDENTITY, parts), None))
+    if redex:
+        return None
     return found if count else steps
 
 
@@ -349,34 +362,43 @@ class SearchResult(NamedTuple):
     complete: bool
 
 
+def _cross_prefix(pending: List[Tuple[Optional[tuple], Term]]
+                  ) -> Optional[Tuple[Optional[tuple], App]]:
+    """Pop subterms from `pending`, a stack of (position, subterm) with
+    the leftmost on top, until the leftmost-outermost operation-rooted
+    one, which is returned; None when only constructor terms remain.
+    Constructor terms are not entered; the arguments of a constructor
+    application are pushed in its place.  Positions are parent-pointer
+    chains of segments, ((i,), parent), spelled out by `_joined`, so a
+    level of the prefix costs one tuple, not a copy of its position.
+    What is left of `pending` are the right siblings still to cross."""
+    while pending:
+        at, u = pending.pop()
+        if not u.constructor_term:
+            if u.root.kind != CONSTRUCTOR:
+                return at, u
+            pending.extend((((i,), at), u.args[i - 1])
+                           for i in range(len(u.args), 0, -1))
+    return None
+
+
 def strategy_steps(t: Term, program: Program, strategy: str,
                    trees: Dict[str, DefTree], gen: FreshVars,
                    count: bool = False) -> Union[List[Step], int]:
     """Steps of a strategy, lifted over constructor prefixes.
 
     Both strategies act on operation-rooted terms only; a constructor
-    prefix is crossed by narrowing the leftmost-outermost operation-rooted
-    subterm, whose position starts the descent's position chain: each
-    step is built once, at its full position.  The program must have
-    passed `deftree.require_class`, which also supplies `trees`; `gen`
-    must already hold t's variables.  With `count`, only the number of
-    steps is returned, and `gen` ends as building them would leave it.
+    prefix is crossed (`_cross_prefix`) to the leftmost-outermost
+    operation-rooted subterm, whose position chain starts the descent's:
+    each step is built once, at its full position.  The program must
+    have passed `deftree.require_class`, which also supplies `trees`;
+    `gen` must already hold t's variables.  With `count`, only the number
+    of steps is returned, and `gen` ends as building them would leave it.
     """
-    at: Optional[tuple] = None
-    if is_root_stable(t):
-        # The leftmost-outermost operation-rooted subterm; constructor
-        # terms are not entered.
-        stack: List[Tuple[Position, Term]] = [((), t)]
-        while stack:
-            pos, t = stack.pop()
-            if not t.constructor_term:
-                if t.root.kind != CONSTRUCTOR:
-                    break
-                stack.extend((pos + (i,), t.args[i - 1])
-                             for i in range(len(t.args), 0, -1))
-        else:
-            return 0 if count else []
-        at = (pos, None)
+    found = _cross_prefix([(None, t)])
+    if found is None:
+        return 0 if count else []
+    at, t = found
     if strategy == "needed":
         tree = trees.get(t.root.name)
         if tree is None:
@@ -527,8 +549,7 @@ def deterministically_evaluable(t: Term, program: Program,
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
                       ) -> Tuple[Term, List[Term], bool]:
     """Repeatedly rewrite at the needed redex: take the needed narrowing
-    step (`strategy_steps`, which crosses constructor prefixes) while it
-    binds nothing.
+    step while it binds nothing.
 
     Returns (final term, intermediate terms, suspended).  On an
     inductively sequential program the needed descent of a term meets
@@ -536,19 +557,33 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     nothing; so the term is suspended when it has no step or its first
     step binds one of its variables.  A term reached at the `max_steps`
     bound is not suspended; it may not be a normal form.
+
+    A step pays for its redex, its contractum and the path it rebuilds
+    above them: the descent runs in its redex mode (`_needed_steps`),
+    which draws no names and builds no step, and the stack of
+    `_cross_prefix` is kept from one step to the next.  A step changes
+    only the operation-rooted subterm it was found in, so that subterm
+    alone is pushed back, and the constructor prefix above it and the
+    right siblings still pending are not crossed again.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
-    gen = FreshVars(vars_of(t))
-    gen.reserve(program.all_variables())
     trace: List[Term] = []
     current = t
+    pending: List[Tuple[Optional[tuple], Term]] = [(None, t)]
     for _ in range(max_steps):
-        if is_constructor_term(current):
+        found = _cross_prefix(pending)
+        if found is None:
             return current, trace, False
-        steps = strategy_steps(current, program, "needed", trees, gen)
-        if not steps or steps[0].subst:
+        at, u = found
+        tree = trees.get(u.root.name)
+        redex = None if tree is None else _needed_steps(
+            u, tree, trees, None, redex=True)
+        if redex is None:
             return current, trace, True
-        current = narrow(current, steps[0])
+        u = rewrite_step(u, *redex)
+        prefix = _joined(at)
+        current = _replace_on(_path(current, prefix), prefix, u)
+        pending.append((at, u))
         trace.append(current)
     return current, trace, False
 

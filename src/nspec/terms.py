@@ -180,21 +180,34 @@ class App(Frozen):
             return _hash_app(self)
 
     def __str__(self) -> str:
+        """The term as text, from a loop: each application's first
+        argument is printed in place, and only the other arguments and
+        the text between them wait on a stack.  The closing parentheses
+        of a run of unary applications are printed as one string."""
         out: List[str] = []
         stack: List[Union[Term, str]] = [self]  # subterms and text to print
         while stack:
             u = stack.pop()
-            if isinstance(u, str):
+            if u.__class__ is str:
                 out.append(u)
-            elif isinstance(u, Var):
-                out.append(u.name)
-            else:
-                out.append(u.root.name)
-                if u.args:
+                continue
+            closing = 0  # unary applications entered and not yet closed
+            while u.__class__ is App and u.args:
+                out += (u.root.name, "(")
+                args = u.args
+                if len(args) == 1:
+                    closing += 1
+                else:
+                    if closing:
+                        stack.append(")" * closing)
+                        closing = 0
                     stack.append(")")
-                    for a in reversed(u.args):
+                    for a in args[:0:-1]:
                         stack += (a, ", ")
-                    stack[-1] = "("
+                u = args[0]
+            out.append(u.name if u.__class__ is Var else u.root.name)
+            if closing:
+                out.append(")" * closing)
         return "".join(out)
 
     def __repr__(self) -> str:

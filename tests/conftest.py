@@ -144,6 +144,16 @@ CORPUS_GOALS = [
 # --- comparison helpers --------------------------------------------------
 
 
+def ref_str(t):
+    """The printed form of a term, by recursion: the reference of the
+    looping printer `App.__str__`, for shallow terms."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.root.name
+    return f"{t.root.name}({', '.join(ref_str(a) for a in t.args)})"
+
+
 def parent_variant(rule, theta):
     """`Rule.variant` as it was before variants built their parts on
     demand: the left-hand side, right-hand side and variables under

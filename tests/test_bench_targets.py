@@ -1,13 +1,15 @@
 """The functions that the benchmark's tracer wraps must exist, and the
-partial evaluator must keep calling them.
+partial evaluator and the rewriting command must keep calling them.
 
 `bench/tracing.py` names nspec functions by module and attribute path;
 a rename or deletion, or a caller that stops going through the traced
 name, would only surface in a traced benchmark run.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,26 @@ def test_pe_control_of_an_equation_goal_assembles_once():
     calls = tracer.calls()
     assert outcome.iterations > 1
     assert calls["peval.partial_evaluate"] == 1
+
+
+def test_rewrite_trace_rows_stay_live():
+    """`nspec eval --strategy rewrite` rewrites through one
+    `rewrite_normalize` call, which draws no rule variant, and prints
+    each term of its trace with one call of the printer."""
+    from nspec import cli
+
+    peano = str(TRACING.parent / "programs" / "peano.flp")
+    goal = ("leq(double(s(s(0))), "
+            "add(length(append(cons(0, nil), cons(0, nil))), s(s(0))))")
+    tracer = _tracing().Tracer()
+    out = io.StringIO()
+    with tracer, contextlib.redirect_stdout(out):
+        tracer.enabled = True
+        code = cli.main(["eval", peano, "-e", goal, "--strategy", "rewrite"])
+    lines = out.getvalue().splitlines()
+    calls = tracer.calls()
+    assert code == 0 and lines[-1] == "normal form: true"
+    assert len(lines) > 10
+    assert calls["narrowing.rewrite_normalize"] == 1
+    assert calls["program.Rule.renamed"] == 0
+    assert calls["terms.str"] == len(lines)

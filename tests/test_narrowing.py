@@ -452,6 +452,37 @@ class TestRewriteNormalize:
         t = goal(leq_prog, "leq(X, 0)")
         assert rewrite_normalize(t, leq_prog) == (t, [], True)
 
+    def test_rewriting_draws_no_names_and_builds_no_variants(
+            self, monkeypatch, leq_prog, loop_prog):
+        """A rewrite step binds nothing, so the redex descent draws no
+        fresh variable, no renaming suffix and no rule variant.  The
+        program-class gate, whose tree builder draws the variables of
+        its patterns, is not counted."""
+        calls, counting = [], [True]
+        for owner, name in [(Rule, "renamed"), (FreshVars, "fresh"),
+                            (FreshVars, "_suffixed")]:
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: (
+                counting[0] and calls.append(_n), _f(*args))[1])
+        gate = narrowing.require_class
+
+        def uncounted_gate(*args):
+            counting[0] = False
+            try:
+                return gate(*args)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(narrowing, "require_class", uncounted_gate)
+        two = "s(s(0))"
+        final, trace, suspended = rewrite_normalize(
+            goal(leq_prog, f"leq({two}, add({two}, {two}))"), leq_prog)
+        assert (str(final), len(trace), suspended) == ("true", 5, False)
+        final, trace, suspended = rewrite_normalize(
+            goal(loop_prog, "g(0)"), loop_prog, max_steps=1000)
+        assert (str(final), len(trace), suspended) == ("g(0)", 1000, False)
+        assert calls == []
+
 
 class TestAnswerShape:
     def test_values_are_constructor_terms(self, leq_prog):
@@ -869,9 +900,13 @@ def parent_rewrite_normalize(t, program, max_steps):
 
 def _random_goals(program, rng):
     """Generic calls, and per operation a ground and a non-ground call
-    with random arguments, each also under a constructor."""
+    with random arguments, each also under a constructor; then those
+    calls as siblings under a two-level constructor prefix, where a
+    rewritten call can turn constructor-rooted while the calls to its
+    right are still to be crossed."""
     ops = [sym for sym in program.signature if sym.kind == "operation"]
     goals = generic_calls(program)
+    calls = []
     for op in ops:
         for variables in ([], [Var("G1"), Var("G2")]):
             call = App(op, tuple(random_term(rng, variables, ops, 2)
@@ -879,6 +914,12 @@ def _random_goals(program, rng):
             wrapper = rng.choice([c for c in program.signature
                                   if c.kind == "constructor" and c.arity])
             goals += [call, App(wrapper, (call,) * wrapper.arity)]
+            calls.append(call)
+    pr, sc = program.signature.get("pr"), program.signature.get("sc")
+    for _ in range(3):
+        a, b, c = (rng.choice(calls) for _ in range(3))
+        goals += [App(pr, (App(pr, (a, b)), c)), App(sc, (App(pr, (a, b)),)),
+                  App(pr, (App(sc, (a,)), App(pr, (b, c))))]
     return goals
 
 
@@ -1082,5 +1123,20 @@ class TestStepCostFollowsTheWalk:
             per_level[depth] = _best_time(lambda: strategy_steps(
                 t, leq_prog, strategy, leq_trees, FreshVars())) / depth
         # Flat gives 1; copying the position prefix at each call gave
+        # about 8 for the needed step.
+        assert per_level[4000] < 4 * per_level[250], per_level
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_prefix_cost_per_level_is_flat(self, leq_prog, leq_trees, strategy):
+        """Crossing a constructor prefix s^j to the call below it costs
+        one parent-pointer segment per level."""
+        per_level = {}
+        for depth in (250, 4000):
+            t = goal(leq_prog, "s(" * depth + "add(0, 0)" + ")" * depth)
+            [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
+            assert step.position == (1,) * depth
+            per_level[depth] = _best_time(lambda: strategy_steps(
+                t, leq_prog, strategy, leq_trees, FreshVars())) / depth
+        # Flat gives 1; extending a position tuple at each level gave
         # about 8 for the needed step.
         assert per_level[4000] < 4 * per_level[250], per_level

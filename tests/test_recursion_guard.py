@@ -95,13 +95,14 @@ def test_terms_module_has_no_self_calling_function():
 
 
 def test_narrowing_steps_and_redexes_do_not_call_themselves():
-    """The step descents, which also count steps, the rewrite loop, the
-    tree expansion and the JSON dump of a narrowing tree loop over
-    explicit stacks."""
+    """The step descents, which also count steps and find redexes, the
+    crossing of constructor prefixes, the rewrite loop, the tree
+    expansion and the JSON dump of a narrowing tree loop over explicit
+    stacks."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
-    walkers = {"_needed_steps", "_lns", "rewrite_normalize",
+    walkers = {"_needed_steps", "_lns", "_cross_prefix", "rewrite_normalize",
                "strategy_steps", "expand", "node_to_dict"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of _needed_steps

@@ -1,13 +1,14 @@
 """First-order term machinery: positions, substitution, unification."""
 
 import itertools
+import random
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_idempotent, parent_solve
+from conftest import is_idempotent, parent_solve, ref_str
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -598,14 +599,6 @@ def ref_is_linear(t):
     return len(occurrences) == len(set(occurrences))
 
 
-def ref_str(t):
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.root.name
-    return f"{t.root.name}({', '.join(ref_str(a) for a in t.args)})"
-
-
 def ref_apply(mapping, t):
     if isinstance(t, Var):
         return mapping.get(t, t)
@@ -647,6 +640,26 @@ def test_preorder_walkers_agree_with_recursive_references(t):
     assert is_constructor_term(t) == ref_is_constructor_term(t)
     assert is_linear(t) == ref_is_linear(t)
     assert str(t) == ref_str(t)
+
+
+def test_printer_agrees_with_the_reference_on_random_terms():
+    """`App.__str__` prints first arguments in place and batches the
+    closing parentheses of unary runs; symbols of arity 0 to 3, mixed,
+    exercise every order of the text it keeps on its stack."""
+    rng = random.Random(7)
+    symbols = [Symbol(f"{kind[0]}{n}", n, kind) for n in range(4)
+               for kind in ("constructor", "operation")]
+    variables = [X, Y]
+
+    def grow(depth):
+        if depth == 0 or rng.random() < 0.15:
+            return rng.choice(variables + [App(symbols[0]), App(symbols[1])])
+        f = rng.choice(symbols)
+        return App(f, tuple(grow(depth - 1) for _ in range(f.arity)))
+
+    for _ in range(3000):
+        t = grow(rng.randint(1, 8))
+        assert str(t) == ref_str(t)
 
 
 @given(TERMS, st.dictionaries(VARS, TERMS, max_size=3))
@@ -801,6 +814,29 @@ class TestDeepTerms:
             sys.setrecursionlimit(limit)
         assert not thread.is_alive()
         assert results == [True, False, False, False, True, True, True, False]
+
+    def test_print_below_a_recursion_limit_of_100(self):
+        """Printed in a new thread, whose stack starts empty, with the
+        limit lowered to 100: a chain of first arguments f(f(..., 0), 0)
+        and a cons list, each 10^5 deep."""
+        f = Symbol("f", 2, "operation")
+        cons, nil = Symbol("cons", 2, "constructor"), App(Symbol("nil", 0, "constructor"))
+        chain, items = App(ZERO), nil
+        for _ in range(DEEP):
+            chain = App(f, (chain, App(ZERO)))
+            items = App(cons, (App(ZERO), items))
+        printed = []
+        thread = threading.Thread(target=lambda: printed.extend((str(chain), str(items))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not thread.is_alive()
+        assert printed == ["f(" * DEEP + "0" + ", 0)" * DEEP,
+                           "cons(0, " * DEEP + "nil" + ")" * DEEP]
 
     def test_hash_below_a_recursion_limit_of_100(self):
         """Hashed in a new thread, whose stack starts empty, with the
