@@ -8,8 +8,8 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Generator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .program import Program, Rule, Signature
 from .terms import (
@@ -20,7 +20,6 @@ from .terms import (
     Position,
     Substitution,
     Symbol,
-    Term,
     Var,
     _put,
     is_variant,
@@ -118,84 +117,63 @@ def _trees_agree(a: DefTree, b: DefTree,
     return True
 
 
-# A hole of a pattern: a variable position and the subterms that the
-# left-hand sides of the pattern's rules have there, in rule order.
-_Hole = Tuple[Position, Tuple[Term, ...]]
-_Request = Tuple[App, Tuple[Rule, ...], List[_Hole]]
-
-
-def _build_node(pattern: App, rules: Tuple[Rule, ...], holes: List[_Hole],
-                gen: FreshVars, tie_break: str
-                ) -> Generator[_Request, Optional[DefTree], Optional[DefTree]]:
-    """The tree node of one pattern, as a generator that yields each
-    child pattern it needs (with its rules and holes) and is sent the
-    child's tree back; `_build` drives it.
-
-    A pattern with one rule that is a variant of it is a leaf.  Else
-    each qualifying hole (every left-hand side has a constructor there)
-    is tried in position order (reversed for the rightmost tie-break):
-    the rules are grouped by that constructor, in rule order, and each
-    group's child pattern is built in turn, drawing its fresh variables
-    just before; a child without a tree sends the node to its next
-    candidate.  The holes of a child pattern are those of its parent
-    with the split one replaced by its arguments, in place, so they stay
-    in position order and no pattern is searched for its variables.
-    """
-    if len(rules) == 1 and all(isinstance(subs[0], Var) for _, subs in holes):
-        # The rule's left-hand side agrees with the pattern off its holes
-        # and is linear: a variable at every hole makes it a variant.
-        rule = rules[0]
-        theta = match(rule.lhs, pattern)
-        return Leaf(pattern, Rule(pattern, theta.apply(rule.rhs), rule.label))
-    candidates = [k for k, (_, subs) in enumerate(holes)
-                  if all(isinstance(u, App) for u in subs)]
-    if tie_break == "rightmost":
-        candidates.reverse()
-    for k in candidates:
-        pos, split = holes[k]
-        groups: Dict[Symbol, List[int]] = {}
-        for j, u in enumerate(split):
-            groups.setdefault(u.root, []).append(j)
-        children: List[DefTree] = []
-        for ctor, members in groups.items():
-            child_holes: List[_Hole] = []
-            for h, (q, subs) in enumerate(holes):
-                if h == k:
-                    child_holes += [
-                        (pos + (i + 1,), tuple(split[j].args[i] for j in members))
-                        for i in range(ctor.arity)]
-                else:
-                    child_holes.append((q, tuple(subs[j] for j in members)))
-            image = App(ctor, gen.fresh_tuple(ctor.arity))
-            child = yield (replace_at(pattern, pos, image),
-                           tuple(rules[j] for j in members), child_holes)
-            if child is None:
-                break
-            children.append(child)
-        else:
-            return Branch(pattern, pos, tuple(children))
-    return None
-
-
 def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
            tie_break: str) -> Optional[DefTree]:
-    """The definitional tree of `build_tree`, or None: the nodes of
-    `_build_node` are driven depth first from an explicit stack."""
+    """The definitional tree of `build_tree`, or None, built depth first
+    from an explicit stack of open branches.
+
+    A hole of a pattern is a variable position with the subterms that
+    the pattern's left-hand sides have there, in rule order; it
+    qualifies if they are all constructor-rooted.  A pattern without a
+    qualifying hole is a leaf if it has one rule (a variant of it), and
+    else has no tree, nor has the whole.  The holes of a child pattern
+    are its parent's with the split one replaced by its arguments, in
+    place, so they stay in position order and no pattern is searched
+    for its variables."""
     rules = tuple(rules)
     holes = [(p, tuple(subterm_at(r.lhs, p) for r in rules))
              for p in var_positions(pattern)]
-    stack = [_build_node(pattern, rules, holes, gen, tie_break)]
-    result: Optional[DefTree] = None  # sent to the node on top
-    while stack:
-        try:
-            request = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
+    # The open branches, innermost last: pattern, inductive position,
+    # children built so far, and the (constructor, rules, holes) of the
+    # children still to build, last first.
+    stack: List[Tuple[App, Position, List[DefTree], list]] = []
+    while True:
+        qualifying = [k for k, (_, subs) in enumerate(holes)
+                      if all(isinstance(u, App) for u in subs)]
+        if qualifying:
+            k = qualifying[-1 if tie_break == "rightmost" else 0]
+            pos, split = holes[k]
+            groups: Dict[Symbol, List[int]] = {}
+            for j, u in enumerate(split):
+                groups.setdefault(u.root, []).append(j)
+            todo = []
+            for ctor, members in reversed(groups.items()):
+                child_holes = [(q, tuple(subs[j] for j in members))
+                               for q, subs in holes]
+                child_holes[k:k + 1] = [
+                    (pos + (i + 1,), tuple(split[j].args[i] for j in members))
+                    for i in range(ctor.arity)]
+                todo.append((ctor, tuple(rules[j] for j in members), child_holes))
+            stack.append((pattern, pos, [], todo))
+        elif len(rules) > 1:
+            return None
         else:
-            stack.append(_build_node(*request, gen, tie_break))
-            result = None
-    return result
+            rule = rules[0]
+            tree: DefTree = Leaf(pattern, Rule(
+                pattern, match(rule.lhs, pattern).apply(rule.rhs), rule.label))
+            # Hand the tree to its parent, closing each branch that has
+            # all its children, up to one with a child left to build.
+            while stack:
+                stack[-1][2].append(tree)
+                if stack[-1][3]:
+                    break
+                parent, pos, children, _ = stack.pop()
+                tree = Branch(parent, pos, tuple(children))
+            else:
+                return tree
+        parent, pos, _, todo = stack[-1]
+        ctor, rules, holes = todo.pop()
+        pattern = replace_at(parent, pos, App(ctor, gen.fresh_tuple(ctor.arity)))
 
 
 def build_tree(f: Symbol, rules: Sequence[Rule],
@@ -203,9 +181,24 @@ def build_tree(f: Symbol, rules: Sequence[Rule],
     """A definitional tree for f over the given rules, or None.
 
     The inductive position of each branch is the leftmost qualifying one
-    (or rightmost, under the alternative tie-break); if a choice dead-ends
-    deeper down, the remaining qualifying positions are tried, so absence
-    of a result means no definitional tree exists at all.
+    (or rightmost, under the alternative tie-break), where a qualifying
+    position is a variable of the pattern at which every rule of the
+    pattern has a constructor.  No other choice is ever tried, as none
+    could succeed where this one fails:
+
+    - Take a pattern p, its rules R, and a qualifying position o, and
+      suppose some tree for (p, R) exists.  Every root-to-leaf path of
+      that tree branches at o, since each leaf is a variant of a
+      left-hand side, which has a constructor at o.
+    - At each of those branches keep only the child for constructor c,
+      and drop the children left without rules: the result is a tree
+      for p with c(x1..xn) at o and the rules that have c at o.
+    - So splitting at any qualifying position keeps every child
+      solvable, and by induction the first one succeeds whenever any
+      choice does.  Absence of a result means no tree exists at all.
+    - Two left-hand sides that are variants have the same constructor
+      at every split, so they are never separated: they reach a pattern
+      with two rules and no qualifying position, and there is no tree.
     """
     if tie_break not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown tie break {tie_break!r}")
@@ -216,10 +209,6 @@ def build_tree(f: Symbol, rules: Sequence[Rule],
             raise ProgramClassError(f"rule {r} does not define {f}")
         if not r.is_left_linear() or not r.is_constructor_based():
             return None
-    for i, r in enumerate(rules):
-        for other in rules[i + 1:]:
-            if is_variant(r.lhs, other.lhs):
-                return None  # duplicate left-hand sides
     gen = FreshVars()
     root = App(f, gen.fresh_tuple(f.arity))
     return _build(root, rules, gen, tie_break)

@@ -39,7 +39,6 @@ from .terms import (
     is_root_stable,
     match,
     resolve_chain,
-    subterms,
     variant_key,
     vars_of,
 )
@@ -453,7 +452,7 @@ def partial_evaluate(program: Program, S: Sequence[Term],
     builtin = (EQ, AND) if program.has_strict_equality else ()
     for rule in new_rules:
         for t in (rule.lhs, rule.rhs):
-            for _, u in subterms(t):
+            for u in _preorder(t):
                 if isinstance(u, App) and u.root.name not in builtin:
                     signature.declare(u.root)
 

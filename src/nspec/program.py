@@ -14,6 +14,7 @@ from .terms import (
     Term,
     Var,
     FreshVars,
+    _preorder,
     is_constructor_term,
     is_linear,
     subterms,
@@ -150,7 +151,7 @@ class Program:
 
     def _check_symbols(self, rule: Rule) -> None:
         for t in (rule.lhs, rule.rhs):
-            for _, u in subterms(t):
+            for u in _preorder(t):
                 if isinstance(u, App) and self.signature.get(u.root.name) != u.root:
                     raise ProgramError(
                         f"rule {rule} uses undeclared symbol {u.root}")

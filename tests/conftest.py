@@ -1,7 +1,9 @@
 """Shared fixtures: corpus programs, a seeded random generator of small
-inductively sequential programs, and comparison helpers."""
+inductively sequential programs, and comparison and timing helpers."""
 
+import gc
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,21 @@ CORPUS_GOALS = [
 
 
 # --- comparison helpers --------------------------------------------------
+
+
+def best_time(f, repeats=5):
+    """The least wall time of f over a few calls, with the collector off:
+    the timing checks compare such times at two input sizes."""
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            f()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
 
 
 def ref_str(t):

@@ -1,11 +1,12 @@
 """Definitional trees, inductive sequentiality, and pattern flattening."""
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from conftest import random_program
+from conftest import best_time, random_program
 from nspec import deftree
 from nspec.deftree import (
     Branch,
@@ -18,7 +19,7 @@ from nspec.deftree import (
     trees_isomorphic,
     uniform_transform,
 )
-from nspec.program import Rule
+from nspec.program import Rule, add_strict_equality
 from nspec.syntax import parse_program, print_program
 from nspec.terms import (
     App,
@@ -159,6 +160,21 @@ class TestForestAndReport:
         trees, failures = forest(leq_prog)
         assert failures == []
         assert sorted(trees) == ["add", "and", "eq", "leq"]
+
+    def test_forest_time_grows_linearly_in_the_rules(self):
+        """The generated `eq` of n unary constructors has n + 1 rules and
+        a tree of n + 1 leaves under one branch."""
+        times = {}
+        for n in (100, 400):
+            names = " ".join(f"c{i}/1" for i in range(n))
+            program = add_strict_equality(parse_program(
+                f"constructors {names} ;\noperations id/1 ;\nid(X) -> X ;"))
+            trees, failures = forest(program)
+            assert not failures and len(trees["eq"].children) == n + 1
+            times[n] = best_time(lambda: forest(program))
+        # Linear growth gives 4; a pairwise scan of the left-hand sides
+        # for duplicates gave about 12.
+        assert times[400] < 8 * times[100], times
 
 
 class TestTieBreak:
@@ -321,16 +337,18 @@ def full_shape(tree):
 
 _CTORS = (Symbol("a", 0, "constructor"), Symbol("b", 0, "constructor"),
           Symbol("c", 1, "constructor"), Symbol("d", 2, "constructor"))
+_WIDE_CTORS = _CTORS + (Symbol("e", 3, "constructor"),)
 
 
-def _random_lhs_rules(seed):
+def _random_lhs_rules(seed, rules=(1, 4), arity=(1, 3), max_depth=3,
+                      ctors=_CTORS):
     """1-4 rules of an operation of arity 1-3 with random linear
-    constructor patterns up to depth 3: many are not inductively
-    sequential, overlap or repeat a left-hand side."""
+    constructor patterns up to depth 3 (by default): many are not
+    inductively sequential, overlap or repeat a left-hand side."""
     rng = random.Random(seed)
-    f = Symbol("f", rng.randint(1, 3), "operation")
-    rules = []
-    for r in range(rng.randint(1, 4)):
+    f = Symbol("f", rng.randint(*arity), "operation")
+    out = []
+    for r in range(rng.randint(*rules)):
         counter = 0
 
         def pattern(depth):
@@ -338,23 +356,28 @@ def _random_lhs_rules(seed):
             if depth == 0 or rng.random() < 0.35:
                 counter += 1
                 return Var(f"X{counter}")
-            c = rng.choice(_CTORS)
+            c = rng.choice(ctors)
             return App(c, tuple(pattern(depth - 1) for _ in range(c.arity)))
 
-        lhs = App(f, tuple(pattern(3) for _ in range(f.arity)))
+        lhs = App(f, tuple(pattern(max_depth) for _ in range(f.arity)))
         rhs = rng.choice([App(_CTORS[0])] + list(lhs.args))
-        rules.append(Rule(lhs, rhs, f"R{r + 1}"))
-    return f, rules
+        out.append(Rule(lhs, rhs, f"R{r + 1}"))
+    return f, out
 
 
 class TestBuilderAgreesWithTheRecursiveOne:
     def _assert_same(self, f, rules, monkeypatch):
+        """Both builders give the same tree or none, and none when two
+        left-hand sides are variants."""
+        duplicate = any(is_variant(a.lhs, b.lhs)
+                        for a, b in itertools.combinations(rules, 2))
         for tie_break in ("leftmost", "rightmost"):
             new = full_shape(build_tree(f, rules, tie_break))
             with monkeypatch.context() as patched:
                 patched.setattr(deftree, "_build", parent_build)
                 ref = full_shape(build_tree(f, rules, tie_break))
             assert new == ref, (f, [str(r) for r in rules], tie_break)
+            assert new is None or not duplicate, [str(r) for r in rules]
 
     def test_random_left_hand_sides(self, monkeypatch):
         built = 0
@@ -363,6 +386,19 @@ class TestBuilderAgreesWithTheRecursiveOne:
             self._assert_same(f, rules, monkeypatch)
             built += build_tree(f, rules) is not None
         assert 150 <= built <= 450  # with and without a tree
+
+    def test_wide_random_left_hand_sides(self, monkeypatch):
+        """2-7 rules of arity up to 4, patterns up to depth 4 with a
+        ternary constructor: the single-pass builder takes the first
+        qualifying position, and the backtracking reference tries them
+        all, so they agree only if no retry ever succeeds."""
+        built = 0
+        for seed in range(1500):
+            f, rules = _random_lhs_rules(seed, rules=(2, 7), arity=(1, 4),
+                                         max_depth=4, ctors=_WIDE_CTORS)
+            self._assert_same(f, rules, monkeypatch)
+            built += build_tree(f, rules) is not None
+        assert 200 <= built <= 600, built  # with and without a tree
 
     def test_corpus_and_random_programs(self, monkeypatch):
         data = Path(__file__).parent / "data"

@@ -1,9 +1,7 @@
 """Narrowing strategies and the bounded search engine."""
 
-import gc
 import itertools
 import random
-import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +9,7 @@ import pytest
 from conftest import (
     CORPUS_GOALS,
     answer_set,
+    best_time,
     eager_leaves,
     generic_calls,
     load,
@@ -1077,20 +1076,6 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     assert step.position == (1,) * (depth - 1)
 
 
-def _best_time(f, repeats=5):
-    """The least wall time of f over a few calls, with the collector off."""
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            f()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return best
-
-
 class TestStepCostFollowsTheWalk:
     """Timing checks with wide slack: a step costs about its walk, so its
     time grows linearly with the depth of the pattern or of the nested
@@ -1108,7 +1093,7 @@ class TestStepCostFollowsTheWalk:
             t = goal(program, "f(X)")
             [step] = nns(t, trees, FreshVars())
             assert len(step.canonical) == k + 2
-            times[k] = _best_time(lambda: nns(t, trees, FreshVars()))
+            times[k] = best_time(lambda: nns(t, trees, FreshVars()))
         assert times[400] < 1.0, times
         # Linear growth gives 4; the cubic fold gave about 64.
         assert times[400] < 12 * times[100], times
@@ -1120,7 +1105,7 @@ class TestStepCostFollowsTheWalk:
             t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
             [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
             assert step.position == (1,) * (depth - 1)
-            per_level[depth] = _best_time(lambda: strategy_steps(
+            per_level[depth] = best_time(lambda: strategy_steps(
                 t, leq_prog, strategy, leq_trees, FreshVars())) / depth
         # Flat gives 1; copying the position prefix at each call gave
         # about 8 for the needed step.
@@ -1135,7 +1120,7 @@ class TestStepCostFollowsTheWalk:
             t = goal(leq_prog, "s(" * depth + "add(0, 0)" + ")" * depth)
             [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
             assert step.position == (1,) * depth
-            per_level[depth] = _best_time(lambda: strategy_steps(
+            per_level[depth] = best_time(lambda: strategy_steps(
                 t, leq_prog, strategy, leq_trees, FreshVars())) / depth
         # Flat gives 1; extending a position tuple at each level gave
         # about 8 for the needed step.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import best_time
 from nspec.program import (
     Program,
     ProgramError,
@@ -169,6 +170,23 @@ class TestProgram:
     def test_structural_equality_ignores_labels(self):
         src = "constructors 0/0 s/1 ;\noperations f/1 ;\nf(0) -> 0 ;\n"
         assert parse_program(src) == parse_program(src)
+
+    def test_symbol_check_time_grows_linearly_in_rule_depth(self):
+        """Every parse checks the symbols of each rule, here of a right-hand
+        side nesting k calls: the parse and the check on its own."""
+        parse, check = {}, {}
+        for k in (2000, 8000):
+            src = ("constructors 0/0 s/1 ;\noperations add/2 f/1 ;\n"
+                   "add(0, N) -> N ;\nadd(s(M), N) -> s(add(M, N)) ;\n"
+                   f"f(X) -> {'add(' * k}X{', 0)' * k} ;")
+            program = parse_program(src)
+            parse[k] = best_time(lambda: parse_program(src))
+            check[k] = best_time(lambda: Program(program.signature,
+                                                 program.rules))
+        # Linear growth gives 4; building a position for every subterm
+        # gave about 7-10 for the parse and 12-14 for the check.
+        assert parse[8000] < 6 * parse[2000], parse
+        assert check[8000] < 6 * check[2000], check
 
 
 class TestValidate:
