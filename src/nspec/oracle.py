@@ -7,7 +7,7 @@ checked against an independent implementation of plain rewriting.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .program import EQ, Program
@@ -55,20 +55,18 @@ def ground_terms(constructors: Sequence[Symbol], max_size: int) -> List[App]:
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
     """All ways of writing total as an ordered sum of `parts` positive
-    integers, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    integers, in lexicographic order: one per set of parts - 1 cut points
+    in 1..total-1, which `combinations` yields in that order."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def one_step_rewrites(program: Program, t: Term) -> List[Term]:
     """Every term reachable from t by one rewrite step, anywhere, with
     any rule, in position-then-rule order."""
     out: List[Term] = []
-    for pos, sub in sorted(subterms(t), key=lambda e: e[0]):
+    for pos, sub in subterms(t):  # preorder: lexicographic positions
         if isinstance(sub, Var):
             continue
         for rule in program.rules:

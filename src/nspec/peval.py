@@ -36,7 +36,6 @@ from .terms import (
     _put,
     is_constructor_term,
     is_operation_rooted,
-    is_root_stable,
     match,
     resolve_chain,
     variant_key,
@@ -202,7 +201,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
 
     def cut(node: Node, ancestors: List[Term]) -> Optional[str]:
         t = node.term
-        if is_root_stable(t):
+        if not is_operation_rooted(t):
             return ROOT_STABLE
         if not ancestors:
             return None
@@ -363,7 +362,7 @@ def rename_term(rho: Dict[Term, App], t: Term) -> Term:
             del done[len(done) - u.arity:]
             done.append(App(u, parts))
             continue
-        found = None if is_root_stable(u) else _covering(rho, u)
+        found = _covering(rho, u) if is_operation_rooted(u) else None
         if found is not None:
             call = rho[found[0]]  # over the variables of the covering s
             stack.append(call.root)

@@ -231,12 +231,14 @@ def validate(program: Program) -> ValidationReport:
     gen = FreshVars(avoid=program.all_variables())
     rules = program.rules
     for i, ri in enumerate(rules):
+        candidates = [(pos, sub) for pos, sub in subterms(ri.lhs)
+                      if not isinstance(sub, Var)]
         for j, rj in enumerate(rules):
-            other = rj.renamed(gen)
-            for pos, sub in subterms(ri.lhs):
-                if isinstance(sub, Var):
-                    continue
-                if pos == () and (i == j or j < i):
+            other = rj.renamed(gen)  # one per pair: the mgus print its names
+            for pos, sub in candidates:
+                if sub.root != rj.lhs.root:
+                    continue  # a root clash never unifies
+                if pos == () and j <= i:
                     continue  # self-overlap at the root / symmetric duplicate
                 mgu = unify(sub, other.lhs)
                 if mgu is not None:

@@ -27,15 +27,13 @@ from .terms import App, CONSTRUCTOR, OPERATION, Symbol, Term, Var
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<arrow>->)
-    | (?P<leq><=)
-    | (?P<punct>[(),;/~+:])
+      (?P<skip>\s+|%[^\n]*)
+    | (?P<punct>->|<=|[(),;/~+:])
     | (?P<var>[A-Z][A-Za-z0-9_]*)
     | (?P<name>[a-z0-9][A-Za-z0-9_]*)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -46,33 +44,29 @@ class ParseError(Exception):
         self.column = column
 
 
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError at offset `pos` of text; the line and column are
+    counted only here, when an error is raised."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    pos: int  # offset in the source text
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind if kind not in ("arrow", "leq") else "punct",
-                                 lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
+        tokens.append(_Token(kind, m.group(), m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -81,8 +75,9 @@ _LEVEL = {"~": 1, "<=": 2, ":": 3, "+": 4}  # how tightly each infix binds
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], signature: Signature):
-        self.tokens = tokens
+    def __init__(self, text: str, signature: Signature):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.i = 0
         self.signature = signature
 
@@ -98,28 +93,26 @@ class _Parser:
         tok = self.peek()
         if tok.text != text:
             shown = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
+            raise self.error(f"expected {text!r}, found {shown!r}")
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
+        """A ParseError at tok, by default at the next token."""
+        return _error_at(self.text, (tok or self.peek()).pos, message)
 
     def _sugar_symbol(self, op_text: str, tok: _Token) -> Symbol:
         name = _SUGAR[op_text]
         sym = self.signature.get(name)
         if sym is None or sym.arity != 2:
-            raise ParseError(
-                f"infix {op_text!r} needs a declared binary symbol {name!r}",
-                tok.line, tok.column)
+            raise self.error(
+                f"infix {op_text!r} needs a declared binary symbol {name!r}", tok)
         return sym
 
     def _apply(self, tok: _Token, sym: Symbol, operands: List[Term], base: int) -> None:
         """Replace the operands from `base` on by sym applied to them."""
         args = tuple(operands[base:])
         if len(args) != sym.arity:
-            raise ParseError(
-                f"{sym} applied to {len(args)} argument(s)", tok.line, tok.column)
+            raise self.error(f"{sym} applied to {len(args)} argument(s)", tok)
         operands[base:] = [App(sym, args)]
 
     def term(self) -> Term:
@@ -141,7 +134,7 @@ class _Parser:
             elif tok.kind == "name":
                 sym = self.signature.get(tok.text)
                 if sym is None:
-                    raise ParseError(f"undeclared symbol {tok.text!r}", tok.line, tok.column)
+                    raise self.error(f"undeclared symbol {tok.text!r}", tok)
                 if self.peek().text == "(":
                     self.advance()
                     pending.append((tok, sym, len(operands)))
@@ -149,7 +142,7 @@ class _Parser:
                 self._apply(tok, sym, operands, len(operands))
             else:
                 shown = tok.text or "end of input"
-                raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
+                raise self.error(f"expected a term, found {shown!r}", tok)
             while True:  # after an operand
                 op = self.peek().text
                 level = _LEVEL.get(op)
@@ -185,9 +178,8 @@ def _parse_declaration(parser: _Parser, kind: str) -> None:
         if tok.kind not in ("name", "var"):
             raise parser.error("expected NAME/ARITY in declaration")
         if tok.kind == "var":
-            raise ParseError(
-                f"symbol names must not start uppercase: {tok.text!r}",
-                tok.line, tok.column)
+            raise parser.error(
+                f"symbol names must not start uppercase: {tok.text!r}", tok)
         parser.advance()
         parser.expect("/")
         num = parser.peek()
@@ -197,15 +189,13 @@ def _parse_declaration(parser: _Parser, kind: str) -> None:
         try:
             parser.signature.declare(Symbol(tok.text, int(num.text), kind))
         except ProgramError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
+            raise parser.error(str(exc), tok) from exc
     parser.expect(";")
 
 
 def parse_program(text: str) -> Program:
     """Parse a program file into a Program."""
-    tokens = _tokenize(text)
-    signature = Signature()
-    parser = _Parser(tokens, signature)
+    parser = _Parser(text, Signature())
     rules: List[Rule] = []
     while parser.peek().kind != "eof":
         tok = parser.peek()
@@ -218,25 +208,24 @@ def parse_program(text: str) -> Program:
         rhs = parser.term()
         parser.expect(";")
         if isinstance(lhs, Var):
-            raise ParseError("rule left-hand side must not be a variable",
-                             tok.line, tok.column)
+            raise parser.error("rule left-hand side must not be a variable", tok)
         try:
             rules.append(Rule(lhs, rhs, label=f"R{len(rules) + 1}"))
         except ProgramError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from exc
+            raise parser.error(str(exc), tok) from exc
     try:
-        return Program(signature, rules)
+        return Program(parser.signature, rules)
     except ProgramError as exc:
-        raise ParseError(str(exc), tokens[-1].line, tokens[-1].column) from exc
+        raise parser.error(str(exc)) from exc
 
 
 def parse_term(text: str, signature: Signature) -> Term:
     """Parse a single term (goal syntax) against a signature."""
-    parser = _Parser(_tokenize(text), signature)
+    parser = _Parser(text, signature)
     t = parser.term()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+        raise parser.error(f"trailing input {tok.text!r}")
     return t
 
 

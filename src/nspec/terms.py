@@ -238,12 +238,6 @@ def is_operation_rooted(t: Term) -> bool:
     return isinstance(t, App) and t.root.kind == OPERATION
 
 
-def is_root_stable(t: Term) -> bool:
-    """True for variables and constructor-rooted terms: no rule can ever
-    apply at the root of such a term."""
-    return isinstance(t, Var) or t.root.kind == CONSTRUCTOR
-
-
 def _preorder(t: Term) -> Iterator[Term]:
     """The subterms of t in preorder, like `subterms` without positions."""
     stack = [t]

@@ -1,14 +1,21 @@
 """Command-line interface: outputs, files, exit codes, determinism."""
 
+import io
 import json
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_program
 from nspec import cli
+from nspec.syntax import parse_program, print_program
 
 DATA = Path(__file__).parent / "data"
 
@@ -573,3 +580,70 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_text_equals_the_json_module(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+# --- fuzz gate: every input ends in an exit code -------------------------
+
+_LEXEME = re.compile(r"->|<=|[A-Za-z0-9_]+|\S")
+
+
+def _token_mutant(rng: random.Random, text: str, edits: int) -> str:
+    """text without comments, with `edits` random edits, joined by
+    spaces: a token deleted, a token replaced by another of its kind
+    (variable, name or punctuation), or a `;`-ended statement repeated."""
+    words = _LEXEME.findall(re.sub(r"%[^\n]*", "", text))
+    for _ in range(edits):
+        i = rng.randrange(len(words))
+        edit = rng.randrange(3)
+        if edit == 0 and len(words) > 1:
+            del words[i]
+        elif edit == 1:
+            kind = words[i][0].isupper(), words[i][0].isalnum()
+            words[i] = rng.choice([w for w in words
+                                   if (w[0].isupper(), w[0].isalnum()) == kind])
+        else:
+            ends = [-1] + [k for k, w in enumerate(words) if w == ";"]
+            if len(ends) > 1:
+                j = rng.randrange(1, len(ends))
+                words[ends[j] + 1:ends[j] + 1] = words[ends[j - 1] + 1:ends[j] + 1]
+    return " ".join(words)
+
+
+def _fuzz_commands(path: str, goal: str, rng: random.Random):
+    bounds = ["--max-steps", "6", "--max-nodes", "60"]
+    yield ["check", path, "--tie-break", rng.choice(["leftmost", "rightmost"])]
+    yield ["uniform", path]
+    for strategy in ("needed", "lazy", "rewrite"):
+        yield ["eval", path, f"--expr={goal}", "--strategy", strategy,
+               "--max-solutions", "3", *bounds]
+    yield ["tree", path, f"--expr={goal}", "--strategy",
+           rng.choice(["needed", "lazy"]), *bounds]
+    yield ["peval", path, f"--specialize={goal}", "--depth", str(rng.randint(1, 2)),
+           "--whistle", rng.choice(["on", "off"]), "--max-iters", "3"]
+
+
+def test_mutated_programs_and_goals_end_in_an_exit_code(tmp_path):
+    """No input ends in a traceback: seeded token mutants of the corpus
+    and of random inductively sequential programs, each with a mutated
+    goal built from one of its rules, run through `check`, `uniform`,
+    `eval`, `tree` and `peval` with small bounds."""
+    rng = random.Random(20)
+    bases = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.flp"))]
+    bases += [print_program(random_program(seed)) for seed in range(30)]
+    rules = [parse_program(text).rules for text in bases]
+    path = tmp_path / "mutant.flp"
+    codes: Counter = Counter()
+    for _ in range(800):
+        b = rng.randrange(len(bases))
+        text = _token_mutant(rng, bases[b], rng.randint(0, 2))
+        rule = rng.choice(rules[b])
+        goal = _token_mutant(rng, rng.choice(
+            [str(rule.lhs), str(rule.rhs), f"{rule.lhs} ~ {rule.rhs}"]),
+            rng.randint(0, 1))
+        path.write_text(text, encoding="utf-8")
+        for argv in _fuzz_commands(str(path), goal, rng):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in range(5), (argv, text)
+            codes[code] += 1
+    assert min(codes[0], codes[2], codes[3]) > 20, codes  # the gate reaches past the parser

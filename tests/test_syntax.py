@@ -1,14 +1,19 @@
 """Concrete syntax: tokenizing, parsing, sugar, printing, round-trips."""
 
+import random
+import re
 from pathlib import Path
+from typing import List, NamedTuple
 
 import pytest
 
-from nspec.program import Signature, add_strict_equality
+from nspec import syntax
+from nspec.program import Program, Signature, add_strict_equality
 from nspec.syntax import ParseError, parse_program, parse_term, print_program
 from nspec.terms import Symbol
 
 DATA = Path(__file__).parent / "data"
+BENCH_PROGRAMS = Path(__file__).parent.parent / "bench" / "programs"
 # Every infix form is declared here.
 FULL = Signature([Symbol("0", 0, "constructor"), Symbol("s", 1, "constructor"),
                   Symbol("nil", 0, "constructor"), Symbol("cons", 2, "constructor"),
@@ -198,3 +203,158 @@ class TestPrintProgram:
     def test_round_trip_with_equality_rules(self, name):
         p = add_strict_equality(parse_program(source(name)))
         assert parse_program(print_program(p)) == p
+
+
+# --- differential: offsets against a tokenizer that counts lines --------
+
+_REFERENCE_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>%[^\n]*)
+    | (?P<arrow>->)
+    | (?P<leq><=)
+    | (?P<punct>[(),;/~+:])
+    | (?P<var>[A-Z][A-Za-z0-9_]*)
+    | (?P<name>[a-z0-9][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+class _ReferenceToken(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def reference_tokenize(text: str) -> List[_ReferenceToken]:
+    """The tokenizer that carried a line and column through every lexeme
+    and stored both in each token, kept as the reference for locations."""
+    tokens: List[_ReferenceToken] = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(_ReferenceToken(
+                kind if kind not in ("arrow", "leq") else "punct", lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(_ReferenceToken("eof", "", line, col))
+    return tokens
+
+
+class ReferenceParser(syntax._Parser):
+    """The parser's grammar over the reference tokens, placing each error
+    at its token's counted line and column: a token's `pos` here is its
+    index among the reference tokens."""
+
+    def __init__(self, text: str, signature: Signature):
+        self.located = reference_tokenize(text)
+        self.tokens = [syntax._Token(tok.kind, tok.text, i)
+                       for i, tok in enumerate(self.located)]
+        self.i = 0
+        self.signature = signature
+
+    def error(self, message, tok=None):
+        located = self.located[(tok or self.peek()).pos]
+        return ParseError(message, located.line, located.column)
+
+
+# Inserted at random offsets: every punctuation, near misses of the
+# two-character ones, comments, each kind of line break and Unicode
+# whitespace, non-ASCII letters and a control character.
+_PIECES = ["(", ")", ",", ";", "/", "~", "+", ":", "->", "<=", "-", "<", "=",
+           "%", "% note\n", "\n", "\r\n", "\r", "\t", " ", "\u00a0", "\u2028",
+           "\x85", "\x00", "\x1c", "é", "λ", "X", "Zs", "s", "0", "add", "{"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        if chars and rng.random() < 0.4:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars.insert(i, rng.choice(_PIECES))
+    return "".join(chars)
+
+
+def _corpus(seed: int, bases: List[str], size: int) -> List[str]:
+    """The bases, their `\\r\\n` forms, and `size` seeded mutants of both."""
+    rng = random.Random(seed)
+    bases = bases + [b.replace("\n", "\r\n") for b in bases]
+    return bases + [_mutate(rng, rng.choice(bases)) for _ in range(size)]
+
+
+PROGRAMS = _corpus(18, [path.read_text(encoding="utf-8") for path in
+                        sorted(DATA.glob("*.flp")) + sorted(BENCH_PROGRAMS.glob("*.flp"))],
+                   3000)
+GOALS = _corpus(19, ["add(s(0), X) ~ s(s(0))", "X + Y <= s(0) ~ true",
+                     "cons(0, nil) : Xs ~ Ys", "leq(add(X, 0),\n s(X)) % goal",
+                     "((s(0)))", "add(X, Y)"], 3000)
+
+
+def _outcome(parse, *args):
+    """The rules of a parsed program, a parsed term, or the error text,
+    line and column."""
+    try:
+        result = parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    if isinstance(result, Program):
+        return list(result.signature), result.rules
+    return result
+
+
+def _reference_outcomes(monkeypatch, parse, texts, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(syntax, "_Parser", ReferenceParser)
+        return [_outcome(parse, text, *args) for text in texts]
+
+
+class TestOffsetDifferential:
+    def test_tokens_are_the_reference_tokens_at_their_offsets(self):
+        for text in PROGRAMS + GOALS:
+            try:
+                expected = reference_tokenize(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as err:
+                    syntax._tokenize(text)
+                assert (str(err.value), err.value.line, err.value.column) == (
+                    str(exc), exc.line, exc.column), repr(text)
+                continue
+            located = []
+            for tok in syntax._tokenize(text):
+                at = syntax._error_at(text, tok.pos, "")
+                located.append((tok.kind, tok.text, at.line, at.column))
+            assert located == [tuple(tok) for tok in expected], repr(text)
+
+    def test_programs_parse_to_the_reference_rules_or_error(self, monkeypatch):
+        expected = _reference_outcomes(monkeypatch, parse_program, PROGRAMS)
+        got = [_outcome(parse_program, text) for text in PROGRAMS]
+        for text, want, have in zip(PROGRAMS, expected, got):
+            assert have == want, repr(text)
+        parsed = sum(not isinstance(o[0], str) for o in got)
+        assert 100 < parsed < len(PROGRAMS) - 100  # both kinds are exercised
+
+    @pytest.mark.parametrize("signature", [
+        FULL, add_strict_equality(parse_program(
+            (BENCH_PROGRAMS / "peano.flp").read_text(encoding="utf-8"))).signature,
+    ], ids=["full", "peano"])
+    def test_goals_parse_to_the_reference_term_or_error(self, monkeypatch, signature):
+        expected = _reference_outcomes(monkeypatch, parse_term, GOALS, signature)
+        got = [_outcome(parse_term, text, signature) for text in GOALS]
+        for text, want, have in zip(GOALS, expected, got):
+            assert have == want, repr(text)
+        parsed = sum(not isinstance(o, tuple) for o in got)
+        assert 100 < parsed < len(GOALS) - 100
