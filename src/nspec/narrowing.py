@@ -173,7 +173,7 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             if redex:
                 return _joined(at), node.rule
             if count:
-                gen.skip_renaming(node.rule.variables)
+                gen.suffixed(node.rule.variables)
                 found += 1
                 continue
             canonical = tuple(_unwind((IDENTITY, parts)))
@@ -269,7 +269,7 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
                     steps.append(Step(here, variant, sigma, (sigma,)))
                     continue
                 found += 1
-            gen.skip_renaming(rule.variables)
+            gen.suffixed(rule.variables)
         stack.extend(((q, at), subterm_at(sub, q))
                      for q in sorted(demanded, reverse=True))
     return found if count else steps
@@ -392,8 +392,9 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     operation-rooted subterm, whose position chain starts the descent's:
     each step is built once, at its full position.  The program must
     have passed `deftree.require_class`, which also supplies `trees`;
-    `gen` must already hold t's variables.  With `count`, only the number
-    of steps is returned, and `gen` ends as building them would leave it.
+    `gen` must already avoid the goal's and the program's variables; t's
+    other variables are names it drew.  With `count`, only the number of
+    steps is returned, and `gen` ends as building them would leave it.
     """
     found = _cross_prefix([(None, t)])
     if found is None:

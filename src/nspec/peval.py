@@ -163,7 +163,6 @@ _UNFOLD_CLASS = ("unfolding with needed narrowing requires an inductively "
 
 
 def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
-           gen: Optional[FreshVars] = None,
            trees: Optional[Dict[str, DefTree]] = None,
            stop_keys: AbstractSet[Term] = frozenset(),
            probes: Optional[List[Tuple[Term, bool]]] = None) -> Node:
@@ -172,7 +171,8 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
     control below.  `trees` are what `deftree.require_class` returned
     for the program and the policy's strategy; without them, unfold runs
     that gate itself.  `stop_keys` are the variant keys of the stop
-    terms.
+    terms.  The unfold draws from a `FreshVars` of its own, so a call
+    gives the same tree wherever its stop tests answer the same.
 
     The root is always expanded.  A non-root node becomes an incomplete
     leaf when its term is constructor root-stable (`ROOT_STABLE`; such
@@ -214,7 +214,7 @@ def unfold(call: Term, program: Program, policy: UnfoldPolicy = UnfoldPolicy(),
             return WHISTLE
         return None
 
-    root, _, _ = expand(call, program, policy.strategy, trees, gen,
+    root, _, _ = expand(call, program, policy.strategy, trees, FreshVars(),
                         policy.depth, cut=cut)
     if probes is not None:
         last = max((j for j, (_, _, node) in enumerate(tests) if node.children),
@@ -407,21 +407,19 @@ def outermost_operation_subterms(t: Term) -> List[Term]:
 
 def partial_evaluate(program: Program, S: Sequence[Term],
                      policy: UnfoldPolicy = UnfoldPolicy(),
-                     trees: Optional[Dict[str, DefTree]] = None,
                      per_call: Optional[Sequence[CallResultants]] = None
                      ) -> PEResult:
     """Specialize program w.r.t. the calls in S.
 
     Each call is unfolded (stopping at variants of S elements) with the
-    definitional trees built once for all of them (or given as `trees`,
-    as in `unfold`), and its resultants theta(s) -> r become rules
-    theta(rho(s)) -> ren(r) over fresh operation symbols, followed in
-    the output by the builtin eq/and rules (`add_strict_equality`),
-    which a program without them may not call.  The report states
-    whether every specialized right-hand side is closed w.r.t. the
-    renamed calls.  `per_call`, when given, holds each call of S with
-    its resultants, in the order of S, as unfolding against S gave
-    them; then nothing is unfolded here.
+    definitional trees built once for all of them, and its resultants
+    theta(s) -> r become rules theta(rho(s)) -> ren(r) over fresh
+    operation symbols, followed in the output by the builtin eq/and
+    rules (`add_strict_equality`), which a program without them may not
+    call.  The report states whether every specialized right-hand side
+    is closed w.r.t. the renamed calls.  `per_call`, when given, holds
+    each call of S with its resultants, in the order of S, as unfolding
+    against S gave them; then nothing is unfolded and `policy` is unread.
     """
     S = list(S)
     if not S:
@@ -430,8 +428,7 @@ def partial_evaluate(program: Program, S: Sequence[Term],
         if not is_operation_rooted(s):
             raise ValueError(f"specialized calls must be operation-rooted: {s}")
     if per_call is None:
-        if trees is None:
-            trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
+        trees = require_class(program, policy.strategy, _UNFOLD_CLASS)
         keys = {variant_key(s) for s in S}
         per_call = [(s, tuple(resultants(unfold(s, program, policy, trees=trees,
                                                 stop_keys=keys))))
@@ -630,7 +627,7 @@ def pe_control(program: Program, roots: Sequence[Term],
                 changed = True
         if not changed:
             per_call = [(entry.call, entry.resultants) for entry in kept]
-            result = partial_evaluate(program, S, policy, trees, per_call)
+            result = partial_evaluate(program, S, per_call=per_call)
             return PEControlResult(tuple(S), result, iteration, built, reused)
     leftovers = tuple(u for u, key in candidates if key not in keys)
     calls = leftovers or tuple(u for u, _ in candidates)

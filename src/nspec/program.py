@@ -40,10 +40,10 @@ class Rule(Frozen):
     `source` is the rule this one is a variant of; a rule built from its
     parts is its own source.  A variant (`renamed`) keeps its source rule
     and the names drawn for it.  It builds its variables with its
-    renaming on the first read of either, and both sides on the first
-    read of one, so a narrowing step that only rewrites with it never
-    builds them.  The fields live in the instance `__dict__`, which
-    holds those parts once built.
+    renaming on the first read of either, and each side on its own first
+    read, so a narrowing step that only rewrites with it never builds
+    them.  The fields live in the instance `__dict__`, which holds those
+    parts once built.
     """
 
     _fields = ("lhs", "rhs", "label")
@@ -68,9 +68,10 @@ class Rule(Frozen):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         parts, source = self.__dict__, self.source
-        if name in ("lhs", "rhs"):
-            theta = self._renaming
-            parts.update(lhs=theta.apply(source.lhs), rhs=theta.apply(source.rhs))
+        if name == "lhs":
+            parts["lhs"] = self._renaming.apply(source.lhs)
+        elif name == "rhs":
+            parts["rhs"] = self._renaming.apply(source.rhs)
         else:
             variables = tuple(map(Var, self._names))
             parts.update(variables=variables, _renaming=Substitution._of(
@@ -82,13 +83,13 @@ class Rule(Frozen):
 
     def renamed(self, gen: FreshVars) -> "Rule":
         """A variant of this rule with all variables renamed apart, the
-        one kind of variant there is.  Only the new names are drawn, as
-        `FreshVars.renaming` would draw them; the renaming is built with
-        the variant's variables.  A variant of a valid rule is valid, so
-        the checks of `__init__` are not run again."""
+        one kind of variant there is.  Only the new names are drawn
+        (`FreshVars.suffixed`); the renaming is built with the variant's
+        variables.  A variant of a valid rule is valid, so the checks of
+        `__init__` are not run again."""
         variant = object.__new__(Rule)
         variant.__dict__.update(label=self.label, source=self.source,
-                                _names=gen._suffixed(self.variables))
+                                _names=gen.suffixed(self.variables))
         return variant
 
     def is_left_linear(self) -> bool:

@@ -690,50 +690,47 @@ class FreshVars:
     """Derivation-scoped source of fresh variables and rule renamings.
 
     Fresh variables are named V<n>; renamed-apart copies of rule
-    variables get a _<n> suffix.  Names already in use (goal or program
-    variables, or previously issued) are skipped.
+    variables get a _<n> suffix.  n comes from one counter that only
+    grows, and the names to avoid (`avoid`, then `reserve`: goal and
+    program variables, and names drawn elsewhere) are skipped.  Drawn
+    names are not recorded, for none can equal an earlier one: V<n> has
+    no underscore, and a suffixed name ends in its own _<n>, which no
+    _<m> with m != n can also end (the shorter would end the longer's
+    digits).
     """
 
     def __init__(self, avoid: Iterable[Var] = (), start: int = 0):
-        self._used = {v.name for v in avoid}
+        self._avoid = {v.name for v in avoid}
         self._counter = start
 
     def reserve(self, variables: Iterable[Var]) -> None:
-        self._used.update(v.name for v in variables)
-
-    def _next(self) -> int:
-        self._counter += 1
-        return self._counter
+        self._avoid.update(v.name for v in variables)
 
     def fresh(self) -> Var:
         while True:
-            name = f"V{self._next()}"
-            if name not in self._used:
-                self._used.add(name)
+            self._counter += 1
+            name = f"V{self._counter}"
+            if name not in self._avoid:
                 return Var(name)
 
     def fresh_tuple(self, n: int) -> Tuple[Var, ...]:
         return tuple(self.fresh() for _ in range(n))
 
-    def _suffixed(self, variables: Sequence[Var]) -> List[str]:
-        """The names of the variables with the next suffix that makes
-        them all unused, now marked as used."""
+    def suffixed(self, variables: Sequence[Var]) -> List[str]:
+        """The names of the variables renamed apart: each with the next
+        suffix that avoids them all."""
         while True:
-            suffix = f"_{self._next()}"
+            self._counter += 1
+            suffix = f"_{self._counter}"
             names = [v.name + suffix for v in variables]
-            if self._used.isdisjoint(names):
-                self._used.update(names)
+            if self._avoid.isdisjoint(names):
                 return names
 
     def renaming(self, variables: Sequence[Var]) -> Substitution:
-        """Rename all given variables apart with one shared suffix."""
-        names = self._suffixed(variables)
+        """Rename all given variables apart with one shared suffix (the
+        reference that tests compare rule variants with)."""
+        names = self.suffixed(variables)
         return Substitution._of(dict(zip(variables, map(Var, names))))
-
-    def skip_renaming(self, variables: Sequence[Var]) -> None:
-        """Advance as `renaming` does, taking the same names, without
-        building the renaming."""
-        self._suffixed(variables)
 
 
 def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),

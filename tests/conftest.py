@@ -146,16 +146,22 @@ CORPUS_GOALS = [
 # --- comparison helpers --------------------------------------------------
 
 
-def best_time(f, repeats=5):
-    """The least wall time of f over a few calls, with the collector off:
-    the timing checks compare such times at two input sizes."""
-    best = float("inf")
+def best_times(runs, rounds=5):
+    """The least wall time of each of runs (size -> function) over a few
+    rounds, with the collector off.  Each round calls every function
+    once, in the order of the sizes and then in reverse: a slow spell of
+    the machine then tends to touch every size, not only one.  The
+    timing checks compare such times at two or more input sizes."""
+    best = dict.fromkeys(runs, float("inf"))
+    order = list(runs)
     gc.disable()
     try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            f()
-            best = min(best, time.perf_counter() - start)
+        for _ in range(rounds):
+            for size in order:
+                start = time.perf_counter()
+                runs[size]()
+                best[size] = min(best[size], time.perf_counter() - start)
+            order.reverse()
     finally:
         gc.enable()
     return best
@@ -185,6 +191,45 @@ def parent_variant(rule, theta):
 def parent_renamed(rule, gen):
     """`Rule.renamed` with the eager `parent_variant`."""
     return parent_variant(rule, gen.renaming(rule.variables))
+
+
+class ParentFreshVars:
+    """`FreshVars` as it was when it added every name it drew to the
+    names it skips (with `suffixed` under its old name `_suffixed`): the
+    reference for the one that skips only the avoided names."""
+
+    def __init__(self, avoid=(), start=0):
+        self._used = {v.name for v in avoid}
+        self._counter = start
+
+    def reserve(self, variables):
+        self._used.update(v.name for v in variables)
+
+    def _next(self):
+        self._counter += 1
+        return self._counter
+
+    def fresh(self):
+        while True:
+            name = f"V{self._next()}"
+            if name not in self._used:
+                self._used.add(name)
+                return Var(name)
+
+    def fresh_tuple(self, n):
+        return tuple(self.fresh() for _ in range(n))
+
+    def suffixed(self, variables):
+        while True:
+            suffix = f"_{self._next()}"
+            names = [v.name + suffix for v in variables]
+            if self._used.isdisjoint(names):
+                self._used.update(names)
+                return names
+
+    def renaming(self, variables):
+        names = self.suffixed(variables)
+        return Substitution._of(dict(zip(variables, map(Var, names))))
 
 
 def parent_solve(pairs):

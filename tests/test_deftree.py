@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import best_time, random_program
+from conftest import best_times, random_program
 from nspec import deftree
 from nspec.deftree import (
     Branch,
@@ -164,14 +164,14 @@ class TestForestAndReport:
     def test_forest_time_grows_linearly_in_the_rules(self):
         """The generated `eq` of n unary constructors has n + 1 rules and
         a tree of n + 1 leaves under one branch."""
-        times = {}
+        programs = {}
         for n in (100, 400):
             names = " ".join(f"c{i}/1" for i in range(n))
-            program = add_strict_equality(parse_program(
+            programs[n] = program = add_strict_equality(parse_program(
                 f"constructors {names} ;\noperations id/1 ;\nid(X) -> X ;"))
             trees, failures = forest(program)
             assert not failures and len(trees["eq"].children) == n + 1
-            times[n] = best_time(lambda: forest(program))
+        times = best_times({n: lambda p=p: forest(p) for n, p in programs.items()})
         # Linear growth gives 4; a pairwise scan of the left-hand sides
         # for duplicates gave about 12.
         assert times[400] < 8 * times[100], times

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (
     CORPUS_GOALS,
+    ParentFreshVars,
     answer_set,
-    best_time,
+    best_times,
     eager_leaves,
     generic_calls,
     load,
@@ -459,7 +460,7 @@ class TestRewriteNormalize:
         its patterns, is not counted."""
         calls, counting = [], [True]
         for owner, name in [(Rule, "renamed"), (FreshVars, "fresh"),
-                            (FreshVars, "_suffixed")]:
+                            (FreshVars, "suffixed")]:
             original = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name: (
                 counting[0] and calls.append(_n), _f(*args))[1])
@@ -1084,7 +1085,7 @@ class TestStepCostFollowsTheWalk:
     was quadratic in the nesting."""
 
     def test_needed_step_against_a_deep_pattern(self):
-        times = {}
+        runs = {}
         for k in (100, 200, 400):
             program = parse_program(
                 "constructors 0/0 s/1 ;\noperations f/1 ;\n"
@@ -1093,20 +1094,23 @@ class TestStepCostFollowsTheWalk:
             t = goal(program, "f(X)")
             [step] = nns(t, trees, FreshVars())
             assert len(step.canonical) == k + 2
-            times[k] = best_time(lambda: nns(t, trees, FreshVars()))
+            runs[k] = lambda t=t, trees=trees: nns(t, trees, FreshVars())
+        times = best_times(runs)
         assert times[400] < 1.0, times
         # Linear growth gives 4; the cubic fold gave about 64.
         assert times[400] < 12 * times[100], times
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_step_cost_per_nested_call_is_flat(self, leq_prog, leq_trees, strategy):
-        per_level = {}
+        runs = {}
         for depth in (250, 4000):
             t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
             [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
             assert step.position == (1,) * (depth - 1)
-            per_level[depth] = best_time(lambda: strategy_steps(
-                t, leq_prog, strategy, leq_trees, FreshVars())) / depth
+            runs[depth] = lambda t=t: strategy_steps(
+                t, leq_prog, strategy, leq_trees, FreshVars())
+        per_level = {depth: time / depth
+                     for depth, time in best_times(runs).items()}
         # Flat gives 1; copying the position prefix at each call gave
         # about 8 for the needed step.
         assert per_level[4000] < 4 * per_level[250], per_level
@@ -1115,13 +1119,58 @@ class TestStepCostFollowsTheWalk:
     def test_prefix_cost_per_level_is_flat(self, leq_prog, leq_trees, strategy):
         """Crossing a constructor prefix s^j to the call below it costs
         one parent-pointer segment per level."""
-        per_level = {}
+        runs = {}
         for depth in (250, 4000):
             t = goal(leq_prog, "s(" * depth + "add(0, 0)" + ")" * depth)
             [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
             assert step.position == (1,) * depth
-            per_level[depth] = best_time(lambda: strategy_steps(
-                t, leq_prog, strategy, leq_trees, FreshVars())) / depth
+            runs[depth] = lambda t=t: strategy_steps(
+                t, leq_prog, strategy, leq_trees, FreshVars())
+        per_level = {depth: time / depth
+                     for depth, time in best_times(runs).items()}
         # Flat gives 1; extending a position tuple at each level gave
         # about 8 for the needed step.
         assert per_level[4000] < 4 * per_level[250], per_level
+
+
+# Goals of the benchmark's narrow_deep workload at k = 6, on peano.flp.
+DEEP_GOALS = (
+    "add(X, Y) ~ s(s(s(s(s(s(0))))))",
+    "leq(X, s(s(s(s(s(s(0))))))) ~ true",
+    "double(X) ~ s(s(s(s(s(s(0))))))",
+    "append(Xs, Ys) ~ cons(0, cons(s(0), cons(0, nil)))",
+)
+
+
+def _search_view(program, source, strategy):
+    result = search(goal(program, source), program, strategy,
+                    Bounds(max_steps=8, max_nodes=400))
+    return (node_to_dict(result.root), result.complete,
+            [(str(sigma), str(value)) for sigma, value in result.answers])
+
+
+class TestDrawnNamesNeedNoRecord:
+    """`FreshVars` skips only the names it is told to avoid: every name
+    it draws is new by construction.  The parent class, which also
+    skipped every name it drew, gives the same trees and answers."""
+
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("peano", g) for g in WIDE_LAWS + DEEP_GOALS])
+    def test_search_as_with_the_parent_class(self, monkeypatch, name, source):
+        program = (add_strict_equality(parse_program(PEANO.read_text()))
+                   if name == "peano" else load(f"{name}.flp"))
+        views = [_search_view(program, source, strategy)
+                 for strategy in ("needed", "lazy")]
+        monkeypatch.setattr(narrowing, "FreshVars", ParentFreshVars)
+        assert [_search_view(program, source, strategy)
+                for strategy in ("needed", "lazy")] == views
+
+    def test_a_search_avoids_only_the_goal_and_program_variables(self):
+        program = add_strict_equality(parse_program(PEANO.read_text()))
+        t = goal(program, WIDE_LAWS[1])
+        gen = FreshVars()
+        result = search(t, program, "needed",
+                        Bounds(max_steps=12, max_nodes=1500), gen)
+        assert sum(1 for _ in result.root.nodes()) >= 1000
+        assert gen._avoid == {v.name for v in vars_of(t)} | {
+            v.name for v in program.all_variables()}

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     CORPUS_GOALS,
+    ParentFreshVars,
     answer_set,
     eager_leaves,
     generic_calls,
@@ -17,7 +18,7 @@ from conftest import (
 )
 from nspec import peval
 from nspec.deftree import ProgramClassError, is_inductively_sequential
-from nspec.narrowing import FAILING, Bounds, search
+from nspec.narrowing import FAILING, Bounds, node_to_dict, search
 from nspec.peval import (
     PEControlError,
     UnfoldPolicy,
@@ -1161,3 +1162,49 @@ def test_abstract_add_keys_stay_in_step(t1, t2):
             assert keys == {variant_key(s) for s in S}
             assert len(keys) == len(S)
             assert changed == (S != ref_S)
+
+
+def _unfold_views(program, calls):
+    """The tree and resultants of every call under every policy."""
+    views = []
+    for strategy, whistle in POLICIES:
+        for depth in (1, 2, 3):
+            policy = UnfoldPolicy(depth=depth, whistle=whistle, strategy=strategy)
+            for call in calls:
+                root = unfold(call, program, policy)
+                views.append((node_to_dict(root),
+                              _resultants_view(resultants(root))))
+    return views
+
+
+def _control_views(program, roots):
+    return [_control_view(lambda: _outcome(
+                program, roots, UnfoldPolicy(depth=depth, whistle=whistle,
+                                             strategy=strategy)))
+            for strategy, whistle in POLICIES for depth in (1, 2, 3)]
+
+
+class TestDrawnNamesNeedNoRecord:
+    """Unfolding and control draw the same names with the parent
+    `FreshVars`, which also skipped every name it drew."""
+
+    @pytest.mark.parametrize("name, call", BENCH_TASKS + [
+        ("kmp.flp", pattern) for pattern in KMP_PATTERNS])
+    def test_bench_tasks(self, monkeypatch, name, call):
+        program = _bench_program(name)
+        roots = [_kmp_call(program, call) if name == "kmp.flp"
+                 else goal(program, call)]
+        views = _unfold_views(program, roots), _control_views(program, roots)
+        monkeypatch.setattr(peval, "FreshVars", ParentFreshVars)
+        assert (_unfold_views(program, roots),
+                _control_views(program, roots)) == views
+
+    @pytest.mark.parametrize("name", ["leq", "append", "double", "gfh", "loop"])
+    def test_generic_calls_of_the_corpus(self, monkeypatch, name):
+        program = load(f"{name}.flp")
+        calls = generic_calls(program)
+        views = (_unfold_views(program, calls),
+                 [_control_views(program, [call]) for call in calls])
+        monkeypatch.setattr(peval, "FreshVars", ParentFreshVars)
+        assert (_unfold_views(program, calls),
+                [_control_views(program, [call]) for call in calls]) == views

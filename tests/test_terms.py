@@ -8,7 +8,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_idempotent, parent_solve, ref_str
+from conftest import ParentFreshVars, is_idempotent, parent_solve, ref_str
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -353,8 +353,8 @@ class TestFreshVars:
             theta = drawn.renaming(variables)
             assert list(theta.mapping) == variables
             names.append([theta.apply(v).name for v in variables])
-            skipped.skip_renaming(variables)
-            assert skipped._used == drawn._used
+            skipped.suffixed(variables)
+            assert skipped._avoid == drawn._avoid
             assert skipped._counter == drawn._counter
         assert names[2] == ["X_4"]
         assert names[-1] == ["X_8"]
@@ -369,6 +369,49 @@ class TestFreshVars:
 
     def test_fresh_tuple(self):
         assert [v.name for v in FreshVars().fresh_tuple(2)] == ["V1", "V2"]
+
+    def test_drawing_agrees_with_recording_every_drawn_name(self):
+        """Seeded sequences of draws and reservations against the parent
+        class, which also skips every name it drew before.  The avoided
+        names look like drawn ones (V3, X_4, A_1_2, V1_7), and some
+        reservations take names drawn earlier, as `msg` operands do."""
+        pool = [Var(n) for n in ("X", "A", "A_1", "V", "V1", "Y_2")]
+        for seed in range(300):
+            rng = random.Random(seed)
+
+            def looks_drawn():
+                k = rng.randint(1, 12)
+                return Var(rng.choice([f"V{k}", f"X_{k}", f"A_1_{k}",
+                                       f"V1_{k}", f"Y_2_{k}", f"A_{k}"]))
+
+            avoid = [looks_drawn() for _ in range(rng.randint(0, 6))]
+            start = rng.randint(0, 4)
+            gen, ref = FreshVars(avoid, start), ParentFreshVars(avoid, start)
+            reserved, drawn = {v.name for v in avoid}, []
+            for _ in range(40):
+                op = rng.randrange(4)
+                if op == 0:
+                    got, want = gen.fresh(), ref.fresh()
+                    drawn.append(got)
+                elif op == 1:
+                    n = rng.randint(0, 3)
+                    got, want = gen.fresh_tuple(n), ref.fresh_tuple(n)
+                    drawn.extend(got)
+                elif op == 2:
+                    variables = rng.sample(pool, rng.randint(0, 3))
+                    got, want = gen.suffixed(variables), ref.suffixed(variables)
+                    drawn.extend(map(Var, got))
+                else:
+                    names = [looks_drawn() for _ in range(rng.randint(1, 3))]
+                    names += rng.sample(drawn, min(len(drawn), 2))
+                    gen.reserve(names)
+                    ref.reserve(names)
+                    reserved.update(v.name for v in names)
+                    got = want = None
+                assert got == want, seed
+                assert gen._counter == ref._counter, seed
+            assert gen._avoid == reserved, seed
+            assert gen.fresh() == ref.fresh(), seed
 
 
 class TestCanonicalRename:
