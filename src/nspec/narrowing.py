@@ -10,7 +10,10 @@ decides each node's fate once (`Node.cause`), and only counts the steps
 of a node that a bound stops; two leaf policies use it.  `search` bounds
 it by `Bounds` and collects (answer, constructor term) pairs at the
 success leaves; `peval.unfold` bounds it by the unfold depth and cuts
-it with the partial evaluator's local control.  Rewriting
+it with the partial evaluator's local control.  A step is applied in
+one walk along its position (`narrow`, and `rewrite_step` with no
+substitution): the rule is matched through the step's substitution and
+only the path above the redex is rebuilt.  Rewriting
 (`rewrite_normalize`) takes needed steps that bind no variable, found
 by the needed descent's redex mode, which draws no names and builds no
 `Step`; it crosses each constructor prefix once for the whole sequence,
@@ -37,6 +40,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _applied,
     _path,
     _replace_on,
     _solve,
@@ -45,7 +49,6 @@ from .terms import (
     is_operation_rooted,
     linear_overlay,
     linear_walk,
-    match,
     resolve_chain,
     subterm_at,
     vars_of,
@@ -276,23 +279,66 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
 
 
 def narrow(t: Term, step: Step) -> Term:
-    """The term reached from t by one narrowing step."""
-    return rewrite_step(step.subst.apply(t), step.position, step.rule)
+    """The term reached from t by one narrowing step: sigma(t[r]_p) for
+    the step's position p, rule l -> r and substitution sigma, built in
+    one walk (`_contract`)."""
+    return _contract(t, step.position, step.rule, step.subst._map)
 
 
 def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
     """Plain rewriting: replace the redex at position by the rule's rhs
-    instance, from one walk along the position.
+    instance, from one walk along the position (`_contract` with no
+    substitution)."""
+    return _contract(t, position, rule, {})
 
-    The rule's source rewrites in its place: a renaming is a bijection on
-    variables and the rhs has no variable that the lhs lacks, so both give
-    the same contractum, and a variant's own parts are never built."""
-    path = _path(t, position)
+
+def _contract(t: Term, position: Position, rule: Rule,
+              sigma: Dict[Var, Term]) -> Term:
+    """sigma(t[r]_p) for the rule l -> r at position p, without building
+    sigma(t) or sigma(t|p).  sigma binds only variables, so p is read on
+    t itself, and l is matched against t|p through sigma: a variable of
+    t under a constructor of l is replaced by its image, which is never
+    substituted again, and a variable of l takes sigma of the subterm it
+    meets, so sigma is applied once even when it is not idempotent.
+    Only the ancestors of the redex are rebuilt, their other arguments
+    under sigma.  The rule's source rewrites in its place: a renaming is
+    a bijection on variables and the rhs has no variable that the lhs
+    lacks, so both give the same contractum, and a variant's own parts
+    are never built."""
+    try:
+        path = _path(t, position)
+    except ValueError:
+        # p passes through a variable that sigma binds: it is a position
+        # of sigma(t) only, which is then built as a whole.
+        t, sigma = _applied(sigma, t), {}
+        path = _path(t, position)
     source = rule.source
-    theta = match(source.lhs, path[-1])
-    if theta is None:
-        raise ValueError(f"rule {rule} does not match {path[-1]}")
-    return _replace_on(path, position, theta.apply(source.rhs))
+    theta: Dict[Var, Term] = {}
+    # (pattern subterm, subterm met, the map still to apply to it)
+    stack = [(source.lhs, path[-1], sigma)]
+    while stack:
+        p, u, m = stack.pop()
+        if p.__class__ is Var:
+            u = _applied(m, u)
+            if theta.setdefault(p, u) is u or theta[p] == u:
+                continue
+        else:
+            if u.__class__ is Var:
+                u, m = m.get(u, u), {}
+            if u.__class__ is App and u.root == p.root:
+                stack.extend(zip(p.args, u.args, itertools.repeat(m)))
+                continue
+        raise ValueError(
+            f"rule {rule} does not match {_applied(sigma, path[-1])}")
+    s = _applied(theta, source.rhs)
+    if not sigma:
+        return _replace_on(path, position, s)
+    for u, i in zip(path[-2::-1], reversed(position)):
+        args = [_applied(sigma, a) for a in u.args[:i - 1]]
+        args.append(s)
+        args += [_applied(sigma, a) for a in u.args[i:]]
+        s = App(u.root, tuple(args))
+    return s
 
 
 INNER = "inner"

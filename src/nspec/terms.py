@@ -554,7 +554,9 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
     """A substitution theta with theta(pattern) == t, or None.
 
     The result is kept literal (not re-normalized): matching f(X, Y)
-    against f(Y, X) legitimately yields the swap {X -> Y, Y -> X}.
+    against f(Y, X) legitimately yields the swap {X -> Y, Y -> X}.  Its
+    keys are pattern variables, so it is built without the checks of
+    the constructor; identity bindings are dropped by a name test.
     """
     bound: Dict[Var, Term] = {}
     stack = [(pattern, t)]
@@ -570,7 +572,8 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
             if isinstance(u, Var) or p.root != u.root:
                 return None
             stack.extend(zip(p.args, u.args))
-    return Substitution(bound)
+    return Substitution._of({x: u for x, u in bound.items()
+                             if u.__class__ is not Var or u.name != x.name})
 
 
 def is_variant(s: Term, t: Term) -> bool:

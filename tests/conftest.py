@@ -24,6 +24,7 @@ from nspec import (
     match,
     parse_program,
     replace_at,
+    subterm_at,
     vars_of,
 )
 from nspec.terms import CONSTRUCTOR, OPERATION, var_positions
@@ -230,6 +231,45 @@ class ParentFreshVars:
     def renaming(self, variables):
         names = self.suffixed(variables)
         return Substitution._of(dict(zip(variables, map(Var, names))))
+
+
+def parent_match(pattern, t):
+    """`match` as it was: its bindings go through the checked
+    `Substitution` constructor, which drops the identity ones."""
+    bound = {}
+    stack = [(pattern, t)]
+    while stack:
+        p, u = stack.pop()
+        if isinstance(p, Var):
+            if p in bound:
+                if bound[p] != u:
+                    return None
+            else:
+                bound[p] = u
+        else:
+            if isinstance(u, Var) or p.root != u.root:
+                return None
+            stack.extend(zip(p.args, u.args))
+    return Substitution(bound)
+
+
+def parent_rewrite_step(t, position, rule):
+    """`rewrite_step` as it was: the rule's own parts rewrite."""
+    redex = subterm_at(t, position)
+    return replace_at(t, position, match(rule.lhs, redex).apply(rule.rhs))
+
+
+def parent_narrow(t, step):
+    """`narrow` as it was, in two passes: the step's substitution is
+    applied to the whole term, then the rule's source is matched against
+    the rebuilt redex and the path above it is rebuilt again."""
+    t = step.subst.apply(t)
+    source = step.rule.source
+    redex = subterm_at(t, step.position)
+    theta = parent_match(source.lhs, redex)
+    if theta is None:
+        raise ValueError(f"rule {step.rule} does not match {redex}")
+    return replace_at(t, step.position, theta.apply(source.rhs))
 
 
 def parent_solve(pairs):

@@ -98,3 +98,45 @@ def test_rewrite_trace_rows_stay_live():
     assert calls["narrowing.rewrite_normalize"] == 1
     assert calls["program.Rule.renamed"] == 0
     assert calls["terms.str"] == len(lines)
+
+
+def test_search_trace_rows_stay_live():
+    """A needed search applies each edge of its tree through one `narrow`
+    call, and matches rules only in its one definitional forest build,
+    once per leaf: the step matches its rule without `match`."""
+    from nspec import add_strict_equality, deftree, narrowing, parse_program, parse_term
+
+    text = (TRACING.parent / "programs" / "peano.flp").read_text(encoding="utf-8")
+    program = add_strict_equality(parse_program(text))
+    root = parse_term("append(Xs, Ys) ~ cons(0, cons(s(0), cons(0, nil)))",
+                      program.signature)
+    tracer = _tracing().Tracer()
+    with tracer:
+        tracer.enabled = True
+        trees, failures = deftree.forest(program)
+    forest_calls = tracer.calls()
+    tracer = _tracing().Tracer()
+    with tracer:
+        tracer.enabled = True
+        result = narrowing.search(root, program, "needed",
+                                  narrowing.Bounds(max_steps=50, max_nodes=10 ** 6))
+    calls = tracer.calls()
+    nodes = result.root.nodes()
+    leaves = [leaf for tree in trees.values() for leaf in _tree_leaves(tree)]
+    assert result.complete and len(result.answers) == 4 and not failures
+    assert calls["narrowing.search"] == 1
+    assert calls["narrowing.narrow"] == sum(len(n.children) for n in nodes) > 0
+    assert calls["terms.match"] == forest_calls["terms.match"] == len(leaves)
+
+
+def _tree_leaves(tree):
+    from nspec.deftree import Leaf
+
+    stack, out = [tree], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+        else:
+            stack.extend(node.children)
+    return out

@@ -14,7 +14,9 @@ from conftest import (
     eager_leaves,
     generic_calls,
     load,
+    parent_narrow,
     parent_renamed,
+    parent_rewrite_step,
     parent_solve,
     random_program,
     random_term,
@@ -173,6 +175,106 @@ class TestRewriteStep:
         r4 = leq_prog.rules[3]
         with pytest.raises(ValueError, match="does not match"):
             rewrite_step(goal(leq_prog, "add(s(0), 0)"), (), r4)
+
+
+def _hand_step(prog, position, label, bindings):
+    """A step built by hand: a program rule by label, and a substitution
+    given as {variable name: term text}."""
+    rule = next(r for r in prog.rules if r.label == label)
+    return Step(tuple(position), rule, Substitution(
+        {Var(x): goal(prog, u) for x, u in bindings.items()}))
+
+
+def _raised(call, *args):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+class TestNarrowInOneWalk:
+    """`narrow` matches the rule through the step's substitution and
+    rebuilds only the path above the redex; `parent_narrow`, which
+    applies the substitution to the whole term first, is the reference."""
+
+    @pytest.mark.parametrize("source, position, label, bindings, expected", [
+        # Non-idempotent: sigma(X) mentions Y, which sigma binds too.
+        ("add(X, Y)", (), "R5", {"X": "s(Y)", "Y": "0"}, "s(add(Y, 0))"),
+        ("add(X, Y)", (), "R4", {"X": "0", "Y": "X"}, "X"),
+        ("leq(X, Y)", (), "R3", {"X": "s(Y)", "Y": "s(0)"}, "leq(Y, 0)"),
+        # A variable of sigma also occurs outside the redex.
+        ("leq(add(X, Y), X)", (1,), "R4", {"X": "0"}, "leq(Y, 0)"),
+        ("leq(s(X), add(X, X))", (2,), "R5", {"X": "s(Z)"},
+         "leq(s(s(Z)), s(add(Z, s(Z))))"),
+        # Below the root, under a constructor.
+        ("leq(s(X), s(add(X, Y)))", (2, 1), "R5", {"X": "s(Z)"},
+         "leq(s(s(Z)), s(s(add(Z, Y))))"),
+        # The redex is a variable of t that sigma binds.
+        ("leq(X, 0)", (1,), "R4", {"X": "add(0, 0)"}, "leq(0, 0)"),
+        # The position passes through a variable that sigma binds.
+        ("leq(X, Y)", (1, 1), "R4", {"X": "s(add(0, Y))", "Y": "0"},
+         "leq(s(Y), 0)"),
+        # Nothing bound.
+        ("leq(0, add(0, s(X)))", (2,), "R4", {}, "leq(0, s(X))"),
+    ])
+    def test_hand_built_steps(self, leq_prog, source, position, label,
+                              bindings, expected):
+        t = goal(leq_prog, source)
+        step = _hand_step(leq_prog, position, label, bindings)
+        reached = narrow(t, step)
+        assert reached == parent_narrow(t, step)
+        assert str(reached) == expected
+
+    def test_siblings_that_sigma_leaves_alone_are_shared(self, leq_prog):
+        t = goal(leq_prog, "leq(s(add(X, Y)), add(Z, s(Z)))")
+        reached = narrow(t, _hand_step(leq_prog, (1, 1), "R4", {"X": "0"}))
+        assert reached == goal(leq_prog, "leq(s(Y), add(Z, s(Z)))")
+        assert reached.args[1] is t.args[1]
+        t = goal(leq_prog, "leq(add(s(X), Y), add(X, Z))")
+        reached = narrow(t, _hand_step(leq_prog, (1,), "R5", {"Y": "0"}))
+        assert str(reached) == "leq(s(add(X, 0)), add(X, Z))"
+        assert reached.args[1] is t.args[1]
+        t = goal(leq_prog, "leq(add(0, s(0)), add(X, Z))")
+        reached = rewrite_step(t, (1,), leq_prog.rules[3])
+        assert str(reached) == "leq(s(0), add(X, Z))"
+        assert reached.args[1] is t.args[1]
+
+    @pytest.mark.parametrize("source, position, label, bindings", [
+        ("add(X, Y)", (), "R4", {"X": "s(0)"}),
+        ("leq(add(X, Y), X)", (1,), "R5", {"X": "0"}),
+        ("leq(X, Y)", (), "R3", {"X": "s(Y)", "Y": "0"}),
+        ("leq(s(X), s(X))", (), "R2", {"X": "s(Y)"}),
+        ("add(X, Y)", (2,), "R4", {"Y": "s(0)"}),
+        ("add(X, Y)", (3,), "R4", {}),
+        ("leq(X, Y)", (1, 1), "R4", {"X": "0"}),
+    ])
+    def test_the_error_text_is_the_parent_one(self, leq_prog, source, position,
+                                              label, bindings):
+        t = goal(leq_prog, source)
+        step = _hand_step(leq_prog, position, label, bindings)
+        assert _raised(narrow, t, step) == _raised(parent_narrow, t, step)
+        if not bindings:
+            assert (_raised(rewrite_step, t, step.position, step.rule)
+                    == _raised(parent_narrow, t, step))
+
+    def test_rewrite_step_error_text(self, leq_prog):
+        t = goal(leq_prog, "leq(s(X), add(s(0), 0))")
+        for position, rule in (((2,), leq_prog.rules[3]), ((), leq_prog.rules[0]),
+                               ((2, 3), leq_prog.rules[3])):
+            assert _raised(rewrite_step, t, position, rule) == _raised(
+                parent_narrow, t, Step(position, rule, IDENTITY))
+        assert _raised(rewrite_step, t, (2,), leq_prog.rules[3]) == (
+            "rule add(0, N) -> N does not match add(s(0), 0)")
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
+        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
+    def test_every_step_of_a_search(self, name, source, strategy):
+        program = load(f"{name}.flp")
+        result = search(goal(program, source), program, strategy,
+                        Bounds(max_steps=6, max_nodes=300))
+        for node in result.root.nodes():
+            for step, child in node.children:
+                assert child.term == parent_narrow(node.term, step), step
 
 
 class TestSearch:
@@ -730,12 +832,6 @@ class TestLazyDescentAgreesWithReference:
                         _assert_lazy_descent_matches_reference(t, program)
 
 
-def parent_rewrite_step(t, position, rule):
-    """`rewrite_step` as it was: the rule's own parts rewrite."""
-    redex = subterm_at(t, position)
-    return replace_at(t, position, match(rule.lhs, redex).apply(rule.rhs))
-
-
 # The first read of a lazy variant, taken in turn from step to step:
 # each one builds all of its parts.
 FIRST_READS = (str, lambda rule: rule.variables, lambda rule: rule == rule, hash)
@@ -1075,6 +1171,65 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     assert reached == narrow(t, step) and not suspended
     [step] = lns(t, leq_prog, FreshVars())
     assert step.position == (1,) * (depth - 1)
+
+
+def _nest(sym, depth, base, other=None):
+    """sym applied depth times around base, bottom-up: s^depth(base)
+    for a unary sym, or sym(...sym(base, other)..., other)."""
+    for _ in range(depth):
+        base = App(sym, (base,) if other is None else (base, other))
+    return base
+
+
+class TestDeepSteps:
+    """`narrow` and `rewrite_step` loop: a step 10^4 positions deep, or
+    beside a sibling nesting 10^5 deep, raises no RecursionError and
+    gives the two-pass reference's term."""
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_a_step_ten_thousand_positions_deep(self, leq_prog, leq_trees,
+                                                strategy):
+        add, s = leq_prog.signature.get("add"), leq_prog.signature.get("s")
+        x = Var("X")
+        for t in (_nest(add, 10 ** 4, App(add, (x, x)), x),
+                  _nest(s, 10 ** 4, App(add, (x, Var("Y"))))):
+            steps = strategy_steps(t, leq_prog, strategy, leq_trees,
+                                   FreshVars(vars_of(t)))
+            assert len(steps) == 2
+            for step in steps:
+                assert len(step.position) == 10 ** 4
+                assert narrow(t, step) == parent_narrow(t, step)
+
+    def test_a_rewrite_ten_thousand_positions_deep(self, leq_prog):
+        add, zero = leq_prog.signature.get("add"), App(leq_prog.signature.get("0"))
+        r4 = leq_prog.rules[3]
+        position = (1,) * 10 ** 4
+        for t in (_nest(add, 10 ** 4, App(add, (zero, Var("Y"))), Var("Y")),
+                  _nest(leq_prog.signature.get("s"), 10 ** 4,
+                        App(add, (zero, zero)))):
+            assert rewrite_step(t, position, r4) == parent_narrow(
+                t, Step(position, r4, IDENTITY))
+
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_a_redex_beside_a_sibling_a_hundred_thousand_deep(
+            self, leq_prog, leq_trees, strategy):
+        sig = leq_prog.signature
+        redex = App(sig.get("add"), (Var("X"), Var("Y")))
+        for name in ("X", "Z"):  # a sibling that sigma rebuilds or leaves
+            t = App(sig.get("leq"),
+                    (redex, _nest(sig.get("s"), 10 ** 5, Var(name))))
+            steps = strategy_steps(t, leq_prog, strategy, leq_trees,
+                                   FreshVars(vars_of(t)))
+            assert [step.position for step in steps] == [(1,), (1,)]
+            for step in steps:
+                reached = narrow(t, step)
+                assert reached == parent_narrow(t, step)
+                assert (reached.args[1] is t.args[1]) == (name == "Z")
+        t = App(sig.get("leq"), (App(sig.get("add"), (App(sig.get("0")), Var("Y"))),
+                             _nest(sig.get("s"), 10 ** 5, Var("Y"))))
+        reached = rewrite_step(t, (1,), leq_prog.rules[3])
+        assert reached == parent_narrow(t, Step((1,), leq_prog.rules[3], IDENTITY))
+        assert reached.args[1] is t.args[1]
 
 
 class TestStepCostFollowsTheWalk:

@@ -8,7 +8,8 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ParentFreshVars, is_idempotent, parent_solve, ref_str
+from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, load,
+                      parent_match, parent_solve, ref_str)
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -600,6 +601,65 @@ def test_match_recovers_instance(pattern, t):
     sigma = match(pattern, t)
     if sigma is not None:
         assert sigma.apply(pattern) == t
+
+
+def _same_match(pattern, t):
+    """`match` gives what the checked constructor gives: the same
+    bindings, in the same order, or None."""
+    got, ref = match(pattern, t), parent_match(pattern, t)
+    assert (got is None) == (ref is None), (pattern, t)
+    if got is not None:
+        assert got == ref and list(got.mapping.items()) == list(
+            ref.mapping.items()), (pattern, t)
+    return got
+
+
+@given(TERMS, TERMS, st.dictionaries(VARS, TERMS, max_size=3))
+def test_match_agrees_with_the_checked_constructor(pattern, t, mapping):
+    _same_match(pattern, t)
+    _same_match(pattern, Substitution(mapping).apply(pattern))
+
+
+def test_match_agrees_with_the_checked_constructor_on_the_corpus():
+    """Every rule's left-hand side against every subterm of the rules
+    and of the corpus goals' search trees, and against instances of
+    itself."""
+    from nspec.narrowing import Bounds, search
+
+    matched = 0
+    for name in sorted({name for name, _ in CORPUS_GOALS}):
+        program = load(f"{name}.flp")
+        terms = [u for rule in program.rules for u in (rule.lhs, rule.rhs)]
+        for _, source in (g for g in CORPUS_GOALS if g[0] == name):
+            result = search(parse_term(source, program.signature), program,
+                            "needed", Bounds(max_steps=6, max_nodes=200))
+            terms += [node.term for node in result.root.nodes()]
+        subs = [u for t in terms for _, u in subterms(t)]
+        for rule in program.rules:
+            for u in subs:
+                matched += _same_match(rule.lhs, u) is not None
+            for u in subs[::7]:
+                _same_match(u, rule.lhs)
+            # Instances that bind a variable to itself, swap variables
+            # or bind them to corpus subterms.
+            xs = vars_of(rule.lhs)
+            rotated = dict(zip(xs, xs[1:] + xs[:1]))
+            for u in subs[::5]:
+                for images in (rotated, {**rotated, xs[0]: u} if xs else {},
+                               dict.fromkeys(xs, u)):
+                    instance = Substitution(images).apply(rule.lhs)
+                    matched += _same_match(rule.lhs, instance) is not None
+    assert matched > 1000
+
+
+def test_match_keeps_a_swap_and_drops_identities():
+    swap = _same_match(leq(X, Y), leq(Y, X))
+    assert swap.mapping == {X: Y, Y: X}
+    kept = _same_match(leq(X, Y), leq(X, num(0)))
+    assert kept.mapping == {Y: num(0)}
+    assert match(leq(X, X), leq(X, X)) == IDENTITY
+    assert match(leq(X, add(Y, Y)), leq(X, add(Y, Y))) == IDENTITY
+    assert match(leq(X, X), leq(X, Y)) is None
 
 
 @given(TERMS)
