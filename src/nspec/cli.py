@@ -6,7 +6,9 @@ transform), peval (partial evaluation), tree (narrowing tree dump), and
 oracle (brute-force debugging aids).
 
 Exit codes: 0 success, 1 usage error, 2 unparsable or ill-formed input,
-3 program-class violation, 4 partial-evaluation control failure.
+3 program-class violation, 4 partial-evaluation control failure.  The
+oracle's rewriting search visits at most 100,000 distinct terms per
+reachability question; past that it stops with an error and exit 1.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import __version__
-from .deftree import DefTree, Leaf, ProgramClassError, is_inductively_sequential, uniform_transform
-from .narrowing import Bounds, Node, Step, node_to_dict, rewrite_normalize, search
-from .oracle import ground_solutions, rewrites_to
+from .deftree import DefTree, Leaf, ProgramClassError, is_inductively_sequential, preorder, uniform_transform
+from .narrowing import Bounds, Node, node_to_dict, rewrite_normalize, search
+from .oracle import VisitedCapError, ground_solutions, rewrites_to
 from .peval import PEControlError, UnfoldPolicy, pe_control
 from .program import Program, ProgramError, add_strict_equality, validate
 from .syntax import ParseError, parse_program, parse_term, print_program
@@ -137,41 +139,32 @@ def _load(path: str) -> Program:
 
 def _tree_lines(tree: DefTree, indent: str = "") -> List[str]:
     """Each node of a definitional tree indented under its parent, in
-    preorder; walked from an explicit stack, so any pattern depth prints."""
+    preorder (`deftree.preorder`), so any pattern depth prints."""
     lines: List[str] = []
-    stack = [(tree, indent)]
-    while stack:
-        node, indent = stack.pop()
+    for node, depth in preorder(tree):
+        pad = indent + "  " * depth
         if isinstance(node, Leaf):
-            lines.append(f"{indent}leaf {node.pattern} -> {node.rule.rhs}")
-            continue
-        lines.append(f"{indent}branch {node.pattern} at {list(node.position)}")
-        stack.extend((child, indent + "  ") for child in reversed(node.children))
+            lines.append(f"{pad}leaf {node.pattern} -> {node.rule.rhs}")
+        else:
+            lines.append(f"{pad}branch {node.pattern} at {list(node.position)}")
     return lines
 
 
 def _tree_dict(tree: DefTree) -> dict:
-    """The JSON form of a definitional tree, built top-down from an
-    explicit stack, so any pattern depth converts."""
-
-    def entry(node: DefTree) -> dict:
+    """The JSON form of a definitional tree, built in preorder
+    (`deftree.preorder`), so any pattern depth converts."""
+    level: List[dict] = []  # the forms of the current node's ancestors
+    for node, depth in preorder(tree):
         if isinstance(node, Leaf):
-            return {"kind": "leaf", "pattern": str(node.pattern),
-                    "rhs": str(node.rule.rhs), "rule": node.rule.label}
-        return {"kind": "branch", "pattern": str(node.pattern),
-                "position": list(node.position), "children": []}
-
-    root = entry(tree)
-    stack = [(tree, root)]
-    while stack:
-        node, out = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        for child in node.children:
-            inner = entry(child)
-            out["children"].append(inner)
-            stack.append((child, inner))
-    return root
+            out = {"kind": "leaf", "pattern": str(node.pattern),
+                   "rhs": str(node.rule.rhs), "rule": node.rule.label}
+        else:
+            out = {"kind": "branch", "pattern": str(node.pattern),
+                   "position": list(node.position), "children": []}
+        if depth:
+            level[depth - 1]["children"].append(out)
+        level[depth:] = [out]
+    return level[0]
 
 
 def _cmd_check(args) -> int:
@@ -218,18 +211,15 @@ def _cmd_check(args) -> int:
 
 
 def _narrow_tree_lines(root: Node) -> List[str]:
-    """Each node indented under its parent, preceded by its arc; walked
-    from an explicit stack, so any tree depth prints."""
+    """Each node indented under its parent, preceded by its arc, in
+    preorder (`Node.preorder`), so any tree depth prints."""
     lines: List[str] = []
-    stack: List[Tuple[Optional[Step], Node, str]] = [(None, root, "")]
-    while stack:
-        step, node, indent = stack.pop()
+    for step, node, depth in root.preorder():
+        indent = "    " * depth
         if step is not None:
             lines.append(f"{indent[:-2]}at {list(step.position)} "
                          f"{step.rule.label or step.rule} {step.subst}")
         lines.append(f"{indent}{node.term}  [{node.status}]")
-        stack.extend((arc, child, indent + "    ")
-                     for arc, child in reversed(node.children))
     return lines
 
 
@@ -387,10 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PEControlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError, VisitedCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,9 @@ carry one rule, re-expressed over the leaf's own pattern variables.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from itertools import zip_longest
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .program import Program, Rule, Signature
 from .terms import (
@@ -100,20 +101,28 @@ def _hash_head(branch: Branch) -> int:
     return hash((branch.pattern, branch.position))
 
 
+def preorder(tree: DefTree) -> Iterator[Tuple[DefTree, int]]:
+    """(node, depth) for every node of a definitional tree in preorder,
+    children in tree order, from an explicit stack: any pattern depth
+    works.  A node's parent is the last node yielded one level up."""
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, Branch):
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
 def _trees_agree(a: DefTree, b: DefTree,
                  same: Callable[[DefTree, DefTree], bool]) -> bool:
     """Whether two trees have the same shape and inductive positions, and
-    `same` holds of each pair of nodes; the pairs are compared from an
-    explicit stack."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a.__class__ is not b.__class__ or not same(a, b):
+    `same` holds of each pair of nodes: their preorders agree node by
+    node, depths included, which fixes the shape."""
+    for (u, i), (v, j) in zip_longest(preorder(a), preorder(b),
+                                      fillvalue=(None, -1)):
+        if i != j or u.__class__ is not v.__class__ or not same(u, v) or (
+                isinstance(u, Branch) and u.position != v.position):
             return False
-        if isinstance(a, Branch):
-            if a.position != b.position or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
     return True
 
 
@@ -315,7 +324,7 @@ def uniform_transform(program: Program) -> Program:
     order, and each branch level emits one rule per child constructor
     (its right-hand side is the original rule's at a leaf, or a call to
     the child's fresh operation at an inner branch).  The tree is walked
-    from an explicit stack, in preorder, so any pattern depth works.
+    in preorder (`preorder`), so any pattern depth works.
     """
     trees = require_class(program, "needed", "not inductively sequential: ")
 
@@ -323,37 +332,31 @@ def uniform_transform(program: Program) -> Program:
     taken: set = set()
     new_rules: List[Rule] = []
 
-    def call_for(sym: Symbol, pattern: App) -> App:
-        return App(sym, vars_of(pattern))
-
     for op in program.defined_operations():
-        tree = trees[op.name]
-        if isinstance(tree, Leaf):
-            # single-rule function whose tree is a bare leaf
-            new_rules.append(Rule(call_for(op, tree.pattern), tree.rule.rhs,
-                                  tree.rule.label))
-            continue
         counter = 0
-        # The arcs still to walk, depth first with children in tree
-        # order: a child, its parent branch and the parent's call.
-        head = call_for(op, tree.pattern)
-        stack = [(child, tree, head) for child in reversed(tree.children)]
-        while stack:
-            child, node, head = stack.pop()
-            x = subterm_at(node.pattern, node.position)
-            binding = Substitution({x: subterm_at(child.pattern, node.position)})
-            lhs = binding.apply(head)
-            if isinstance(child, Leaf):
-                new_rules.append(Rule(lhs, child.rule.rhs))
+        # The branches on the path to the current node, with their calls.
+        level: List[Tuple[Branch, App]] = []
+        for node, depth in preorder(trees[op.name]):
+            lhs = node.pattern  # at the root f(x1..xn), its own call
+            if depth:
+                parent, head = level[depth - 1]
+                x = subterm_at(parent.pattern, parent.position)
+                binding = Substitution({x: subterm_at(node.pattern, parent.position)})
+                lhs = binding.apply(head)
+            if isinstance(node, Leaf):
+                new_rules.append(Rule(lhs, node.rule.rhs))
                 continue
-            counter += 1
-            name = _fresh_operation_name(op.name, counter, signature, taken)
-            taken.add(name)
-            child_sym = Symbol(name, len(vars_of(child.pattern)), OPERATION)
-            signature.declare(child_sym)
-            call = call_for(child_sym, child.pattern)
-            new_rules.append(Rule(lhs, call))
-            stack.extend((c, child, call) for c in reversed(child.children))
+            call = lhs
+            if depth:
+                counter += 1
+                name = _fresh_operation_name(op.name, counter, signature, taken)
+                taken.add(name)
+                args = vars_of(node.pattern)
+                sym = Symbol(name, len(args), OPERATION)
+                signature.declare(sym)
+                call = App(sym, args)
+                new_rules.append(Rule(lhs, call))
+            level[depth:] = [(node, call)]
 
     labeled = [Rule(r.lhs, r.rhs, f"U{i + 1}") for i, r in enumerate(new_rules)]
     return Program(signature, labeled, program.has_strict_equality)

@@ -385,15 +385,20 @@ class Node:
         """`INNER`, `SUCCESS`, `FAILING` or `INCOMPLETE`, from the cause."""
         return STATUS_OF[self.cause]
 
+    def preorder(self) -> Iterator[Tuple[Optional[Step], "Node", int]]:
+        """(step that reached it or None at the root, node, depth) for
+        every node in preorder, children in step order, from an explicit
+        stack.  A node's parent is the last node yielded one level up."""
+        stack: List[Tuple[Optional[Step], Node, int]] = [(None, self, 0)]
+        while stack:
+            step, node, depth = stack.pop()
+            yield step, node, depth
+            stack.extend((arc, child, depth + 1)
+                         for arc, child in reversed(node.children))
+
     def nodes(self) -> List["Node"]:
         """Every node of the tree in preorder."""
-        out: List[Node] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(child for _, child in reversed(node.children))
-        return out
+        return [node for _, node, _ in self.preorder()]
 
 
 class Bounds(NamedTuple):
@@ -636,25 +641,19 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
 
 
 def node_to_dict(node: Node) -> dict:
-    """JSON-friendly dump of a narrowing tree, built top-down from an
-    explicit stack: tree depth is not limited by Python's recursion
+    """JSON-friendly dump of a narrowing tree, built in preorder
+    (`Node.preorder`): tree depth is not limited by Python's recursion
     limit."""
-
-    def entry(n: Node) -> dict:
-        return {"term": str(n.term), "status": n.status, "arcs": []}
-
-    root = entry(node)
-    stack = [(node, root)]
-    while stack:
-        n, out = stack.pop()
-        for step, child in n.children:
-            inner = entry(child)
-            out["arcs"].append({
+    level: List[dict] = []  # the dumps of the current node's ancestors
+    for step, n, depth in node.preorder():
+        out = {"term": str(n.term), "status": n.status, "arcs": []}
+        if step is not None:
+            level[depth - 1]["arcs"].append({
                 "position": list(step.position),
                 "rule": step.rule.label or str(step.rule),
                 "subst": {x.name: str(t) for x, t in sorted(
                     step.subst.mapping.items(), key=lambda kv: kv[0].name)},
-                "node": inner,
+                "node": out,
             })
-            stack.append((child, inner))
-    return root
+        level[depth:] = [out]
+    return level[0]

@@ -27,6 +27,10 @@ from .terms import (
 )
 
 
+class VisitedCapError(RuntimeError):
+    """A rewriting search visited more distinct terms than its cap."""
+
+
 def ground_terms(constructors: Sequence[Symbol], max_size: int) -> List[App]:
     """All ground constructor terms of size up to max_size (size = number
     of symbol occurrences), smallest first, deterministic order."""
@@ -64,12 +68,13 @@ def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
 
 def one_step_rewrites(program: Program, t: Term) -> List[Term]:
     """Every term reachable from t by one rewrite step, anywhere, with
-    any rule, in position-then-rule order."""
+    any rule, in position-then-rule order; only the rules of a subterm's
+    root are tried, as no other can match it."""
     out: List[Term] = []
     for pos, sub in subterms(t):  # preorder: lexicographic positions
         if isinstance(sub, Var):
             continue
-        for rule in program.rules:
+        for rule in program.rules_for(sub.root.name):
             theta = match(rule.lhs, sub)
             if theta is not None:
                 out.append(replace_at(t, pos, theta.apply(rule.rhs)))
@@ -79,7 +84,9 @@ def one_step_rewrites(program: Program, t: Term) -> List[Term]:
 def rewrites_to(program: Program, t: Term, target: Term,
                 max_steps: int = 25, max_visited: int = 100_000) -> bool:
     """True iff some rewrite sequence of length <= max_steps reaches the
-    target, by breadth-first search over all redexes."""
+    target, by breadth-first search over all redexes.  Raises
+    `VisitedCapError` once more than `max_visited` distinct terms were
+    reached."""
     if t == target:
         return True
     frontier = [t]
@@ -93,7 +100,7 @@ def rewrites_to(program: Program, t: Term, target: Term,
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > max_visited:
-                        raise RuntimeError(
+                        raise VisitedCapError(
                             "rewriting search exceeded "
                             f"{max_visited} visited terms")
                     next_frontier.append(v)

@@ -240,23 +240,22 @@ CallResultants = Tuple[Term, Tuple[Resultant, ...]]
 
 def resultants(tree: Node) -> List[Resultant]:
     """Resultants of an unfold tree: one per non-failing leaf reached by
-    at least one step, in depth-first order, walked from an explicit
-    stack.
+    at least one step, in depth-first order (`Node.preorder`).
 
     A path's step substitutions are kept as a `Chain` and composed
-    (`resolve_chain`) only at the leaves that yield a resultant.
+    (`resolve_chain`) only at the leaves that yield a resultant, where
+    the path's steps are read off once.
     """
     call = tree.term
     call_vars = vars_of(call)
     out: List[Resultant] = []
-    stack: List[Tuple[Node, Chain, Tuple[Step, ...]]] = [(tree, None, ())]
-    while stack:
-        node, chain, path = stack.pop()
-        if node.children:
-            stack.extend((child, (step.subst, chain), path + (step,))
-                         for step, child in reversed(node.children))
-        elif node.cause != FAILING and path:
+    level: List[Tuple[Optional[Step], Chain]] = []  # the path to the node
+    for step, node, depth in tree.preorder():
+        chain = (step.subst, level[depth - 1][1]) if depth else None
+        level[depth:] = [(step, chain)]
+        if depth and not node.children and node.cause != FAILING:
             sigma = resolve_chain(chain, call_vars)
+            path = tuple(arc for arc, _ in level[1:])
             out.append(Resultant(sigma.apply(call), node.term, call, path, sigma))
     return out
 

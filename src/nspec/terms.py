@@ -412,10 +412,6 @@ def _hash_bindings(m: Dict[Var, Term]) -> int:
     return hash(frozenset(m.items()))
 
 
-def apply(sigma: Substitution, t: Term) -> Term:
-    return sigma.apply(t)
-
-
 def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution mapping t to outer(inner(t)).
 
@@ -728,12 +724,6 @@ class FreshVars:
             names = [v.name + suffix for v in variables]
             if self._avoid.isdisjoint(names):
                 return names
-
-    def renaming(self, variables: Sequence[Var]) -> Substitution:
-        """Rename all given variables apart with one shared suffix (the
-        reference that tests compare rule variants with)."""
-        names = self.suffixed(variables)
-        return Substitution._of(dict(zip(variables, map(Var, names))))
 
 
 def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),

@@ -3,7 +3,10 @@ inductively sequential programs, and comparison and timing helpers."""
 
 import gc
 import random
+import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,47 @@ CORPUS_GOALS = [
 # --- comparison helpers --------------------------------------------------
 
 
+def below_recursion_limit(run, limit=100):
+    """run() in a new thread, whose stack starts empty, with Python's
+    recursion limit lowered to `limit`: its result, or what it raised."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, run()))
+        except BaseException as exc:  # re-raised in the calling thread
+            out.append((False, exc))
+
+    thread = threading.Thread(target=target)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(old)
+    assert not thread.is_alive()
+    [(ok, value)] = out
+    if not ok:
+        raise value
+    return value
+
+
+def traced_peak(run):
+    """The peak size in bytes of the memory that Python allocates while
+    `run()` runs (`tracemalloc`, started for the call, with the collector
+    off): unlike a wall time, it does not depend on the load of the
+    machine."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 def best_times(runs, rounds=5):
     """The least wall time of each of runs (size -> function) over a few
     rounds, with the collector off.  Each round calls every function
@@ -189,9 +233,17 @@ def parent_variant(rule, theta):
     return variant
 
 
+def renaming(gen, variables):
+    """Rename all given variables apart with one shared suffix drawn from
+    `gen` (`suffixed`): the reference that tests compare rule variants
+    with."""
+    names = gen.suffixed(variables)
+    return Substitution._of(dict(zip(variables, map(Var, names))))
+
+
 def parent_renamed(rule, gen):
     """`Rule.renamed` with the eager `parent_variant`."""
-    return parent_variant(rule, gen.renaming(rule.variables))
+    return parent_variant(rule, renaming(gen, rule.variables))
 
 
 class ParentFreshVars:
@@ -227,10 +279,6 @@ class ParentFreshVars:
             if self._used.isdisjoint(names):
                 self._used.update(names)
                 return names
-
-    def renaming(self, variables):
-        names = self.suffixed(variables)
-        return Substitution._of(dict(zip(variables, map(Var, names))))
 
 
 def parent_match(pattern, t):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, files, exit codes, determinism."""
 
+import functools
 import io
 import json
 import random
@@ -9,12 +10,13 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_program
-from nspec import cli
+from nspec import cli, oracle
 from nspec.syntax import parse_program, print_program
 
 DATA = Path(__file__).parent / "data"
@@ -485,6 +487,25 @@ class TestOracle:
                    "-k", "2")
         assert proc.stdout == "{X -> 0}\n{X -> s(0)}\n2 solution(s)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["rewrites", LEQ, "-e", "add(add(s(0), s(0)), add(s(0), s(0)))",
+         "-t", "0"],
+        ["solutions", LEQ, "-e", "add(X, add(s(0), s(0))) ~ add(s(0), X)",
+         "-k", "2"],
+    ])
+    def test_the_visited_term_cap_ends_in_one_error_line(self, argv, monkeypatch,
+                                                         capsys):
+        """The cap, lowered here to 20 terms, stops the search with exit 1
+        and one `error:` line; the error is still a `RuntimeError`."""
+        capped = functools.partial(oracle.rewrites_to, max_visited=20)
+        monkeypatch.setattr(cli, "rewrites_to", capped)
+        monkeypatch.setattr(oracle, "rewrites_to", capped)
+        assert issubclass(oracle.VisitedCapError, RuntimeError)
+        assert cli.main(["oracle", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", "error: rewriting search exceeded 20 visited terms\n")
+
 
 class TestExitCodes:
     def test_usage_errors(self):
@@ -609,7 +630,8 @@ def _token_mutant(rng: random.Random, text: str, edits: int) -> str:
     return " ".join(words)
 
 
-def _fuzz_commands(path: str, goal: str, rng: random.Random):
+def _fuzz_commands(path: str, goal: str, target: Optional[str],
+                   rng: random.Random):
     bounds = ["--max-steps", "6", "--max-nodes", "60"]
     yield ["check", path, "--tie-break", rng.choice(["leftmost", "rightmost"])]
     yield ["uniform", path]
@@ -620,30 +642,42 @@ def _fuzz_commands(path: str, goal: str, rng: random.Random):
            rng.choice(["needed", "lazy"]), *bounds]
     yield ["peval", path, f"--specialize={goal}", "--depth", str(rng.randint(1, 2)),
            "--whistle", rng.choice(["on", "off"]), "--max-iters", "3"]
+    if target is None:
+        yield ["oracle", "solutions", path, f"--expr={goal}", "-k", "2",
+               "--max-steps", "3"]
+    else:
+        yield ["oracle", "rewrites", path, f"--expr={goal}", f"--target={target}",
+               "--max-steps", "3"]
 
 
 def test_mutated_programs_and_goals_end_in_an_exit_code(tmp_path):
     """No input ends in a traceback: seeded token mutants of the corpus
     and of random inductively sequential programs, each with a mutated
     goal built from one of its rules, run through `check`, `uniform`,
-    `eval`, `tree` and `peval` with small bounds."""
+    `eval`, `tree` and `peval` with small bounds, then through `oracle
+    solutions` for an equation goal, and else through `oracle rewrites`
+    with the rule's other side as its target."""
     rng = random.Random(20)
     bases = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.flp"))]
     bases += [print_program(random_program(seed)) for seed in range(30)]
     rules = [parse_program(text).rules for text in bases]
     path = tmp_path / "mutant.flp"
     codes: Counter = Counter()
+    passed: Counter = Counter()  # exits 0 per command
     for _ in range(800):
         b = rng.randrange(len(bases))
         text = _token_mutant(rng, bases[b], rng.randint(0, 2))
         rule = rng.choice(rules[b])
-        goal = _token_mutant(rng, rng.choice(
-            [str(rule.lhs), str(rule.rhs), f"{rule.lhs} ~ {rule.rhs}"]),
-            rng.randint(0, 1))
+        source, target = rng.choice([(str(rule.lhs), str(rule.rhs)),
+                                     (str(rule.rhs), str(rule.lhs)),
+                                     (f"{rule.lhs} ~ {rule.rhs}", None)])
+        goal = _token_mutant(rng, source, rng.randint(0, 1))
         path.write_text(text, encoding="utf-8")
-        for argv in _fuzz_commands(str(path), goal, rng):
+        for argv in _fuzz_commands(str(path), goal, target, rng):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             assert code in range(5), (argv, text)
             codes[code] += 1
+            passed[argv[1] if argv[0] == "oracle" else argv[0]] += code == 0
     assert min(codes[0], codes[2], codes[3]) > 20, codes  # the gate reaches past the parser
+    assert len(passed) == 7 and min(passed.values()) > 20, passed

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import best_times, random_program
-from nspec import deftree
+from conftest import below_recursion_limit, best_times, random_program
+from nspec import cli, deftree
 from nspec.deftree import (
     Branch,
     Leaf,
@@ -205,6 +205,65 @@ class TestTieBreak:
         assert trees_isomorphic(deep, tree(600, "rightmost"))
         assert not trees_isomorphic(deep, tree(599, "leftmost"))
 
+
+
+class TestPreorder:
+    """`deftree.preorder`, the walker that every reader of a whole
+    definitional tree uses: (node, depth) in preorder, children in tree
+    order."""
+
+    def test_order_and_depths(self, leq_prog):
+        tree = build_tree(leq_prog.signature.get("leq"), leq_prog.rules_for("leq"))
+        walked = [(node.__class__.__name__, str(node.pattern), depth)
+                  for node, depth in deftree.preorder(tree)]
+        assert walked == [
+            ("Branch", "leq(V1, V2)", 0),
+            ("Leaf", "leq(0, V2)", 1),
+            ("Branch", "leq(s(V3), V2)", 1),
+            ("Leaf", "leq(s(V3), 0)", 2),
+            ("Leaf", "leq(s(V3), s(V4))", 2),
+        ]
+        leaf = tree.children[0]
+        assert list(deftree.preorder(leaf)) == [(leaf, 0)]
+
+    def test_trees_whose_nodes_differ_only_in_depth_differ(self):
+        """f(X) split at 1 over f(s(Y)) split at 1.1 and f(s(s(Z))): the
+        last node is the root's second child in one tree and the inner
+        branch's second child in the other, so the preorders differ only
+        in its depth."""
+        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                "f(s(0)) -> 0 ;\nf(s(s(Z))) -> 0 ;")
+        f, s = program.signature.get("f"), program.signature.get("s")
+        one, two = (Leaf(r.lhs, r) for r in program.rules)
+        inner = App(f, (App(s, (Var("Y"),)),))
+        a = Branch(App(f, (Var("X"),)), (1,), (Branch(inner, (1, 1), (one,)), two))
+        b = Branch(App(f, (Var("X"),)), (1,), (Branch(inner, (1, 1), (one, two)),))
+        def heads(tree):
+            return [(type(node), node.pattern, getattr(node, "position", None))
+                    for node, _ in deftree.preorder(tree)]
+
+        assert heads(a) == heads(b)
+        assert a != b and not trees_isomorphic(a, b)
+        assert a == a and trees_isomorphic(b, b)
+
+    def test_a_tree_deeper_than_the_recursion_limit(self):
+        """The tree of f(s^1500(0)) -> 0 is a path of 1,501 branches and a
+        leaf, walked, printed and compared with the recursion limit at
+        100."""
+        k = 1500
+        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                f"f({'s(' * k}0{')' * k}) -> 0 ;")
+        tree = build_tree(program.signature.get("f"), program.rules_for("f"))
+
+        def read():
+            return ([(type(node), depth) for node, depth in deftree.preorder(tree)],
+                    tree == tree, tree == tree.children[0], cli._tree_lines(tree))
+
+        walked, equal, unequal, lines = below_recursion_limit(read)
+        assert walked == [(Branch, d) for d in range(k + 1)] + [(Leaf, k + 1)]
+        assert equal and not unequal
+        assert len(lines) == k + 2
+        assert lines[-1] == "  " * (k + 1) + f"leaf f({'s(' * k}0{')' * k}) -> 0"
 
 class TestRepr:
     def test_repr_is_the_field_form(self, leq_prog):

@@ -10,6 +10,7 @@ from conftest import (
     CORPUS_GOALS,
     ParentFreshVars,
     answer_set,
+    below_recursion_limit,
     best_times,
     eager_leaves,
     generic_calls,
@@ -20,6 +21,7 @@ from conftest import (
     parent_solve,
     random_program,
     random_term,
+    renaming,
     steps_view,
 )
 from nspec import narrowing
@@ -770,7 +772,7 @@ def parent_lns(t, program, gen):
                 if sigma is not None:
                     steps.append(Step(at, variant, sigma, (sigma,)))
                 continue
-            gen.renaming(rule.variables)
+            gen.suffixed(rule.variables)
             if isinstance(walked, Demand):
                 for q in walked.positions:
                     demanded.setdefault(q)
@@ -1059,7 +1061,7 @@ def _assert_count_equals_steps(t, program, strategy, trees):
     n = strategy_steps(t, program, strategy, trees, counted, count=True)
     assert n == len(strategy_steps(t, program, strategy, trees, built)), t
     probe = (Var("M"), Var("V1"))
-    assert counted.renaming(probe) == built.renaming(probe), t
+    assert renaming(counted, probe) == renaming(built, probe), t
     assert counted.fresh() == built.fresh(), t
     return n
 
@@ -1329,3 +1331,52 @@ class TestDrawnNamesNeedNoRecord:
         assert sum(1 for _ in result.root.nodes()) >= 1000
         assert gen._avoid == {v.name for v in vars_of(t)} | {
             v.name for v in program.all_variables()}
+
+
+class TestPreorder:
+    """`Node.preorder`, the walker that every reader of a narrowing tree
+    uses: (step, node, depth) in preorder, children in step order."""
+
+    def test_order_steps_and_depths(self, leq_prog):
+        result = search(goal(leq_prog, "leq(X, add(Y, 0))"), leq_prog,
+                        bounds=Bounds(max_steps=2))
+        walked = [(step and step.rule.label, str(node.term), depth)
+                  for step, node, depth in result.root.preorder()]
+        assert walked == [
+            (None, "leq(X, add(Y, 0))", 0),
+            ("R1", "true", 1),
+            ("R4", "leq(s(V2), 0)", 1),
+            ("R2", "false", 2),
+            ("R5", "leq(s(V2), s(add(V4, 0)))", 1),
+            ("R3", "leq(V2, add(V4, 0))", 2),
+        ]
+        arcs = {id(child): step for _, node, _ in result.root.preorder()
+                for step, child in node.children}
+        assert all(step is arcs[id(node)]
+                   for step, node, _ in result.root.preorder() if step)
+        assert [node for _, node, _ in result.root.preorder()] == result.root.nodes()
+
+    def test_a_tree_deeper_than_the_recursion_limit(self, leq_prog):
+        """The needed tree of leq(s^2000(0), s^2000(0)) is one path of
+        2,001 steps, each at the root, walked and dumped with the
+        recursion limit at 100.  (A goal of add nested 2,000 deep also
+        gives a path of 2,000 steps, but each step rebuilds the spine,
+        so the search alone takes seconds.)"""
+        depth = 2001
+        n = "s(" * (depth - 1) + "0" + ")" * (depth - 1)
+        t = goal(leq_prog, f"leq({n}, {n})")
+        root = search(t, leq_prog, bounds=Bounds(depth, depth + 1)).root
+
+        def read():
+            walked = [(step is None, node.status, d)
+                      for step, node, d in root.preorder()]
+            dump = node_to_dict(root)
+            for _ in range(depth):
+                [arc] = dump["arcs"]
+                dump = arc["node"]
+            return walked, dump
+
+        walked, leaf = below_recursion_limit(read)
+        assert walked == [(d == 0, "inner" if d < depth else SUCCESS, d)
+                          for d in range(depth + 1)]
+        assert leaf == {"term": "true", "status": SUCCESS, "arcs": []}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import best_times
+from conftest import renaming, traced_peak
 from nspec.program import (
     Program,
     ProgramError,
@@ -45,7 +45,7 @@ class TestRule:
         gen = FreshVars()
         variant = r.renamed(gen)
         # The names are drawn when the variant is made, not when read.
-        assert gen.renaming((X,)).apply(X) == Var("X_2")
+        assert renaming(gen, (X,)).apply(X) == Var("X_2")
         assert variant.source is r and r.source is r
         assert not {"lhs", "rhs", "variables", "_renaming"} & set(vars(variant))
         assert variant.label == "R1"
@@ -102,7 +102,7 @@ class TestRule:
         fast, checked = FreshVars(), FreshVars()
         for rule in program.rules:
             variant = rule.renamed(fast)
-            theta = checked.renaming(rule.variables)
+            theta = renaming(checked, rule.variables)
             reference = Rule(theta.apply(rule.lhs), theta.apply(rule.rhs), rule.label)
             assert variant == reference
             assert (str(variant), variant.label) == (str(reference), reference.label)
@@ -173,19 +173,19 @@ class TestProgram:
 
     def test_symbol_check_time_grows_linearly_in_rule_depth(self):
         """Every parse checks the symbols of each rule, here of a right-hand
-        side nesting k calls: the parse and the check on its own."""
-        sources, programs = {}, {}
+        side nesting k calls: the parse and the check on its own.  The
+        peak of the memory each allocates stands in for its time: it
+        repeats from run to run, where a wall clock does not."""
+        parse, check = {}, {}
         for k in (2000, 8000):
-            sources[k] = ("constructors 0/0 s/1 ;\noperations add/2 f/1 ;\n"
-                          "add(0, N) -> N ;\nadd(s(M), N) -> s(add(M, N)) ;\n"
-                          f"f(X) -> {'add(' * k}X{', 0)' * k} ;")
-            programs[k] = parse_program(sources[k])
-        parse = best_times({k: lambda src=src: parse_program(src)
-                            for k, src in sources.items()})
-        check = best_times({k: lambda p=p: Program(p.signature, p.rules)
-                            for k, p in programs.items()})
-        # Linear growth gives 4; building a position for every subterm
-        # gave about 7-10 for the parse and 12-14 for the check.
+            source = ("constructors 0/0 s/1 ;\noperations add/2 f/1 ;\n"
+                      "add(0, N) -> N ;\nadd(s(M), N) -> s(add(M, N)) ;\n"
+                      f"f(X) -> {'add(' * k}X{', 0)' * k} ;")
+            parse[k] = traced_peak(lambda: parse_program(source))
+            p = parse_program(source)
+            check[k] = traced_peak(lambda: Program(p.signature, p.rules))
+        # Linear growth gives 4; a check that walks with `subterms`, which
+        # keeps a position per pending subterm, gives about 15 and 16.
         assert parse[8000] < 6 * parse[2000], parse
         assert check[8000] < 6 * check[2000], check
 

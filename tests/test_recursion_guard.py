@@ -96,13 +96,13 @@ def test_terms_module_has_no_self_calling_function():
 def test_narrowing_steps_and_redexes_do_not_call_themselves():
     """The step descents, which also count steps and find redexes, the
     crossing of constructor prefixes, the rewrite loop, the tree
-    expansion and the JSON dump of a narrowing tree loop over explicit
-    stacks."""
+    expansion and the preorder of a narrowing tree, which its readers
+    such as the JSON dump use, loop over explicit stacks."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
     walkers = {"_needed_steps", "_lns", "_cross_prefix", "rewrite_normalize",
-               "strategy_steps", "expand", "node_to_dict"}
+               "strategy_steps", "expand", "preorder", "node_to_dict"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of _needed_steps
     assert self_calling_functions(source) == []
@@ -126,11 +126,15 @@ def test_program_module_has_no_self_calling_function():
 
 
 def test_deftree_and_cli_self_calls_are_the_known_ones():
-    """None: the tree builder, the isomorphism test, the uniform
-    transform and the text, JSON and repr forms of a definitional tree
-    loop over explicit stacks."""
-    for module in ("deftree", "cli"):
+    """None: the tree builder, the preorder of a definitional tree, and
+    the repr form loop over explicit stacks; the isomorphism test, the
+    uniform transform and the text and JSON forms read the preorder."""
+    walkers = {"deftree": {"_build", "preorder", "_trees_agree", "uniform_transform"},
+               "cli": {"_tree_lines", "_tree_dict", "_narrow_tree_lines"}}
+    for module, names in walkers.items():
         source = (SRC / "nspec" / f"{module}.py").read_text(encoding="utf-8")
+        assert names <= {fn.name for fn in ast.walk(ast.parse(source))
+                         if isinstance(fn, ast.FunctionDef)}, module
         assert self_calling_functions(source) == [], module
 
 

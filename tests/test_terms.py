@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, load,
-                      parent_match, parent_solve, ref_str)
+                      parent_match, parent_solve, ref_str, renaming)
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -23,7 +23,6 @@ from nspec.terms import (
     Succ,
     Symbol,
     Var,
-    apply,
     canonical_rename,
     compose,
     is_constructor_term,
@@ -203,7 +202,6 @@ class TestSubstitution:
     def test_apply(self):
         s = Substitution({X: App(S, (Y,))})
         assert str(s.apply(add(X, X))) == "add(s(Y), s(Y))"
-        assert apply(s, add(X, X)) == s.apply(add(X, X))
 
     def test_restrict(self):
         s = Substitution({X: App(S, (Y,))})
@@ -340,7 +338,7 @@ class TestFreshVars:
         assert FreshVars(start=3).fresh().name == "V4"
 
     def test_renaming_suffixes(self):
-        r = FreshVars().renaming([Var("A"), Var("B")])
+        r = renaming(FreshVars(), [Var("A"), Var("B")])
         assert repr(r) == "{A -> A_1, B -> B_1}"
 
     def test_skipping_a_renaming_advances_as_drawing_it(self):
@@ -351,7 +349,7 @@ class TestFreshVars:
         drawn, skipped = FreshVars(avoid), FreshVars(avoid)
         names = []
         for variables in lists:
-            theta = drawn.renaming(variables)
+            theta = renaming(drawn, variables)
             assert list(theta.mapping) == variables
             names.append([theta.apply(v).name for v in variables])
             skipped.suffixed(variables)
@@ -363,7 +361,7 @@ class TestFreshVars:
 
     def test_a_renaming_equals_the_checked_substitution(self):
         variables = [X, Y, N]
-        theta = FreshVars([Var("Y_1")]).renaming(variables)
+        theta = renaming(FreshVars([Var("Y_1")]), variables)
         checked = Substitution(dict(zip(variables, map(theta.apply, variables))))
         assert theta == checked and repr(theta) == repr(checked)
         assert list(theta.mapping) == list(checked.mapping) == variables
@@ -497,7 +495,7 @@ def test_overlay_decides_linear_unification(shapes, goal_args):
     lhs = App(F3, tuple(_fill_holes(shape, names) for shape in shapes))
     goal = App(F3, goal_args)
     walked = linear_walk(lhs, goal)
-    theta = FreshVars(vars_of(goal)).renaming(vars_of(lhs))
+    theta = renaming(FreshVars(vars_of(goal)), vars_of(lhs))
     result = linear_unify(theta.apply(lhs), goal)
     if not isinstance(walked, list):
         assert result == walked
