@@ -17,7 +17,10 @@ only the path above the redex is rebuilt.  Rewriting
 (`rewrite_normalize`) takes needed steps that bind no variable, found
 by the needed descent's redex mode, which draws no names and builds no
 `Step`; it crosses each constructor prefix once for the whole sequence,
-as the crossing's stack is kept from one step to the next.
+as the crossing's stack is kept from one step to the next.  At a
+variable, the needed descent looks ahead: it binds the variable only
+for the children whose own inductive position can still match, and a
+dead child only draws the names its binding would have had.
 """
 
 from __future__ import annotations
@@ -140,12 +143,23 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     but t itself is never rebuilt: each instantiation is entered in
     `bound`, which holds the bindings of the current tree path, and
     positions are read through it.  A frame is (tree node, the
-    operation-rooted subterm u it descends, the parent branch's position
-    in u and the subterm read there, if any, u's position, extending
+    operation-rooted subterm u it descends, a position in u and the
+    subterm read there, if any (the parent branch's, or the node's own
+    when the parent looked ahead), u's position, extending
     `at` (t's own), and the canonical parts so far, both as parent-pointer
     chains read only at a leaf, and the (variable, constructor) to bind
     on entry, if any); a bare variable on the stack ends that binding's
     scope.  Fresh variables and rule variants are drawn depth first.
+
+    A variable branch looks ahead before it pushes a child: unless the
+    child is a leaf or its inductive position lies inside the variable,
+    it reads that position through `bound`, the read the child would
+    make on entry.  A live child takes the subterm read as its known
+    one and does not read it again.  A child that meets a constructor
+    it does not accept is dead: in its place goes a marker, its
+    constructor's arity, that draws that many fresh names when popped,
+    so every later name is the one it would be had the child bound the
+    variable and found no match.
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
@@ -161,8 +175,11 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     stack: List[object] = [(tree, t, None, at, None, None)]
     while stack:
         frame = stack.pop()
-        if isinstance(frame, Var):
-            del bound[frame]
+        if frame.__class__ is not tuple:
+            if frame.__class__ is int:  # a dead child: its image's names
+                gen.fresh_tuple(frame)
+            else:
+                del bound[frame]
             continue
         node, u, known, at, parts, binding = frame
         if binding is not None:
@@ -183,24 +200,46 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             steps.append(Step(_joined(at), node.rule.renamed(gen),
                               compose_canonical(canonical), canonical))
             continue
-        # Read u at the inductive position, from the parent's scrutinized
-        # subterm when the position extends the parent's.
-        sub, rest = u, node.position
-        if known is not None and len(rest) > len(known[0]) and (
-                rest[:len(known[0])] == known[0]):
-            sub, rest = known[1], rest[len(known[0]):]
-        for i in rest:
-            if isinstance(sub, Var):
-                sub = bound[sub]
-            sub = sub.args[i - 1]
-        known = (node.position, sub)
+        if known is not None and known[0] is node.position:
+            sub = known[1]  # read by the parent's look-ahead
+        else:
+            # Read u at the inductive position, from the parent's
+            # scrutinized subterm when the position extends the parent's.
+            sub, rest = u, node.position
+            if known is not None and len(rest) > len(known[0]) and (
+                    rest[:len(known[0])] == known[0]):
+                sub, rest = known[1], rest[len(known[0]):]
+            for i in rest:
+                if isinstance(sub, Var):
+                    sub = bound[sub]
+                sub = sub.args[i - 1]
+            known = (node.position, sub)
         if isinstance(sub, Var):
             sub = bound.get(sub, sub)
         if isinstance(sub, Var):
             if redex:
                 return None
-            stack.extend((child, u, known, at, parts, (sub, ctor)) for child, ctor
-                         in zip(reversed(node.children), reversed(node.constructors)))
+            o = node.position
+            for child, ctor in zip(reversed(node.children), reversed(node.constructors)):
+                seen = known
+                if child.__class__ is not Leaf and child.position[:len(o)] != o:
+                    v = u
+                    for i in child.position:
+                        if v.__class__ is Var:
+                            v = bound.get(v)
+                            if v is None:  # sub, bound only on entry
+                                break
+                        v = v.args[i - 1]
+                    else:
+                        seen = (child.position, v)
+                        if v.__class__ is Var:
+                            v = bound.get(v, v)
+                        if v.__class__ is App and v.root.kind == CONSTRUCTOR and (
+                                v.root not in child.constructors):
+                            if ctor.arity:
+                                stack.append(ctor.arity)
+                            continue
+                stack.append((child, u, seen, at, parts, (sub, ctor)))
         elif sub.root.kind == CONSTRUCTOR:
             for child, ctor in zip(node.children, node.constructors):
                 if ctor == sub.root:

@@ -180,7 +180,10 @@ def traced_peak(run):
     """The peak size in bytes of the memory that Python allocates while
     `run()` runs (`tracemalloc`, started for the call, with the collector
     off): unlike a wall time, it does not depend on the load of the
-    machine."""
+    machine.  CPython keeps up to 2,000 freed tuples of each length up to
+    20 for reuse, and a tuple taken from there is not traced; those free
+    lists are emptied first, so that every tuple `run()` makes counts."""
+    held = [tuple(range(n)) for n in range(1, 21) for _ in range(2000)]
     gc.disable()
     tracemalloc.start()
     try:
@@ -189,6 +192,7 @@ def traced_peak(run):
     finally:
         tracemalloc.stop()
         gc.enable()
+        del held
 
 
 def best_times(runs, rounds=5):

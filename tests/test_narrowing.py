@@ -11,7 +11,6 @@ from conftest import (
     ParentFreshVars,
     answer_set,
     below_recursion_limit,
-    best_times,
     eager_leaves,
     generic_calls,
     load,
@@ -23,6 +22,7 @@ from conftest import (
     random_term,
     renaming,
     steps_view,
+    traced_peak,
 )
 from nspec import narrowing
 from nspec.oracle import one_step_rewrites
@@ -638,6 +638,44 @@ class TestAnswersAgreeWithEagerComposition:
 # --- the needed descent against the apply-based recursive reference ---------
 
 
+PEANO = Path(__file__).parent.parent / "bench" / "programs" / "peano.flp"
+
+# The algebraic laws of the benchmark's narrow_wide workload, on peano.flp.
+WIDE_LAWS = (
+    "add(X, Y) ~ add(Y, X)",
+    "add(add(X, Y), Z) ~ add(X, add(Y, Z))",
+    "append(Xs, Ys) ~ append(Ys, Xs)",
+    "append(append(Xs, Ys), Zs) ~ append(Xs, append(Ys, Zs))",
+    "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))",
+    "double(X) ~ add(Y, Y)",
+)
+
+
+# Goals of the benchmark's narrow_deep workload at k = 6, on peano.flp.
+DEEP_GOALS = (
+    "add(X, Y) ~ s(s(s(s(s(s(0))))))",
+    "leq(X, s(s(s(s(s(s(0))))))) ~ true",
+    "double(X) ~ s(s(s(s(s(s(0))))))",
+    "append(Xs, Ys) ~ cons(0, cons(s(0), cons(0, nil)))",
+)
+
+
+# Goals whose first conjunct has dead children under the look-ahead of
+# the needed descent: `s` and `cons` against 0, `cons` against s(0),
+# each drawing the names of its image without being entered.  The goal
+# variables V2 and V3 (against 0) or V3 (against s(0)) fall in the range
+# of names those draws skip.
+DEAD_CHILD_GOALS = (
+    "and(eq(Y, 0), eq(V2, V3))",
+    "and(eq(Y, s(0)), eq(V2, V3))",
+)
+
+
+def peano():
+    """peano.flp with strict equality: 6 constructors, so eq branches 6 ways."""
+    return add_strict_equality(parse_program(PEANO.read_text()))
+
+
 def ref_nns(t, node, trees, gen):
     """The recursive descent that `_needed_steps` replaced: a variable
     branch applies each child's instantiation to the whole term and
@@ -701,7 +739,10 @@ def _assert_descent_matches_reference(t, trees):
     ref = [_step_view(pos, rule, parent_compose_canonical(parts), parts)
            for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
     assert new == ref, t
-    assert gen.fresh() == ref_gen.fresh(), t  # the same names were drawn
+    # The same names were drawn: the same next suffix and fresh name.
+    probe = (Var("M"), Var("V1"))
+    assert renaming(gen, probe) == renaming(ref_gen, probe), t
+    assert gen.fresh() == ref_gen.fresh(), t
 
 
 class TestNeededDescentAgreesWithReference:
@@ -723,6 +764,13 @@ class TestNeededDescentAgreesWithReference:
                         _assert_descent_matches_reference(t, trees)
                         checked += 1
         assert checked >= 300
+
+    @pytest.mark.parametrize("source", DEEP_GOALS + DEAD_CHILD_GOALS)
+    def test_deep_goals(self, source):
+        program = peano()
+        trees, _ = forest(program)
+        for t in _descent_goals(program, goal(program, source)):
+            _assert_descent_matches_reference(t, trees)
 
     def test_a_bound_variable_is_read_through_its_binding(self, leq_prog):
         # X is instantiated at position 1 and read again at position 2.
@@ -790,17 +838,38 @@ def _assert_lazy_descent_matches_reference(t, program):
     assert gen.fresh() == ref_gen.fresh() == parent_gen.fresh(), t
 
 
-PEANO = Path(__file__).parent.parent / "bench" / "programs" / "peano.flp"
+def _wide_signature(n):
+    """Strict equality over n constructors, 0/0, s/1, true/0 (added with
+    eq) and others of arities 0, 1 and 2 in turn: eq branches n ways."""
+    ctors = " ".join(f"c{i}/{i % 3}" for i in range(n - 3))
+    return add_strict_equality(parse_program(
+        f"constructors 0/0 s/1 {ctors} ;\noperations id/1 ;\nid(X) -> X ;"))
 
-# The algebraic laws of the benchmark's narrow_wide workload, on peano.flp.
-WIDE_LAWS = (
-    "add(X, Y) ~ add(Y, X)",
-    "add(add(X, Y), Z) ~ add(X, add(Y, Z))",
-    "append(Xs, Ys) ~ append(Ys, Xs)",
-    "append(append(Xs, Ys), Zs) ~ append(Xs, append(Ys, Zs))",
-    "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))",
-    "double(X) ~ add(Y, Y)",
-)
+
+class TestLookAhead:
+    """At a variable, the needed descent reads each child's inductive
+    position before entering it: a child that meets a constructor it
+    does not accept only draws its image's names."""
+
+    @pytest.mark.parametrize("program, width", [
+        (peano(), 6), (_wide_signature(20), 20)])
+    def test_one_binding_image_per_step(self, monkeypatch, program, width):
+        """eq(Y, s^k(0)) has one step; only its binding of Y is built,
+        not one per constructor of the signature."""
+        trees, _ = forest(program)
+        assert len(trees["eq"].children) == width
+        images = []
+        of = Substitution._of
+        monkeypatch.setattr(Substitution, "_of", staticmethod(
+            lambda m: (images.append(m), of(m))[1]))
+        y = Var("Y")
+        for k in (1, 5):
+            t = goal(program, f"eq(Y, {'s(' * k}0{')' * k})")
+            images.clear()
+            [step] = nns(t, trees, FreshVars())
+            assert [list(m) for m in images if y in m] == [[y]], k
+            assert step.subst.mapping == {y: App(program.signature.get("s"),
+                                                 (Var("V1"),))}
 
 
 class TestLazyDescentAgreesWithReference:
@@ -820,7 +889,7 @@ class TestLazyDescentAgreesWithReference:
 
     @pytest.mark.parametrize("law", WIDE_LAWS)
     def test_wide_laws(self, law):
-        program = add_strict_equality(parse_program(PEANO.read_text()))
+        program = peano()
         for strategy in ("needed", "lazy"):
             for t in _descent_goals(program, goal(program, law), strategy):
                 _assert_lazy_descent_matches_reference(t, program)
@@ -885,7 +954,7 @@ class TestLazyVariantsEqualTheEagerOnes:
 
     @pytest.mark.parametrize("law", WIDE_LAWS)
     def test_wide_laws(self, law):
-        program = add_strict_equality(parse_program(PEANO.read_text()))
+        program = peano()
         trees, _ = forest(program)
         reads = itertools.cycle(FIRST_READS)
         for strategy in ("needed", "lazy"):
@@ -922,7 +991,7 @@ class TestLazyVariantsEqualTheEagerOnes:
     def test_a_lazy_search_builds_no_side_of_a_variant(self):
         """A lazy step solves its walk with its variant's renaming, and
         `narrow` rewrites with the source rule: neither side is built."""
-        program = add_strict_equality(parse_program(PEANO.read_text()))
+        program = peano()
         result = search(goal(program, WIDE_LAWS[1]), program, "lazy",
                         Bounds(max_steps=4))
         rules = [step.rule for node in result.root.nodes()
@@ -1081,11 +1150,18 @@ class TestCountingSteps:
 
     @pytest.mark.parametrize("law", WIDE_LAWS)
     def test_wide_laws(self, law):
-        program = add_strict_equality(parse_program(PEANO.read_text()))
+        program = peano()
         trees, _ = forest(program)
         for strategy in ("needed", "lazy"):
             for t in _tree_terms(program, goal(program, law), strategy):
                 _assert_count_equals_steps(t, program, strategy, trees)
+
+    @pytest.mark.parametrize("source", DEEP_GOALS + DEAD_CHILD_GOALS)
+    def test_deep_goals(self, source):
+        program = peano()
+        trees, _ = forest(program)
+        for t in _tree_terms(program, goal(program, source), "needed"):
+            _assert_count_equals_steps(t, program, "needed", trees)
 
     def test_random_programs(self):
         counted = 0
@@ -1234,16 +1310,53 @@ class TestDeepSteps:
         assert reached.args[1] is t.args[1]
 
 
-class TestStepCostFollowsTheWalk:
-    """Timing checks with wide slack: a step costs about its walk, so its
-    time grows linearly with the depth of the pattern or of the nested
-    calls.  Composing the k parts of a needed step one `compose` at a
-    time was cubic in k; extending position tuples at every nested call
-    was quadratic in the nesting."""
+# Calls nested n deep, under each strategy, such that every level leaves
+# a sibling on the descent's stack: a variable branch's second child (a
+# leaf of g) under needed narrowing, a second demanded argument of h
+# under lazy narrowing.  `pr` builds constructor prefixes.
+NEST = parse_program("""constructors 0/0 s/1 pr/2 ;
+operations g/2 h/2 ;
+g(0, 0) -> 0 ;
+g(0, s(Y)) -> 0 ;
+g(s(X), Y) -> 0 ;
+h(0, 0) -> 0 ;
+h(s(X), s(Y)) -> 0 ;""")
 
-    def test_needed_step_against_a_deep_pattern(self):
-        runs = {}
-        for k in (100, 200, 400):
+
+def _nested_calls(strategy, n):
+    sig = NEST.signature
+    zero = App(sig.get("0"))
+    if strategy == "lazy":
+        h00 = App(sig.get("h"), (zero, zero))
+        return _nest(sig.get("h"), n, h00, h00)
+    t = zero
+    for i in range(n, 0, -1):  # g(X1, g(X2, ... g(Xn, 0)))
+        t = App(sig.get("g"), (Var(f"X{i}"), t))
+    return t
+
+
+def _terms_built(monkeypatch, run):
+    """How many terms (`App`) run() builds."""
+    built = []
+    init = App.__init__
+    with monkeypatch.context() as patched:
+        patched.setattr(App, "__init__", lambda term, *args: (
+            built.append(None), init(term, *args))[1])
+        run()
+    return len(built)
+
+
+class TestStepCostFollowsTheWalk:
+    """A step costs about its walk, so its work grows linearly with the
+    depth of the pattern or of the nested calls.  The work is counted:
+    terms built, or the peak of the memory allocated (`traced_peak`),
+    never a wall time.  Composing the k parts of a needed step one
+    `compose` at a time was cubic in k; copying the position at every
+    nested call or prefix level was quadratic in the nesting."""
+
+    def test_needed_step_against_a_deep_pattern(self, monkeypatch):
+        per_part = {}
+        for k in (100, 400):
             program = parse_program(
                 "constructors 0/0 s/1 ;\noperations f/1 ;\n"
                 f"f({'s(' * k}0{')' * k}) -> 0 ;")
@@ -1251,52 +1364,48 @@ class TestStepCostFollowsTheWalk:
             t = goal(program, "f(X)")
             [step] = nns(t, trees, FreshVars())
             assert len(step.canonical) == k + 2
-            runs[k] = lambda t=t, trees=trees: nns(t, trees, FreshVars())
-        times = best_times(runs)
-        assert times[400] < 1.0, times
-        # Linear growth gives 4; the cubic fold gave about 64.
-        assert times[400] < 12 * times[100], times
+            per_part[k] = _terms_built(
+                monkeypatch, lambda: nns(t, trees, FreshVars())) / k
+        # Linear growth gives 1; the cubic fold gave about 16.
+        assert per_part[400] < 1.5 * per_part[100], per_part
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
-    def test_step_cost_per_nested_call_is_flat(self, leq_prog, leq_trees, strategy):
-        runs = {}
-        for depth in (250, 4000):
-            t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
-            [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
-            assert step.position == (1,) * (depth - 1)
-            runs[depth] = lambda t=t: strategy_steps(
-                t, leq_prog, strategy, leq_trees, FreshVars())
-        per_level = {depth: time / depth
-                     for depth, time in best_times(runs).items()}
-        # Flat gives 1; copying the position prefix at each call gave
-        # about 8 for the needed step.
-        assert per_level[4000] < 4 * per_level[250], per_level
+    def test_step_cost_per_nested_call_is_flat(self, strategy):
+        """Counted, not built, steps: the positions that the pending
+        siblings keep are all that grows."""
+        trees, _ = forest(NEST)
+        per_level = {}
+        for depth in (250, 2000):
+            t = _nested_calls(strategy, depth)
+            assert strategy_steps(t, NEST, strategy, trees, FreshVars(),
+                                  count=True) == depth + 1
+            per_level[depth] = traced_peak(lambda: strategy_steps(
+                t, NEST, strategy, trees, FreshVars(), count=True)) / depth
+        steps = strategy_steps(_nested_calls(strategy, 250), NEST, strategy,
+                               trees, FreshVars())
+        deepest = (2,) * 249 if strategy == "needed" else (1,) * 250
+        assert max(steps, key=lambda step: len(step.position)).position == deepest
+        # Flat gives about 1; copying the position at each call gave 6 to 7.
+        assert per_level[2000] < 1.5 * per_level[250], per_level
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
-    def test_prefix_cost_per_level_is_flat(self, leq_prog, leq_trees, strategy):
-        """Crossing a constructor prefix s^j to the call below it costs
-        one parent-pointer segment per level."""
-        runs = {}
-        for depth in (250, 4000):
-            t = goal(leq_prog, "s(" * depth + "add(0, 0)" + ")" * depth)
-            [step] = strategy_steps(t, leq_prog, strategy, leq_trees, FreshVars())
+    def test_prefix_cost_per_level_is_flat(self, strategy):
+        """Crossing a constructor prefix to the call below it costs one
+        parent-pointer segment per level, for each right sibling that
+        waits to be crossed too."""
+        trees, _ = forest(NEST)
+        sig = NEST.signature
+        zero = App(sig.get("0"))
+        per_level = {}
+        for depth in (250, 2000):
+            t = _nest(sig.get("pr"), depth, App(sig.get("h"), (zero, zero)), zero)
+            [step] = strategy_steps(t, NEST, strategy, trees, FreshVars())
             assert step.position == (1,) * depth
-            runs[depth] = lambda t=t: strategy_steps(
-                t, leq_prog, strategy, leq_trees, FreshVars())
-        per_level = {depth: time / depth
-                     for depth, time in best_times(runs).items()}
-        # Flat gives 1; extending a position tuple at each level gave
-        # about 8 for the needed step.
-        assert per_level[4000] < 4 * per_level[250], per_level
-
-
-# Goals of the benchmark's narrow_deep workload at k = 6, on peano.flp.
-DEEP_GOALS = (
-    "add(X, Y) ~ s(s(s(s(s(s(0))))))",
-    "leq(X, s(s(s(s(s(s(0))))))) ~ true",
-    "double(X) ~ s(s(s(s(s(s(0))))))",
-    "append(Xs, Ys) ~ cons(0, cons(s(0), cons(0, nil)))",
-)
+            per_level[depth] = traced_peak(lambda: strategy_steps(
+                t, NEST, strategy, trees, FreshVars(), count=True)) / depth
+        # Flat gives about 1; extending a position tuple at each level
+        # gave about 7.
+        assert per_level[2000] < 1.5 * per_level[250], per_level
 
 
 def _search_view(program, source, strategy):
@@ -1312,10 +1421,9 @@ class TestDrawnNamesNeedNoRecord:
     skipped every name it drew, gives the same trees and answers."""
 
     @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
-        ("peano", g) for g in WIDE_LAWS + DEEP_GOALS])
+        ("peano", g) for g in WIDE_LAWS + DEEP_GOALS + DEAD_CHILD_GOALS])
     def test_search_as_with_the_parent_class(self, monkeypatch, name, source):
-        program = (add_strict_equality(parse_program(PEANO.read_text()))
-                   if name == "peano" else load(f"{name}.flp"))
+        program = peano() if name == "peano" else load(f"{name}.flp")
         views = [_search_view(program, source, strategy)
                  for strategy in ("needed", "lazy")]
         monkeypatch.setattr(narrowing, "FreshVars", ParentFreshVars)
@@ -1323,7 +1431,7 @@ class TestDrawnNamesNeedNoRecord:
                 for strategy in ("needed", "lazy")] == views
 
     def test_a_search_avoids_only_the_goal_and_program_variables(self):
-        program = add_strict_equality(parse_program(PEANO.read_text()))
+        program = peano()
         t = goal(program, WIDE_LAWS[1])
         gen = FreshVars()
         result = search(t, program, "needed",
