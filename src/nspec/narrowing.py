@@ -3,7 +3,10 @@
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
 by linear unification against every rule, descending into demanded
-positions.  Both descents loop over explicit stacks, so nested calls
+positions.  The lazy descent walks each rule's left-hand side from its
+preorder, flattened on the rule's first walk (`Rule.shape`), and a rule
+without a step advances the name counter without building names
+(`FreshVars.skip`).  Both descents loop over explicit stacks, so nested calls
 are limited by memory, not by the recursion limit.  `expand` grows the
 narrowing tree of a term under either strategy with an explicit stack,
 decides each node's fate once (`Node.cause`), and only counts the steps
@@ -53,7 +56,6 @@ from .terms import (
     linear_overlay,
     linear_walk,
     resolve_chain,
-    subterm_at,
     vars_of,
 )
 
@@ -193,7 +195,7 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             if redex:
                 return _joined(at), node.rule
             if count:
-                gen.suffixed(node.rule.variables)
+                gen.skip(node.rule.variables)
                 found += 1
                 continue
             canonical = tuple(_unwind((IDENTITY, parts)))
@@ -275,14 +277,17 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
     position come first, then those of each position it demands, in
     position order, each with everything below it.
 
-    Each rule's own left-hand side is walked once (`linear_walk`), and
+    Each rule's own left-hand side is walked once, from its shape
+    (`Rule.shape`, flattened on the first walk, `linear_walk`), and
     whether the walk's equations unify is decided on them too
     (`linear_overlay`): neither a clash, nor a demand, nor the outcome
-    of solving depends on variable names.  A rule without a step only
-    advances `gen` as its renaming would.  For a step, the variant is
-    drawn (`Rule.renamed`) and the equations, their pattern sides under
-    its renaming, are solved: `linear_unify` of the variant, whose checks
-    hold by construction (it is linear, and its names are fresh).  With
+    of solving depends on variable names.  A demand hands back the
+    subterms it met, which are descended next.  A rule without a step
+    only advances `gen` as its renaming would (`FreshVars.skip`), and
+    builds no names.  For a step, the variant is drawn (`Rule.renamed`)
+    and the equations, their pattern sides under its renaming, are
+    solved: `linear_unify` of the variant, whose checks hold by
+    construction (it is linear, and its names are fresh).  With
     `count`, a step advances `gen` in the same way and is counted, not
     built, and the number of steps is returned.  Positions are chains of
     demanded positions extending `at` (t's own), spelled out once per
@@ -293,15 +298,16 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
     while stack:
         at, sub = stack.pop()
         here: Optional[Position] = None
-        demanded: Dict[Position, None] = {}
-        for rule in program.rules_for(sub.root.name):
-            if rule.lhs.root != sub.root:
-                continue
-            walked = linear_walk(rule.lhs, sub)
-            if isinstance(walked, Demand):
-                for q in walked.positions:
-                    demanded.setdefault(q)
-            elif isinstance(walked, list) and linear_overlay(walked):
+        demanded: Dict[Position, App] = {}
+        rules = program.rules_for(sub.root.name)
+        if rules and rules[0].lhs.root != sub.root:
+            rules = ()  # a symbol of another signature
+        for rule in rules:
+            walked = linear_walk(rule.shape, sub)
+            if walked.__class__ is Demand:
+                for q, u in zip(walked.positions, walked.subterms):
+                    demanded.setdefault(q, u)
+            elif walked.__class__ is list and linear_overlay(walked):
                 if not count:
                     variant = rule.renamed(gen)
                     theta = variant._renaming
@@ -311,9 +317,8 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
                     steps.append(Step(here, variant, sigma, (sigma,)))
                     continue
                 found += 1
-            gen.suffixed(rule.variables)
-        stack.extend(((q, at), subterm_at(sub, q))
-                     for q in sorted(demanded, reverse=True))
+            gen.skip(rule.variables)
+        stack.extend(((q, at), u) for q, u in sorted(demanded.items(), reverse=True))
     return found if count else steps
 
 

@@ -15,6 +15,7 @@ from .terms import (
     Var,
     FreshVars,
     _preorder,
+    flatten,
     is_constructor_term,
     is_linear,
     subterms,
@@ -63,12 +64,16 @@ class Rule(Frozen):
 
     def __getattr__(self, name: str):
         """The parts of a variant, built from its source on the first
-        read of one; called only for attributes not set on the rule."""
-        if name not in ("lhs", "rhs", "variables", "_renaming"):
+        read of one, and the `shape` of any rule's left-hand side
+        (`terms.flatten`, for `linear_walk`), built on its first read;
+        called only for attributes not set on the rule."""
+        if name not in ("lhs", "rhs", "variables", "_renaming", "shape"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         parts, source = self.__dict__, self.source
-        if name == "lhs":
+        if name == "shape":
+            parts["shape"] = flatten(self.lhs)
+        elif name == "lhs":
             parts["lhs"] = self._renaming.apply(source.lhs)
         elif name == "rhs":
             parts["rhs"] = self._renaming.apply(source.rhs)
@@ -241,6 +246,9 @@ def validate(program: Program) -> ValidationReport:
                     continue  # a root clash never unifies
                 if pos == () and j <= i:
                     continue  # self-overlap at the root / symmetric duplicate
+                if any(a.__class__ is App and b.__class__ is App and a.root != b.root
+                       for a, b in zip(sub.args, rj.lhs.args)):
+                    continue  # nor does a clash at an argument's root
                 mgu = unify(sub, other.lhs)
                 if mgu is not None:
                     overlaps.append(Overlap(ri.label, rj.label, pos, mgu))

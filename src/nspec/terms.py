@@ -15,7 +15,7 @@ term.
 from __future__ import annotations
 
 from operator import is_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 CONSTRUCTOR = "constructor"
 OPERATION = "operation"
@@ -589,10 +589,16 @@ class Fail(Frozen):
 
 
 class Demand(Frozen):
-    __slots__ = _fields = ("positions",)
+    """Demanded goal positions; `subterms`, the goal subterms a walk met
+    there, take no part in equality or printing."""
 
-    def __init__(self, positions: Tuple[Position, ...]) -> None:
+    __slots__ = ("positions", "subterms")
+    _fields = ("positions",)
+
+    def __init__(self, positions: Tuple[Position, ...],
+                 subterms: Tuple[Term, ...] = ()) -> None:
         _put(self, "positions", positions)
+        _put(self, "subterms", subterms)
 
 
 LUResult = Union[Succ, Fail, Demand]
@@ -601,12 +607,13 @@ LUResult = Union[Succ, Fail, Demand]
 def linear_unify(pattern: App, goal: App) -> LUResult:
     """Linear unification of a pattern f(d1..dn) with a goal term f(t1..tn).
 
-    Walks corresponding positions of the two terms.  A constructor of the
-    pattern meeting an operation-rooted goal subterm records that goal
-    position as demanded; a constructor clash fails.  Precedence: any
-    clash makes the whole result Fail; otherwise any demanded position
-    makes it Demand (bindings are discarded); otherwise the collected
-    bindings are solved into an idempotent Succ substitution.
+    Walks the pattern's shape (`flatten`, built for the call) against
+    the goal.  A constructor of the pattern meeting an operation-rooted
+    goal subterm records that goal position as demanded; a constructor
+    clash fails.  Precedence: any clash makes the whole result Fail;
+    otherwise any demanded position makes it Demand (bindings are
+    discarded); otherwise the collected bindings are solved into an
+    idempotent Succ substitution.
     """
     if isinstance(pattern, Var) or isinstance(goal, Var) or pattern.root != goal.root:
         raise ValueError(f"root mismatch between {pattern} and {goal}")
@@ -616,7 +623,7 @@ def linear_unify(pattern: App, goal: App) -> LUResult:
     if shared:
         raise ValueError(
             f"pattern and goal share variables: {sorted(v.name for v in shared)}")
-    walked = linear_walk(pattern, goal)
+    walked = linear_walk(flatten(pattern), goal)
     if not isinstance(walked, list):
         return walked
     sigma = _solve(walked)
@@ -625,31 +632,68 @@ def linear_unify(pattern: App, goal: App) -> LUResult:
     return Succ(sigma)
 
 
-def linear_walk(pattern: App, goal: App
+Shape = Tuple[Tuple[int, int, Position, Term, int], ...]
+
+
+def flatten(pattern: App) -> Shape:
+    """The arguments of a pattern in preorder, one entry per node: the
+    entry of its parent (-1 for the pattern itself), its argument index,
+    its position, the node, and the index just past its subtree.  Built
+    from an explicit stack; the subtree ends are filled in backwards,
+    children before parents."""
+    rows: List[Tuple[int, int, Position, Term]] = []
+    stack = [(-1, i, (i,), pattern.args[i - 1])
+             for i in range(len(pattern.args), 0, -1)]
+    while stack:
+        parent, i, at, p = stack.pop()
+        k = len(rows)
+        rows.append((parent, i, at, p))
+        if p.__class__ is App:
+            stack.extend((k, j, at + (j,), p.args[j - 1])
+                         for j in range(len(p.args), 0, -1))
+    ends = list(range(1, len(rows) + 1))
+    for k in range(len(rows) - 1, -1, -1):
+        parent = rows[k][0]
+        if parent >= 0 and ends[k] > ends[parent]:
+            ends[parent] = ends[k]
+    return tuple(row + (end,) for row, end in zip(rows, ends))
+
+
+def linear_walk(shape: Shape, goal: App
                 ) -> Union[Fail, Demand, List[Tuple[Term, Term]]]:
-    """The walk of `linear_unify`, without its checks and before solving:
-    Fail on a constructor clash, else Demand of the demanded positions,
-    else the equations (pattern subterm, goal subterm) to solve.  Fail
-    and Demand do not depend on the names of the variables, and nor does
+    """The walk of `linear_unify` over its pattern's shape, without its
+    checks and before solving: Fail on a constructor clash, else Demand
+    of the demanded positions (with the goal subterms met there), else
+    the equations (pattern subterm, goal subterm) to solve, each in
+    preorder.  A goal subterm is read from its parent's slot, and an
+    equation or a demand jumps over the pattern's subtree.  Fail and
+    Demand do not depend on the names of the variables, and nor does
     whether the equations unify (`linear_overlay`), so a caller may walk
     a rule's own left-hand side before renaming it apart."""
     demanded: List[Position] = []
+    met: List[Term] = []
     equations: List[Tuple[Term, Term]] = []
-    # (pattern subterm, goal subterm, goal position), leftmost on top.
-    stack: List[Tuple[Term, Term, Position]] = [(pattern, goal, ())]
-    while stack:
-        p, g, at = stack.pop()
-        if isinstance(p, Var) or isinstance(g, Var):
+    n = len(shape)
+    # slots[k]: the goal subterm entry k matched; slots[-1], the goal.
+    slots: List[Term] = [goal] * (n + 1)
+    k = 0
+    while k < n:
+        parent, i, at, p, end = shape[k]
+        g = slots[parent].args[i - 1]
+        if p.__class__ is Var or g.__class__ is Var:
             equations.append((p, g))
-        elif g.root.kind == OPERATION and at:  # not the goal's own root
+            k = end
+        elif g.root.kind == OPERATION:
             demanded.append(at)
-        elif p.root != g.root:
+            met.append(g)
+            k = end
+        elif p.root is not g.root and p.root != g.root:
             return Fail()  # constructor clash
         else:
-            stack.extend((p.args[i - 1], g.args[i - 1], at + (i,))
-                         for i in range(len(p.args), 0, -1))
+            slots[k] = g
+            k += 1
     if demanded:
-        return Demand(tuple(demanded))
+        return Demand(tuple(demanded), tuple(met))
     return equations
 
 
@@ -695,15 +739,21 @@ class FreshVars:
     names are not recorded, for none can equal an earlier one: V<n> has
     no underscore, and a suffixed name ends in its own _<n>, which no
     _<m> with m != n can also end (the shorter would end the longer's
-    digits).
+    digits).  A suffix _<n> can only collide with an avoided name whose
+    text after its last underscore is n, so those tails are kept too
+    (`_tails`), and `skip` builds names only when n is one of them.
     """
 
     def __init__(self, avoid: Iterable[Var] = (), start: int = 0):
-        self._avoid = {v.name for v in avoid}
+        self._avoid: Set[str] = set()
+        self._tails: Set[str] = set()
         self._counter = start
+        self.reserve(avoid)
 
     def reserve(self, variables: Iterable[Var]) -> None:
-        self._avoid.update(v.name for v in variables)
+        names = [v.name for v in variables]
+        self._avoid.update(names)
+        self._tails.update(name.rpartition("_")[2] for name in names if "_" in name)
 
     def fresh(self) -> Var:
         while True:
@@ -724,6 +774,14 @@ class FreshVars:
             names = [v.name + suffix for v in variables]
             if self._avoid.isdisjoint(names):
                 return names
+
+    def skip(self, variables: Sequence[Var]) -> None:
+        """Advance exactly as `suffixed` would, which builds names only
+        when an avoided name ends in the next suffix."""
+        if str(self._counter + 1) in self._tails:
+            self.suffixed(variables)
+        else:
+            self._counter += 1
 
 
 def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),

@@ -5,7 +5,6 @@ import gc
 import random
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from nspec import (
     subterm_at,
     vars_of,
 )
-from nspec.terms import CONSTRUCTOR, OPERATION, var_positions
+from nspec.terms import CONSTRUCTOR, OPERATION, Demand, Fail, var_positions
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,25 +194,23 @@ def traced_peak(run):
         del held
 
 
-def best_times(runs, rounds=5):
-    """The least wall time of each of runs (size -> function) over a few
-    rounds, with the collector off.  Each round calls every function
-    once, in the order of the sizes and then in reverse: a slow spell of
-    the machine then tends to touch every size, not only one.  The
-    timing checks compare such times at two or more input sizes."""
-    best = dict.fromkeys(runs, float("inf"))
-    order = list(runs)
-    gc.disable()
+def calls_counted(run):
+    """The number of function calls, Python and built-in, that `run()`
+    makes (`sys.setprofile`): a count of its work that, unlike a wall
+    time, does not depend on the load of the machine."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    sys.setprofile(profile)
     try:
-        for _ in range(rounds):
-            for size in order:
-                start = time.perf_counter()
-                runs[size]()
-                best[size] = min(best[size], time.perf_counter() - start)
-            order.reverse()
+        run()
     finally:
-        gc.enable()
-    return best
+        sys.setprofile(None)
+    return count
 
 
 def ref_str(t):
@@ -283,6 +280,33 @@ class ParentFreshVars:
             if self._used.isdisjoint(names):
                 self._used.update(names)
                 return names
+
+    def skip(self, variables):
+        """The reference of `FreshVars.skip`: draw the names and drop them."""
+        self.suffixed(variables)
+
+
+def parent_linear_walk(pattern, goal):
+    """`linear_walk` as it was, from a stack of (pattern subterm, goal
+    subterm, goal position) triples, leftmost on top, that extends a
+    position at every node: the reference of the walk over a
+    pattern's shape."""
+    demanded, equations = [], []
+    stack = [(pattern, goal, ())]
+    while stack:
+        p, g, at = stack.pop()
+        if isinstance(p, Var) or isinstance(g, Var):
+            equations.append((p, g))
+        elif g.root.kind == OPERATION and at:  # not the goal's own root
+            demanded.append(at)
+        elif p.root != g.root:
+            return Fail()  # constructor clash
+        else:
+            stack.extend((p.args[i - 1], g.args[i - 1], at + (i,))
+                         for i in range(len(p.args), 0, -1))
+    if demanded:
+        return Demand(tuple(demanded))
+    return equations
 
 
 def parent_match(pattern, t):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import below_recursion_limit, best_times, random_program
+from conftest import below_recursion_limit, calls_counted, random_program
 from nspec import cli, deftree
 from nspec.deftree import (
     Branch,
@@ -163,18 +163,19 @@ class TestForestAndReport:
 
     def test_forest_time_grows_linearly_in_the_rules(self):
         """The generated `eq` of n unary constructors has n + 1 rules and
-        a tree of n + 1 leaves under one branch."""
-        programs = {}
+        a tree of n + 1 leaves under one branch.  The work is counted in
+        function calls, not timed."""
+        calls = {}
         for n in (100, 400):
             names = " ".join(f"c{i}/1" for i in range(n))
-            programs[n] = program = add_strict_equality(parse_program(
+            program = add_strict_equality(parse_program(
                 f"constructors {names} ;\noperations id/1 ;\nid(X) -> X ;"))
             trees, failures = forest(program)
             assert not failures and len(trees["eq"].children) == n + 1
-        times = best_times({n: lambda p=p: forest(p) for n, p in programs.items()})
+            calls[n] = calls_counted(lambda: forest(program))
         # Linear growth gives 4; a pairwise scan of the left-hand sides
-        # for duplicates gave about 12.
-        assert times[400] < 8 * times[100], times
+        # for duplicates gives about 12.
+        assert calls[400] < 6 * calls[100], calls
 
 
 class TestTieBreak:

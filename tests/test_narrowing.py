@@ -14,6 +14,7 @@ from conftest import (
     eager_leaves,
     generic_calls,
     load,
+    parent_linear_walk,
     parent_narrow,
     parent_renamed,
     parent_rewrite_step,
@@ -24,7 +25,7 @@ from conftest import (
     steps_view,
     traced_peak,
 )
-from nspec import narrowing
+from nspec import narrowing, program as program_module
 from nspec.oracle import one_step_rewrites
 from nspec.peval import UnfoldPolicy, unfold
 from nspec.deftree import Leaf, ProgramClassError, forest, require_class
@@ -59,10 +60,10 @@ from nspec.terms import (
     Var,
     canonical_rename,
     compose,
+    flatten,
     is_constructor_term,
     is_operation_rooted,
     linear_unify,
-    linear_walk,
     match,
     replace_at,
     subterm_at,
@@ -813,10 +814,10 @@ def parent_lns(t, program, gen):
         for rule in program.rules_for(sub.root.name):
             if rule.lhs.root != sub.root:
                 continue
-            walked = linear_walk(rule.lhs, sub)
+            walked = parent_linear_walk(rule.lhs, sub)
             if isinstance(walked, list):
                 variant = parent_renamed(rule, gen)
-                sigma = parent_solve(linear_walk(variant.lhs, sub))
+                sigma = parent_solve(parent_linear_walk(variant.lhs, sub))
                 if sigma is not None:
                     steps.append(Step(at, variant, sigma, (sigma,)))
                 continue
@@ -901,6 +902,39 @@ class TestLazyDescentAgreesWithReference:
                 for strategy in ("needed", "lazy"):
                     for t in _descent_goals(program, call, strategy):
                         _assert_lazy_descent_matches_reference(t, program)
+
+
+class TestShapesAreBuiltOnce:
+    """A rule's left-hand side is flattened on its first lazy walk and
+    kept (`Rule.shape`); parsing and rewriting flatten nothing."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+        monkeypatch.setattr(program_module, "flatten",
+                            lambda lhs: out.append(lhs) or flatten(lhs))
+        return out
+
+    def test_parse_and_rewrite_build_no_shape(self, built):
+        program = peano()
+        final, _, suspended = rewrite_normalize(
+            goal(program, "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))"),
+            program)
+        assert suspended
+        final, _, _ = rewrite_normalize(goal(program, "double(s(s(0))) ~ s(s(s(s(0))))"),
+                                        program)
+        assert str(final) == "true"
+        assert built == []
+
+    @pytest.mark.parametrize("max_nodes", [30, 1500])
+    def test_a_lazy_search_flattens_each_rule_at_most_once(self, built, max_nodes):
+        program = peano()
+        result = search(goal(program, WIDE_LAWS[1]), program, "lazy",
+                        Bounds(max_steps=12, max_nodes=max_nodes))
+        assert sum(1 for _ in result.root.nodes()) == max_nodes
+        assert 0 < len(built) <= len(program.rules)
+        assert len({id(lhs) for lhs in built}) == len(built)
+        assert {id(lhs) for lhs in built} <= {id(r.lhs) for r in program.rules}
 
 
 # The first read of a lazy variant, taken in turn from step to step:

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import renaming, traced_peak
+from nspec import program as program_module
 from nspec.program import (
     Program,
     ProgramError,
@@ -12,7 +13,7 @@ from nspec.program import (
     validate,
 )
 from nspec.syntax import parse_program
-from nspec.terms import App, FreshVars, Substitution, Symbol, Var
+from nspec.terms import App, FreshVars, Substitution, Symbol, Var, unify
 
 
 ZERO = Symbol("0", 0, "constructor")
@@ -208,6 +209,25 @@ class TestValidate:
         assert (o.rule, o.other, o.position) == ("R1", "R2", ())
         assert repr(o.mgu) == "{X_2 -> 0}"
         assert not report.orthogonal
+
+    def test_a_clash_at_an_argument_root_is_not_unified(self, monkeypatch):
+        """No two rules of the generated eq of 200 constructors overlap,
+        and no pair is unified: each clashes at its first argument (the
+        unifier ran 20,100 times before the argument roots were read)."""
+        calls = []
+        monkeypatch.setattr(program_module, "unify",
+                            lambda s, t: calls.append((s, t)) or unify(s, t))
+        names = " ".join(f"c{i}/1" for i in range(200))
+        report = validate(add_strict_equality(parse_program(
+            f"constructors {names} ;\noperations id/1 ;\nid(X) -> X ;")))
+        assert report.orthogonal and calls == []
+        # f(0, X) and f(Y, s(0)) overlap; f(s(X), 0) clashes with both.
+        report = validate(parse_program(
+            "constructors 0/0 s/1 ;\noperations f/2 ;\n"
+            "f(0, X) -> 0 ;\nf(Y, s(0)) -> 0 ;\nf(s(X), 0) -> 0 ;\n"))
+        assert [(o.rule, o.other, repr(o.mgu)) for o in report.overlaps] == [
+            ("R1", "R2", "{X -> s(0), Y_2 -> 0}")]
+        assert len(calls) == 1
 
     def test_nonlinear_lhs_detected(self):
         p = parse_program("constructors 0/0 ;\noperations f/2 ;\nf(X, X) -> 0 ;\n")

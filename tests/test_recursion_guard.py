@@ -84,12 +84,12 @@ def apply(sigma, t):
 
 
 def test_terms_module_has_no_self_calling_function():
-    """Equality, hashing, the walkers and the overlay test of linear
-    unification loop over explicit stacks."""
+    """Equality, hashing, the walkers, the flattening of a pattern and
+    the overlay test of linear unification loop over explicit stacks."""
     source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
-    assert {"__eq__", "__hash__", "linear_walk", "linear_overlay"} <= defined
+    assert {"__eq__", "__hash__", "flatten", "linear_walk", "linear_overlay"} <= defined
     assert self_calling_functions(source) == []
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, load,
-                      parent_match, parent_solve, ref_str, renaming)
+                      parent_linear_walk, parent_match, parent_solve, ref_str,
+                      renaming)
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -25,6 +26,7 @@ from nspec.terms import (
     Var,
     canonical_rename,
     compose,
+    flatten,
     is_constructor_term,
     is_linear,
     is_variant,
@@ -317,12 +319,12 @@ class TestLinearUnify:
                 ((a, num(1), App(PAIR, (a, b))), True),  # s(X) ~ s(Y)
                 ((a, App(S, (a,)), App(PAIR, (b, b))), False),  # s(X) ~ 0
                 ((a, App(S, (b,)), App(PAIR, (b, num(0)))), False)]:  # 0 ~ s(Y)
-            assert linear_overlay(linear_walk(lhs, App(F3, goal_args))) is unifies
+            assert linear_overlay(linear_walk(flatten(lhs), App(F3, goal_args))) is unifies
         # f(s(0), s(s(X)), Y): a pattern variable constrains nothing.
         lhs = App(F3, (num(1), App(S, (App(S, (X,)),)), Y))
         for goal_args, unifies in [((a, b, a), True), ((a, a, b), False),
                                    ((a, b, App(PAIR, (a, a))), True)]:
-            assert linear_overlay(linear_walk(lhs, App(F3, goal_args))) is unifies
+            assert linear_overlay(linear_walk(flatten(lhs), App(F3, goal_args))) is unifies
 
 
 class TestFreshVars:
@@ -352,12 +354,37 @@ class TestFreshVars:
             theta = renaming(drawn, variables)
             assert list(theta.mapping) == variables
             names.append([theta.apply(v).name for v in variables])
-            skipped.suffixed(variables)
+            skipped.skip(variables)
             assert skipped._avoid == drawn._avoid
             assert skipped._counter == drawn._counter
         assert names[2] == ["X_4"]
         assert names[-1] == ["X_8"]
         assert skipped.fresh() == drawn.fresh() == Var("V10")
+
+    def test_skip_advances_as_suffixed(self):
+        """Only an avoided name whose text after its last underscore is
+        the next suffix's number makes `skip` build names: X_3 and Xs_12
+        collide with renamings of X and Xs, X_03 and _7 with none, and
+        Y_9 is reserved after drawing has begun."""
+        xs = Var("Xs")
+        avoid = [Var(n) for n in ("X_3", "Xs_12", "X_03", "_7")]
+        drawn, skipped = FreshVars(avoid), FreshVars(avoid)
+        built = []
+        suffixed = skipped.suffixed
+        skipped.suffixed = lambda variables: built.append(
+            skipped._counter + 1) or suffixed(variables)
+        lists = [[X], [X, Y], [X], [], [N], [X], [xs], [Y], [Y], [xs],
+                 [X, xs], [xs], [Y], [X]]
+        for k, variables in enumerate(lists):
+            if k == 5:
+                drawn.reserve([Var("Y_9")])
+                skipped.reserve([Var("Y_9")])
+            names = drawn.suffixed(variables)
+            skipped.skip(variables)
+            assert skipped._counter == drawn._counter, (k, names)
+        assert built == [3, 7, 9, 12]
+        assert drawn._counter == 17  # _3, _9 and _12 were passed over
+        assert skipped.fresh() == drawn.fresh() == Var("V18")
 
     def test_a_renaming_equals_the_checked_substitution(self):
         variables = [X, Y, N]
@@ -484,6 +511,68 @@ def _goal_args(max_depth):
                      st.builds(add, leaf, leaf))
 
 
+def _walk_goal_args(max_depth):
+    """Goal arguments over two variables, which repeat, and
+    constructors, with an operation call possible at every depth."""
+    leaf = st.sampled_from([Var("A"), Var("B"), num(0)])
+    if max_depth == 0:
+        return leaf
+    sub = _walk_goal_args(max_depth - 1)
+    return st.one_of(leaf, st.builds(lambda a: App(S, (a,)), sub),
+                     st.builds(lambda a, b: App(PAIR, (a, b)), sub, sub),
+                     st.builds(add, sub, sub))
+
+
+def _assert_walks_agree(lhs, goal):
+    """The walk over lhs's shape gives the stack walk's Fail, Demand
+    positions in order, or equations in order with the very subterms of
+    both terms; a demand hands back the goal subterms at its positions."""
+    walked, reference = linear_walk(flatten(lhs), goal), parent_linear_walk(lhs, goal)
+    assert walked.__class__ is reference.__class__, (lhs, goal)
+    if isinstance(walked, Demand):
+        assert walked.positions == reference.positions, (lhs, goal)
+        assert len(walked.subterms) == len(walked.positions)
+        assert all(subterm_at(goal, q) is u
+                   for q, u in zip(walked.positions, walked.subterms))
+    elif isinstance(walked, list):
+        assert len(walked) == len(reference), (lhs, goal)
+        assert all(p is q and g is h
+                   for (p, g), (q, h) in zip(walked, reference)), (lhs, goal)
+    return walked
+
+
+@settings(max_examples=500)
+@given(st.tuples(*[_shapes(3)] * 3), st.tuples(*[_walk_goal_args(3)] * 3))
+def test_walk_over_a_shape_agrees_with_the_stack_walk(shapes, goal_args):
+    names = (f"X{i}" for i in itertools.count(1))
+    lhs = App(F3, tuple(_fill_holes(shape, names) for shape in shapes))
+    _assert_walks_agree(lhs, App(F3, goal_args))
+
+
+class TestShape:
+    # f(pr(s(X1), 0), X2, 0)
+    LHS = App(F3, (App(PAIR, (App(S, (Var("X1"),)), num(0))), Var("X2"), num(0)))
+
+    def test_entries_in_preorder(self):
+        pr, s_x1, x1, zero, x2 = (
+            self.LHS.args[0], self.LHS.args[0].args[0], Var("X1"), num(0), Var("X2"))
+        assert flatten(self.LHS) == (
+            (-1, 1, (1,), pr, 4), (0, 1, (1, 1), s_x1, 3), (1, 1, (1, 1, 1), x1, 3),
+            (0, 2, (1, 2), zero, 4), (-1, 2, (2,), x2, 5), (-1, 3, (3,), zero, 6))
+        assert flatten(App(ZERO)) == ()
+
+    def test_a_clash_after_a_demand_fails(self):
+        a, b = Var("A"), Var("B")
+        call = add(a, b)
+        for first, third in [(App(PAIR, (call, App(S, (a,)))), num(0)),
+                             (App(PAIR, (call, num(0))), App(S, (b,))),
+                             (App(PAIR, (App(S, (a,)), call)), App(S, (b,)))]:
+            assert _assert_walks_agree(self.LHS, App(F3, (first, a, third))) == Fail()
+        walked = _assert_walks_agree(
+            self.LHS, App(F3, (App(PAIR, (call, call)), a, call)))
+        assert walked == Demand(((1, 1), (1, 2), (3,)))
+
+
 @settings(max_examples=300)
 @given(st.tuples(*[_shapes(3)] * 3), st.tuples(*[_goal_args(2)] * 3))
 def test_overlay_decides_linear_unification(shapes, goal_args):
@@ -494,7 +583,7 @@ def test_overlay_decides_linear_unification(shapes, goal_args):
     names = (f"X{i}" for i in itertools.count(1))
     lhs = App(F3, tuple(_fill_holes(shape, names) for shape in shapes))
     goal = App(F3, goal_args)
-    walked = linear_walk(lhs, goal)
+    walked = linear_walk(flatten(lhs), goal)
     theta = renaming(FreshVars(vars_of(goal)), vars_of(lhs))
     result = linear_unify(theta.apply(lhs), goal)
     if not isinstance(walked, list):
