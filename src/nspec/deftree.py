@@ -3,7 +3,8 @@
 A definitional tree organizes the left-hand sides of one operation into
 nested case distinctions on constructor symbols.  Branch nodes carry the
 variable position being scrutinized (the inductive position); leaves
-carry one rule, re-expressed over the leaf's own pattern variables.
+carry one rule, a variant of its program rule over the variables of the
+leaf's pattern, whose sides are built on their first read.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .terms import (
     Position,
     Substitution,
     Symbol,
-    Var,
     _put,
     is_variant,
-    match,
     replace_at,
     subterm_at,
     var_positions,
@@ -38,7 +37,7 @@ class ProgramClassError(Exception):
 
 class Leaf(NamedTuple):
     pattern: App
-    rule: Rule  # aligned: rule.lhs is exactly the pattern
+    rule: Rule  # a variant of the program rule: rule.lhs is the pattern
 
 
 class Branch(Frozen):
@@ -167,9 +166,10 @@ def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
         elif len(rules) > 1:
             return None
         else:
-            rule = rules[0]
-            tree: DefTree = Leaf(pattern, Rule(
-                pattern, match(rule.lhs, pattern).apply(rule.rhs), rule.label))
+            # The pattern is a variant of the one rule's left-hand side,
+            # its variables in the same order.
+            tree: DefTree = Leaf(pattern, rules[0]._variant(
+                [x.name for x in vars_of(pattern)]))
             # Hand the tree to its parent, closing each branch that has
             # all its children, up to one with a child left to build.
             while stack:

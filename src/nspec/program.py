@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .terms import (
     App,
@@ -39,12 +39,12 @@ class Rule(Frozen):
     side, in order of first occurrence.
 
     `source` is the rule this one is a variant of; a rule built from its
-    parts is its own source.  A variant (`renamed`) keeps its source rule
-    and the names drawn for it.  It builds its variables with its
-    renaming on the first read of either, and each side on its own first
-    read, so a narrowing step that only rewrites with it never builds
-    them.  The fields live in the instance `__dict__`, which holds those
-    parts once built.
+    parts is its own source.  A variant (`renamed`, or the rule of a
+    definitional-tree leaf) keeps its source rule and the names of its
+    variables.  It builds its variables with its renaming on the first
+    read of either, and each side on its own first read, so a narrowing
+    step that only rewrites with it never builds them.  The fields live
+    in the instance `__dict__`, which holds those parts once built.
     """
 
     _fields = ("lhs", "rhs", "label")
@@ -87,14 +87,18 @@ class Rule(Frozen):
         return f"{self.lhs} -> {self.rhs}"
 
     def renamed(self, gen: FreshVars) -> "Rule":
-        """A variant of this rule with all variables renamed apart, the
-        one kind of variant there is.  Only the new names are drawn
-        (`FreshVars.suffixed`); the renaming is built with the variant's
-        variables.  A variant of a valid rule is valid, so the checks of
-        `__init__` are not run again."""
+        """A variant of this rule with all variables renamed apart: only
+        the new names are drawn (`FreshVars.suffixed`)."""
+        return self._variant(gen.suffixed(self.variables))
+
+    def _variant(self, names: Sequence[str]) -> "Rule":
+        """The variant of this rule whose variables are named `names`, in
+        the order of `variables`; the renaming is built with the
+        variant's variables.  A variant of a valid rule is valid, so the
+        checks of `__init__` are not run again."""
         variant = object.__new__(Rule)
         variant.__dict__.update(label=self.label, source=self.source,
-                                _names=gen.suffixed(self.variables))
+                                _names=names)
         return variant
 
     def is_left_linear(self) -> bool:
@@ -240,7 +244,7 @@ def validate(program: Program) -> ValidationReport:
         candidates = [(pos, sub) for pos, sub in subterms(ri.lhs)
                       if not isinstance(sub, Var)]
         for j, rj in enumerate(rules):
-            other = rj.renamed(gen)  # one per pair: the mgus print its names
+            other = None  # one variant per pair: the mgus print its names
             for pos, sub in candidates:
                 if sub.root != rj.lhs.root:
                     continue  # a root clash never unifies
@@ -249,9 +253,13 @@ def validate(program: Program) -> ValidationReport:
                 if any(a.__class__ is App and b.__class__ is App and a.root != b.root
                        for a, b in zip(sub.args, rj.lhs.args)):
                     continue  # nor does a clash at an argument's root
+                if other is None:
+                    other = rj.renamed(gen)
                 mgu = unify(sub, other.lhs)
                 if mgu is not None:
                     overlaps.append(Overlap(ri.label, rj.label, pos, mgu))
+            if other is None:
+                gen.skip(rj.variables)  # the names the variant would take
     return ValidationReport(left_linear, constructor_based, tuple(overlaps))
 
 

@@ -104,8 +104,8 @@ class Var(Frozen):
     constructor_term = True
 
     def __init__(self, name: str) -> None:
-        _put(self, "name", name)
-        _put(self, "_hash", hash(name))
+        _set_var_name(self, name)
+        _set_var_hash(self, hash(name))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Var:
@@ -144,10 +144,10 @@ class App(Frozen):
                 ground = False
             if not a.constructor_term:
                 constructor_term = False
-        _put(self, "root", root)
-        _put(self, "args", args)
-        _put(self, "ground", ground)
-        _put(self, "constructor_term", constructor_term)
+        _set_root(self, root)
+        _set_args(self, args)
+        _set_ground(self, ground)
+        _set_constructor_term(self, constructor_term)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality, from an explicit stack of application
@@ -219,6 +219,17 @@ class App(Frozen):
 Term = Union[Var, App]
 Position = Tuple[int, ...]
 
+# The writers of the `Var` and `App` fields: their slot descriptors'
+# `__set__`, which skips the attribute lookup of `_put` on the two
+# classes built most often.
+_set_var_name = Var.name.__set__
+_set_var_hash = Var._hash.__set__
+_set_root = App.root.__set__
+_set_args = App.args.__set__
+_set_ground = App.ground.__set__
+_set_constructor_term = App.constructor_term.__set__
+_set_app_hash = App._hash.__set__
+
 
 def _hash_app(t: App) -> int:
     """Store the hash of t and of every subterm not hashed yet.  They
@@ -230,7 +241,7 @@ def _hash_app(t: App) -> int:
             if isinstance(a, App) and getattr(a, "_hash", None) is None:
                 unhashed.append(a)
     for u in reversed(unhashed):
-        _put(u, "_hash", hash((u.root, u.args)))
+        _set_app_hash(u, hash((u.root, u.args)))
     return t._hash
 
 

@@ -234,6 +234,14 @@ def parent_variant(rule, theta):
     return variant
 
 
+def parent_leaf_rule(pattern, rule):
+    """The rule of a definitional-tree leaf as `deftree._build` built it
+    before leaves held variants: the program rule matched onto the
+    leaf's pattern, its right-hand side under the match, through the
+    checks of `Rule.__init__`."""
+    return Rule(pattern, match(rule.lhs, pattern).apply(rule.rhs), rule.label)
+
+
 def renaming(gen, variables):
     """Rename all given variables apart with one shared suffix drawn from
     `gen` (`suffixed`): the reference that tests compare rule variants

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import below_recursion_limit, calls_counted, random_program
-from nspec import cli, deftree
+from conftest import (below_recursion_limit, calls_counted, parent_leaf_rule,
+                      random_program)
+from nspec import cli, deftree, terms
 from nspec.deftree import (
     Branch,
     Leaf,
@@ -176,6 +178,62 @@ class TestForestAndReport:
         # Linear growth gives 4; a pairwise scan of the left-hand sides
         # for duplicates gives about 12.
         assert calls[400] < 6 * calls[100], calls
+
+
+def _leaves(tree):
+    return [node for node, _ in deftree.preorder(tree) if isinstance(node, Leaf)]
+
+
+def _calls_of(functions, run):
+    """How many times `run()` calls each of the Python functions."""
+    codes = {f.__code__: f for f in functions}
+    counts = dict.fromkeys(functions, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+class TestLeavesAreVariants:
+    """Each leaf's rule is a variant of its program rule over the
+    variables of the leaf's pattern, built without a `match`, a
+    right-hand side or the checks of `Rule.__init__`, and equal to the
+    rule the leaf had when it was built that way."""
+
+    @staticmethod
+    def _programs():
+        files = sorted((Path(__file__).parent / "data").glob("*.flp"))
+        files += sorted((Path(__file__).parents[1] / "bench" / "programs").glob("*.flp"))
+        programs = [add_strict_equality(parse_program(f.read_text())) for f in files]
+        return programs + [random_program(seed) for seed in range(60)]
+
+    def test_leaf_rules_are_unbuilt_variants_of_the_program_rules(self):
+        checked = 0
+        for program in self._programs():
+            by_label = {rule.label: rule for rule in program.rules}
+            trees, _ = forest(program)
+            leaves = [leaf for tree in trees.values() for leaf in _leaves(tree)]
+            assert not any({"lhs", "rhs"} & set(vars(leaf.rule)) for leaf in leaves)
+            for leaf in leaves:
+                source = by_label[leaf.rule.label]
+                assert leaf.rule.source is source
+                assert leaf.rule.lhs == leaf.pattern
+                assert leaf.rule.rhs == parent_leaf_rule(leaf.pattern, source).rhs
+                checked += 1
+        assert checked >= 300
+
+    def test_a_forest_calls_neither_match_nor_the_rule_checks(self):
+        for program in self._programs():
+            counts = _calls_of([terms.match, Rule.__init__],
+                               lambda: forest(program))
+            assert counts == {terms.match: 0, Rule.__init__: 0}
 
 
 class TestTieBreak:

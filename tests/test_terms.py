@@ -127,6 +127,7 @@ class TestValueClasses:
 
     @pytest.mark.parametrize("value, name", [
         (Var("X"), "name"), (S, "arity"), (num(1), "args"), (num(1), "ground"),
+        (num(1), "root"), (num(1), "constructor_term"), (Var("X"), "_hash"),
         (Var("X"), "other")])
     def test_assignment_raises(self, value, name):
         with pytest.raises(AttributeError):
