@@ -123,45 +123,43 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
     position o: a variable at t|o is instantiated child by child, a
     constructor selects the matching child, and an operation continues
     into its own tree with positions prefixed by o.  Leaves emit the
-    renamed-apart rule at the root.
+    renamed-apart rule at the root.  A root without a tree has no step.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
-    tree = trees.get(t.root.name)
-    if tree is None:
-        return []
     gen.reserve(vars_of(t))
-    return _needed_steps(t, tree, trees, gen)
+    return _needed_steps(t, trees, gen)
 
 
-def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
-                  gen: Optional[FreshVars], count: bool = False,
-                  at: Optional[tuple] = None, redex: bool = False
+def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
+                  count: bool = False, at: Optional[tuple] = None,
+                  redex: bool = False
                   ) -> Union[List[Step], int, Optional[Tuple[Position, Rule]]]:
     """The descent of `nns`, from an explicit stack, depth first with
-    the children of a branch in tree order.
+    the children of a branch in tree order, from the tree of t's root
+    (none, and no step, when it has none).
 
     A variable at an inductive position is instantiated child by child,
     but t itself is never rebuilt: each instantiation is entered in
     `bound`, which holds the bindings of the current tree path, and
     positions are read through it.  A frame is (tree node, the
-    operation-rooted subterm u it descends, a position in u and the
-    subterm read there, if any (the parent branch's, or the node's own
-    when the parent looked ahead), u's position, extending
-    `at` (t's own), and the canonical parts so far, both as parent-pointer
-    chains read only at a leaf, and the (variable, constructor) to bind
-    on entry, if any); a bare variable on the stack ends that binding's
-    scope.  Fresh variables and rule variants are drawn depth first.
+    operation-rooted subterm u it descends, u's position extending `at`
+    (t's own) and the canonical parts so far, both parent-pointer chains
+    read only at a leaf, and the (variable, constructor) to bind on
+    entry, if any); a bare variable on the stack ends that binding's
+    scope.  A branch reads its inductive position once, from u through
+    `bound`, when it is entered.  Fresh variables and rule variants are
+    drawn depth first.
 
-    A variable branch looks ahead before it pushes a child: unless the
-    child is a leaf or its inductive position lies inside the variable,
-    it reads that position through `bound`, the read the child would
-    make on entry.  A live child takes the subterm read as its known
-    one and does not read it again.  A child that meets a constructor
-    it does not accept is dead: in its place goes a marker, its
-    constructor's arity, that draws that many fresh names when popped,
-    so every later name is the one it would be had the child bound the
-    variable and found no match.
+    A variable branch looks ahead before it pushes a child that is not
+    a leaf: it reads the child's inductive position from u through
+    `bound`.  The read stops at a variable not yet bound, which can only
+    be the one the child is about to bind: every constructor on the
+    path of a child's pattern was matched or bound by a branch above
+    it.  A child whose read meets a constructor it does not accept is
+    dead: in its place goes a marker, its constructor's arity, that
+    draws that many fresh names when popped, so every later name is the
+    one it would be had the child bound the variable and found no match.
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
@@ -174,7 +172,8 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
     steps: List[Step] = []
     found = 0
     bound: Dict[Var, App] = {}
-    stack: List[object] = [(tree, t, None, at, None, None)]
+    tree = trees.get(t.root.name)
+    stack: List[object] = [] if tree is None else [(tree, t, at, None, None)]
     while stack:
         frame = stack.pop()
         if frame.__class__ is not tuple:
@@ -183,7 +182,7 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             else:
                 del bound[frame]
             continue
-        node, u, known, at, parts, binding = frame
+        node, u, at, parts, binding = frame
         if binding is not None:
             x, ctor = binding
             image = App(ctor, gen.fresh_tuple(ctor.arity))
@@ -202,29 +201,18 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
             steps.append(Step(_joined(at), node.rule.renamed(gen),
                               compose_canonical(canonical), canonical))
             continue
-        if known is not None and known[0] is node.position:
-            sub = known[1]  # read by the parent's look-ahead
-        else:
-            # Read u at the inductive position, from the parent's
-            # scrutinized subterm when the position extends the parent's.
-            sub, rest = u, node.position
-            if known is not None and len(rest) > len(known[0]) and (
-                    rest[:len(known[0])] == known[0]):
-                sub, rest = known[1], rest[len(known[0]):]
-            for i in rest:
-                if isinstance(sub, Var):
-                    sub = bound[sub]
-                sub = sub.args[i - 1]
-            known = (node.position, sub)
-        if isinstance(sub, Var):
+        sub = u
+        for i in node.position:
+            if sub.__class__ is Var:
+                sub = bound[sub]
+            sub = sub.args[i - 1]
+        if sub.__class__ is Var:
             sub = bound.get(sub, sub)
-        if isinstance(sub, Var):
+        if sub.__class__ is Var:
             if redex:
                 return None
-            o = node.position
             for child, ctor in zip(reversed(node.children), reversed(node.constructors)):
-                seen = known
-                if child.__class__ is not Leaf and child.position[:len(o)] != o:
+                if child.__class__ is not Leaf:
                     v = u
                     for i in child.position:
                         if v.__class__ is Var:
@@ -233,7 +221,6 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
                                 break
                         v = v.args[i - 1]
                     else:
-                        seen = (child.position, v)
                         if v.__class__ is Var:
                             v = bound.get(v, v)
                         if v.__class__ is App and v.root.kind == CONSTRUCTOR and (
@@ -241,16 +228,16 @@ def _needed_steps(t: App, tree: DefTree, trees: Dict[str, DefTree],
                             if ctor.arity:
                                 stack.append(ctor.arity)
                             continue
-                stack.append((child, u, seen, at, parts, (sub, ctor)))
+                stack.append((child, u, at, parts, (sub, ctor)))
         elif sub.root.kind == CONSTRUCTOR:
             for child, ctor in zip(node.children, node.constructors):
                 if ctor == sub.root:
-                    stack.append((child, u, known, at, (IDENTITY, parts), None))
+                    stack.append((child, u, at, (IDENTITY, parts), None))
                     break
         else:
             inner = trees.get(sub.root.name)
             if inner is not None:
-                stack.append((inner, sub, None, (node.position, at),
+                stack.append((inner, sub, (node.position, at),
                               (IDENTITY, parts), None))
     if redex:
         return None
@@ -375,8 +362,6 @@ def _contract(t: Term, position: Position, rule: Rule,
         raise ValueError(
             f"rule {rule} does not match {_applied(sigma, path[-1])}")
     s = _applied(theta, source.rhs)
-    if not sigma:
-        return _replace_on(path, position, s)
     for u, i in zip(path[-2::-1], reversed(position)):
         args = [_applied(sigma, a) for a in u.args[:i - 1]]
         args.append(s)
@@ -496,10 +481,7 @@ def strategy_steps(t: Term, program: Program, strategy: str,
         return 0 if count else []
     at, t = found
     if strategy == "needed":
-        tree = trees.get(t.root.name)
-        if tree is None:
-            return 0 if count else []
-        return _needed_steps(t, tree, trees, gen, count, at)
+        return _needed_steps(t, trees, gen, count, at)
     return _lns(t, program, gen, count, at)
 
 
@@ -671,9 +653,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
         if found is None:
             return current, trace, False
         at, u = found
-        tree = trees.get(u.root.name)
-        redex = None if tree is None else _needed_steps(
-            u, tree, trees, None, redex=True)
+        redex = _needed_steps(u, trees, None, redex=True)
         if redex is None:
             return current, trace, True
         u = rewrite_step(u, *redex)

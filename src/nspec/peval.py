@@ -484,13 +484,15 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
     place to their most specific generalization (when a variant of the
     generalization already lives elsewhere in S, both the element and
     the candidate are kept as they are), and the operation-rooted pieces
-    of the generalization's clash images are folded in.  An instance of
-    an existing element is dropped when its matching images only
-    collapse variables, appended when they are constructor terms (a
-    genuine call-pattern refinement), and otherwise decomposed into the
-    operation-rooted pieces of its images, which are folded in.
-    Anything else is appended.  The pieces are folded depth first from
-    an explicit stack of (call, key), each key computed when popped.
+    of the generalization's clash images are folded in; an instance
+    whose matching images only collapse variables is such a candidate
+    (variables couple), and S keeps the element, a variant of their
+    generalization.  Any other instance of an element is appended when
+    its images are constructor terms (a genuine call-pattern
+    refinement), and otherwise decomposed into the operation-rooted
+    pieces of its images, which are folded in.  Anything else is
+    appended.  The pieces are folded depth first from an explicit stack
+    of (call, key), each key computed when popped.
 
     `keys` is the set of the `variant_key`s of S, one per element; it is
     updated with S.  Without it, the keys are computed here.  `key`,
@@ -522,8 +524,6 @@ def abstract_add(S: List[Term], u: Term, gen: FreshVars,
         else:
             found = _covering(S, u)
             images = [] if found is None else list(found[1].mapping.values())
-            if found is not None and all(isinstance(img, Var) for img in images):
-                continue
             if found is None or all(is_constructor_term(img) for img in images):
                 S.append(u)
                 keys.add(key)

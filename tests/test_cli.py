@@ -3,6 +3,7 @@
 import functools
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -21,6 +22,11 @@ from nspec.syntax import parse_program, print_program
 
 DATA = Path(__file__).parent / "data"
 
+# The CLI subprocesses import this checkout's nspec, installed or not.
+SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
 LEQ = str(DATA / "leq.flp")
 APPEND = str(DATA / "append.flp")
 DOUBLE = str(DATA / "double.flp")
@@ -34,7 +40,7 @@ NOT_SEQUENTIAL = (
 
 def run(*args):
     return subprocess.run([sys.executable, "-m", "nspec.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
 
 
 def run_below_recursion_limit(limit, *args):
@@ -42,7 +48,7 @@ def run_below_recursion_limit(limit, *args):
     code = (f"import sys; sys.setrecursionlimit({limit}); "
             "from nspec.cli import main; sys.exit(main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
 
 
 class TestCheck:

@@ -129,6 +129,10 @@ class TestBuildTree:
     def test_no_rules_means_no_tree(self, leq_prog):
         assert build_tree(leq_prog.signature.get("leq"), []) is None
 
+    def test_a_rule_of_another_operation_is_rejected(self, leq_prog):
+        with pytest.raises(ProgramClassError, match="does not define leq/2"):
+            build_tree(leq_prog.signature.get("leq"), leq_prog.rules_for("add"))
+
     def test_unknown_tie_break_rejected(self, leq_prog):
         with pytest.raises(ValueError, match="unknown tie break"):
             build_tree(leq_prog.signature.get("leq"),

@@ -28,7 +28,7 @@ from conftest import (
 from nspec import narrowing, program as program_module
 from nspec.oracle import one_step_rewrites
 from nspec.peval import UnfoldPolicy, unfold
-from nspec.deftree import Leaf, ProgramClassError, forest, require_class
+from nspec.deftree import Leaf, ProgramClassError, forest, preorder, require_class
 from nspec.narrowing import (
     SUCCESS,
     Bounds,
@@ -140,6 +140,17 @@ class TestNeededSteps:
         with pytest.raises(ValueError, match="operation-rooted"):
             nns(X, leq_trees, FreshVars())
 
+    def test_an_operation_without_rules_has_no_step(self):
+        program = parse_program("constructors 0/0 ;\noperations f/1 g/1 ;\n"
+                                "f(X) -> g(X) ;")
+        trees, _ = forest(program)
+        assert "g" not in trees
+        t = goal(program, "g(X)")
+        assert nns(t, trees, FreshVars()) == []
+        assert strategy_steps(t, program, "needed", trees, FreshVars()) == []
+        assert strategy_steps(t, program, "needed", trees, FreshVars(),
+                              count=True) == 0
+
     def test_canonical_decomposition(self, leq_prog, leq_trees):
         steps = nns(goal(leq_prog, "leq(X, add(X, X))"), leq_trees, FreshVars())
         for step in steps:
@@ -164,6 +175,15 @@ class TestLazySteps:
     def test_root_step_without_demand(self, leq_prog):
         steps = lns(goal(leq_prog, "leq(0, 0)"), leq_prog, FreshVars())
         assert steps_view(steps, []) == [((), "R1", "{}")]
+
+    def test_rejects_constructor_rooted_terms(self, leq_prog):
+        with pytest.raises(ValueError, match="operation-rooted"):
+            lns(goal(leq_prog, "s(0)"), leq_prog, FreshVars())
+
+    def test_a_symbol_of_another_signature_has_no_step(self, leq_prog):
+        """A unary leq is not the program's leq/2: no rule is walked."""
+        other = App(Symbol("leq", 1, "operation"), (goal(leq_prog, "0"),))
+        assert lns(other, leq_prog, FreshVars()) == []
 
 
 class TestRewriteStep:
@@ -672,6 +692,16 @@ DEAD_CHILD_GOALS = (
 )
 
 
+# A tree that branches at 2, then at 1, then at [2, 1].  The look-ahead
+# of the branch at 1 reads [2, 1] through the binding that the branch at
+# 2 made; under f(A, A) the look-ahead at 2 reads A, the variable being
+# bound; under f(A, s(s(A))) the child of 0 at 1 is dead.
+STAGED = parse_program("constructors 0/0 s/1 ;\noperations f/2 ;\n"
+                       "f(X, 0) -> 0 ;\nf(0, s(0)) -> s(0) ;\n"
+                       "f(s(Z), s(s(Y))) -> Y ;")
+STAGED_GOALS = ("f(A, B)", "f(A, A)", "f(s(A), A)", "f(A, s(s(A)))")
+
+
 def peano():
     """peano.flp with strict equality: 6 constructors, so eq branches 6 ways."""
     return add_strict_equality(parse_program(PEANO.read_text()))
@@ -736,7 +766,7 @@ def _assert_descent_matches_reference(t, trees):
     tree = trees[t.root.name]
     gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
     new = [_step_view(s.position, s.rule, s.subst, s.canonical)
-           for s in _needed_steps(t, tree, trees, gen)]
+           for s in _needed_steps(t, trees, gen)]
     ref = [_step_view(pos, rule, parent_compose_canonical(parts), parts)
            for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
     assert new == ref, t
@@ -779,6 +809,14 @@ class TestNeededDescentAgreesWithReference:
         _assert_descent_matches_reference(goal(leq_prog, "leq(X, X)"), trees)
         _assert_descent_matches_reference(
             goal(leq_prog, "leq(add(X, Y), add(Y, X))"), trees)
+
+    @pytest.mark.parametrize("source", STAGED_GOALS)
+    def test_a_look_ahead_reads_through_an_ancestor_binding(self, source):
+        trees, _ = forest(STAGED)
+        assert [node.position for node, _ in preorder(trees["f"])
+                if not isinstance(node, Leaf)] == [(2,), (1,), (2, 1), (2, 1)]
+        for t in _descent_goals(STAGED, goal(STAGED, source)):
+            _assert_descent_matches_reference(t, trees)
 
 
 def ref_lns(t, at, program, gen):
@@ -1196,6 +1234,12 @@ class TestCountingSteps:
         trees, _ = forest(program)
         for t in _tree_terms(program, goal(program, source), "needed"):
             _assert_count_equals_steps(t, program, "needed", trees)
+
+    @pytest.mark.parametrize("source", STAGED_GOALS)
+    def test_a_look_ahead_reads_through_an_ancestor_binding(self, source):
+        trees, _ = forest(STAGED)
+        for t in _tree_terms(STAGED, goal(STAGED, source), "needed"):
+            _assert_count_equals_steps(t, STAGED, "needed", trees)
 
     def test_random_programs(self):
         counted = 0

@@ -11,7 +11,7 @@ from nspec.oracle import (
     rewrites_to,
 )
 from nspec.syntax import parse_program, parse_term
-from nspec.terms import Substitution, Var
+from nspec.terms import App, Substitution, Symbol, Var
 
 
 def goal(prog, text):
@@ -126,6 +126,13 @@ class TestGroundSolutions:
     def test_requires_an_equation(self, leq_prog):
         with pytest.raises(ValueError, match="expected an eq"):
             ground_solutions(leq_prog, goal(leq_prog, "leq(X, Y)"), 1)
+
+    def test_requires_a_true_constructor(self):
+        program = parse_program("constructors 0/0 ;\noperations f/1 ;\nf(X) -> 0 ;")
+        x = Var("X")
+        equation = App(Symbol("eq", 2, "operation"), (x, x))
+        with pytest.raises(ValueError, match="no 'true' constructor"):
+            ground_solutions(program, equation, 1)
 
 
 class TestIndependence:

@@ -595,6 +595,24 @@ class TestAbstractAdd:
         assert not abstract_add(S, goal(leq_prog, "add(X, X)"), FreshVars())
         assert [str(s) for s in S] == ["add(X, Y)"]
 
+    @pytest.mark.parametrize("element, instance", [
+        ("f(X, Y)", "f(Z, Z)"),
+        ("f(g(X), Y)", "f(g(Z), Z)"),
+        ("f(X, s(Y))", "f(W, s(W))"),
+    ])
+    def test_variable_collapsing_instances_leave_s_and_keys(self, element, instance):
+        """The element embeds into such an instance, so the embedding
+        branch takes it, and their generalization is a variant of the
+        element."""
+        program = parse_program("constructors 0/0 s/1 g/1 ;\noperations f/2 ;\n"
+                                "f(X, Y) -> 0 ;")
+        S = [goal(program, element)]
+        keys = {variant_key(S[0])}
+        assert embeds(S[0], goal(program, instance))
+        assert not abstract_add(S, goal(program, instance), FreshVars(), keys)
+        assert [str(s) for s in S] == [element]
+        assert keys == {variant_key(S[0])}
+
     def test_ground_refinement_is_kept(self, loop_prog):
         S = [goal(loop_prog, "h(f(X, g(Y)))")]
         assert abstract_add(S, goal(loop_prog, "h(f(0, g(0)))"), FreshVars())

@@ -308,6 +308,20 @@ class TestLinearUnify:
     def test_fail(self):
         assert linear_unify(leq(num(0), N), leq(num(1), num(0))) == Fail()
 
+    @pytest.mark.parametrize("pattern, goal", [
+        (X, leq(num(0), N)), (leq(X, N), Y), (leq(X, N), add(X, N))])
+    def test_roots_must_agree(self, pattern, goal):
+        with pytest.raises(ValueError, match="root mismatch"):
+            linear_unify(pattern, goal)
+
+    def test_pattern_must_be_linear(self):
+        with pytest.raises(ValueError, match="not linear"):
+            linear_unify(leq(X, X), leq(num(0), num(0)))
+
+    def test_pattern_and_goal_must_not_share_variables(self):
+        with pytest.raises(ValueError, match=r"share variables: \['N', 'X'\]"):
+            linear_unify(leq(X, N), leq(N, X))
+
 
     def test_overlay_of_a_nonlinear_goal(self):
         """A goal variable met by several constructor patterns: their
