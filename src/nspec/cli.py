@@ -311,8 +311,7 @@ def _cmd_peval(args) -> int:
     if args.map_out:
         mapping = {str(s): str(p) for s, p in outcome.result.renaming.items()}
         with open(args.map_out, "w", encoding="utf-8") as handle:
-            json.dump(mapping, handle, indent=2)
-            handle.write("\n")
+            handle.write(_json_text(mapping) + "\n")
     return 0
 
 

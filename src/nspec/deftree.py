@@ -10,8 +10,8 @@ leaf's pattern, whose sides are built on their first read.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .program import Program, Rule, Signature
 from .terms import (
@@ -23,7 +23,6 @@ from .terms import (
     Substitution,
     Symbol,
     _put,
-    is_variant,
     replace_at,
     subterm_at,
     var_positions,
@@ -64,8 +63,7 @@ class Branch(Frozen):
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Branch:
             return NotImplemented
-        return _trees_agree(self, other, lambda a, b: (
-            a == b if isinstance(a, Leaf) else a.pattern == b.pattern))
+        return _trees_agree(self, other)
 
     def __hash__(self) -> int:
         return _hash_head(self)
@@ -112,15 +110,15 @@ def preorder(tree: DefTree) -> Iterator[Tuple[DefTree, int]]:
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _trees_agree(a: DefTree, b: DefTree,
-                 same: Callable[[DefTree, DefTree], bool]) -> bool:
-    """Whether two trees have the same shape and inductive positions, and
-    `same` holds of each pair of nodes: their preorders agree node by
-    node, depths included, which fixes the shape."""
+def _trees_agree(a: DefTree, b: DefTree) -> bool:
+    """Whether two trees are equal: their preorders agree node by node,
+    depths included, which fixes the shape; leaves compare whole, and
+    branches by pattern and inductive position."""
     for (u, i), (v, j) in zip_longest(preorder(a), preorder(b),
                                       fillvalue=(None, -1)):
-        if i != j or u.__class__ is not v.__class__ or not same(u, v) or (
-                isinstance(u, Branch) and u.position != v.position):
+        if i != j or u.__class__ is not v.__class__ or (
+                u != v if isinstance(u, Leaf)
+                else u.pattern != v.pattern or u.position != v.position):
             return False
     return True
 
@@ -281,29 +279,6 @@ def require_lazy_class(program: Program) -> None:
         raise ProgramClassError(
             "lazy narrowing requires left-linear constructor-based rules; "
             "offending: " + "; ".join(str(r) for r in bad))
-
-
-def trees_isomorphic(a: DefTree, b: DefTree) -> bool:
-    """Structural equality of trees modulo variable names.
-
-    Patterns must be variants under a consistent renaming per node,
-    inductive positions equal, children pairwise isomorphic in order.
-    """
-    return _trees_agree(a, b, lambda u, v: is_variant(u.pattern, v.pattern))
-
-
-def is_uniform(program: Program) -> bool:
-    """Uniformity, read off the definitional forest: every operation has
-    a tree, and each tree is a leaf (one rule f(x1..xn) -> r) or one
-    branch at an argument whose children are all leaves (linear
-    left-hand sides that differ only by distinct constructors applied to
-    variables at that argument, with plain variables elsewhere).
-    """
-    trees, failures = forest(program)
-    return not failures and all(
-        isinstance(tree, Leaf) or len(tree.position) == 1
-        and all(isinstance(child, Leaf) for child in tree.children)
-        for tree in trees.values())
 
 
 def _fresh_operation_name(base: str, index: int, signature: Signature,

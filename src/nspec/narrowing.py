@@ -610,20 +610,6 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     return SearchResult(root, answers, complete)
 
 
-def deterministically_evaluable(t: Term, program: Program,
-                                bounds: Bounds = Bounds()) -> Optional[bool]:
-    """True/False when the bounded needed tree settles it, None when a
-    bound was hit first (indeterminate).
-
-    A term is deterministically evaluable when every node of its needed
-    narrowing tree has at most one step.
-    """
-    result = search(t, program, "needed", bounds)
-    if any(node.offered > 1 for node in result.root.nodes()):
-        return False
-    return True if result.complete else None
-
-
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
                       ) -> Tuple[Term, List[Term], bool]:
     """Repeatedly rewrite at the needed redex: take the needed narrowing

@@ -276,11 +276,6 @@ def is_constructor_term(t: Term) -> bool:
     return t.constructor_term
 
 
-def term_size(t: Term) -> int:
-    """Number of variable and symbol occurrences in t."""
-    return sum(1 for _ in _preorder(t))
-
-
 def vars_of(t: Term) -> Tuple[Var, ...]:
     """Variables of t in left-to-right order of first occurrence."""
     return tuple(dict.fromkeys(_var_occurrences(t)))
@@ -381,9 +376,6 @@ class Substitution:
     def domain(self) -> Tuple[Var, ...]:
         return tuple(self._map)
 
-    def get(self, x: Var, default: Optional[Term] = None) -> Optional[Term]:
-        return self._map.get(x, default)
-
     def __len__(self) -> int:
         return len(self._map)
 
@@ -404,12 +396,6 @@ class Substitution:
     def apply(self, t: Term) -> Term:
         """sigma(t), sharing every subterm that sigma does not change."""
         return _applied(self._map, t)
-
-    __call__ = apply
-
-    def restrict(self, variables: Iterable[Var]) -> "Substitution":
-        keep = set(variables)
-        return Substitution({x: t for x, t in self._map.items() if x in keep})
 
 
 IDENTITY = Substitution()
@@ -581,11 +567,6 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
             stack.extend(zip(p.args, u.args))
     return Substitution._of({x: u for x, u in bound.items()
                              if u.__class__ is not Var or u.name != x.name})
-
-
-def is_variant(s: Term, t: Term) -> bool:
-    """True iff s and t are equal up to a renaming of variables."""
-    return match(s, t) is not None and match(t, s) is not None
 
 
 class Succ(Frozen):
@@ -822,6 +803,6 @@ def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),
 
 def variant_key(t: Term) -> Term:
     """t with its variables renamed canonically: two terms are variants
-    (`is_variant`) iff their keys are equal, so a set of keys answers a
-    variant test with one lookup."""
+    (equal up to a renaming of variables) iff their keys are equal, so a
+    set of keys answers a variant test with one lookup."""
     return canonical_rename([t])[0]

@@ -6,13 +6,16 @@ import random
 import sys
 import threading
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
 from nspec import (
     App,
+    Branch,
     FreshVars,
+    Leaf,
     Program,
     Rule,
     Signature,
@@ -23,12 +26,15 @@ from nspec import (
     add_strict_equality,
     canonical_rename,
     compose,
+    forest,
     match,
     parse_program,
     replace_at,
+    search,
     subterm_at,
     vars_of,
 )
+from nspec.deftree import preorder
 from nspec.terms import CONSTRUCTOR, OPERATION, Demand, Fail, var_positions
 
 DATA = Path(__file__).parent / "data"
@@ -221,6 +227,55 @@ def ref_str(t):
     if not t.args:
         return t.root.name
     return f"{t.root.name}({', '.join(ref_str(a) for a in t.args)})"
+
+
+def is_variant(s, t):
+    """Whether s and t are equal up to a renaming of variables, each
+    matched onto the other: the reference of `variant_key`."""
+    return match(s, t) is not None and match(t, s) is not None
+
+
+def restrict(sigma, variables):
+    """sigma on the given variables only: the eager answer of a path, as
+    the references of `resolve_chain`'s callers compute it."""
+    keep = set(variables)
+    return Substitution({x: t for x, t in sigma.mapping.items() if x in keep})
+
+
+def trees_isomorphic(a, b):
+    """Whether two definitional trees are equal up to variable names:
+    their preorders agree node by node, depths and inductive positions
+    included, and the patterns of each pair of nodes are variants."""
+    for (u, i), (v, j) in zip_longest(preorder(a), preorder(b),
+                                      fillvalue=(None, -1)):
+        if (i != j or type(u) is not type(v)
+                or not is_variant(u.pattern, v.pattern)
+                or isinstance(u, Branch) and u.position != v.position):
+            return False
+    return True
+
+
+def is_uniform(program):
+    """Uniformity, read off the definitional forest: every operation has
+    a tree, and each tree is a leaf (one rule f(x1..xn) -> r) or one
+    branch at an argument whose children are all leaves (linear
+    left-hand sides that differ only by distinct constructors applied to
+    variables at that argument, with plain variables elsewhere)."""
+    trees, failures = forest(program)
+    return not failures and all(
+        isinstance(tree, Leaf) or len(tree.position) == 1
+        and all(isinstance(child, Leaf) for child in tree.children)
+        for tree in trees.values())
+
+
+def deterministically_evaluable(t, program):
+    """True when every node of t's needed narrowing tree, under the
+    default bounds, has at most one step and the tree is complete, False
+    when a node has more, and None when a bound was hit first."""
+    result = search(t, program)
+    if any(node.offered > 1 for node in result.root.nodes()):
+        return False
+    return True if result.complete else None
 
 
 def parent_variant(rule, theta):

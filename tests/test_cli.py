@@ -378,8 +378,13 @@ class TestPeval:
         text = out.read_text()
         assert "leq_pe0(0, Y) -> true ;" in text
         assert "leq_pe0(s(V2), Y) -> leq_pe0(V2, Y) ;" in text
-        assert json.loads(mapping.read_text()) == {
-            "leq(X, add(X, Y))": "leq_pe0(X, Y)"}
+        assert mapping.read_bytes() == (
+            b'{\n  "leq(X, add(X, Y))": "leq_pe0(X, Y)"\n}\n')
+        run("peval", APPEND, "-s", "append(append(Xs, Ys), Zs)",
+            "-o", str(out), "--map", str(mapping))
+        assert mapping.read_bytes() == (
+            b'{\n  "append(append(Xs, Ys), Zs)": "append_pe0(Xs, Ys, Zs)",\n'
+            b'  "append(V7, Zs)": "append_pe1(V7, Zs)"\n}\n')
 
     def test_emitted_file_parses_back(self, tmp_path):
         from nspec.syntax import parse_program

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (below_recursion_limit, calls_counted, parent_leaf_rule,
-                      random_program)
+from conftest import (below_recursion_limit, calls_counted, is_uniform,
+                      is_variant, parent_leaf_rule, random_program,
+                      trees_isomorphic)
 from nspec import cli, deftree, terms
 from nspec.deftree import (
     Branch,
@@ -17,8 +18,6 @@ from nspec.deftree import (
     build_tree,
     forest,
     is_inductively_sequential,
-    is_uniform,
-    trees_isomorphic,
     uniform_transform,
 )
 from nspec.program import Rule, add_strict_equality
@@ -28,7 +27,6 @@ from nspec.terms import (
     Frozen,
     Symbol,
     Var,
-    is_variant,
     match,
     replace_at,
     subterm_at,
@@ -377,7 +375,9 @@ class TestUniform:
             uniform_transform(p)
 
     def test_transform_output(self):
-        out = uniform_transform(parse_program(LEQ_ONLY))
+        program = parse_program(LEQ_ONLY)
+        assert not is_uniform(program)
+        out = uniform_transform(program)
         assert [f"{r.label}: {r}" for r in out.rules] == [
             "U1: leq(0, V2) -> true",
             "U2: leq(s(V3), V2) -> leq_1(V3, V2)",

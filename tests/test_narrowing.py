@@ -11,6 +11,7 @@ from conftest import (
     ParentFreshVars,
     answer_set,
     below_recursion_limit,
+    deterministically_evaluable,
     eager_leaves,
     generic_calls,
     load,
@@ -22,6 +23,7 @@ from conftest import (
     random_program,
     random_term,
     renaming,
+    restrict,
     steps_view,
     traced_peak,
 )
@@ -36,7 +38,6 @@ from nspec.narrowing import (
     _lns,
     _needed_steps,
     compose_canonical,
-    deterministically_evaluable,
     expand,
     lns,
     narrow,
@@ -519,17 +520,20 @@ class TestLeafCauses:
 
 
 class TestDeterministicEvaluation:
+    """The test reference `deterministically_evaluable`, which acceptance
+    criterion 11 relies on."""
+
     def test_ground_goal(self, leq_prog):
         assert deterministically_evaluable(
-            goal(leq_prog, "add(s(0), s(0))"), leq_prog, Bounds()) is True
+            goal(leq_prog, "add(s(0), s(0))"), leq_prog) is True
 
     def test_branching_goal(self, leq_prog):
         assert deterministically_evaluable(
-            goal(leq_prog, "leq(X, add(X, X))"), leq_prog, Bounds()) is False
+            goal(leq_prog, "leq(X, add(X, X))"), leq_prog) is False
 
     def test_equation_goal(self, leq_prog):
         assert deterministically_evaluable(
-            goal(leq_prog, "leq(0, 0) ~ true"), leq_prog, Bounds()) is True
+            goal(leq_prog, "leq(0, 0) ~ true"), leq_prog) is True
 
 
 class TestRewriteNormalize:
@@ -626,7 +630,7 @@ def _eager_answers(result, goal_term):
     for leaf, _, acc in eager_leaves(result.root):
         if leaf.status != SUCCESS:
             continue
-        answer = acc.restrict(goal_vars)
+        answer = restrict(acc, goal_vars)
         renamed = canonical_rename(
             [answer.apply(v) for v in goal_vars] + [leaf.term], keep=goal_vars)
         out.append((Substitution(dict(zip(goal_vars, renamed[:-1]))),

@@ -12,8 +12,10 @@ from conftest import (
     answer_set,
     eager_leaves,
     generic_calls,
+    is_variant,
     load,
     random_program,
+    restrict,
     resultants_for,
 )
 from nspec import peval
@@ -47,7 +49,6 @@ from nspec.terms import (
     Var,
     is_constructor_term,
     is_operation_rooted,
-    is_variant,
     match,
     subterms,
     variant_key,
@@ -432,7 +433,7 @@ def _eager_resultants(tree):
     out = []
     for leaf, path, acc in eager_leaves(tree):
         if leaf.status != FAILING and path:
-            sigma = acc.restrict(call_vars)
+            sigma = restrict(acc, call_vars)
             out.append((sigma.apply(tree.term), leaf.term, path, sigma))
     return out
 

@@ -1,7 +1,8 @@
 """Start-up guards: importing nspec and its CLI loads no `dataclasses`
 (with `inspect` and the rest it pulls in, it cost a fresh process more
-than its own work), no module under `src/nspec` imports it, and every
-name the package exports exists."""
+than its own work), no module under `src/nspec` imports it, every name
+the package exports exists, and every exported name is one that the
+package itself reads."""
 
 import ast
 import subprocess
@@ -41,3 +42,33 @@ def test_every_exported_name_exists():
     package lacks, and nothing else would notice it."""
     assert [name for name in nspec.__all__ if not hasattr(nspec, name)] == []
     assert len(set(nspec.__all__)) == len(nspec.__all__)
+
+
+# Exported functions that no module of the package reads, kept because
+# `bench/tracing.py` wraps them by name.
+TRACED_ONLY = {"compose", "linear_unify", "nns", "lns"}
+
+
+def names_read(path):
+    """The names and attribute names that a module's code reads."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_every_exported_name_is_read_by_the_package():
+    """The public surface is what the commands run: each name in
+    `__all__` is read by a module other than `__init__.py`, is wrapped
+    by the bench's tracer, or belongs to `nspec.oracle`, the brute-force
+    reference.  A function that only tests call belongs in the tests."""
+    read = set().union(*(names_read(path)
+                         for path in sorted((SRC / "nspec").glob("*.py"))
+                         if path.name != "__init__.py"))
+    unread = [name for name in nspec.__all__
+              if name not in read and name not in TRACED_ONLY
+              and getattr(getattr(nspec, name), "__module__", None) != "nspec.oracle"]
+    assert unread == []

@@ -8,9 +8,9 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, load,
-                      parent_linear_walk, parent_match, parent_solve, ref_str,
-                      renaming)
+from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, is_variant,
+                      load, parent_linear_walk, parent_match, parent_solve,
+                      ref_str, renaming, restrict)
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -29,7 +29,6 @@ from nspec.terms import (
     flatten,
     is_constructor_term,
     is_linear,
-    is_variant,
     linear_overlay,
     linear_unify,
     linear_walk,
@@ -38,11 +37,11 @@ from nspec.terms import (
     resolve_chain,
     subterm_at,
     subterms,
-    term_size,
     unify,
     var_positions,
     variant_key,
     vars_of,
+    _preorder,
     _solve,
 )
 
@@ -172,8 +171,10 @@ class TestPositions:
         assert var_positions(leq(X, add(num(0), Y))) == [(1,), (2, 2)]
 
     def test_term_size(self):
-        assert term_size(leq(X, add(num(0), Y))) == 5
-        assert term_size(X) == 1
+        """The preorder walker visits each node once: its count is the
+        size of the term."""
+        assert sum(1 for _ in _preorder(leq(X, add(num(0), Y)))) == 5
+        assert sum(1 for _ in _preorder(X)) == 1
 
     def test_vars_of_first_occurrence_order(self):
         assert [v.name for v in vars_of(add(X, add(Y, X)))] == ["X", "Y"]
@@ -207,9 +208,10 @@ class TestSubstitution:
         assert str(s.apply(add(X, X))) == "add(s(Y), s(Y))"
 
     def test_restrict(self):
+        """The test reference `restrict` keeps only the named variables."""
         s = Substitution({X: App(S, (Y,))})
-        assert repr(s.restrict([X])) == "{X -> s(Y)}"
-        assert repr(s.restrict([Var("Z")])) == "{}"
+        assert repr(restrict(s, [X])) == "{X -> s(Y)}"
+        assert repr(restrict(s, [Var("Z")])) == "{}"
 
     def test_idempotence_check(self):
         assert is_idempotent(Substitution({X: App(S, (Y,))}))
@@ -639,7 +641,7 @@ def derivation_chain(maps):
 def test_resolve_chain_agrees_with_eager_composition(maps, t):
     chain, acc = derivation_chain(maps)
     variables = vars_of(t)
-    assert resolve_chain(chain, variables) == acc.restrict(variables)
+    assert resolve_chain(chain, variables) == restrict(acc, variables)
 
 
 def _solved_view(sigma):
@@ -766,7 +768,7 @@ def test_match_keeps_a_swap_and_drops_identities():
 
 @given(TERMS)
 def test_size_counts_subterm_occurrences(t):
-    assert term_size(t) == len(list(subterms(t)))
+    assert sum(1 for _ in _preorder(t)) == len(list(subterms(t)))
 
 
 # --- iterative walkers against recursive references ------------------------
@@ -841,7 +843,7 @@ def ref_canonical_rename(terms, keep=(), prefix="V"):
 @given(TERMS)
 def test_preorder_walkers_agree_with_recursive_references(t):
     assert vars_of(t) == ref_vars_of(t)
-    assert term_size(t) == ref_term_size(t)
+    assert sum(1 for _ in _preorder(t)) == ref_term_size(t)
     assert is_constructor_term(t) == ref_is_constructor_term(t)
     assert is_linear(t) == ref_is_linear(t)
     assert str(t) == ref_str(t)
@@ -980,7 +982,7 @@ class TestDeepTerms:
 
     def test_preorder_walkers(self):
         assert vars_of(self.deep) == (X,)
-        assert term_size(self.deep) == DEEP + 1
+        assert sum(1 for _ in _preorder(self.deep)) == DEEP + 1
         assert is_constructor_term(self.deep)
         assert not is_constructor_term(tower(DEEP, add(X, Y)))
         assert is_linear(leq(self.deep, Y))
