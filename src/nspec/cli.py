@@ -224,20 +224,26 @@ def _narrow_tree_lines(root: Node) -> List[str]:
 
 
 def _cmd_eval(args) -> int:
+    if args.strategy == "rewrite" and args.tree:
+        _parser().error("--tree needs a narrowing strategy; "
+                        "--strategy rewrite builds no tree")
     program = _load(args.file)
     goal = parse_term(args.expr, program.signature)
-    print(f"goal: {goal}")
+    text = str(goal)
+    print(f"goal: {text}")
     if args.strategy == "rewrite":
         final, trace, suspended = rewrite_normalize(goal, program,
                                                     args.max_steps)
-        for t in trace:
-            print(f"-> {t}")
+        for line in trace:
+            print(f"-> {line}")
+        if trace:
+            text = trace[-1]
         if suspended:
-            print(f"suspended at: {final}")
+            print(f"suspended at: {text}")
         elif is_constructor_term(final):
-            print(f"normal form: {final}")
+            print(f"normal form: {text}")
         else:
-            print(f"incomplete (bounds reached) at: {final}")
+            print(f"incomplete (bounds reached) at: {text}")
         return 0
     bounds = Bounds(args.max_steps, args.max_nodes, args.max_solutions)
     gen = FreshVars(start=args.seed)

@@ -19,8 +19,10 @@ substitution): the rule is matched through the step's substitution and
 only the path above the redex is rebuilt.  Rewriting
 (`rewrite_normalize`) takes needed steps that bind no variable, found
 by the needed descent's redex mode, which draws no names and builds no
-`Step`; it crosses each constructor prefix once for the whole sequence,
-as the crossing's stack is kept from one step to the next.  At a
+`Step`.  It keeps the term as a zipper: the constructor prefix above
+the rewritten subterm, which no later step changes, is crossed once
+and built once, and the trace is text, each line joined from the
+prefix's kept text and the rewritten subterm's.  At a
 variable, the needed descent looks ahead: it binds the variable only
 for the children whose own inductive position can still match, and a
 dead child only draws the names its binding would have had.
@@ -48,7 +50,6 @@ from .terms import (
     Var,
     _applied,
     _path,
-    _replace_on,
     _solve,
     canonical_rename,
     is_constructor_term,
@@ -442,16 +443,15 @@ class SearchResult(NamedTuple):
     complete: bool
 
 
-def _cross_prefix(pending: List[Tuple[Optional[tuple], Term]]
-                  ) -> Optional[Tuple[Optional[tuple], App]]:
-    """Pop subterms from `pending`, a stack of (position, subterm) with
-    the leftmost on top, until the leftmost-outermost operation-rooted
-    one, which is returned; None when only constructor terms remain.
-    Constructor terms are not entered; the arguments of a constructor
-    application are pushed in its place.  Positions are parent-pointer
-    chains of segments, ((i,), parent), spelled out by `_joined`, so a
-    level of the prefix costs one tuple, not a copy of its position.
-    What is left of `pending` are the right siblings still to cross."""
+def _cross_prefix(t: Term) -> Optional[Tuple[Optional[tuple], App]]:
+    """The leftmost-outermost operation-rooted subterm of t and its
+    position, or None when t is a constructor term, from a stack of
+    (position, subterm) with the leftmost on top.  Constructor terms are
+    not entered; the arguments of a constructor application are pushed
+    in its place.  Positions are parent-pointer chains of segments,
+    ((i,), parent), spelled out by `_joined`, so a level of the prefix
+    costs one tuple, not a copy of its position."""
+    pending: List[Tuple[Optional[tuple], Term]] = [(None, t)]
     while pending:
         at, u = pending.pop()
         if not u.constructor_term:
@@ -476,7 +476,7 @@ def strategy_steps(t: Term, program: Program, strategy: str,
     other variables are names it drew.  With `count`, only the number of
     steps is returned, and `gen` ends as building them would leave it.
     """
-    found = _cross_prefix([(None, t)])
+    found = _cross_prefix(t)
     if found is None:
         return 0 if count else []
     at, t = found
@@ -611,43 +611,79 @@ def search(goal: Term, program: Program, strategy: str = "needed",
 
 
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
-                      ) -> Tuple[Term, List[Term], bool]:
+                      ) -> Tuple[Term, List[str], bool]:
     """Repeatedly rewrite at the needed redex: take the needed narrowing
     step while it binds nothing.
 
-    Returns (final term, intermediate terms, suspended).  On an
-    inductively sequential program the needed descent of a term meets
-    no variable exactly when it yields at most one step, binding
-    nothing; so the term is suspended when it has no step or its first
-    step binds one of its variables.  A term reached at the `max_steps`
-    bound is not suspended; it may not be a normal form.
+    Returns (final term, trace, suspended), where the trace holds the
+    text of each intermediate term.  On an inductively sequential
+    program the needed descent of a term meets no variable exactly when
+    it yields at most one step, binding nothing; so the term is
+    suspended when it has no step or its first step binds one of its
+    variables.  A term reached at the `max_steps` bound is not
+    suspended; it may not be a normal form.
 
-    A step pays for its redex, its contractum and the path it rebuilds
-    above them: the descent runs in its redex mode (`_needed_steps`),
-    which draws no names and builds no step, and the stack of
-    `_cross_prefix` is kept from one step to the next.  A step changes
-    only the operation-rooted subterm it was found in, so that subterm
-    alone is pushed back, and the constructor prefix above it and the
-    right siblings still pending are not crossed again.
+    The term is kept as a zipper (Huet, "The Zipper", JFP 1997): the
+    leftmost-outermost operation-rooted subterm u is in focus, under a
+    frame per constructor application above it with its finished
+    arguments.  Needed narrowing never steps at a constructor position,
+    so a step rewrites u alone (the needed descent's redex mode, which
+    draws no names and builds no step) and no frame is rebuilt.  A line
+    joins the text left of u, kept as one string, the new u's text, and
+    the text right of u, whose pending arguments are printed when a line
+    first needs them, so printing costs no more than the lines hold.  A
+    finished frame is plugged into its parent, and a stopped run plugs
+    the open ones, so the final term is built once.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
-    trace: List[Term] = []
-    current = t
-    pending: List[Tuple[Optional[tuple], Term]] = [(None, t)]
-    for _ in range(max_steps):
-        found = _cross_prefix(pending)
-        if found is None:
-            return current, trace, False
-        at, u = found
-        redex = _needed_steps(u, trees, None, redex=True)
-        if redex is None:
-            return current, trace, True
-        u = rewrite_step(u, *redex)
-        prefix = _joined(at)
-        current = _replace_on(_path(current, prefix), prefix, u)
-        pending.append((at, u))
-        trace.append(current)
-    return current, trace, False
+    trace: List[str] = []
+    frames: List[Tuple[App, List[Term]]] = []
+    # What is right of u, leftmost on top: the arguments still to cross
+    # and a ")" that closes each frame; and the texts of its bottom
+    # items, as far as a line has needed them.
+    rest: List[Union[Term, str]] = []
+    shown: List[str] = []
+    left = ""
+    text: Optional[str] = None  # the text of u, once a line printed it
+    u = t
+    suspended = False
+    while True:
+        if u.constructor_term:
+            left += str(u) if text is None else text
+            while rest:
+                frames[-1][1].append(u)
+                u = rest.pop()
+                del shown[len(rest):]
+                if u.__class__ is not str:
+                    left += ", "
+                    text = None
+                    break
+                app, done = frames.pop()
+                u = App(app.root, tuple(done))
+                left += ")"
+            else:
+                return u, trace, False
+        elif u.root.kind == CONSTRUCTOR:
+            frames.append((u, []))
+            rest.append(")")
+            rest += u.args[:0:-1]
+            left += u.root.name + "("
+            u, text = u.args[0], None
+        elif len(trace) >= max_steps:
+            break
+        else:
+            redex = _needed_steps(u, trees, None, redex=True)
+            if redex is None:
+                suspended = True
+                break
+            u = rewrite_step(u, *redex)
+            text = str(u)
+            shown += [x if x.__class__ is str else ", " + str(x)
+                      for x in rest[len(shown):]]
+            trace.append(f"{left}{text}{''.join(reversed(shown))}")
+    for app, done in reversed(frames):
+        u = App(app.root, (*done, u, *app.args[len(done) + 1:]))
+    return u, trace, suspended
 
 
 def node_to_dict(node: Node) -> dict:

@@ -323,11 +323,7 @@ def subterm_at(t: Term, pos: Sequence[int]) -> Term:
 
 def replace_at(t: Term, pos: Sequence[int], s: Term) -> Term:
     """A copy of t with the subterm at pos replaced by s."""
-    return _replace_on(_path(t, pos), pos, s)
-
-
-def _replace_on(path: List[Term], pos: Sequence[int], s: Term) -> Term:
-    """`replace_at` of path[0], given the subterms `_path` reads along pos."""
+    path = _path(t, pos)
     for u, i in zip(path[-2::-1], reversed(pos)):
         s = App(u.root, u.args[:i - 1] + (s,) + u.args[i:])
     return s

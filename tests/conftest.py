@@ -219,6 +219,16 @@ def calls_counted(run):
     return count
 
 
+def nat_text(k: int) -> str:
+    """The text of s^k(0)."""
+    return "s(" * k + "0" + ")" * k
+
+
+def list_text(items) -> str:
+    """The text of the cons list of the given item texts."""
+    return "".join(f"cons({x}, " for x in items) + "nil" + ")" * len(items)
+
+
 def ref_str(t):
     """The printed form of a term, by recursion: the reference of the
     looping printer `App.__str__`, for shallow terms."""

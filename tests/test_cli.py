@@ -16,7 +16,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_program
+from conftest import list_text, nat_text, random_program
 from nspec import cli, oracle
 from nspec.syntax import parse_program, print_program
 
@@ -248,6 +248,14 @@ class TestEval:
         else:
             assert lines[1:] == ["answer {} result 0", "1 answer(s), complete"]
 
+    def test_rewrite_rejects_a_tree_file(self, tmp_path):
+        out = tmp_path / "t.json"
+        proc = run("eval", LEQ, "-e", "add(s(0), 0)", "--strategy", "rewrite",
+                   "--tree", str(out))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "error: --tree" in proc.stderr
+        assert not out.exists()
+
     def test_max_solutions(self):
         proc = run("eval", LEQ, "-e", "leq(X, s(0)) ~ true",
                    "--strategy", "lazy", "--max-solutions", "2")
@@ -275,6 +283,93 @@ class TestEval:
                      "--max-solutions", "1")
         assert base.stdout == seeded.stdout
         assert "answer {X -> 0, Y -> s(V1)} result true" in base.stdout
+
+
+def _rewrite_lines(path, goal, *options):
+    """The exit code and output lines of `eval --strategy rewrite`, run
+    in process."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["eval", path, "-e", goal, "--strategy", "rewrite",
+                         *options])
+    return code, out.getvalue().splitlines()
+
+
+def _items(k, start=0):
+    """k list items, s^(i mod 3)(0) for i from start: neighbours differ."""
+    return [nat_text(i % 3) for i in range(start, start + k)]
+
+
+class TestRewriteTraceInClosedForm:
+    """Every line of a rewrite trace, against text built from string
+    formulas, not from a printer: the trace is joined from the kept text
+    of the constructor prefix and the rewritten subterm's, and must read
+    as the whole term would."""
+
+    @pytest.mark.parametrize("k, m", [(0, 0), (1, 3), (40, 0), (300, 7),
+                                      (1000, 2)])
+    def test_add(self, k, m):
+        goal = f"add({nat_text(k)}, {nat_text(m)})"
+        code, lines = _rewrite_lines(LEQ, goal, "--max-steps", "5000")
+        assert code == 0
+        assert lines == [f"goal: {goal}"] + [
+            f"-> {'s(' * i}add({nat_text(k - i)}, {nat_text(m)}){')' * i}"
+            for i in range(1, k + 1)] + [
+            f"-> {nat_text(k + m)}", f"normal form: {nat_text(k + m)}"]
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (1, 0), (40, 5), (1000, 3)])
+    def test_append(self, k, m):
+        xs, ys = _items(k), _items(m, start=1)
+        goal = f"append({list_text(xs)}, {list_text(ys)})"
+        code, lines = _rewrite_lines(APPEND, goal, "--max-steps", "5000")
+        assert code == 0
+        assert lines == [f"goal: {goal}"] + [
+            "-> " + "".join(f"cons({x}, " for x in xs[:i])
+            + f"append({list_text(xs[i:])}, {list_text(ys)})" + ")" * i
+            for i in range(1, k + 1)] + [
+            f"-> {list_text(xs + ys)}", f"normal form: {list_text(xs + ys)}"]
+
+    @staticmethod
+    def _first_argument_lines(xs, right):
+        """The lines of rewriting `cons(append(xs, nil), right)` up to
+        its first argument's normal form."""
+        return ["-> cons(" + "".join(f"cons({x}, " for x in xs[:i])
+                + f"append({list_text(xs[i:])}, nil)" + ")" * i + f", {right})"
+                for i in range(1, len(xs) + 1)] + [
+            f"-> cons({list_text(xs)}, {right})"]
+
+    def test_suspension_under_a_two_argument_prefix(self):
+        """The first argument finishes; the call in focus then demands X,
+        with a finished argument to its left and a pending one to its
+        right."""
+        xs = _items(60)
+        right = f"cons(append(X, nil), append({list_text(_items(4))}, nil))"
+        goal = f"cons(append({list_text(xs)}, nil), {right})"
+        code, lines = _rewrite_lines(APPEND, goal, "--max-steps", "1000")
+        assert code == 0
+        assert lines == [f"goal: {goal}"] + self._first_argument_lines(
+            xs, right) + [f"suspended at: cons({list_text(xs)}, {right})"]
+
+    def test_step_bound_under_a_two_argument_prefix(self):
+        """The bound stops the second call after j of its steps, between
+        a finished argument and a pending call."""
+        xs, ys, zs, j = _items(30), _items(50, start=1), _items(3), 20
+        goal = (f"cons(append({list_text(xs)}, nil), "
+                f"cons(append({list_text(ys)}, nil), "
+                f"append({list_text(zs)}, nil)))")
+        code, lines = _rewrite_lines(APPEND, goal, "--max-steps",
+                                     str(len(xs) + 1 + j))
+        pending = f"append({list_text(zs)}, nil)"
+        stop = (f"cons({list_text(xs)}, cons("
+                + "".join(f"cons({y}, " for y in ys[:j])
+                + f"append({list_text(ys[j:])}, nil)" + ")" * j
+                + f", {pending}))")
+        assert code == 0
+        assert lines[1:len(xs) + 2] == self._first_argument_lines(
+            xs, f"cons(append({list_text(ys)}, nil), {pending})")
+        assert lines[-2:] == [f"-> {stop}",
+                              f"incomplete (bounds reached) at: {stop}"]
+        assert len(lines) == 1 + len(xs) + 1 + j + 1
 
 
 class TestUniform:

@@ -14,7 +14,9 @@ from conftest import (
     deterministically_evaluable,
     eager_leaves,
     generic_calls,
+    list_text,
     load,
+    nat_text,
     parent_linear_walk,
     parent_narrow,
     parent_renamed,
@@ -541,7 +543,7 @@ class TestRewriteNormalize:
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, "add(s(0), s(0))"), leq_prog)
         assert str(final) == "s(s(0))"
-        assert [str(t) for t in trace] == ["s(add(0, s(0)))", "s(s(0))"]
+        assert trace == ["s(add(0, s(0)))", "s(s(0))"]
         assert not suspended
 
     def test_suspends_instead_of_guessing(self, leq_prog):
@@ -555,31 +557,48 @@ class TestRewriteNormalize:
         t = goal(leq_prog, "add(" + "s(" * 150 + "0" + ")" * 150 + ", 0)")
         final, trace, suspended = rewrite_normalize(t, leq_prog, max_steps=25)
         assert not suspended
-        assert len(trace) == 25 and final is trace[-1]
+        assert len(trace) == 25 and str(final) == trace[-1]
         assert str(final).startswith("s(" * 25 + "add(")
 
     def test_equation_normalizes_to_true(self, leq_prog):
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, "leq(0, 0) ~ true"), leq_prog)
         assert str(final) == "true"
-        assert [str(t) for t in trace] == ["eq(true, true)", "true"]
+        assert trace == ["eq(true, true)", "true"]
         assert not suspended
 
     def test_root_redex(self, leq_prog):
         final, trace, suspended = rewrite_normalize(goal(leq_prog, "leq(0, 0)"), leq_prog)
-        assert [str(t) for t in trace] == ["true"]
-        assert final is trace[-1] and not suspended
+        assert trace == ["true"]
+        assert str(final) == trace[-1] and not suspended
 
     def test_demanded_inner_redex(self, leq_prog):
         for source, first in [("leq(add(0, 0), 0)", "leq(0, 0)"),
                               ("add(add(0, 0), add(0, 0))", "add(0, add(0, 0))")]:
             _, trace, suspended = rewrite_normalize(goal(leq_prog, source), leq_prog)
-            assert str(trace[0]) == first, source
+            assert trace[0] == first, source
             assert not suspended
 
     def test_suspends_on_demanded_variable(self, leq_prog):
         t = goal(leq_prog, "leq(X, 0)")
         assert rewrite_normalize(t, leq_prog) == (t, [], True)
+
+    def test_final_term_is_plugged_from_the_frames(self, append_prog):
+        """A run that stops inside a constructor prefix returns the whole
+        term, built from the finished arguments left of the call in
+        focus and the pending ones right of it."""
+        xs, ys = ["0", "s(0)"], ["s(0)", "0", "s(0)"]
+        pending = f"append({list_text(['0'])}, nil)"
+        t = goal(append_prog, f"cons(append({list_text(xs)}, nil), "
+                              f"cons(append({list_text(ys)}, nil), {pending}))")
+        final, trace, suspended = rewrite_normalize(t, append_prog, max_steps=5)
+        reached = (f"cons({list_text(xs)}, cons(cons(s(0), cons(0, "
+                   f"append({list_text(ys[2:])}, nil))), {pending}))")
+        assert (final, trace[-1], suspended) == (
+            goal(append_prog, reached), reached, False)
+        t = goal(append_prog, f"cons({list_text(xs)}, "
+                              f"cons(append(X, nil), {pending}))")
+        assert rewrite_normalize(t, append_prog) == (t, [], True)
 
     def test_rewriting_draws_no_names_and_builds_no_variants(
             self, monkeypatch, leq_prog, loop_prog):
@@ -1178,10 +1197,12 @@ class TestRewriteAgreesWithTheParentLoop:
             rng = random.Random(seed)
             for t in _random_goals(program, rng):
                 for max_steps in (1, 3, 40):
-                    new = rewrite_normalize(t, program, max_steps)
-                    assert new == parent_rewrite_normalize(t, program, max_steps), (
+                    final, lines, stuck = rewrite_normalize(t, program, max_steps)
+                    reached, trace, parent_stuck = parent_rewrite_normalize(
+                        t, program, max_steps)
+                    assert (final, lines, stuck) == (
+                        reached, [str(u) for u in trace], parent_stuck), (
                         seed, t, max_steps)
-                    _, trace, stuck = new
                     for before, after in zip([t] + trace, trace):
                         assert after in one_step_rewrites(program, before), (seed, t)
                     runs += 1
@@ -1328,7 +1349,7 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     [step] = nns(t, leq_trees, FreshVars())
     assert step.position == (1,) * (depth - 1)
     _, [reached], suspended = rewrite_normalize(t, leq_prog, max_steps=1)
-    assert reached == narrow(t, step) and not suspended
+    assert reached == str(narrow(t, step)) and not suspended
     [step] = lns(t, leq_prog, FreshVars())
     assert step.position == (1,) * (depth - 1)
 
@@ -1450,6 +1471,30 @@ class TestStepCostFollowsTheWalk:
                 monkeypatch, lambda: nns(t, trees, FreshVars())) / k
         # Linear growth gives 1; the cubic fold gave about 16.
         assert per_part[400] < 1.5 * per_part[100], per_part
+
+    @pytest.mark.parametrize("name, source, value", [
+        ("leq", lambda k: f"add({nat_text(k)}, 0)", nat_text),
+        ("double", lambda k: f"double({nat_text(k)})",
+         lambda k: nat_text(2 * k)),
+        ("append", lambda k: f"append({list_text(['0'] * k)}, nil)",
+         lambda k: list_text(['0'] * k)),
+    ], ids=["add", "double", "append"])
+    def test_rewriting_builds_no_constructor_prefix(
+            self, monkeypatch, name, source, value):
+        """A rewrite step builds its contractum, and each constructor of
+        the prefix above it is built once, when its arguments are
+        finished: at most 4 terms per step at every depth (about 3 here,
+        as each step's right-hand side builds 2).  Rebuilding the prefix
+        at every step built k/2 per step."""
+        program = load(f"{name}.flp")
+        for k in (250, 500, 1000, 2000):
+            t = goal(program, source(k))
+            runs = []
+            built = _terms_built(monkeypatch, lambda: runs.append(
+                rewrite_normalize(t, program, max_steps=10 ** 4)))
+            [(final, trace, suspended)] = runs
+            assert trace[-1] == value(k) and not suspended
+            assert built <= 4 * len(trace), (k, built / len(trace))
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_step_cost_per_nested_call_is_flat(self, strategy):
