@@ -4,28 +4,24 @@ A definitional tree organizes the left-hand sides of one operation into
 nested case distinctions on constructor symbols.  Branch nodes carry the
 variable position being scrutinized (the inductive position); leaves
 carry one rule, a variant of its program rule over the variables of the
-leaf's pattern, whose sides are built on their first read.
+leaf's pattern, whose sides are built on their first read.  Trees
+compare and hash by identity.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .program import Program, Rule, Signature
 from .terms import (
     App,
     OPERATION,
     FreshVars,
-    Frozen,
     Position,
     Substitution,
     Symbol,
-    _put,
     replace_at,
     subterm_at,
-    var_positions,
     vars_of,
 )
 
@@ -39,63 +35,22 @@ class Leaf(NamedTuple):
     rule: Rule  # a variant of the program rule: rule.lhs is the pattern
 
 
-class Branch(Frozen):
-    """A case distinction on the constructor at `position`.
-
-    `constructors[i]` is the constructor that child i's pattern has at
-    the inductive position; it is read once, at construction, and takes
-    no part in equality, hashing or printing.  Equality compares whole
-    trees from an explicit stack; the hash reads the pattern and the
-    position only, so a tree of any depth hashes.
-    """
+class Branch:
+    """A case distinction on the constructor at `position`:
+    `constructors[i]` is the constructor that child i's pattern has there."""
 
     __slots__ = ("pattern", "position", "children", "constructors")
-    _fields = ("pattern", "position", "children")
 
     def __init__(self, pattern: App, position: Position,
-                 children: Tuple["DefTree", ...]) -> None:
-        _put(self, "pattern", pattern)
-        _put(self, "position", position)
-        _put(self, "children", children)
-        _put(self, "constructors", tuple(
-            subterm_at(child.pattern, position).root for child in children))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Branch:
-            return NotImplemented
-        return _trees_agree(self, other)
-
-    def __hash__(self) -> int:
-        return _hash_head(self)
-
-    def __repr__(self) -> str:
-        """The `Frozen` form, written from an explicit stack: a tree of
-        any depth has a repr."""
-        parts: List[str] = []
-        stack: List[object] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, Leaf):
-                parts.append(f"Leaf(pattern={item.pattern!r}, rule={item.rule!r})")
-            else:
-                parts.append(f"Branch(pattern={item.pattern!r}, "
-                             f"position={item.position!r}, children=(")
-                stack.append(",))" if len(item.children) == 1 else "))")
-                for i in range(len(item.children) - 1, -1, -1):
-                    stack.append(item.children[i])
-                    if i:
-                        stack.append(", ")
-        return "".join(parts)
+                 children: Tuple["DefTree", ...],
+                 constructors: Tuple[Symbol, ...]) -> None:
+        self.pattern = pattern
+        self.position = position
+        self.children = children
+        self.constructors = constructors
 
 
 DefTree = Union[Leaf, Branch]
-
-
-def _hash_head(branch: Branch) -> int:
-    """The hash of a branch's pattern and position, not of its children."""
-    return hash((branch.pattern, branch.position))
 
 
 def preorder(tree: DefTree) -> Iterator[Tuple[DefTree, int]]:
@@ -110,19 +65,6 @@ def preorder(tree: DefTree) -> Iterator[Tuple[DefTree, int]]:
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _trees_agree(a: DefTree, b: DefTree) -> bool:
-    """Whether two trees are equal: their preorders agree node by node,
-    depths included, which fixes the shape; leaves compare whole, and
-    branches by pattern and inductive position."""
-    for (u, i), (v, j) in zip_longest(preorder(a), preorder(b),
-                                      fillvalue=(None, -1)):
-        if i != j or u.__class__ is not v.__class__ or (
-                u != v if isinstance(u, Leaf)
-                else u.pattern != v.pattern or u.position != v.position):
-            return False
-    return True
-
-
 def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
            tie_break: str) -> Optional[DefTree]:
     """The definitional tree of `build_tree`, or None, built depth first
@@ -135,14 +77,15 @@ def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
     else has no tree, nor has the whole.  The holes of a child pattern
     are its parent's with the split one replaced by its arguments, in
     place, so they stay in position order and no pattern is searched
-    for its variables."""
+    for its variables; the root pattern f(V1..Vn) has one per argument."""
     rules = tuple(rules)
-    holes = [(p, tuple(subterm_at(r.lhs, p) for r in rules))
-             for p in var_positions(pattern)]
+    holes = [((i,), tuple(r.lhs.args[i - 1] for r in rules))
+             for i in range(1, len(pattern.args) + 1)]
     # The open branches, innermost last: pattern, inductive position,
-    # children built so far, and the (constructor, rules, holes) of the
-    # children still to build, last first.
-    stack: List[Tuple[App, Position, List[DefTree], list]] = []
+    # the children's constructors, the children built so far, and the
+    # (constructor, rules, holes) of the children still to build, last
+    # first.
+    stack: List[Tuple[App, Position, Tuple[Symbol, ...], List[DefTree], list]] = []
     while True:
         qualifying = [k for k, (_, subs) in enumerate(holes)
                       if all(isinstance(u, App) for u in subs)]
@@ -160,7 +103,7 @@ def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
                     (pos + (i + 1,), tuple(split[j].args[i] for j in members))
                     for i in range(ctor.arity)]
                 todo.append((ctor, tuple(rules[j] for j in members), child_holes))
-            stack.append((pattern, pos, [], todo))
+            stack.append((pattern, pos, tuple(groups), [], todo))
         elif len(rules) > 1:
             return None
         else:
@@ -171,14 +114,14 @@ def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
             # Hand the tree to its parent, closing each branch that has
             # all its children, up to one with a child left to build.
             while stack:
-                stack[-1][2].append(tree)
-                if stack[-1][3]:
+                stack[-1][3].append(tree)
+                if stack[-1][4]:
                     break
-                parent, pos, children, _ = stack.pop()
-                tree = Branch(parent, pos, tuple(children))
+                parent, pos, ctors, children, _ = stack.pop()
+                tree = Branch(parent, pos, tuple(children), ctors)
             else:
                 return tree
-        parent, pos, _, todo = stack[-1]
+        parent, pos, _, _, todo = stack[-1]
         ctor, rules, holes = todo.pop()
         pattern = replace_at(parent, pos, App(ctor, gen.fresh_tuple(ctor.arity)))
 
@@ -221,20 +164,6 @@ def build_tree(f: Symbol, rules: Sequence[Rule],
     return _build(root, rules, gen, tie_break)
 
 
-def forest(program: Program, tie_break: str = "leftmost"
-           ) -> Tuple[Dict[str, DefTree], List[str]]:
-    """Definitional trees for every defined operation; also the failures."""
-    trees: Dict[str, DefTree] = {}
-    failures: List[str] = []
-    for op in program.defined_operations():
-        tree = build_tree(op, program.rules_for(op.name), tie_break)
-        if tree is None:
-            failures.append(op.name)
-        else:
-            trees[op.name] = tree
-    return trees, failures
-
-
 class ISReport(NamedTuple):
     ok: bool
     trees: Dict[str, DefTree]
@@ -243,8 +172,16 @@ class ISReport(NamedTuple):
 
 def is_inductively_sequential(program: Program,
                               tie_break: str = "leftmost") -> ISReport:
-    """Whether every defined operation has a definitional tree."""
-    trees, failures = forest(program, tie_break)
+    """Whether every defined operation has a definitional tree: the
+    trees by operation name, and the operations without one."""
+    trees: Dict[str, DefTree] = {}
+    failures: List[str] = []
+    for op in program.defined_operations():
+        tree = build_tree(op, program.rules_for(op.name), tie_break)
+        if tree is None:
+            failures.append(op.name)
+        else:
+            trees[op.name] = tree
     return ISReport(not failures, trees, tuple(failures))
 
 

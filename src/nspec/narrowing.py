@@ -327,8 +327,8 @@ def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
 def _contract(t: Term, position: Position, rule: Rule,
               sigma: Dict[Var, Term]) -> Term:
     """sigma(t[r]_p) for the rule l -> r at position p, without building
-    sigma(t) or sigma(t|p).  sigma binds only variables, so p is read on
-    t itself, and l is matched against t|p through sigma: a variable of
+    sigma(t) or sigma(t|p).  p is a position of t, as a narrowing step's
+    always is, and l is matched against t|p through sigma: a variable of
     t under a constructor of l is replaced by its image, which is never
     substituted again, and a variable of l takes sigma of the subterm it
     meets, so sigma is applied once even when it is not idempotent.
@@ -337,13 +337,7 @@ def _contract(t: Term, position: Position, rule: Rule,
     a bijection on variables and the rhs has no variable that the lhs
     lacks, so both give the same contractum, and a variant's own parts
     are never built."""
-    try:
-        path = _path(t, position)
-    except ValueError:
-        # p passes through a variable that sigma binds: it is a position
-        # of sigma(t) only, which is then built as a whole.
-        t, sigma = _applied(sigma, t), {}
-        path = _path(t, position)
+    path = _path(t, position)
     source = rule.source
     theta: Dict[Var, Term] = {}
     # (pattern subterm, subterm met, the map still to apply to it)

@@ -298,10 +298,6 @@ def subterms(t: Term) -> Iterator[Tuple[Position, Term]]:
                 stack.append((pos + (i,), u.args[i - 1]))
 
 
-def var_positions(t: Term) -> List[Position]:
-    return [p for p, u in subterms(t) if isinstance(u, Var)]
-
-
 def _path(t: Term, pos: Sequence[int]) -> List[Term]:
     """The subterms of t along pos, t first; rejects out-of-range indices."""
     u = t

@@ -26,16 +26,17 @@ from nspec import (
     add_strict_equality,
     canonical_rename,
     compose,
-    forest,
+    is_inductively_sequential,
     match,
     parse_program,
     replace_at,
     search,
     subterm_at,
+    subterms,
     vars_of,
 )
 from nspec.deftree import preorder
-from nspec.terms import CONSTRUCTOR, OPERATION, Demand, Fail, var_positions
+from nspec.terms import CONSTRUCTOR, OPERATION, Demand, Fail
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,7 +117,7 @@ def random_program(seed: int) -> Program:
         leaves = []
 
         def grow(pattern, depth):
-            positions = var_positions(pattern)
+            positions = [p for p, u in subterms(pattern) if isinstance(u, Var)]
             if depth > 0 and positions and len(leaves) < 3 and rng.random() < 0.6:
                 pos = rng.choice(positions)
                 for c in rng.sample(_R_CTORS, rng.randint(1, len(_R_CTORS))):
@@ -271,11 +272,11 @@ def is_uniform(program):
     branch at an argument whose children are all leaves (linear
     left-hand sides that differ only by distinct constructors applied to
     variables at that argument, with plain variables elsewhere)."""
-    trees, failures = forest(program)
-    return not failures and all(
+    report = is_inductively_sequential(program)
+    return report.ok and all(
         isinstance(tree, Leaf) or len(tree.position) == 1
         and all(isinstance(child, Leaf) for child in tree.children)
-        for tree in trees.values())
+        for tree in report.trees.values())
 
 
 def deterministically_evaluable(t, program):

@@ -104,10 +104,11 @@ def test_rewrite_trace_rows_stay_live():
 
 
 def test_search_trace_rows_stay_live():
-    """A needed search applies each edge of its tree through one `narrow`
-    call, and calls `match` nowhere: its one definitional forest build
-    gives each leaf a variant of its program rule, and a step matches
-    its rule without `match`."""
+    """A needed search builds its definitional forest once, through one
+    `is_inductively_sequential` call, applies each edge of its tree
+    through one `narrow` call, and calls `match` nowhere: the forest
+    build gives each leaf a variant of its program rule, and a step
+    matches its rule without `match`."""
     from nspec import add_strict_equality, deftree, narrowing, parse_program, parse_term
 
     text = (TRACING.parent / "programs" / "peano.flp").read_text(encoding="utf-8")
@@ -117,7 +118,7 @@ def test_search_trace_rows_stay_live():
     tracer = _tracing().Tracer()
     with tracer:
         tracer.enabled = True
-        trees, failures = deftree.forest(program)
+        report = deftree.is_inductively_sequential(program)
     forest_calls = tracer.calls()
     tracer = _tracing().Tracer()
     with tracer:
@@ -126,7 +127,8 @@ def test_search_trace_rows_stay_live():
                                   narrowing.Bounds(max_steps=50, max_nodes=10 ** 6))
     calls = tracer.calls()
     nodes = result.root.nodes()
-    assert result.complete and len(result.answers) == 4 and not failures
+    assert result.complete and len(result.answers) == 4 and report.ok
     assert calls["narrowing.search"] == 1
+    assert calls["deftree.is_inductively_sequential"] == 1
     assert calls["narrowing.narrow"] == sum(len(n.children) for n in nodes) > 0
     assert calls["terms.match"] == forest_calls["terms.match"] == 0

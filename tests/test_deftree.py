@@ -16,7 +16,6 @@ from nspec.deftree import (
     Leaf,
     ProgramClassError,
     build_tree,
-    forest,
     is_inductively_sequential,
     uniform_transform,
 )
@@ -24,13 +23,12 @@ from nspec.program import Rule, add_strict_equality
 from nspec.syntax import parse_program, print_program
 from nspec.terms import (
     App,
-    Frozen,
     Symbol,
     Var,
     match,
     replace_at,
     subterm_at,
-    var_positions,
+    subterms,
 )
 
 PARALLEL_OR_STYLE = (
@@ -83,7 +81,7 @@ class TestBuildTree:
         program = parse_program(
             (Path(__file__).parent / "data" / f"{name}.flp").read_text())
         branches = 0
-        for tree in forest(program)[0].values():
+        for tree in is_inductively_sequential(program).trees.values():
             stack = [tree]
             while stack:
                 node = stack.pop()
@@ -161,9 +159,9 @@ class TestForestAndReport:
         assert "f3" not in report.trees
 
     def test_forest_returns_trees_and_failures(self, leq_prog):
-        trees, failures = forest(leq_prog)
-        assert failures == []
-        assert sorted(trees) == ["add", "and", "eq", "leq"]
+        report = is_inductively_sequential(leq_prog)
+        assert report.failures == ()
+        assert sorted(report.trees) == ["add", "and", "eq", "leq"]
 
     def test_forest_time_grows_linearly_in_the_rules(self):
         """The generated `eq` of n unary constructors has n + 1 rules and
@@ -174,9 +172,9 @@ class TestForestAndReport:
             names = " ".join(f"c{i}/1" for i in range(n))
             program = add_strict_equality(parse_program(
                 f"constructors {names} ;\noperations id/1 ;\nid(X) -> X ;"))
-            trees, failures = forest(program)
-            assert not failures and len(trees["eq"].children) == n + 1
-            calls[n] = calls_counted(lambda: forest(program))
+            report = is_inductively_sequential(program)
+            assert report.ok and len(report.trees["eq"].children) == n + 1
+            calls[n] = calls_counted(lambda: is_inductively_sequential(program))
         # Linear growth gives 4; a pairwise scan of the left-hand sides
         # for duplicates gives about 12.
         assert calls[400] < 6 * calls[100], calls
@@ -220,7 +218,7 @@ class TestLeavesAreVariants:
         checked = 0
         for program in self._programs():
             by_label = {rule.label: rule for rule in program.rules}
-            trees, _ = forest(program)
+            trees = is_inductively_sequential(program).trees
             leaves = [leaf for tree in trees.values() for leaf in _leaves(tree)]
             assert not any({"lhs", "rhs"} & set(vars(leaf.rule)) for leaf in leaves)
             for leaf in leaves:
@@ -234,7 +232,7 @@ class TestLeavesAreVariants:
     def test_a_forest_calls_neither_match_nor_the_rule_checks(self):
         for program in self._programs():
             counts = _calls_of([terms.match, Rule.__init__],
-                               lambda: forest(program))
+                               lambda: is_inductively_sequential(program))
             assert counts == {terms.match: 0, Rule.__init__: 0}
 
 
@@ -260,7 +258,7 @@ class TestTieBreak:
         def tree(k, tie_break):
             program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
                                     f"f({'s(' * k}0{')' * k}) -> 0 ;")
-            return forest(program, tie_break)[0]["f"]
+            return is_inductively_sequential(program, tie_break).trees["f"]
 
         deep = tree(600, "leftmost")
         assert trees_isomorphic(deep, tree(600, "rightmost"))
@@ -294,23 +292,23 @@ class TestPreorder:
         in its depth."""
         program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
                                 "f(s(0)) -> 0 ;\nf(s(s(Z))) -> 0 ;")
-        f, s = program.signature.get("f"), program.signature.get("s")
+        f, s, zero = (program.signature.get(name) for name in ("f", "s", "0"))
         one, two = (Leaf(r.lhs, r) for r in program.rules)
         inner = App(f, (App(s, (Var("Y"),)),))
-        a = Branch(App(f, (Var("X"),)), (1,), (Branch(inner, (1, 1), (one,)), two))
-        b = Branch(App(f, (Var("X"),)), (1,), (Branch(inner, (1, 1), (one, two)),))
+        a = Branch(App(f, (Var("X"),)), (1,),
+                   (Branch(inner, (1, 1), (one,), (zero,)), two), (s, s))
+        b = Branch(App(f, (Var("X"),)), (1,),
+                   (Branch(inner, (1, 1), (one, two), (zero, s)),), (s,))
         def heads(tree):
             return [(type(node), node.pattern, getattr(node, "position", None))
                     for node, _ in deftree.preorder(tree)]
 
         assert heads(a) == heads(b)
-        assert a != b and not trees_isomorphic(a, b)
-        assert a == a and trees_isomorphic(b, b)
+        assert not trees_isomorphic(a, b) and trees_isomorphic(b, b)
 
     def test_a_tree_deeper_than_the_recursion_limit(self):
         """The tree of f(s^1500(0)) -> 0 is a path of 1,501 branches and a
-        leaf, walked, printed and compared with the recursion limit at
-        100."""
+        leaf, walked and printed with the recursion limit at 100."""
         k = 1500
         program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
                                 f"f({'s(' * k}0{')' * k}) -> 0 ;")
@@ -318,38 +316,12 @@ class TestPreorder:
 
         def read():
             return ([(type(node), depth) for node, depth in deftree.preorder(tree)],
-                    tree == tree, tree == tree.children[0], cli._tree_lines(tree))
+                    cli._tree_lines(tree))
 
-        walked, equal, unequal, lines = below_recursion_limit(read)
+        walked, lines = below_recursion_limit(read)
         assert walked == [(Branch, d) for d in range(k + 1)] + [(Leaf, k + 1)]
-        assert equal and not unequal
         assert len(lines) == k + 2
         assert lines[-1] == "  " * (k + 1) + f"leaf f({'s(' * k}0{')' * k}) -> 0"
-
-class TestRepr:
-    def test_repr_is_the_field_form(self, leq_prog):
-        for name in ("leq", "add", "eq"):
-            tree = build_tree(leq_prog.signature.get(name), leq_prog.rules_for(name))
-            assert repr(tree) == Frozen.__repr__(tree)
-        one_child = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
-                                  "f(s(X)) -> 0 ;")
-        tree = build_tree(one_child.signature.get("f"), one_child.rules_for("f"))
-        assert len(tree.children) == 1
-        assert repr(tree) == Frozen.__repr__(tree)
-
-    def test_repr_of_a_tree_deeper_than_the_recursion_limit(self):
-        k = 1200
-        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
-                                f"f({'s(' * k}0{')' * k}) -> 0 ;")
-        tree = build_tree(program.signature.get("f"), program.rules_for("f"))
-        text = repr(tree)
-        assert text.startswith("Branch(pattern=App('f(V1)'), position=(1,), children=(")
-        assert text.count("Branch(") == k + 1
-        assert text.endswith(",))" * (k + 1))
-        # Equality and the hash do not recurse through the children.
-        again = build_tree(program.signature.get("f"), program.rules_for("f"))
-        assert tree == tree and tree == again and hash(tree) == hash(again)
-        assert tree != tree.children[0]
 
 
 class TestUniform:
@@ -419,7 +391,8 @@ def parent_build(pattern, rules, gen, tie_break):
         if is_variant(rule.lhs, pattern):
             theta = match(rule.lhs, pattern)
             return Leaf(pattern, Rule(pattern, theta.apply(rule.rhs), rule.label))
-    candidates = [p for p in sorted(var_positions(pattern))
+    candidates = [p for p in sorted(q for q, u in subterms(pattern)
+                                    if isinstance(u, Var))
                   if all(isinstance(subterm_at(r.lhs, p), App) for r in rules)]
     if tie_break == "rightmost":
         candidates.reverse()
@@ -436,7 +409,8 @@ def parent_build(pattern, rules, gen, tie_break):
                 break
             children.append(child)
         else:
-            return Branch(pattern, pos, tuple(children))
+            return Branch(pattern, pos, tuple(children), tuple(
+                subterm_at(child.pattern, pos).root for child in children))
     return None
 
 

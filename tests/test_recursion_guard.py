@@ -126,10 +126,10 @@ def test_program_module_has_no_self_calling_function():
 
 
 def test_deftree_and_cli_self_calls_are_the_known_ones():
-    """None: the tree builder, the preorder of a definitional tree, and
-    the repr form loop over explicit stacks; the isomorphism test, the
-    uniform transform and the text and JSON forms read the preorder."""
-    walkers = {"deftree": {"_build", "preorder", "_trees_agree", "uniform_transform"},
+    """None: the tree builder and the preorder of a definitional tree
+    loop over explicit stacks; the uniform transform and the text and
+    JSON forms read the preorder."""
+    walkers = {"deftree": {"_build", "preorder", "uniform_transform"},
                "cli": {"_tree_lines", "_tree_dict", "_narrow_tree_lines"}}
     for module, names in walkers.items():
         source = (SRC / "nspec" / f"{module}.py").read_text(encoding="utf-8")
