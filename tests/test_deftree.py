@@ -324,6 +324,35 @@ class TestPreorder:
         assert lines[-1] == "  " * (k + 1) + f"leaf f({'s(' * k}0{')' * k}) -> 0"
 
 
+class TestIdentity:
+    """A definitional tree is a plain slots object: it compares and
+    hashes by identity, so no comparison walks its children."""
+
+    def test_two_builds_are_isomorphic_but_distinct(self, leq_prog):
+        for name in ("leq", "add", "eq"):
+            build = lambda: build_tree(leq_prog.signature.get(name),
+                                       leq_prog.rules_for(name))
+            tree, again = build(), build()
+            assert not hasattr(tree, "__dict__")
+            assert trees_isomorphic(tree, again)
+            assert tree == tree and tree != again
+            assert len({tree, again}) == 2 and {tree: name}[tree] == name
+
+    def test_a_tree_deeper_than_the_recursion_limit_compares_and_hashes(self):
+        k = 1500
+        program = parse_program("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                                f"f({'s(' * k}0{')' * k}) -> 0 ;")
+        build = lambda: build_tree(program.signature.get("f"), program.rules_for("f"))
+        tree, again = build(), build()
+
+        def compare():
+            return (tree == tree, tree == again, tree == tree.children[0],
+                    len({tree, again, tree.children[0]}))
+
+        assert below_recursion_limit(compare) == (True, False, False, 3)
+        assert trees_isomorphic(tree, again)
+
+
 class TestUniform:
     def test_flat_patterns_are_uniform(self):
         src = (Path(__file__).parent / "data" / "uniform_fg.flp").read_text()

@@ -307,6 +307,27 @@ class TestNarrowInOneWalk:
             for step, child in node.children:
                 assert child.term == parent_narrow(node.term, step), step
 
+    @pytest.mark.parametrize("strategy", ["needed", "lazy"])
+    def test_every_step_is_at_an_operation_rooted_position_of_t(self, strategy):
+        """`narrow` reads a step's position on t, not on sigma(t): every
+        step that a strategy builds addresses an operation-rooted subterm
+        of t itself, on the corpus goals and on random programs."""
+        searches = [(load(f"{name}.flp"), name, source)
+                    for name, source in CORPUS_GOALS]
+        for seed in range(60):
+            program = random_program(seed)
+            searches += [(program, seed, call) for call in generic_calls(program)]
+        steps = 0
+        for program, origin, source in searches:
+            t = goal(program, source) if isinstance(source, str) else source
+            result = search(t, program, strategy, Bounds(max_steps=5, max_nodes=150))
+            for node in result.root.nodes():
+                for step, _ in node.children:
+                    redex = subterm_at(node.term, step.position)
+                    assert is_operation_rooted(redex), (origin, node.term, step)
+                    steps += 1
+        assert steps >= 500, steps
+
 
 class TestSearch:
     def test_enumerates_independent_answers(self, leq_prog):
