@@ -188,13 +188,12 @@ def is_inductively_sequential(program: Program,
 def require_class(program: Program, strategy: str, head: str
                   ) -> Dict[str, DefTree]:
     """The program-class gate of a strategy, run once per search, unfold,
-    specialization, rewrite or transform.
+    specialization, rewrite or transform; the step descents run none.
 
     Needed narrowing requires an inductively sequential program: the
     error, raised only here, is `head` followed by the operations without
     a definitional tree, and the trees are returned.  Lazy narrowing
-    requires left-linear constructor-based rules (`require_lazy_class`)
-    and uses no trees.
+    requires left-linear constructor-based rules and uses no trees.
     """
     if strategy == "needed":
         report = is_inductively_sequential(program)
@@ -202,20 +201,14 @@ def require_class(program: Program, strategy: str, head: str
             raise ProgramClassError(head + ", ".join(report.failures))
         return report.trees
     if strategy == "lazy":
-        require_lazy_class(program)
+        bad = [r for r in program.rules
+               if not r.is_left_linear() or not r.is_constructor_based()]
+        if bad:
+            raise ProgramClassError(
+                "lazy narrowing requires left-linear constructor-based rules; "
+                "offending: " + "; ".join(str(r) for r in bad))
         return {}
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def require_lazy_class(program: Program) -> None:
-    """The program-class gate of lazy narrowing.  `narrowing.lns` runs it
-    on every call, `require_class` once per search or unfold."""
-    bad = [r for r in program.rules
-           if not r.is_left_linear() or not r.is_constructor_based()]
-    if bad:
-        raise ProgramClassError(
-            "lazy narrowing requires left-linear constructor-based rules; "
-            "offending: " + "; ".join(str(r) for r in bad))
 
 
 def _fresh_operation_name(base: str, index: int, signature: Signature,
@@ -256,7 +249,7 @@ def uniform_transform(program: Program) -> Program:
                 binding = Substitution({x: subterm_at(node.pattern, parent.position)})
                 lhs = binding.apply(head)
             if isinstance(node, Leaf):
-                new_rules.append(Rule(lhs, node.rule.rhs))
+                new_rules.append(Rule(lhs, node.rule.rhs, f"U{len(new_rules) + 1}"))
                 continue
             call = lhs
             if depth:
@@ -267,8 +260,7 @@ def uniform_transform(program: Program) -> Program:
                 sym = Symbol(name, len(args), OPERATION)
                 signature.declare(sym)
                 call = App(sym, args)
-                new_rules.append(Rule(lhs, call))
+                new_rules.append(Rule(lhs, call, f"U{len(new_rules) + 1}"))
             level[depth:] = [(node, call)]
 
-    labeled = [Rule(r.lhs, r.rhs, f"U{i + 1}") for i, r in enumerate(new_rules)]
-    return Program(signature, labeled, program.has_strict_equality)
+    return Program(signature, new_rules, program.has_strict_equality)

@@ -3,10 +3,9 @@
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
 by linear unification against every rule, descending into demanded
-positions.  The lazy descent walks each rule's left-hand side from its
-preorder, flattened on the rule's first walk (`Rule.shape`), and a rule
-without a step advances the name counter without building names
-(`FreshVars.skip`).  Both descents loop over explicit stacks, so nested calls
+positions.  Both need a program that passed `deftree.require_class`
+and a `FreshVars` that already avoids the term's and the program's
+variables.  Both descents loop over explicit stacks, so nested calls
 are limited by memory, not by the recursion limit.  `expand` grows the
 narrowing tree of a term under either strategy with an explicit stack,
 decides each node's fate once (`Node.cause`), and only counts the steps
@@ -22,20 +21,17 @@ by the needed descent's redex mode, which draws no names and builds no
 `Step`.  It keeps the term as a zipper: the constructor prefix above
 the rewritten subterm, which no later step changes, is crossed once
 and built once, and the trace is text, each line joined from the
-prefix's kept text and the rewritten subterm's.  At a
-variable, the needed descent looks ahead: it binds the variable only
-for the children whose own inductive position can still match, and a
-dead child only draws the names its binding would have had.
+prefix's kept text and the rewritten subterm's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple, Union)
 
-from .deftree import DefTree, Leaf, require_class, require_lazy_class
+from .deftree import DefTree, Leaf, require_class
 from .program import Program, Rule
 from .terms import (
     App,
@@ -46,10 +42,12 @@ from .terms import (
     IDENTITY,
     Position,
     Substitution,
+    Symbol,
     Term,
     Var,
     _applied,
     _path,
+    _rebuild,
     _solve,
     canonical_rename,
     is_constructor_term,
@@ -80,26 +78,6 @@ class Step(NamedTuple):
         return f"({list(self.position)}, {self.rule.label or self.rule}, {self.subst})"
 
 
-def compose_canonical(parts: Iterable[Substitution]) -> Substitution:
-    """phi_k o ... o phi_1 of the canonical parts of a needed step, read
-    as one triangular substitution (`resolve_chain`) whose domain is in
-    binding order: each part binds a variable that no earlier part bound
-    or mentions, so this equals the composition, at a cost linear in the
-    parts and their images.  Identities change nothing, so a single
-    non-identity part is the composition itself."""
-    chain: Chain = None
-    domain: List[Var] = []
-    for phi in parts:
-        if phi:
-            chain = (phi, chain)
-            domain += phi.domain()
-    if chain is None:
-        return IDENTITY
-    if chain[1] is None:
-        return chain[0]
-    return resolve_chain(chain, domain)
-
-
 def _unwind(chain: Optional[tuple]) -> List[object]:
     """The items of a parent-pointer chain (item, parent), oldest first."""
     items = []
@@ -117,40 +95,39 @@ def _joined(segments: Optional[tuple]) -> Position:
     return tuple(itertools.chain.from_iterable(_unwind(segments)))
 
 
-def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars) -> List[Step]:
-    """Needed narrowing steps of an operation-rooted term.
-
-    Walks the definitional tree of the root.  At a branch with inductive
-    position o: a variable at t|o is instantiated child by child, a
-    constructor selects the matching child, and an operation continues
-    into its own tree with positions prefixed by o.  Leaves emit the
-    renamed-apart rule at the root.  A root without a tree has no step.
-    """
-    if not is_operation_rooted(t):
-        raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
-    gen.reserve(vars_of(t))
-    return _needed_steps(t, trees, gen)
+def _tree_of(trees: Dict[str, DefTree], f: Symbol) -> Optional[DefTree]:
+    """The definitional tree of f, or None when there is none or the
+    tree of f's name is that of a symbol of another signature."""
+    tree = trees.get(f.name)
+    if tree is None or tree.pattern.root is f or tree.pattern.root == f:
+        return tree
+    return None
 
 
-def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
-                  count: bool = False, at: Optional[tuple] = None,
-                  redex: bool = False
-                  ) -> Union[List[Step], int, Optional[Tuple[Position, Rule]]]:
-    """The descent of `nns`, from an explicit stack, depth first with
-    the children of a branch in tree order, from the tree of t's root
-    (none, and no step, when it has none).
+def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
+        count: bool = False, at: Optional[tuple] = None, redex: bool = False
+        ) -> Union[List[Step], int, Optional[Tuple[Position, Rule]]]:
+    """Needed narrowing steps of an operation-rooted term t, from the
+    definitional tree of its root (none, and no step, when it has none).
+    `trees` comes from `deftree.require_class`; `gen` must already avoid
+    t's and the program's variables, for none are reserved here.
 
-    A variable at an inductive position is instantiated child by child,
-    but t itself is never rebuilt: each instantiation is entered in
-    `bound`, which holds the bindings of the current tree path, and
-    positions are read through it.  A frame is (tree node, the
-    operation-rooted subterm u it descends, u's position extending `at`
-    (t's own) and the canonical parts so far, both parent-pointer chains
-    read only at a leaf, and the (variable, constructor) to bind on
-    entry, if any); a bare variable on the stack ends that binding's
-    scope.  A branch reads its inductive position once, from u through
-    `bound`, when it is entered.  Fresh variables and rule variants are
-    drawn depth first.
+    The tree is descended from an explicit stack, depth first, children
+    in tree order.  At a branch with inductive position o, a variable at
+    t|o is instantiated child by child, a constructor selects its child,
+    and an operation continues into its own tree, positions prefixed by
+    o.  t is never rebuilt: each instantiation is entered in `bound`, the
+    bindings of the current tree path in binding order, and positions
+    are read through it.  A frame is (tree node, the operation-rooted
+    subterm u it descends, u's position extending `at` (t's own) and the
+    canonical parts so far, both parent-pointer chains read only at a
+    leaf, and the (variable, constructor) to bind on entry, if any); a
+    bare variable on the stack ends that binding's scope.  A branch
+    reads its inductive position once, on entry.  A leaf draws its
+    rule's variant and reads its substitution off `bound` as one
+    triangular map (`_rebuild`, as `resolve_chain` does): every image is
+    made of fresh names, so no image mentions a variable bound before
+    it, and that is the composition of the canonical parts.
 
     A variable branch looks ahead before it pushes a child that is not
     a leaf: it reads the child's inductive position from u through
@@ -170,10 +147,12 @@ def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
     at the first variable it would bind or when no child matches.  It
     reads no `gen` and builds no variant, part or step.
     """
+    if not is_operation_rooted(t):
+        raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
     steps: List[Step] = []
     found = 0
     bound: Dict[Var, App] = {}
-    tree = trees.get(t.root.name)
+    tree = _tree_of(trees, t.root)
     stack: List[object] = [] if tree is None else [(tree, t, at, None, None)]
     while stack:
         frame = stack.pop()
@@ -198,9 +177,13 @@ def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                 gen.skip(node.rule.variables)
                 found += 1
                 continue
-            canonical = tuple(_unwind((IDENTITY, parts)))
-            steps.append(Step(_joined(at), node.rule.renamed(gen),
-                              compose_canonical(canonical), canonical))
+            if len(bound) > 1:
+                memo: Dict[Var, Term] = {}
+                sigma = Substitution._of({x: _rebuild(x, memo, bound) for x in bound})
+            else:  # none or one binding: the map is resolved as it is
+                sigma = Substitution._of(bound.copy())
+            steps.append(Step(_joined(at), node.rule.renamed(gen), sigma,
+                              tuple(_unwind((IDENTITY, parts)))))
             continue
         sub = u
         for i in node.position:
@@ -236,7 +219,7 @@ def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                     stack.append((child, u, at, (IDENTITY, parts), None))
                     break
         else:
-            inner = trees.get(sub.root.name)
+            inner = _tree_of(trees, sub.root)
             if inner is not None:
                 stack.append((inner, sub, (node.position, at),
                               (IDENTITY, parts), None))
@@ -245,26 +228,16 @@ def _needed_steps(t: App, trees: Dict[str, DefTree], gen: Optional[FreshVars],
     return found if count else steps
 
 
-def lns(t: Term, program: Program, gen: FreshVars) -> List[Step]:
-    """Lazy narrowing steps of an operation-rooted term.
+def lns(t: Term, program: Program, gen: FreshVars, count: bool = False,
+        at: Optional[tuple] = None) -> Union[List[Step], int]:
+    """Lazy narrowing steps of an operation-rooted term t.  The program
+    must have passed `deftree.require_class` under the lazy strategy,
+    and `gen` must already avoid t's and the program's variables.
 
-    Every rule whose root matches is linearly unified against the
-    subterm; successes become steps, demanded positions are collected
-    (across all rules, deduplicated) and descended into over all rules.
-    """
-    if not is_operation_rooted(t):
-        raise ValueError(f"lazy narrowing needs an operation-rooted term, got {t}")
-    require_lazy_class(program)
-    gen.reserve(vars_of(t))
-    return _lns(t, program, gen)
-
-
-def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
-         at: Optional[tuple] = None) -> Union[List[Step], int]:
-    """The descent of `lns`, from an explicit stack: the steps at a
-    position come first, then those of each position it demands, in
-    position order, each with everything below it.
-
+    Every rule of t's root is linearly unified against t, and each
+    success is a step.  Then each position that a rule demands is
+    descended into, in position order and with everything below it,
+    from an explicit stack.
     Each rule's own left-hand side is walked once, from its shape
     (`Rule.shape`, flattened on the first walk, `linear_walk`), and
     whether the walk's equations unify is decided on them too
@@ -280,6 +253,8 @@ def _lns(t: App, program: Program, gen: FreshVars, count: bool = False,
     built, and the number of steps is returned.  Positions are chains of
     demanded positions extending `at` (t's own), spelled out once per
     position that has steps."""
+    if not is_operation_rooted(t):
+        raise ValueError(f"lazy narrowing needs an operation-rooted term, got {t}")
     steps: List[Step] = []
     found = 0
     stack: List[Tuple[Optional[tuple], App]] = [(at, t)]
@@ -475,8 +450,8 @@ def strategy_steps(t: Term, program: Program, strategy: str,
         return 0 if count else []
     at, t = found
     if strategy == "needed":
-        return _needed_steps(t, trees, gen, count, at)
-    return _lns(t, program, gen, count, at)
+        return nns(t, trees, gen, count, at)
+    return lns(t, program, gen, count, at)
 
 
 # The text of the needed-class error, before the offending operations.
@@ -666,7 +641,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
         elif len(trace) >= max_steps:
             break
         else:
-            redex = _needed_steps(u, trees, None, redex=True)
+            redex = nns(u, trees, None, redex=True)
             if redex is None:
                 suspended = True
                 break

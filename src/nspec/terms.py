@@ -407,8 +407,8 @@ def compose(outer: Substitution, inner: Substitution) -> Substitution:
     Its cost grows with the domains and the term sizes of both, so
     nothing in nspec composes along a derivation: the search and the
     partial evaluator keep a `Chain` and call `resolve_chain` at its
-    leaf, and a needed step resolves its parts the same way
-    (`narrowing.compose_canonical`).
+    leaf, and the needed descent resolves a step's bindings, kept in one
+    map, the same way (`narrowing.nns`).
     """
     m: Dict[Var, Term] = {}
     for x in inner.domain():

@@ -132,3 +132,37 @@ def test_search_trace_rows_stay_live():
     assert calls["deftree.is_inductively_sequential"] == 1
     assert calls["narrowing.narrow"] == sum(len(n.children) for n in nodes) > 0
     assert calls["terms.match"] == forest_calls["terms.match"] == 0
+
+
+def test_step_trace_rows_stay_live():
+    """Every node of a search that is not a success leaf computes or
+    counts its steps through one call of the traced descent, `nns` or
+    `lns`, and the rewrite loop finds each redex through one `nns`
+    call."""
+    from nspec import add_strict_equality, cli, narrowing, parse_program, parse_term
+
+    peano = TRACING.parent / "programs" / "peano.flp"
+    program = add_strict_equality(parse_program(peano.read_text(encoding="utf-8")))
+    root = parse_term("append(Xs, Ys) ~ cons(0, cons(s(0), nil))", program.signature)
+    stepped = {}
+    for strategy, row in (("needed", "narrowing.nns"), ("lazy", "narrowing.lns")):
+        tracer = _tracing().Tracer()
+        with tracer:
+            tracer.enabled = True
+            result = narrowing.search(root, program, strategy,
+                                      narrowing.Bounds(max_steps=50, max_nodes=10 ** 6))
+        calls = tracer.calls()
+        nodes = result.root.nodes()
+        assert result.complete and len(result.answers) == 3
+        stepped[strategy] = sum(n.status != narrowing.SUCCESS for n in nodes)
+        assert calls[row] == stepped[strategy] > 0, strategy
+    assert stepped["needed"] == stepped["lazy"]
+
+    tracer = _tracing().Tracer()
+    out = io.StringIO()
+    with tracer, contextlib.redirect_stdout(out):
+        tracer.enabled = True
+        code = cli.main(["eval", str(peano), "-e", "add(s(s(0)), s(0))",
+                         "--strategy", "rewrite"])
+    assert code == 0 and out.getvalue().splitlines()[-1] == "normal form: s(s(s(0)))"
+    assert tracer.calls()["narrowing.nns"] == 3

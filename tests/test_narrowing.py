@@ -38,9 +38,6 @@ from nspec.narrowing import (
     SUCCESS,
     Bounds,
     Step,
-    _lns,
-    _needed_steps,
-    compose_canonical,
     expand,
     lns,
     narrow,
@@ -144,6 +141,18 @@ class TestNeededSteps:
         with pytest.raises(ValueError, match="operation-rooted"):
             nns(X, leq_trees, FreshVars())
 
+    def test_a_symbol_of_another_signature_has_no_step(self, leq_prog, leq_trees):
+        """A unary leq is not the program's leq/2: its tree is not entered,
+        at the root or under another call."""
+        other = App(Symbol("leq", 1, "operation"), (goal(leq_prog, "0"),))
+        assert nns(other, leq_trees, FreshVars()) == []
+        assert strategy_steps(other, leq_prog, "needed", leq_trees,
+                              FreshVars()) == []
+        nested = App(leq_prog.signature.get("add"), (other, goal(leq_prog, "0")))
+        assert nns(nested, leq_trees, FreshVars()) == []
+        assert strategy_steps(nested, leq_prog, "needed", leq_trees,
+                              FreshVars(), count=True) == 0
+
     def test_an_operation_without_rules_has_no_step(self):
         program = parse_program("constructors 0/0 ;\noperations f/1 g/1 ;\n"
                                 "f(X) -> g(X) ;")
@@ -158,7 +167,7 @@ class TestNeededSteps:
     def test_canonical_decomposition(self, leq_prog, leq_trees):
         steps = nns(goal(leq_prog, "leq(X, add(X, X))"), leq_trees, FreshVars())
         for step in steps:
-            assert compose_canonical(step.canonical) == step.subst
+            assert step.subst == parent_compose_canonical(step.canonical)
             for phi in step.canonical:
                 assert len(phi) <= 1
                 for image in phi.mapping.values():
@@ -757,7 +766,7 @@ def peano():
 
 
 def ref_nns(t, node, trees, gen):
-    """The recursive descent that `_needed_steps` replaced: a variable
+    """The recursive descent that `nns` replaced: a variable
     branch applies each child's instantiation to the whole term and
     descends into the result; rule variants are built eagerly."""
     if isinstance(node, Leaf):
@@ -785,8 +794,9 @@ def ref_nns(t, node, trees, gen):
 
 
 def parent_compose_canonical(parts):
-    """The composition that `compose_canonical` replaced: a left fold of
-    `compose`, cubic in the number of parts."""
+    """The composition of a needed step's canonical parts as a left fold
+    of `compose`, cubic in the number of parts: the reference for the
+    step's substitution, which `nns` reads off its bindings."""
     acc = IDENTITY
     for phi in parts:
         if phi:
@@ -815,7 +825,7 @@ def _assert_descent_matches_reference(t, trees):
     tree = trees[t.root.name]
     gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
     new = [_step_view(s.position, s.rule, s.subst, s.canonical)
-           for s in _needed_steps(t, trees, gen)]
+           for s in nns(t, trees, gen)]
     ref = [_step_view(pos, rule, parent_compose_canonical(parts), parts)
            for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
     assert new == ref, t
@@ -869,7 +879,7 @@ class TestNeededDescentAgreesWithReference:
 
 
 def ref_lns(t, at, program, gen):
-    """The recursive lazy descent that `_lns` replaced, with eager rule
+    """The recursive lazy descent that `lns` replaced, with eager rule
     variants."""
     sub = subterm_at(t, at)
     steps, demanded = [], {}
@@ -889,7 +899,7 @@ def ref_lns(t, at, program, gen):
 
 
 def parent_lns(t, program, gen):
-    """The lazy descent that `_lns` replaced: a rule whose walk neither
+    """The lazy descent that `lns` replaced: a rule whose walk neither
     clashes nor demands is renamed, walked again and solved by the
     replaced unifier, as `linear_unify` did; any other rule draws its
     renaming without using it.  Variants are built eagerly."""
@@ -920,7 +930,7 @@ def _assert_lazy_descent_matches_reference(t, program):
     gen, ref_gen, parent_gen = (FreshVars(vars_of(t)) for _ in range(3))
     new, ref, parent = (
         [_step_view(s.position, s.rule, s.subst, s.canonical) for s in steps]
-        for steps in (_lns(t, program, gen), ref_lns(t, (), program, ref_gen),
+        for steps in (lns(t, program, gen), ref_lns(t, (), program, ref_gen),
                       parent_lns(t, program, parent_gen)))
     assert new == ref == parent, t
     assert gen.fresh() == ref_gen.fresh() == parent_gen.fresh(), t
@@ -955,7 +965,12 @@ class TestLookAhead:
             t = goal(program, f"eq(Y, {'s(' * k}0{')' * k})")
             images.clear()
             [step] = nns(t, trees, FreshVars())
-            assert [list(m) for m in images if y in m] == [[y]], k
+            parts = [phi for phi in step.canonical if y in phi.mapping]
+            assert [list(phi.mapping) for phi in parts] == [[y]], k
+            # The maps built that bind Y: that part and the step's own
+            # substitution, not one per constructor of the signature.
+            assert [m for m in images if y in m] == [
+                parts[0]._map, step.subst._map], k
             assert step.subst.mapping == {y: App(program.signature.get("s"),
                                                  (Var("V1"),))}
 
@@ -963,7 +978,7 @@ class TestLookAhead:
 class TestLazyDescentAgreesWithReference:
     def test_several_demanded_positions_in_order(self, leq_prog):
         t = goal(leq_prog, "leq(add(X, Y), add(Y, add(X, 0)))")
-        positions = [s.position for s in _lns(t, leq_prog, FreshVars(vars_of(t)))]
+        positions = [s.position for s in lns(t, leq_prog, FreshVars(vars_of(t)))]
         assert positions == [(1,), (1,), (2,), (2,)]
         _assert_lazy_descent_matches_reference(t, leq_prog)
 
@@ -1339,8 +1354,9 @@ class TestCountingSteps:
 
 
 class TestComposeCanonical:
-    """`compose_canonical` resolves the parts of a needed step as one
-    triangular substitution; the left fold of `compose` is its reference."""
+    """A needed step's substitution is the composition of its canonical
+    parts, read off the descent's bindings; the left fold of `compose`
+    is its reference."""
 
     @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
         ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
@@ -1348,25 +1364,9 @@ class TestComposeCanonical:
         program = load(f"{name}.flp")
         trees = is_inductively_sequential(program).trees
         for t in _descent_goals(program, goal(program, source)):
-            for step in nns(t, trees, FreshVars()):
-                assert (_subst_view(compose_canonical(step.canonical))
-                        == _subst_view(parent_compose_canonical(step.canonical))
-                        == _subst_view(step.subst)), t
-
-    def test_a_long_chain_binds_in_order(self):
-        xs = [Var(f"X{i}") for i in range(40)]
-        zero, s = Symbol("0", 0, "constructor"), Symbol("s", 1, "constructor")
-        parts = [Substitution({x: App(s, (y,))}) for x, y in zip(xs, xs[1:])]
-        parts[3:3] = [IDENTITY]
-        parts.append(Substitution({xs[-1]: App(zero)}))
-        sigma = compose_canonical(parts)
-        assert _subst_view(sigma) == _subst_view(parent_compose_canonical(parts))
-        assert list(sigma.mapping) == xs
-        assert str(sigma.apply(xs[0])) == "s(" * 39 + "0" + ")" * 39
-
-    def test_no_parts_or_identities_only(self):
-        assert compose_canonical([]) == IDENTITY
-        assert compose_canonical([IDENTITY, IDENTITY]) == IDENTITY
+            for step in nns(t, trees, FreshVars(vars_of(t))):
+                assert (_subst_view(step.subst)
+                        == _subst_view(parent_compose_canonical(step.canonical))), t
 
 
 def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):

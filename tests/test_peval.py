@@ -1227,3 +1227,62 @@ class TestDrawnNamesNeedNoRecord:
         monkeypatch.setattr(peval, "FreshVars", ParentFreshVars)
         assert (_unfold_views(program, calls),
                 [_control_views(program, [call]) for call in calls]) == views
+
+
+# The interpreter task: times(N, C, X) runs the code list C on X, N
+# times, and times_hand.flp is its program for C = [inc, dbl] written
+# by hand.  Per unfold depth: the residual rules without eq/and, and the
+# needed-narrowing steps of times(s^n(0), [inc, dbl], X) for n = 1-3 and
+# X = 0, s(0), as (original, specialized, hand-written).
+INTERP_CODE = "cons(inc, cons(dbl, nil))"
+INTERP_COUNTS = {
+    1: (12, [(10, 10, 4), (11, 11, 5), (29, 29, 11), (33, 33, 15),
+             (70, 70, 28), (82, 82, 40)]),
+    2: (8, [(10, 5, 4), (11, 6, 5), (29, 16, 11), (33, 20, 15),
+            (70, 40, 28), (82, 52, 40)]),
+    3: (10, [(10, 5, 4), (11, 6, 5), (29, 15, 11), (33, 19, 15),
+             (70, 38, 28), (82, 50, 40)]),
+    4: (9, [(10, 4, 4), (11, 5, 5), (29, 14, 11), (33, 18, 15),
+            (70, 35, 28), (82, 47, 40)]),
+}
+
+
+def _interp_counts(depth):
+    """The residual rules and the step triples of INTERP_COUNTS at one
+    depth; the three programs give the same answers on every goal."""
+    original, hand = load("interp/times.flp"), load("interp/times_hand.flp")
+    call = parse_term(f"times(N, {INTERP_CODE}, X)", original.signature)
+    result = pe_control(original, [call], UnfoldPolicy(depth=depth)).result
+    bounds = Bounds(max_steps=5000, max_nodes=10 ** 5)
+
+    def run(goal, program):
+        done = search(goal, program, "needed", bounds)
+        assert done.complete
+        return len(done.root.nodes()) - 1, answer_set(done)
+
+    triples = []
+    for n in (1, 2, 3):
+        for x in ("0", "s(0)"):
+            nat = "s(" * n + "0" + ")" * n
+            goal = parse_term(f"times({nat}, {INTERP_CODE}, {x})", original.signature)
+            runs = [run(goal, original),
+                    run(rename_term(result.renaming, goal), result.program),
+                    run(parse_term(f"times({nat}, {x})", hand.signature), hand)]
+            assert runs[0][1] == runs[1][1] == runs[2][1], (depth, n, x)
+            triples.append(tuple(steps for steps, _ in runs))
+    rules = [r for r in result.program.rules if r.lhs.root.name not in (EQ, AND)]
+    return len(rules), triples
+
+
+class TestInterpreterTask:
+    @pytest.mark.parametrize("depth", sorted(INTERP_COUNTS))
+    def test_counts_are_pinned(self, depth):
+        assert _interp_counts(depth) == INTERP_COUNTS[depth]
+
+    @pytest.mark.xfail(strict=True, reason="target of ROADMAP items 1 and 10")
+    @pytest.mark.parametrize("depth", sorted(INTERP_COUNTS))
+    def test_jones_optimal(self, depth):
+        """The specialized interpreter takes no more steps than the
+        program written by hand."""
+        _, triples = _interp_counts(depth)
+        assert all(spec <= hand for _, spec, hand in triples)

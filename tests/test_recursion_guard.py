@@ -101,10 +101,10 @@ def test_narrowing_steps_and_redexes_do_not_call_themselves():
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
-    walkers = {"_needed_steps", "_lns", "_cross_prefix", "rewrite_normalize",
+    walkers = {"nns", "lns", "_cross_prefix", "rewrite_normalize",
                "strategy_steps", "expand", "preorder", "node_to_dict"}
     assert walkers <= defined
-    assert "_nns" not in defined  # folded into the loop of _needed_steps
+    assert "_nns" not in defined  # folded into the loop of nns
     assert self_calling_functions(source) == []
 
 
