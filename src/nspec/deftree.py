@@ -10,16 +10,17 @@ compare and hash by identity.
 
 from __future__ import annotations
 
+from itertools import count, islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .program import Program, Rule, Signature
 from .terms import (
     App,
     OPERATION,
-    FreshVars,
     Position,
     Substitution,
     Symbol,
+    Var,
     replace_at,
     subterm_at,
     vars_of,
@@ -65,65 +66,67 @@ def preorder(tree: DefTree) -> Iterator[Tuple[DefTree, int]]:
             stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
-def _build(pattern: App, rules: Sequence[Rule], gen: FreshVars,
+def _build(f: Symbol, rules: Tuple[Rule, ...],
            tie_break: str) -> Optional[DefTree]:
     """The definitional tree of `build_tree`, or None, built depth first
     from an explicit stack of open branches.
 
-    A hole of a pattern is a variable position with the subterms that
-    the pattern's left-hand sides have there, in rule order; it
-    qualifies if they are all constructor-rooted.  A pattern without a
-    qualifying hole is a leaf if it has one rule (a variant of it), and
-    else has no tree, nor has the whole.  The holes of a child pattern
-    are its parent's with the split one replaced by its arguments, in
-    place, so they stay in position order and no pattern is searched
-    for its variables; the root pattern f(V1..Vn) has one per argument."""
-    rules = tuple(rules)
-    holes = [((i,), tuple(r.lhs.args[i - 1] for r in rules))
-             for i in range(1, len(pattern.args) + 1)]
-    # The open branches, innermost last: pattern, inductive position,
-    # the children's constructors, the children built so far, and the
-    # (constructor, rules, holes) of the children still to build, last
-    # first.
-    stack: List[Tuple[App, Position, Tuple[Symbol, ...], List[DefTree], list]] = []
+    A hole of a pattern is one of its variables, with its position and
+    the subterms that the left-hand sides have there, by rule index; it
+    qualifies if those of the pattern's rules are all applications.  A
+    pattern without a qualifying hole is a leaf if it has one rule (a
+    variant of it over the holes' variables), and else has no tree,
+    nor has the whole.  The holes of a child pattern are its parent's
+    with the split one replaced by its arguments, so they stay in
+    position order and are the pattern's variables in order; the root
+    pattern f(V1..Vn) has one per argument.  The variables are named
+    V1, V2, ... in the order they are drawn."""
+    names = map("V{}".format, count(1))
+    xs = tuple(map(Var, islice(names, f.arity)))
+    pattern = App(f, xs)
+    holes = [((i,), x, [r.lhs.args[i - 1] for r in rules])
+             for i, x in enumerate(xs, 1)]
+    members: Sequence[int] = range(len(rules))  # the pattern's rules
+    scan = reversed if tie_break == "rightmost" else iter
+    # The open branches, innermost last: pattern, holes, the index of
+    # the split hole, the children's constructors, the children built so
+    # far, and the (constructor, rules) of the children still to build,
+    # last first.
+    stack: List[Tuple[App, list, int, Tuple[Symbol, ...], List[DefTree],
+                      List[Tuple[Symbol, List[int]]]]] = []
     while True:
-        qualifying = [k for k, (_, subs) in enumerate(holes)
-                      if all(isinstance(u, App) for u in subs)]
-        if qualifying:
-            k = qualifying[-1 if tie_break == "rightmost" else 0]
-            pos, split = holes[k]
-            groups: Dict[Symbol, List[int]] = {}
-            for j, u in enumerate(split):
-                groups.setdefault(u.root, []).append(j)
-            todo = []
-            for ctor, members in reversed(groups.items()):
-                child_holes = [(q, tuple(subs[j] for j in members))
-                               for q, subs in holes]
-                child_holes[k:k + 1] = [
-                    (pos + (i + 1,), tuple(split[j].args[i] for j in members))
-                    for i in range(ctor.arity)]
-                todo.append((ctor, tuple(rules[j] for j in members), child_holes))
-            stack.append((pattern, pos, tuple(groups), [], todo))
-        elif len(rules) > 1:
-            return None
+        for k in scan(range(len(holes))):
+            subs = holes[k][2]
+            if all([subs[j].__class__ is App for j in members]):
+                groups: Dict[Symbol, List[int]] = {}
+                for j in members:
+                    groups.setdefault(subs[j].root, []).append(j)
+                stack.append((pattern, holes, k, tuple(groups), [],
+                              list(groups.items())[::-1]))
+                break
         else:
-            # The pattern is a variant of the one rule's left-hand side,
-            # its variables in the same order.
-            tree: DefTree = Leaf(pattern, rules[0]._variant(
-                [x.name for x in vars_of(pattern)]))
+            if len(members) > 1:
+                return None
+            tree: DefTree = Leaf(pattern, rules[members[0]]._variant(
+                [x.name for _, x, _ in holes]))
             # Hand the tree to its parent, closing each branch that has
             # all its children, up to one with a child left to build.
             while stack:
-                stack[-1][3].append(tree)
-                if stack[-1][4]:
+                stack[-1][4].append(tree)
+                if stack[-1][5]:
                     break
-                parent, pos, ctors, children, _ = stack.pop()
-                tree = Branch(parent, pos, tuple(children), ctors)
+                parent, parent_holes, k, ctors, children, _ = stack.pop()
+                tree = Branch(parent, parent_holes[k][0], tuple(children), ctors)
             else:
                 return tree
-        parent, pos, _, _, todo = stack[-1]
-        ctor, rules, holes = todo.pop()
-        pattern = replace_at(parent, pos, App(ctor, gen.fresh_tuple(ctor.arity)))
+        parent, parent_holes, k, _, _, todo = stack[-1]
+        ctor, members = todo.pop()
+        pos, _, subs = parent_holes[k]
+        xs = tuple(map(Var, islice(names, ctor.arity)))
+        pattern = replace_at(parent, pos, App(ctor, xs))
+        holes = parent_holes[:k] + [
+            (pos + (i,), x, {j: subs[j].args[i - 1] for j in members})
+            for i, x in enumerate(xs, 1)] + parent_holes[k + 1:]
 
 
 def build_tree(f: Symbol, rules: Sequence[Rule],
@@ -159,9 +162,7 @@ def build_tree(f: Symbol, rules: Sequence[Rule],
             raise ProgramClassError(f"rule {r} does not define {f}")
         if not r.is_left_linear() or not r.is_constructor_based():
             return None
-    gen = FreshVars()
-    root = App(f, gen.fresh_tuple(f.arity))
-    return _build(root, rules, gen, tie_break)
+    return _build(f, tuple(rules), tie_break)
 
 
 class ISReport(NamedTuple):

@@ -14,10 +14,9 @@ from .terms import (
     Term,
     Var,
     FreshVars,
-    _preorder,
+    _var_occurrences,
     flatten,
     is_constructor_term,
-    is_linear,
     subterms,
     unify,
     vars_of,
@@ -36,7 +35,8 @@ class Rule(Frozen):
 
     The left-hand side must not be a variable and must not invent
     variables on the right.  `variables` are those of the left-hand
-    side, in order of first occurrence.
+    side, in order of first occurrence, and `left_linear` records
+    whether none of them occurs twice there.
 
     `source` is the rule this one is a variant of; a rule built from its
     parts is its own source.  A variant (`renamed`, or the rule of a
@@ -52,7 +52,8 @@ class Rule(Frozen):
     def __init__(self, lhs: App, rhs: Term, label: str = "") -> None:
         if isinstance(lhs, Var):
             raise ProgramError("rule left-hand side must not be a variable")
-        variables = vars_of(lhs)
+        occurrences = list(_var_occurrences(lhs))
+        variables = tuple(dict.fromkeys(occurrences))
         extra = set(vars_of(rhs)).difference(variables)
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
@@ -60,7 +61,8 @@ class Rule(Frozen):
                 f"rule {lhs} -> {rhs} introduces variables {names} "
                 "on the right-hand side")
         self.__dict__.update(lhs=lhs, rhs=rhs, label=label,
-                             variables=variables, source=self)
+                             variables=variables, source=self,
+                             left_linear=len(occurrences) == len(variables))
 
     def __getattr__(self, name: str):
         """The parts of a variant, built from its source on the first
@@ -102,7 +104,7 @@ class Rule(Frozen):
         return variant
 
     def is_left_linear(self) -> bool:
-        return is_linear(self.lhs)
+        return self.source.left_linear
 
     def is_constructor_based(self) -> bool:
         return all(is_constructor_term(a) for a in self.lhs.args)
@@ -160,11 +162,17 @@ class Program:
             self._check_symbols(r)
 
     def _check_symbols(self, rule: Rule) -> None:
-        for t in (rule.lhs, rule.rhs):
-            for u in _preorder(t):
-                if isinstance(u, App) and self.signature.get(u.root.name) != u.root:
+        """Every symbol of the rule is declared, found in preorder from
+        an explicit stack, and its left-hand side is operation-rooted."""
+        declared = self.signature._table
+        stack: List[Term] = [rule.rhs, rule.lhs]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is App:
+                if declared.get(u.root.name) != u.root:
                     raise ProgramError(
                         f"rule {rule} uses undeclared symbol {u.root}")
+                stack.extend(reversed(u.args))
         if rule.lhs.root.kind != OPERATION:
             raise ProgramError(
                 f"rule {rule} rewrites a constructor root {rule.lhs.root}")
@@ -319,6 +327,10 @@ def add_strict_equality(program: Program) -> Program:
         if [(r.lhs, r.rhs) for r in present] != [(r.lhs, r.rhs) for r in generated]:
             raise ProgramError(
                 "cannot add strict equality: eq/and rules are user-defined")
-        return Program(sig, program.rules, has_strict_equality=True)
+        generated = []
 
-    return Program(sig, list(program.rules) + generated, has_strict_equality=True)
+    # The program's rules were checked against a signature that `sig`
+    # only extends, so only the generated rules are checked here.
+    extended = Program(sig, generated, has_strict_equality=True)
+    extended.rules = program.rules + extended.rules
+    return extended

@@ -20,21 +20,18 @@ exact.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Tuple, Union
+from itertools import islice
+from typing import Callable, List, Optional, Tuple, Union
 
 from .program import Program, ProgramError, Rule, Signature
 from .terms import App, CONSTRUCTOR, OPERATION, Symbol, Term, Var
 
+# One match per token: the whitespace and comments before it, then the
+# token as the group.  A character that starts no token is a token of
+# its own, which `_tokenize` rejects; the text ends in "".
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>\s+|%[^\n]*)
-    | (?P<punct>->|<=|[(),;/~+:])
-    | (?P<var>[A-Z][A-Za-z0-9_]*)
-    | (?P<name>[a-z0-9][A-Za-z0-9_]*)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    r"(?:\s+|%[^\n]*)*(->|<=|[(),;/~+:]|[A-Za-z0-9][A-Za-z0-9_]*|[^\s%]|\Z)")
+_VALID_RE = re.compile(r"->|<=|[(),;/~+:]|[A-Za-z0-9]|\Z")
 
 
 class ParseError(Exception):
@@ -44,29 +41,21 @@ class ParseError(Exception):
         self.column = column
 
 
-def _error_at(text: str, pos: int, message: str) -> ParseError:
-    """A ParseError at offset `pos` of text; the line and column are
-    counted only here, when an error is raised."""
+def _error(text: str, i: int, message: str) -> ParseError:
+    """A ParseError at token i of text: its offset, line and column are
+    found only here, by matching the tokens again up to it."""
+    pos = next(islice(_TOKEN_RE.finditer(text), i, None)).start(1)
     return ParseError(message, text.count("\n", 0, pos) + 1,
                       pos - text.rfind("\n", 0, pos))
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset in the source text
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        if kind == "bad":
-            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
-        tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> List[str]:
+    """The tokens of text as strings, the last one "".  The first
+    unexpected character is reported here, before any other error."""
+    tokens = _TOKEN_RE.findall(text)
+    if not all(map(_VALID_RE.match, set(tokens))):
+        i = next(i for i, tok in enumerate(tokens) if not _VALID_RE.match(tok))
+        raise _error(text, i, f"unexpected character {tokens[i]!r}")
     return tokens
 
 
@@ -74,158 +63,149 @@ _SUGAR = {"+": "add", "<=": "leq", "~": "eq", ":": "cons"}
 _LEVEL = {"~": 1, "<=": 2, ":": 3, "+": 4}  # how tightly each infix binds
 
 
-class _Parser:
-    def __init__(self, text: str, signature: Signature):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.signature = signature
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            shown = tok.text or "end of input"
-            raise self.error(f"expected {text!r}, found {shown!r}")
-        return self.advance()
-
-    def error(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        """A ParseError at tok, by default at the next token."""
-        return _error_at(self.text, (tok or self.peek()).pos, message)
-
-    def _sugar_symbol(self, op_text: str, tok: _Token) -> Symbol:
-        name = _SUGAR[op_text]
-        sym = self.signature.get(name)
-        if sym is None or sym.arity != 2:
-            raise self.error(
-                f"infix {op_text!r} needs a declared binary symbol {name!r}", tok)
-        return sym
-
-    def _apply(self, tok: _Token, sym: Symbol, operands: List[Term], base: int) -> None:
-        """Replace the operands from `base` on by sym applied to them."""
-        args = tuple(operands[base:])
-        if len(args) != sym.arity:
-            raise self.error(f"{sym} applied to {len(args)} argument(s)", tok)
-        operands[base:] = [App(sym, args)]
-
-    def term(self) -> Term:
-        """One term, by precedence climbing over explicit stacks, so that
-        nesting costs no Python frames.  Precedence: ~ < <= < : (right)
-        < + (left); a second `~` or `<=` on one level ends the level.  An
-        infix symbol is looked up once its right operand is parsed."""
-        operands: List[Term] = []
-        # Infix operator tokens, and per open bracket (its token, the
-        # applied symbol or None for a parenthesis, the operands below).
-        pending: List[Union[_Token, Tuple[_Token, Optional[Symbol], int]]] = []
-        while True:
-            tok = self.advance()
-            if tok.text == "(":
-                pending.append((tok, None, len(operands)))
+def _term(text: str, tokens: List[str], i: int,
+          get: Callable[[str], Optional[Symbol]]) -> Tuple[Term, int]:
+    """The term at token i, and the index of the token after it, by
+    precedence climbing over explicit stacks, so that nesting costs no
+    Python frames.  Precedence: ~ < <= < : (right) < + (left); a second
+    `~` or `<=` on one level ends the level.  An infix symbol is looked
+    up once its right operand is parsed; `get` looks up a symbol."""
+    operands: List[Term] = []
+    # The token indices of infix operators, and per open bracket (its
+    # token index, the applied symbol or None for a parenthesis, the
+    # operands below).
+    pending: List[Union[int, Tuple[int, Optional[Symbol], int]]] = []
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            pending.append((i - 1, None, len(operands)))
+            continue
+        first = tok[:1]
+        if "A" <= first <= "Z":
+            operands.append(Var(tok))
+        elif first.isalnum():  # a name: the tokens are checked
+            sym = get(tok)
+            if sym is None:
+                raise _error(text, i - 1, f"undeclared symbol {tok!r}")
+            if tokens[i] == "(":
+                pending.append((i - 1, sym, len(operands)))
+                i += 1
                 continue
-            if tok.kind == "var":
-                operands.append(Var(tok.text))
-            elif tok.kind == "name":
-                sym = self.signature.get(tok.text)
-                if sym is None:
-                    raise self.error(f"undeclared symbol {tok.text!r}", tok)
-                if self.peek().text == "(":
-                    self.advance()
-                    pending.append((tok, sym, len(operands)))
-                    continue
-                self._apply(tok, sym, operands, len(operands))
-            else:
-                shown = tok.text or "end of input"
-                raise self.error(f"expected a term, found {shown!r}", tok)
-            while True:  # after an operand
-                op = self.peek().text
-                level = _LEVEL.get(op)
-                while pending and isinstance(pending[-1], _Token):
-                    top = pending[-1].text
-                    if level is not None and (
-                            _LEVEL[top] < level or top == op == ":"):
-                        break
-                    if top == op and op in ("~", "<="):
-                        level = None  # the level ends here
-                    right = operands.pop()
-                    sym = self._sugar_symbol(top, pending.pop())
-                    operands[-1] = App(sym, (operands[-1], right))
-                if level is not None:
-                    pending.append(self.advance())
+            if sym.arity:
+                raise _error(text, i - 1,
+                             f"{sym} applied to 0 argument(s)")
+            operands.append(App(sym))
+        else:
+            raise _error(text, i - 1,
+                         f"expected a term, found {tok or 'end of input'!r}")
+        while True:  # after an operand
+            op = tokens[i]
+            level = _LEVEL.get(op)
+            while pending and pending[-1].__class__ is int:
+                top = tokens[pending[-1]]
+                if level is not None and (
+                        _LEVEL[top] < level or top == op == ":"):
                     break
-                if not pending:
-                    return operands.pop()
-                tok, sym, base = pending[-1]
-                if sym is not None and self.peek().text == ",":
-                    self.advance()
-                    break
-                pending.pop()
-                self.expect(")")
-                if sym is not None:
-                    self._apply(tok, sym, operands, base)
+                if top == op and op in ("~", "<="):
+                    level = None  # the level ends here
+                at = pending.pop()
+                sym = get(_SUGAR[top])
+                if sym is None or sym.arity != 2:
+                    raise _error(text, at, f"infix {top!r} needs a "
+                                 f"declared binary symbol {_SUGAR[top]!r}")
+                right = operands.pop()
+                operands[-1] = App(sym, (operands[-1], right))
+            if level is not None:
+                pending.append(i)
+                i += 1
+                break
+            if not pending:
+                return operands.pop(), i
+            at, sym, base = pending[-1]
+            if sym is not None and op == ",":
+                i += 1
+                break
+            pending.pop()
+            if op != ")":
+                raise _error(text, i, f"expected ')', found "
+                             f"{op or 'end of input'!r}")
+            i += 1
+            if sym is not None:
+                args = tuple(operands[base:])
+                if len(args) != sym.arity:
+                    raise _error(text, at,
+                                 f"{sym} applied to {len(args)} argument(s)")
+                operands[base:] = [App(sym, args)]
 
 
-def _parse_declaration(parser: _Parser, kind: str) -> None:
-    parser.advance()  # the keyword
-    while parser.peek().text != ";":
-        tok = parser.peek()
-        if tok.kind not in ("name", "var"):
-            raise parser.error("expected NAME/ARITY in declaration")
-        if tok.kind == "var":
-            raise parser.error(
-                f"symbol names must not start uppercase: {tok.text!r}", tok)
-        parser.advance()
-        parser.expect("/")
-        num = parser.peek()
-        if num.kind != "name" or not num.text.isdigit():
-            raise parser.error("expected a numeric arity")
-        parser.advance()
+def _expect(text: str, tokens: List[str], i: int, want: str) -> int:
+    """The index after token i, which must be `want`."""
+    if tokens[i] != want:
+        raise _error(text, i, f"expected {want!r}, found "
+                     f"{tokens[i] or 'end of input'!r}")
+    return i + 1
+
+
+def _declarations(text: str, tokens: List[str], i: int,
+                  signature: Signature, kind: str) -> int:
+    """Declare the NAME/ARITY pairs from token i up to the next `;`, and
+    return the index after it."""
+    while tokens[i] != ";":
+        name = tokens[i]
+        first = name[:1]
+        if "A" <= first <= "Z":
+            raise _error(text, i,
+                         f"symbol names must not start uppercase: {name!r}")
+        if not first.isalnum():
+            raise _error(text, i, "expected NAME/ARITY in declaration")
+        arity = tokens[_expect(text, tokens, i + 1, "/")]
+        if not arity.isdigit():
+            raise _error(text, i + 2, "expected a numeric arity")
         try:
-            parser.signature.declare(Symbol(tok.text, int(num.text), kind))
+            signature.declare(Symbol(name, int(arity), kind))
         except ProgramError as exc:
-            raise parser.error(str(exc), tok) from exc
-    parser.expect(";")
+            raise _error(text, i, str(exc)) from exc
+        i += 3
+    return i + 1
 
 
 def parse_program(text: str) -> Program:
     """Parse a program file into a Program."""
-    parser = _Parser(text, Signature())
+    tokens = _tokenize(text)
+    signature = Signature()
+    get = signature.get
     rules: List[Rule] = []
-    while parser.peek().kind != "eof":
-        tok = parser.peek()
-        if tok.kind == "name" and tok.text in ("constructors", "operations"):
-            _parse_declaration(
-                parser, CONSTRUCTOR if tok.text == "constructors" else OPERATION)
+    i = 0
+    while tokens[i]:
+        start = i
+        if tokens[i] in ("constructors", "operations"):
+            i = _declarations(text, tokens, i + 1, signature,
+                              CONSTRUCTOR if tokens[i] == "constructors"
+                              else OPERATION)
             continue
-        lhs = parser.term()
-        parser.expect("->")
-        rhs = parser.term()
-        parser.expect(";")
-        if isinstance(lhs, Var):
-            raise parser.error("rule left-hand side must not be a variable", tok)
+        lhs, i = _term(text, tokens, i, get)
+        rhs, i = _term(text, tokens, _expect(text, tokens, i, "->"), get)
+        i = _expect(text, tokens, i, ";")
+        if lhs.__class__ is Var:
+            raise _error(text, start,
+                         "rule left-hand side must not be a variable")
         try:
             rules.append(Rule(lhs, rhs, label=f"R{len(rules) + 1}"))
         except ProgramError as exc:
-            raise parser.error(str(exc), tok) from exc
+            raise _error(text, start, str(exc)) from exc
     try:
-        return Program(parser.signature, rules)
+        return Program(signature, rules)
     except ProgramError as exc:
-        raise parser.error(str(exc)) from exc
+        raise _error(text, i, str(exc)) from exc
 
 
 def parse_term(text: str, signature: Signature) -> Term:
     """Parse a single term (goal syntax) against a signature."""
-    parser = _Parser(text, signature)
-    t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise parser.error(f"trailing input {tok.text!r}")
+    tokens = _tokenize(text)
+    t, i = _term(text, tokens, 0, signature.get)
+    if tokens[i]:
+        raise _error(text, i, f"trailing input {tokens[i]!r}")
     return t
 
 

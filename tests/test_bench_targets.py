@@ -78,12 +78,15 @@ def test_pe_control_of_an_equation_goal_assembles_once():
 
 
 def test_rewrite_trace_rows_stay_live():
-    """`nspec eval --strategy rewrite` rewrites through one
-    `rewrite_normalize` call, which draws no rule variant.  The printer
-    runs once for the goal line and once per step, on the rewritten
-    focus; the last line repeats the last step's text.  Every term of
-    this trace is rooted by `leq`, so no constructor prefix or pending
-    argument is printed: the count is the number of lines less one."""
+    """`nspec eval --strategy rewrite` parses its program and its goal
+    through one `parse_program` and one `parse_term` call, builds the
+    forest of its class gate through one `is_inductively_sequential`
+    call, and rewrites through one `rewrite_normalize` call, which
+    draws no rule variant.  The printer runs once for the goal line and
+    once per step, on the rewritten focus; the last line repeats the
+    last step's text.  Every term of this trace is rooted by `leq`, so
+    no constructor prefix or pending argument is printed: the count is
+    the number of lines less one."""
     from nspec import cli
 
     peano = str(TRACING.parent / "programs" / "peano.flp")
@@ -98,6 +101,8 @@ def test_rewrite_trace_rows_stay_live():
     calls = tracer.calls()
     assert code == 0 and lines[-1] == "normal form: true"
     assert len(lines) > 10
+    assert calls["syntax.parse_program"] == calls["syntax.parse_term"] == 1
+    assert calls["deftree.is_inductively_sequential"] == 1
     assert calls["narrowing.rewrite_normalize"] == 1
     assert calls["program.Rule.renamed"] == 0
     assert calls["terms.str"] == len(lines) - 1

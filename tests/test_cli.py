@@ -683,6 +683,22 @@ class TestDeterminism:
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_python_dash_m_nspec_runs_the_cli(self, capsys):
+        """`python -m nspec` from a plain checkout (`PYTHONPATH=src`, the
+        repository as the working directory) prints what `cli.main`
+        prints in process."""
+        argv = ["eval", "tests/data/leq.flp", "-e", "s(0) + s(0)",
+                "--strategy", "rewrite"]
+        root = SRC.parent
+        proc = subprocess.run([sys.executable, "-m", "nspec", *argv],
+                              capture_output=True, text=True, cwd=root,
+                              env={**os.environ, "PYTHONPATH": "src"})
+        assert cli.main([str(root / arg) if arg.endswith(".flp") else arg
+                         for arg in argv]) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, capsys.readouterr().out, "")
+        assert proc.stdout.endswith("normal form: s(s(0))\n")
+
 
 def test_the_parser_is_built_once(capsys):
     """`main` reuses one parser: an `append` option of one call does not

@@ -23,6 +23,7 @@ from nspec.program import Rule, add_strict_equality
 from nspec.syntax import parse_program, print_program
 from nspec.terms import (
     App,
+    FreshVars,
     Symbol,
     Var,
     match,
@@ -443,6 +444,14 @@ def parent_build(pattern, rules, gen, tie_break):
     return None
 
 
+def parent_build_root(f, rules, tie_break):
+    """`parent_build` from the root pattern f(V1..Vn), names drawn from
+    a new `FreshVars`, in the place of `deftree._build(f, rules,
+    tie_break)`."""
+    gen = FreshVars()
+    return parent_build(App(f, gen.fresh_tuple(f.arity)), rules, gen, tie_break)
+
+
 def full_shape(tree):
     """Every node in preorder with its depth: patterns (so the fresh
     names), positions, constructors and the realigned leaf rules."""
@@ -499,7 +508,7 @@ class TestBuilderAgreesWithTheRecursiveOne:
         for tie_break in ("leftmost", "rightmost"):
             new = full_shape(build_tree(f, rules, tie_break))
             with monkeypatch.context() as patched:
-                patched.setattr(deftree, "_build", parent_build)
+                patched.setattr(deftree, "_build", parent_build_root)
                 ref = full_shape(build_tree(f, rules, tie_break))
             assert new == ref, (f, [str(r) for r in rules], tie_break)
             assert new is None or not duplicate, [str(r) for r in rules]

@@ -1,5 +1,7 @@
 """Programs: rule well-formedness, validation, strict equality."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import renaming, traced_peak
@@ -12,13 +14,14 @@ from nspec.program import (
     add_strict_equality,
     validate,
 )
-from nspec.syntax import parse_program
+from nspec.syntax import ParseError, parse_program
 from nspec.terms import App, FreshVars, Substitution, Symbol, Var, unify
 
 
 ZERO = Symbol("0", 0, "constructor")
 F1 = Symbol("f", 1, "operation")
 X, Y = Var("X"), Var("Y")
+BENCH = Path(__file__).parent.parent / "bench" / "programs"
 
 
 class TestRule:
@@ -145,6 +148,37 @@ class TestProgram:
         g = Symbol("g", 1, "operation")
         with pytest.raises(ProgramError, match="undeclared symbol g/1"):
             Program(sig, [Rule(App(F1, (App(g, (X,)),)), X)])
+
+    def test_the_first_undeclared_symbol_in_preorder_is_reported(self):
+        """The left-hand side is checked before the right-hand side, each
+        in preorder."""
+        sig = Signature([ZERO, F1])
+        g, h = Symbol("g", 1, "operation"), Symbol("h", 1, "operation")
+        with pytest.raises(ProgramError) as err:
+            Program(sig, [Rule(App(F1, (App(g, (X,)),)), App(h, (X,)))])
+        assert str(err.value) == "rule f(g(X)) -> h(X) uses undeclared symbol g/1"
+        with pytest.raises(ProgramError) as err:
+            Program(sig, [Rule(App(F1, (X,)), App(F1, (App(h, (App(g, (X,)),)),)))])
+        assert str(err.value) == "rule f(X) -> f(h(g(X))) uses undeclared symbol h/1"
+
+    def test_a_load_checks_each_rule_once(self, monkeypatch):
+        """`cli._load` of `peano.flp` checks its 10 rules when it parses
+        them and the 7 rules of strict equality when it adds them: the
+        extended program does not check the parsed rules again."""
+        from nspec import cli
+
+        checked = []
+        check = Program._check_symbols
+        monkeypatch.setattr(Program, "_check_symbols",
+                            lambda p, rule: (checked.append(rule), check(p, rule))[1])
+        program = cli._load(str(BENCH / "peano.flp"))
+        assert len(program.rules) == len(checked) == 17
+        assert checked == list(program.rules)
+
+    def test_a_rule_of_a_parsed_program_with_an_undeclared_symbol_fails(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("constructors 0/0 ;\noperations f/1 ;\nf(0) -> g(0) ;\n")
+        assert str(err.value) == "undeclared symbol 'g' (line 3, column 9)"
 
     def test_all_variables_in_order_of_first_occurrence(self, leq_prog):
         assert [v.name for v in leq_prog.all_variables()] == [

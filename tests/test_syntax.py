@@ -3,14 +3,15 @@
 import random
 import re
 from pathlib import Path
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import pytest
 
+from conftest import traced_peak
 from nspec import syntax
-from nspec.program import Program, Signature, add_strict_equality
+from nspec.program import Program, ProgramError, Rule, Signature, add_strict_equality
 from nspec.syntax import ParseError, parse_program, parse_term, print_program
-from nspec.terms import Symbol
+from nspec.terms import App, CONSTRUCTOR, OPERATION, Symbol, Term, Var
 
 DATA = Path(__file__).parent / "data"
 BENCH_PROGRAMS = Path(__file__).parent.parent / "bench" / "programs"
@@ -127,6 +128,26 @@ class TestDeepNesting:
     def test_right_associative_chain(self):
         t = parse_term("0 : " * DEEP + "nil", FULL)
         assert str(t) == "cons(0, " * DEEP + "nil" + ")" * DEEP
+
+    def test_a_goal_builds_one_term_per_application(self, monkeypatch):
+        """`leq(s^k(0), 0)` builds its k + 3 applications and no other."""
+        k = 2000
+        built = []
+        init = App.__init__
+        monkeypatch.setattr(App, "__init__", lambda term, *args: (
+            built.append(None), init(term, *args))[1])
+        parse_term(f"leq({'s(' * k}0{')' * k}, 0)", FULL)
+        assert len(built) == k + 3 == 2003
+
+    def test_parse_memory_grows_linearly_in_the_nesting(self):
+        """The peak of the memory a parse allocates (`traced_peak`, which
+        repeats from run to run where a wall clock does not) grows with
+        k as the tokens and the term do: 4 times the nesting stays under
+        6 times the peak."""
+        peak = {k: traced_peak(lambda: parse_term(
+                    f"leq({'s(' * k}0{')' * k}, 0)", FULL))
+                for k in (2000, 8000)}
+        assert peak[8000] < 6 * peak[2000], peak
 
     def test_error_position_inside_deep_nesting(self):
         with pytest.raises(ParseError) as err:
@@ -253,14 +274,22 @@ def reference_tokenize(text: str) -> List[_ReferenceToken]:
     return tokens
 
 
-class ReferenceParser(syntax._Parser):
-    """The parser's grammar over the reference tokens, placing each error
-    at its token's counted line and column: a token's `pos` here is its
-    index among the reference tokens."""
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int  # here, the index among the reference tokens
+
+
+class ReferenceParser:
+    """The grammar of the parser that tokenized into `_Token`s, frozen
+    as it was (`peek`/`advance`/`expect` over the token list), over the
+    reference tokens: each error is placed at its token's counted line
+    and column.  The reference tokens equal the ones that parser's
+    tokenizer made, at every offset, over the corpora below."""
 
     def __init__(self, text: str, signature: Signature):
         self.located = reference_tokenize(text)
-        self.tokens = [syntax._Token(tok.kind, tok.text, i)
+        self.tokens = [_Token(tok.kind, tok.text, i)
                        for i, tok in enumerate(self.located)]
         self.i = 0
         self.signature = signature
@@ -268,6 +297,144 @@ class ReferenceParser(syntax._Parser):
     def error(self, message, tok=None):
         located = self.located[(tok or self.peek()).pos]
         return ParseError(message, located.line, located.column)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.peek()
+        if tok.text != text:
+            shown = tok.text or "end of input"
+            raise self.error(f"expected {text!r}, found {shown!r}")
+        return self.advance()
+
+    def _sugar_symbol(self, op_text: str, tok: _Token) -> Symbol:
+        name = _SUGAR[op_text]
+        sym = self.signature.get(name)
+        if sym is None or sym.arity != 2:
+            raise self.error(
+                f"infix {op_text!r} needs a declared binary symbol {name!r}", tok)
+        return sym
+
+    def _apply(self, tok: _Token, sym: Symbol, operands: List[Term], base: int) -> None:
+        args = tuple(operands[base:])
+        if len(args) != sym.arity:
+            raise self.error(f"{sym} applied to {len(args)} argument(s)", tok)
+        operands[base:] = [App(sym, args)]
+
+    def term(self) -> Term:
+        operands: List[Term] = []
+        pending: List[Union[_Token, Tuple[_Token, Optional[Symbol], int]]] = []
+        while True:
+            tok = self.advance()
+            if tok.text == "(":
+                pending.append((tok, None, len(operands)))
+                continue
+            if tok.kind == "var":
+                operands.append(Var(tok.text))
+            elif tok.kind == "name":
+                sym = self.signature.get(tok.text)
+                if sym is None:
+                    raise self.error(f"undeclared symbol {tok.text!r}", tok)
+                if self.peek().text == "(":
+                    self.advance()
+                    pending.append((tok, sym, len(operands)))
+                    continue
+                self._apply(tok, sym, operands, len(operands))
+            else:
+                shown = tok.text or "end of input"
+                raise self.error(f"expected a term, found {shown!r}", tok)
+            while True:  # after an operand
+                op = self.peek().text
+                level = _LEVEL.get(op)
+                while pending and isinstance(pending[-1], _Token):
+                    top = pending[-1].text
+                    if level is not None and (
+                            _LEVEL[top] < level or top == op == ":"):
+                        break
+                    if top == op and op in ("~", "<="):
+                        level = None  # the level ends here
+                    right = operands.pop()
+                    sym = self._sugar_symbol(top, pending.pop())
+                    operands[-1] = App(sym, (operands[-1], right))
+                if level is not None:
+                    pending.append(self.advance())
+                    break
+                if not pending:
+                    return operands.pop()
+                tok, sym, base = pending[-1]
+                if sym is not None and self.peek().text == ",":
+                    self.advance()
+                    break
+                pending.pop()
+                self.expect(")")
+                if sym is not None:
+                    self._apply(tok, sym, operands, base)
+
+
+_SUGAR = {"+": "add", "<=": "leq", "~": "eq", ":": "cons"}
+_LEVEL = {"~": 1, "<=": 2, ":": 3, "+": 4}
+
+
+def _reference_declaration(parser: ReferenceParser, kind: str) -> None:
+    parser.advance()  # the keyword
+    while parser.peek().text != ";":
+        tok = parser.peek()
+        if tok.kind not in ("name", "var"):
+            raise parser.error("expected NAME/ARITY in declaration")
+        if tok.kind == "var":
+            raise parser.error(
+                f"symbol names must not start uppercase: {tok.text!r}", tok)
+        parser.advance()
+        parser.expect("/")
+        num = parser.peek()
+        if num.kind != "name" or not num.text.isdigit():
+            raise parser.error("expected a numeric arity")
+        parser.advance()
+        try:
+            parser.signature.declare(Symbol(tok.text, int(num.text), kind))
+        except ProgramError as exc:
+            raise parser.error(str(exc), tok) from exc
+    parser.expect(";")
+
+
+def reference_parse_program(text: str) -> Program:
+    parser = ReferenceParser(text, Signature())
+    rules: List[Rule] = []
+    while parser.peek().kind != "eof":
+        tok = parser.peek()
+        if tok.kind == "name" and tok.text in ("constructors", "operations"):
+            _reference_declaration(
+                parser, CONSTRUCTOR if tok.text == "constructors" else OPERATION)
+            continue
+        lhs = parser.term()
+        parser.expect("->")
+        rhs = parser.term()
+        parser.expect(";")
+        if isinstance(lhs, Var):
+            raise parser.error("rule left-hand side must not be a variable", tok)
+        try:
+            rules.append(Rule(lhs, rhs, label=f"R{len(rules) + 1}"))
+        except ProgramError as exc:
+            raise parser.error(str(exc), tok) from exc
+    try:
+        return Program(parser.signature, rules)
+    except ProgramError as exc:
+        raise parser.error(str(exc)) from exc
+
+
+def reference_parse_term(text: str, signature: Signature) -> Term:
+    parser = ReferenceParser(text, signature)
+    t = parser.term()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise parser.error(f"trailing input {tok.text!r}")
+    return t
 
 
 # Inserted at random offsets: every punctuation, near misses of the
@@ -316,14 +483,11 @@ def _outcome(parse, *args):
     return result
 
 
-def _reference_outcomes(monkeypatch, parse, texts, *args):
-    with monkeypatch.context() as patch:
-        patch.setattr(syntax, "_Parser", ReferenceParser)
-        return [_outcome(parse, text, *args) for text in texts]
-
-
 class TestOffsetDifferential:
     def test_tokens_are_the_reference_tokens_at_their_offsets(self):
+        """The tokens are the reference lexemes, then "", and an error at
+        a token is placed at its line and column; a text with an
+        unexpected character reports its first one."""
         for text in PROGRAMS + GOALS:
             try:
                 expected = reference_tokenize(text)
@@ -333,14 +497,17 @@ class TestOffsetDifferential:
                 assert (str(err.value), err.value.line, err.value.column) == (
                     str(exc), exc.line, exc.column), repr(text)
                 continue
+            tokens = syntax._tokenize(text)
             located = []
-            for tok in syntax._tokenize(text):
-                at = syntax._error_at(text, tok.pos, "")
-                located.append((tok.kind, tok.text, at.line, at.column))
-            assert located == [tuple(tok) for tok in expected], repr(text)
+            for i, tok in enumerate(tokens[:len(expected)]):
+                at = syntax._error(text, i, "")
+                located.append((tok, at.line, at.column))
+            assert located == [(tok.text, tok.line, tok.column)
+                               for tok in expected], repr(text)
+            assert set(tokens[len(expected) - 1:]) == {""}, repr(text)
 
-    def test_programs_parse_to_the_reference_rules_or_error(self, monkeypatch):
-        expected = _reference_outcomes(monkeypatch, parse_program, PROGRAMS)
+    def test_programs_parse_to_the_reference_rules_or_error(self):
+        expected = [_outcome(reference_parse_program, text) for text in PROGRAMS]
         got = [_outcome(parse_program, text) for text in PROGRAMS]
         for text, want, have in zip(PROGRAMS, expected, got):
             assert have == want, repr(text)
@@ -351,8 +518,8 @@ class TestOffsetDifferential:
         FULL, add_strict_equality(parse_program(
             (BENCH_PROGRAMS / "peano.flp").read_text(encoding="utf-8"))).signature,
     ], ids=["full", "peano"])
-    def test_goals_parse_to_the_reference_term_or_error(self, monkeypatch, signature):
-        expected = _reference_outcomes(monkeypatch, parse_term, GOALS, signature)
+    def test_goals_parse_to_the_reference_term_or_error(self, signature):
+        expected = [_outcome(reference_parse_term, text, signature) for text in GOALS]
         got = [_outcome(parse_term, text, signature) for text in GOALS]
         for text, want, have in zip(GOALS, expected, got):
             assert have == want, repr(text)
