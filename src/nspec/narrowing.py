@@ -13,15 +13,15 @@ of a node that a bound stops; two leaf policies use it.  `search` bounds
 it by `Bounds` and collects (answer, constructor term) pairs at the
 success leaves; `peval.unfold` bounds it by the unfold depth and cuts
 it with the partial evaluator's local control.  A step is applied in
-one walk along its position (`narrow`, and `rewrite_step` with no
-substitution): the rule is matched through the step's substitution and
-only the path above the redex is rebuilt.  Rewriting
-(`rewrite_normalize`) takes needed steps that bind no variable, found
-by the needed descent's redex mode, which draws no names and builds no
-`Step`.  It keeps the term as a zipper: the constructor prefix above
-the rewritten subterm, which no later step changes, is crossed once
-and built once, and the trace is text, each line joined from the
-prefix's kept text and the rewritten subterm's.
+one walk along its position (`narrow`): the rule is matched through the
+step's substitution and only the path above the redex is rebuilt.
+Rewriting (`rewrite_normalize`) takes needed steps that bind no
+variable, found by the needed descent's redex mode, which draws no
+names and builds no `Step`.  It is an abstract machine: frames above the
+focus, for the constructor prefix and for the calls whose inductive
+argument is being evaluated, are built once, when they are finished;
+the focus is the redex, contracted at its root; and the trace is text,
+each line joined from texts kept beside the frames and the focus.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ def _tree_of(trees: Dict[str, DefTree], f: Symbol) -> Optional[DefTree]:
 
 
 def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
-        count: bool = False, at: Optional[tuple] = None, redex: bool = False
-        ) -> Union[List[Step], int, Optional[Tuple[Position, Rule]]]:
+        count: bool = False, at: Optional[tuple] = None, redex: bool = False,
+        start: Optional[DefTree] = None
+        ) -> Union[List[Step], int, Optional[Tuple[DefTree, Optional[App]]]]:
     """Needed narrowing steps of an operation-rooted term t, from the
     definitional tree of its root (none, and no step, when it has none).
     `trees` comes from `deftree.require_class`; `gen` must already avoid
@@ -142,17 +143,20 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
     renaming, but no part, rule variant or step is built.  With `redex`,
-    the descent looks for a rewrite step, one that binds nothing: it
-    returns (position, leaf rule) at the first leaf it reaches, and None
-    at the first variable it would bind or when no child matches.  It
-    reads no `gen` and builds no variant, part or step.
+    the descent looks for a rewrite step, one that binds nothing, in t's
+    own tree, from its root or from its node `start`: it returns (leaf,
+    None) at the first leaf it reaches, whose rule rewrites t at its
+    root, (branch, subterm) at the first branch whose inductive position
+    holds an operation-rooted subterm, and None at the first variable it
+    would bind or when no child matches.  It reads no `gen` and builds
+    no variant, part or step.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
     steps: List[Step] = []
     found = 0
     bound: Dict[Var, App] = {}
-    tree = _tree_of(trees, t.root)
+    tree = _tree_of(trees, t.root) if start is None else start
     stack: List[object] = [] if tree is None else [(tree, t, at, None, None)]
     while stack:
         frame = stack.pop()
@@ -172,7 +176,7 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                 parts = (Substitution._of({x: image}), parts)
         if isinstance(node, Leaf):
             if redex:
-                return _joined(at), node.rule
+                return node, None
             if count:
                 gen.skip(node.rule.variables)
                 found += 1
@@ -219,6 +223,8 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                     stack.append((child, u, at, (IDENTITY, parts), None))
                     break
         else:
+            if redex:
+                return node, sub
             inner = _tree_of(trees, sub.root)
             if inner is not None:
                 stack.append((inner, sub, (node.position, at),
@@ -290,13 +296,6 @@ def narrow(t: Term, step: Step) -> Term:
     the step's position p, rule l -> r and substitution sigma, built in
     one walk (`_contract`)."""
     return _contract(t, step.position, step.rule, step.subst._map)
-
-
-def rewrite_step(t: Term, position: Position, rule: Rule) -> Term:
-    """Plain rewriting: replace the redex at position by the rule's rhs
-    instance, from one walk along the position (`_contract` with no
-    substitution)."""
-    return _contract(t, position, rule, {})
 
 
 def _contract(t: Term, position: Position, rule: Rule,
@@ -579,6 +578,114 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     return SearchResult(root, answers, complete)
 
 
+# The kept text of a term: None while it is not printed, its text, or
+# (its text, the kept texts of its arguments).
+Kept = Union[None, str, Tuple[str, tuple]]
+
+
+def _text(kept: Kept, u: Term) -> str:
+    """The text of u, from its kept text or printed."""
+    if kept is None:
+        return str(u)
+    return kept if kept.__class__ is str else kept[0]
+
+
+def _split(kept: Kept, u: App, keep: int) -> tuple:
+    """The kept texts of u's arguments.  A text is cut: the arguments
+    other than the `keep`-th are printed, which gives its offsets, and it
+    is sliced out."""
+    if kept is None:
+        return (None,) * len(u.args)
+    if kept.__class__ is tuple:
+        return kept[1]
+    if len(u.args) == 1:
+        return (kept[len(u.root.name) + 1:-1],)
+    before = [str(a) for a in u.args[:keep - 1]]
+    after = [str(a) for a in u.args[keep:]]
+    start = len(u.root.name) + 1 + sum(map(len, before)) + 2 * len(before)
+    end = len(kept) - 1 - sum(map(len, after)) - 2 * len(after)
+    return (*before, kept[start:end], *after)
+
+
+def _fire(u: App, kept: Kept, rule: Rule) -> Tuple[Term, Kept]:
+    """The contractum of u by a rule whose left-hand side matches u, and
+    its kept text.  The matched subterms are read at the variables of
+    the left-hand side (`Rule.shape`), with their kept texts: each
+    application's arguments are split once, the last one sliced out.
+    The right-hand side is built children first (`Rule.rhs_order`), each
+    application's text joined from its arguments'; ground parts are
+    shared, and printed when their parent is joined."""
+    source = rule.source
+    shape = source.shape
+    n = len(shape)
+    terms = [u] * (n + 1)  # what each row of the shape met; the last, u
+    texts = [kept] * (n + 1)
+    splits: List[Optional[tuple]] = [None] * (n + 1)
+    theta: Dict[Var, Tuple[Term, Kept]] = {}
+    for k, (parent, i, _, p, _) in enumerate(shape):
+        args = splits[parent]
+        if args is None:
+            g = terms[parent]
+            args = splits[parent] = _split(texts[parent], g, len(g.args))
+        if p.__class__ is Var:
+            theta[p] = (terms[parent].args[i - 1], args[i - 1])
+        else:
+            terms[k] = terms[parent].args[i - 1]
+            texts[k] = args[i - 1]
+    out: List[Tuple[Term, Kept]] = []
+    for p in source.rhs_order:
+        if p.__class__ is Var:
+            a, x = theta[p]
+            if x is None:  # printed once, however often it occurs
+                theta[p] = a, x = a, str(a)
+            out.append((a, x))
+        elif p.ground:
+            del out[len(out) - len(p.args):]
+            out.append((p, None))
+        else:
+            args, kids, shown = [], [], []
+            for a, x in reversed(out[-len(p.args):]):  # first to last
+                args.append(a)
+                if x is None:
+                    x = str(a)
+                kids.append(x)
+                shown.append(x if x.__class__ is str else x[0])
+            del out[-len(p.args):]
+            out.append((App(p.root, tuple(args)),
+                        (f"{p.root.name}({', '.join(shown)})", tuple(kids))))
+    return out[0]
+
+
+def _open(u: App, kept: Kept, position: Position
+          ) -> Tuple[List[tuple], Term, Kept]:
+    """An operation frame around `position` of the call u: per
+    application on the path, (it, its arguments' kept texts, the
+    argument's index, its text left and right of that argument); then
+    the subterm there and its kept text.  The other arguments on the
+    path are printed if no text is kept for them."""
+    levels = []
+    for i in position:
+        kids = [str(a) if x is None and j != i else x
+                for j, (a, x) in enumerate(zip(u.args, _split(kept, u, i)), 1)]
+        before = [_text(x, u) + ", " for x in kids[:i - 1]]
+        after = [", " + _text(x, u) for x in kids[i:]]
+        levels.append((u, kids, i, "".join([u.root.name, "(", *before]),
+                       "".join([*after, ")"])))
+        u, kept = u.args[i - 1], kids[i - 1]
+    return levels, u, kept
+
+
+def _plug(levels: List[tuple], u: Term, kept: Kept) -> Tuple[App, Kept]:
+    """The call of an operation frame with u in its hole, and its kept
+    text."""
+    for sub, kids, i, left, right in reversed(levels):
+        text = _text(kept, u)
+        u = App(sub.root, (*sub.args[:i - 1], u, *sub.args[i:]))
+        kids[i - 1] = kept if kept is not None else text
+        kept = (left + text + right, tuple(kids))
+    return u, kept
+
+
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
                       ) -> Tuple[Term, List[str], bool]:
     """Repeatedly rewrite at the needed redex: take the needed narrowing
@@ -592,64 +699,119 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     variables.  A term reached at the `max_steps` bound is not
     suspended; it may not be a normal form.
 
-    The term is kept as a zipper (Huet, "The Zipper", JFP 1997): the
-    leftmost-outermost operation-rooted subterm u is in focus, under a
-    frame per constructor application above it with its finished
-    arguments.  Needed narrowing never steps at a constructor position,
-    so a step rewrites u alone (the needed descent's redex mode, which
-    draws no names and builds no step) and no frame is rebuilt.  A line
-    joins the text left of u, kept as one string, the new u's text, and
-    the text right of u, whose pending arguments are printed when a line
-    first needs them, so printing costs no more than the lines hold.  A
-    finished frame is plugged into its parent, and a stopped run plugs
-    the open ones, so the final term is built once.
+    The loop is the evaluation stack of an abstract machine for
+    inductively sequential rewriting (Antoy, Hanus, Massey and Steiner,
+    "An implementation of narrowing strategies", PPDP 2001; Sestoft,
+    "Deriving a lazy abstract machine", JFP 1997), over a zipper (Huet,
+    "The Zipper", JFP 1997).  Above the leftmost-outermost
+    operation-rooted subterm is a frame per constructor application,
+    with its finished arguments: needed narrowing never steps at a
+    constructor position, so no step changes them.  Below it, the needed
+    descent (`nns` in redex mode) runs in one call's own tree.  Where a
+    branch's inductive position holds an operation-rooted subterm, an
+    operation frame is pushed (the call, the branch, and the call's text
+    left and right of the position) and the subterm is in focus.  At a
+    leaf the focus is the redex, and its contractum replaces it.  A
+    focus in head normal form is plugged into the frame on top, and the
+    descent resumes at that frame's branch, on the new constructor, not
+    from the root of the call's tree: the choices above it read
+    constructors that no step below changes.  Frames are plugged only
+    when they are finished or the run stops, so a step builds its
+    contractum and the path of the frame it finishes.
+
+    The text of the focus is kept beside it (`Kept`), so a line joins
+    kept texts only: the text left of the top call, kept as one string,
+    the texts of the operation frames, the focus's, and the text right
+    of the top call, whose pending arguments are printed when a line
+    first needs them.  A contractum's text is its right-hand side's,
+    with the texts of the matched subterms in place of its variables;
+    those are cut from the focus's text (`_fire`), which prints at most
+    their siblings, and the terms of the goal are printed when first
+    needed.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
     trace: List[str] = []
     frames: List[Tuple[App, List[Term]]] = []
-    # What is right of u, leftmost on top: the arguments still to cross
-    # and a ")" that closes each frame; and the texts of its bottom
-    # items, as far as a line has needed them.
-    rest: List[Union[Term, str]] = []
+    # What is right of the top call, leftmost on top: the arguments
+    # still to cross, with their kept texts, and a ")" that closes each
+    # frame; the texts of its bottom items, as far as a line has needed
+    # them, and theirs joined.
+    rest: List[Union[Tuple[Term, Kept], str]] = []
     shown: List[str] = []
-    left = ""
-    text: Optional[str] = None  # the text of u, once a line printed it
-    u = t
+    left = right = ""
+    # The operation frames, (branch, levels of `_open`), and their texts
+    # left and right of their holes.
+    calls: List[Tuple[DefTree, List[tuple]]] = []
+    lefts: List[str] = []
+    rights: List[str] = []
+    u, kept = t, None
     suspended = False
     while True:
-        if u.constructor_term:
-            left += str(u) if text is None else text
-            while rest:
-                frames[-1][1].append(u)
-                u = rest.pop()
-                del shown[len(rest):]
-                if u.__class__ is not str:
-                    left += ", "
-                    text = None
-                    break
-                app, done = frames.pop()
-                u = App(app.root, tuple(done))
-                left += ")"
+        start = None
+        if u.__class__ is Var or u.root.kind == CONSTRUCTOR:
+            if calls:
+                start, levels = calls.pop()
+                del lefts[-1], rights[-1]
+                u, kept = _plug(levels, u, kept)
+            elif u.constructor_term:
+                left += _text(kept, u)
+                while rest:
+                    frames[-1][1].append(u)
+                    item = rest.pop()
+                    if len(shown) > len(rest):
+                        right = right[len(shown.pop()):]
+                    if item.__class__ is not str:
+                        u, kept = item
+                        left += ", "
+                        break
+                    app, done = frames.pop()
+                    u = App(app.root, tuple(done))
+                    left += ")"
+                else:
+                    return u, trace, False
+                continue
             else:
-                return u, trace, False
-        elif u.root.kind == CONSTRUCTOR:
-            frames.append((u, []))
-            rest.append(")")
-            rest += u.args[:0:-1]
-            left += u.root.name + "("
-            u, text = u.args[0], None
-        elif len(trace) >= max_steps:
+                kids = _split(kept, u, 1)
+                frames.append((u, []))
+                rest.append(")")
+                rest += zip(u.args[:0:-1], kids[:0:-1])
+                left += u.root.name + "("
+                u, kept = u.args[0], kids[0]
+                continue
+        if len(trace) >= max_steps:
             break
-        else:
-            redex = nns(u, trees, None, redex=True)
-            if redex is None:
-                suspended = True
-                break
-            u = rewrite_step(u, *redex)
-            text = str(u)
-            shown += [x if x.__class__ is str else ", " + str(x)
-                      for x in rest[len(shown):]]
-            trace.append(f"{left}{text}{''.join(reversed(shown))}")
+        found = nns(u, trees, None, redex=True, start=start)
+        if found is None:
+            suspended = True
+            break
+        node, sub = found
+        if sub is not None:
+            levels, u, kept = _open(u, kept, node.position)
+            calls.append((node, levels))
+            lefts.append("".join([level[3] for level in levels]))
+            rights.append("".join([level[4] for level in reversed(levels)]))
+            continue
+        u, kept = _fire(u, kept, node.rule)
+        text = _text(kept, u)
+        if kept is None:
+            kept = text
+        if len(shown) < len(rest):
+            first = len(shown)
+            for k in range(first, len(rest)):
+                item = rest[k]
+                if item.__class__ is not str:
+                    a, x = item
+                    if x is None:  # printed once, for the line and the crossing
+                        rest[k] = a, x = a, str(a)
+                    item = ", " + _text(x, a)
+                shown.append(item)
+            right = "".join(reversed(shown[first:])) + right
+        if calls:
+            text = "".join(lefts) + text + "".join(reversed(rights))
+        trace.append(f"{left}{text}{right}")
+    for _, levels in reversed(calls):
+        for sub, _, i, _, _ in reversed(levels):
+            u = App(sub.root, (*sub.args[:i - 1], u, *sub.args[i:]))
     for app, done in reversed(frames):
         u = App(app.root, (*done, u, *app.args[len(done) + 1:]))
     return u, trace, suspended

@@ -66,15 +66,23 @@ class Rule(Frozen):
 
     def __getattr__(self, name: str):
         """The parts of a variant, built from its source on the first
-        read of one, and the `shape` of any rule's left-hand side
-        (`terms.flatten`, for `linear_walk`), built on its first read;
-        called only for attributes not set on the rule."""
-        if name not in ("lhs", "rhs", "variables", "_renaming", "shape"):
+        read of one; the `shape` of any rule's left-hand side
+        (`terms.flatten`, for `linear_walk`), and the `rhs_order` of its
+        right-hand side (its subterms, each after its arguments in
+        reverse, from the same flattening, for the rewrite loop), built
+        on their first read; called only for attributes not set on the
+        rule."""
+        if name not in ("lhs", "rhs", "variables", "_renaming", "shape",
+                        "rhs_order"):
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         parts, source = self.__dict__, self.source
         if name == "shape":
             parts["shape"] = flatten(self.lhs)
+        elif name == "rhs_order":
+            rhs = self.rhs
+            rows = flatten(rhs) if rhs.__class__ is App else ()
+            parts["rhs_order"] = (*[row[3] for row in reversed(rows)], rhs)
         elif name == "lhs":
             parts["lhs"] = self._renaming.apply(source.lhs)
         elif name == "rhs":

@@ -163,7 +163,12 @@ def _declarations(text: str, tokens: List[str], i: int,
         if not arity.isdigit():
             raise _error(text, i + 2, "expected a numeric arity")
         try:
-            signature.declare(Symbol(name, int(arity), kind))
+            n = int(arity)
+        except ValueError:  # more digits than `int` converts
+            raise _error(text, i + 2,
+                         f"arity too large: {len(arity)} digits") from None
+        try:
+            signature.declare(Symbol(name, n, kind))
         except ProgramError as exc:
             raise _error(text, i, str(exc)) from exc
         i += 3

@@ -82,11 +82,12 @@ def test_rewrite_trace_rows_stay_live():
     through one `parse_program` and one `parse_term` call, builds the
     forest of its class gate through one `is_inductively_sequential`
     call, and rewrites through one `rewrite_normalize` call, which
-    draws no rule variant.  The printer runs once for the goal line and
-    once per step, on the rewritten focus; the last line repeats the
-    last step's text.  Every term of this trace is rooted by `leq`, so
-    no constructor prefix or pending argument is printed: the count is
-    the number of lines less one."""
+    draws no rule variant.  The printer runs once for the goal line;
+    the rewrite loop joins its lines from kept texts, and prints only
+    the parts of the goal that no line has shown yet and the siblings
+    of the matched subterms it cuts from a kept text: 9 calls for the
+    17 steps here.  Printing the rewritten call at every step called it
+    once per line but the last."""
     from nspec import cli
 
     peano = str(TRACING.parent / "programs" / "peano.flp")
@@ -105,7 +106,7 @@ def test_rewrite_trace_rows_stay_live():
     assert calls["deftree.is_inductively_sequential"] == 1
     assert calls["narrowing.rewrite_normalize"] == 1
     assert calls["program.Rule.renamed"] == 0
-    assert calls["terms.str"] == len(lines) - 1
+    assert 0 < calls["terms.str"] < len(lines) - 2
 
 
 def test_search_trace_rows_stay_live():

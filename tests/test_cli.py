@@ -217,6 +217,20 @@ class TestEval:
         assert code == 0
         assert out == f"goal: add(0, {deep})\n-> {deep}\nnormal form: {deep}\n"
 
+    def test_rewrite_through_a_call_beside_a_term_deeper_than_the_recursion_limit(
+            self, capsys):
+        """The call is in an operation frame, and the deep operand's text
+        is cut from the kept text of each contractum."""
+        deep = "s(" * 10 ** 5 + "0" + ")" * 10 ** 5
+        shallower = deep[2:-1]
+        code = cli.main(["eval", LEQ, "-e", f"leq(add(0, {deep}), s(0))",
+                         "--strategy", "rewrite"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (f"goal: leq(add(0, {deep}), s(0))\n"
+                       f"-> leq({deep}, s(0))\n-> leq({shallower}, 0)\n"
+                       "-> false\nnormal form: false\n")
+
     def test_answers_deeper_than_the_recursion_limit(self):
         proc = run("eval", LEQ, "-e", "leq(X, Y) ~ true", "--max-steps", "600")
         assert proc.returncode == 0, proc.stderr
@@ -627,6 +641,16 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == (
             "error: expected ')', found '->' (line 3, column 5)\n")
+
+    def test_arity_past_the_digit_limit_of_int(self, tmp_path):
+        """An arity with more digits than `int` converts is a parse error
+        at its token, not a usage error."""
+        bad = tmp_path / "big.flp"
+        bad.write_text("constructors 0/0 ;\nconstructors a/" + "9" * 5000 + " ;\n")
+        proc = run("check", str(bad))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: arity too large: 5000 digits (line 2, column 16)\n")
 
     def test_missing_file(self):
         proc = run("check", "/nonexistent/p.flp")

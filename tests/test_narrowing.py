@@ -44,7 +44,6 @@ from nspec.narrowing import (
     nns,
     node_to_dict,
     rewrite_normalize,
-    rewrite_step,
     search,
     strategy_steps,
 )
@@ -197,6 +196,11 @@ class TestLazySteps:
         """A unary leq is not the program's leq/2: no rule is walked."""
         other = App(Symbol("leq", 1, "operation"), (goal(leq_prog, "0"),))
         assert lns(other, leq_prog, FreshVars()) == []
+
+
+def rewrite_step(t, position, rule):
+    """A rewrite step: the narrowing step that binds nothing."""
+    return narrow(t, Step(position, rule, IDENTITY))
 
 
 class TestRewriteStep:
@@ -1008,7 +1012,8 @@ class TestLazyDescentAgreesWithReference:
 
 class TestShapesAreBuiltOnce:
     """A rule's left-hand side is flattened on its first lazy walk and
-    kept (`Rule.shape`); parsing and rewriting flatten nothing."""
+    kept (`Rule.shape`); parsing flattens nothing, and rewriting
+    flattens the two sides of a rule when it first fires it."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -1017,16 +1022,20 @@ class TestShapesAreBuiltOnce:
                             lambda lhs: out.append(lhs) or flatten(lhs))
         return out
 
-    def test_parse_and_rewrite_build_no_shape(self, built):
+    def test_parse_builds_no_shape_and_rewriting_each_once(self, built):
         program = peano()
-        final, _, suspended = rewrite_normalize(
+        final, trace, suspended = rewrite_normalize(
             goal(program, "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))"),
             program)
-        assert suspended
-        final, _, _ = rewrite_normalize(goal(program, "double(s(s(0))) ~ s(s(s(s(0))))"),
-                                        program)
+        assert suspended and trace == [] and built == []  # no rule fired
+        t = goal(program, "double(s(s(0))) ~ s(s(s(s(0))))")
+        final, _, _ = rewrite_normalize(t, program)
         assert str(final) == "true"
-        assert built == []
+        fired = len(built)
+        assert 0 < fired <= 2 * len(program.rules)
+        assert len({id(side) for side in built}) == fired
+        rewrite_normalize(t, program)
+        assert len(built) == fired
 
     @pytest.mark.parametrize("max_nodes", [30, 1500])
     def test_a_lazy_search_flattens_each_rule_at_most_once(self, built, max_nodes):
@@ -1174,6 +1183,11 @@ def parent_outermost_needed_redex(t, trees):
     return None
 
 
+def _spine(k, inner):
+    """add(...add(inner, 0)..., 0), k calls deep."""
+    return "add(" * k + inner + ", 0)" * k
+
+
 def parent_rewrite_normalize(t, program, max_steps):
     """`rewrite_normalize` as it was: cross the constructor prefix, search
     the redex, scan the operation's rules for the one that matches."""
@@ -1251,6 +1265,44 @@ class TestRewriteAgreesWithTheParentLoop:
                     steps += len(trace)
         assert runs >= 5000 and suspended >= 2000 and steps >= 10000, (
             runs, suspended, steps)
+
+    @pytest.mark.parametrize("name, source, steps, stuck", [
+        # Nested call spines: a frame per call, plugged as each finishes.
+        ("leq", _spine(1, nat_text(1)), 2, False),
+        ("leq", _spine(6, nat_text(1)), 12, False),
+        ("leq", _spine(40, nat_text(2)), 120, False),
+        ("leq", _spine(30, "0"), 30, False),
+        ("leq", f"leq({_spine(5, nat_text(2))}, {nat_text(8)})", 18, False),
+        ("leq", f"add({nat_text(4)}, {_spine(5, nat_text(1))})", 15, False),
+        ("leq", f"s(add({_spine(3, '0')}, {_spine(3, nat_text(1))}))", 10, False),
+        # Matched subterms that are not last and larger than their
+        # siblings, cut out of a text kept whole.
+        ("append", f"append(cons({nat_text(30)}, nil), nil)", 2, False),
+        ("append", f"append(cons({nat_text(30)}, cons(0, nil)), "
+                   f"cons({nat_text(5)}, nil))", 3, False),
+        ("append", f"append(append(cons({nat_text(9)}, nil), "
+                   f"cons({nat_text(3)}, nil)), cons(0, nil))", 5, False),
+        ("leq", f"leq(s({nat_text(30)}), s(add({nat_text(3)}, 0)))", 9, False),
+        # A suspension inside a nested call.
+        ("leq", "leq(add(X, 0), s(0))", 0, True),
+        ("leq", "leq(add(add(s(0), 0), X), s(0))", 5, True),
+        ("leq", f"s(leq({_spine(4, nat_text(1))}, add(Y, 0)))", 4, True),
+        # Equations through eq and and.
+        ("leq", f"{_spine(3, nat_text(1))} ~ s(0)", 8, False),
+        ("append", f"append(cons(0, nil), Xs) ~ cons(0, append(nil, nil))", 5, True),
+        ("leq", f"eq({_spine(2, '0')}, add(0, 0)) ~ true", 5, False),
+    ])
+    def test_shapes(self, name, source, steps, stuck):
+        program = load(f"{name}.flp")
+        t = goal(program, source)
+        final, lines, suspended = rewrite_normalize(t, program, 10 ** 4)
+        assert (len(lines), suspended) == (steps, stuck)
+        # Stops at 1, at 2, in the middle of the run and at its end.
+        for max_steps in sorted({1, 2, steps // 2, steps, steps + 1}):
+            reached, trace, parent_stuck = parent_rewrite_normalize(
+                t, program, max_steps)
+            assert rewrite_normalize(t, program, max_steps) == (
+                reached, [str(u) for u in trace], parent_stuck), max_steps
 
 
 def _tree_terms(program, call, strategy):
@@ -1475,6 +1527,17 @@ def _terms_built(monkeypatch, run):
     return len(built)
 
 
+# Goals whose rewriting takes about k steps (2k on the spine), with the
+# text of their normal form.
+REWRITE_SHAPES = [
+    ("leq", lambda k: f"add({nat_text(k)}, 0)", nat_text),
+    ("double", lambda k: f"double({nat_text(k)})", lambda k: nat_text(2 * k)),
+    ("append", lambda k: f"append({list_text(['0'] * k)}, nil)",
+     lambda k: list_text(['0'] * k)),
+    ("leq", lambda k: _spine(k, nat_text(1)), lambda k: nat_text(1)),
+]
+
+
 class TestStepCostFollowsTheWalk:
     """A step costs about its walk, so its work grows linearly with the
     depth of the pattern or of the nested calls.  The work is counted:
@@ -1498,20 +1561,17 @@ class TestStepCostFollowsTheWalk:
         # Linear growth gives 1; the cubic fold gave about 16.
         assert per_part[400] < 1.5 * per_part[100], per_part
 
-    @pytest.mark.parametrize("name, source, value", [
-        ("leq", lambda k: f"add({nat_text(k)}, 0)", nat_text),
-        ("double", lambda k: f"double({nat_text(k)})",
-         lambda k: nat_text(2 * k)),
-        ("append", lambda k: f"append({list_text(['0'] * k)}, nil)",
-         lambda k: list_text(['0'] * k)),
-    ], ids=["add", "double", "append"])
+    @pytest.mark.parametrize("name, source, value", REWRITE_SHAPES,
+                             ids=["add", "double", "append", "nested add"])
     def test_rewriting_builds_no_constructor_prefix(
             self, monkeypatch, name, source, value):
         """A rewrite step builds its contractum, and each constructor of
-        the prefix above it is built once, when its arguments are
-        finished: at most 4 terms per step at every depth (about 3 here,
-        as each step's right-hand side builds 2).  Rebuilding the prefix
-        at every step built k/2 per step."""
+        the prefix above it, or call of an operation frame, is built
+        once, when its arguments are finished: at most 4 terms per step
+        at every depth (about 3 on the prefixes, as each step's
+        right-hand side builds 2, and 2 on the spine of calls).
+        Rebuilding the prefix at every step built k/2 per step, and
+        descending the spine from its root at every step k/2 as well."""
         program = load(f"{name}.flp")
         for k in (250, 500, 1000, 2000):
             t = goal(program, source(k))
@@ -1521,6 +1581,31 @@ class TestStepCostFollowsTheWalk:
             [(final, trace, suspended)] = runs
             assert trace[-1] == value(k) and not suspended
             assert built <= 4 * len(trace), (k, built / len(trace))
+
+    @pytest.mark.parametrize("name, source, value", REWRITE_SHAPES,
+                             ids=["add", "double", "append", "nested add"])
+    def test_rewriting_prints_a_constant_per_step(
+            self, monkeypatch, name, source, value):
+        """After the goal, the printer returns at most a few characters
+        per step: a line is joined from kept texts, and a contractum's
+        text from its right-hand side and the texts of its matched
+        subterms, so only terms of the goal that no line has shown yet
+        are printed (about 1 character a step here, 4 on lists of
+        `s(0)`).  Printing the rewritten call at each step printed about
+        a whole line per step."""
+        program = load(f"{name}.flp")
+        printed = []
+        text = App.__str__
+        for k in (250, 1000, 2000):
+            t = goal(program, source(k))
+            with monkeypatch.context() as patched:
+                patched.setattr(App, "__str__", lambda term: (
+                    lambda out: printed.append(len(out)) or out)(text(term)))
+                del printed[:]
+                final, trace, suspended = rewrite_normalize(t, program, 10 ** 4)
+            assert trace[-1] == value(k) and not suspended
+            assert sum(printed) - len(str(t)) <= 4 * len(trace), (
+                k, sum(printed), len(trace))
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_step_cost_per_nested_call_is_flat(self, strategy):

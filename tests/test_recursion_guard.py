@@ -97,12 +97,16 @@ def test_narrowing_steps_and_redexes_do_not_call_themselves():
     """The step descents, which also count steps and find redexes, the
     crossing of constructor prefixes, the rewrite loop, the tree
     expansion and the preorder of a narrowing tree, which its readers
-    such as the JSON dump use, loop over explicit stacks."""
+    such as the JSON dump use, loop over explicit stacks; so do the
+    rewrite loop's helpers, which cut kept texts (`_split`), contract
+    the focus (`_fire`), and open and plug operation frames (`_open`,
+    `_plug`)."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
     walkers = {"nns", "lns", "_cross_prefix", "rewrite_normalize",
-               "strategy_steps", "expand", "preorder", "node_to_dict"}
+               "strategy_steps", "expand", "preorder", "node_to_dict",
+               "_split", "_fire", "_open", "_plug"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of nns
     assert self_calling_functions(source) == []
