@@ -7,7 +7,6 @@ from .terms import (
     App,
     Term,
     Substitution,
-    IDENTITY,
     FreshVars,
     Succ,
     Fail,
@@ -88,7 +87,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Symbol", "Var", "App", "Term", "Substitution", "IDENTITY", "FreshVars",
+    "Symbol", "Var", "App", "Term", "Substitution", "FreshVars",
     "Succ", "Fail", "Demand", "compose", "unify", "match",
     "variant_key", "linear_unify", "canonical_rename",
     "subterms", "subterm_at", "replace_at", "vars_of",

@@ -20,8 +20,9 @@ variable, found by the needed descent's redex mode, which draws no
 names and builds no `Step`.  It is an abstract machine: frames above the
 focus, for the constructor prefix and for the calls whose inductive
 argument is being evaluated, are built once, when they are finished;
-the focus is the redex, contracted at its root; and the trace is text,
-each line joined from texts kept beside the frames and the focus.
+the focus is the redex, contracted at its root; and the trace is one
+line of text, over which each step splices its contractum's text at
+the focus's offset.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .terms import (
     Chain,
     Demand,
     FreshVars,
-    IDENTITY,
     Position,
     Substitution,
     Symbol,
@@ -48,12 +48,15 @@ from .terms import (
     _applied,
     _path,
     _rebuild,
+    _set_app_width,
     _solve,
+    _width,
     canonical_rename,
     is_constructor_term,
     is_operation_rooted,
     linear_overlay,
     linear_walk,
+    replace_at,
     resolve_chain,
     vars_of,
 )
@@ -61,38 +64,24 @@ from .terms import (
 
 class Step(NamedTuple):
     """One narrowing step: rewrite at `position` with a renamed-apart
-    `rule` after instantiating by `subst`.
-
-    For needed steps, `canonical` is the elementary decomposition
-    phi_1 .. phi_k of the substitution (applied left to right): each
-    entry is the identity or binds one variable to a shallow constructor
-    application of fresh variables.
-    """
+    `rule` after instantiating by `subst`."""
 
     position: Position
     rule: Rule
     subst: Substitution
-    canonical: Tuple[Substitution, ...] = ()
 
     def __str__(self) -> str:
         return f"({list(self.position)}, {self.rule.label or self.rule}, {self.subst})"
 
 
-def _unwind(chain: Optional[tuple]) -> List[object]:
-    """The items of a parent-pointer chain (item, parent), oldest first."""
-    items = []
-    while chain is not None:
-        item, chain = chain
-        items.append(item)
-    items.reverse()
-    return items
-
-
 def _joined(segments: Optional[tuple]) -> Position:
-    """The position spelled by a chain of position segments."""
-    if segments is None:
-        return ()
-    return tuple(itertools.chain.from_iterable(_unwind(segments)))
+    """The position spelled by a parent-pointer chain of position
+    segments, (segment, parent), oldest first."""
+    parts = []
+    while segments is not None:
+        segment, segments = segments
+        parts.append(segment)
+    return tuple(itertools.chain.from_iterable(reversed(parts)))
 
 
 def _tree_of(trees: Dict[str, DefTree], f: Symbol) -> Optional[DefTree]:
@@ -105,8 +94,7 @@ def _tree_of(trees: Dict[str, DefTree], f: Symbol) -> Optional[DefTree]:
 
 
 def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
-        count: bool = False, at: Optional[tuple] = None, redex: bool = False,
-        start: Optional[DefTree] = None
+        count: bool = False, at: Optional[tuple] = None, redex: bool = False
         ) -> Union[List[Step], int, Optional[Tuple[DefTree, Optional[App]]]]:
     """Needed narrowing steps of an operation-rooted term t, from the
     definitional tree of its root (none, and no step, when it has none).
@@ -120,15 +108,14 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
     o.  t is never rebuilt: each instantiation is entered in `bound`, the
     bindings of the current tree path in binding order, and positions
     are read through it.  A frame is (tree node, the operation-rooted
-    subterm u it descends, u's position extending `at` (t's own) and the
-    canonical parts so far, both parent-pointer chains read only at a
-    leaf, and the (variable, constructor) to bind on entry, if any); a
-    bare variable on the stack ends that binding's scope.  A branch
-    reads its inductive position once, on entry.  A leaf draws its
-    rule's variant and reads its substitution off `bound` as one
-    triangular map (`_rebuild`, as `resolve_chain` does): every image is
-    made of fresh names, so no image mentions a variable bound before
-    it, and that is the composition of the canonical parts.
+    subterm u it descends, u's position extending `at` (t's own), a
+    parent-pointer chain read only at a leaf, and the (variable,
+    constructor) to bind on entry, if any); a bare variable on the stack
+    ends that binding's scope.  A branch reads its inductive position
+    once, on entry.  A leaf draws its rule's variant and reads its
+    substitution off `bound` as one triangular map (`_rebuild`, as
+    `resolve_chain` does): every image is made of fresh names, so no
+    image mentions a variable bound before it.
 
     A variable branch looks ahead before it pushes a child that is not
     a leaf: it reads the child's inductive position from u through
@@ -142,22 +129,21 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
-    renaming, but no part, rule variant or step is built.  With `redex`,
-    the descent looks for a rewrite step, one that binds nothing, in t's
-    own tree, from its root or from its node `start`: it returns (leaf,
-    None) at the first leaf it reaches, whose rule rewrites t at its
-    root, (branch, subterm) at the first branch whose inductive position
-    holds an operation-rooted subterm, and None at the first variable it
-    would bind or when no child matches.  It reads no `gen` and builds
-    no variant, part or step.
+    renaming, but no rule variant or step is built.  With `redex`, the
+    descent looks for a rewrite step, one that binds nothing, in t's own
+    tree: it returns (leaf, None) at the first leaf it reaches, whose
+    rule rewrites t at its root, (branch, subterm) at the first branch
+    whose inductive position holds an operation-rooted subterm, and None
+    at the first variable it would bind or when no child matches.  It
+    reads no `gen` and builds no variant or step.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
     steps: List[Step] = []
     found = 0
     bound: Dict[Var, App] = {}
-    tree = _tree_of(trees, t.root) if start is None else start
-    stack: List[object] = [] if tree is None else [(tree, t, at, None, None)]
+    tree = _tree_of(trees, t.root)
+    stack: List[object] = [] if tree is None else [(tree, t, at, None)]
     while stack:
         frame = stack.pop()
         if frame.__class__ is not tuple:
@@ -166,14 +152,11 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
             else:
                 del bound[frame]
             continue
-        node, u, at, parts, binding = frame
+        node, u, at, binding = frame
         if binding is not None:
             x, ctor = binding
-            image = App(ctor, gen.fresh_tuple(ctor.arity))
-            bound[x] = image
+            bound[x] = App(ctor, gen.fresh_tuple(ctor.arity))
             stack.append(x)
-            if not count:
-                parts = (Substitution._of({x: image}), parts)
         if isinstance(node, Leaf):
             if redex:
                 return node, None
@@ -186,8 +169,7 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                 sigma = Substitution._of({x: _rebuild(x, memo, bound) for x in bound})
             else:  # none or one binding: the map is resolved as it is
                 sigma = Substitution._of(bound.copy())
-            steps.append(Step(_joined(at), node.rule.renamed(gen), sigma,
-                              tuple(_unwind((IDENTITY, parts)))))
+            steps.append(Step(_joined(at), node.rule.renamed(gen), sigma))
             continue
         sub = u
         for i in node.position:
@@ -216,19 +198,18 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                             if ctor.arity:
                                 stack.append(ctor.arity)
                             continue
-                stack.append((child, u, at, parts, (sub, ctor)))
+                stack.append((child, u, at, (sub, ctor)))
         elif sub.root.kind == CONSTRUCTOR:
             for child, ctor in zip(node.children, node.constructors):
                 if ctor == sub.root:
-                    stack.append((child, u, at, (IDENTITY, parts), None))
+                    stack.append((child, u, at, None))
                     break
         else:
             if redex:
                 return node, sub
             inner = _tree_of(trees, sub.root)
             if inner is not None:
-                stack.append((inner, sub, (node.position, at),
-                              (IDENTITY, parts), None))
+                stack.append((inner, sub, (node.position, at), None))
     if redex:
         return None
     return found if count else steps
@@ -283,7 +264,7 @@ def lns(t: Term, program: Program, gen: FreshVars, count: bool = False,
                     sigma = _solve([(theta.apply(p), g) for p, g in walked])
                     if here is None:
                         here = _joined(at)
-                    steps.append(Step(here, variant, sigma, (sigma,)))
+                    steps.append(Step(here, variant, sigma))
                     continue
                 found += 1
             gen.skip(rule.variables)
@@ -578,112 +559,57 @@ def search(goal: Term, program: Program, strategy: str = "needed",
     return SearchResult(root, answers, complete)
 
 
-# The kept text of a term: None while it is not printed, its text, or
-# (its text, the kept texts of its arguments).
-Kept = Union[None, str, Tuple[str, tuple]]
-
-
-def _text(kept: Kept, u: Term) -> str:
-    """The text of u, from its kept text or printed."""
-    if kept is None:
-        return str(u)
-    return kept if kept.__class__ is str else kept[0]
-
-
-def _split(kept: Kept, u: App, keep: int) -> tuple:
-    """The kept texts of u's arguments.  A text is cut: the arguments
-    other than the `keep`-th are printed, which gives its offsets, and it
-    is sliced out."""
-    if kept is None:
-        return (None,) * len(u.args)
-    if kept.__class__ is tuple:
-        return kept[1]
-    if len(u.args) == 1:
-        return (kept[len(u.root.name) + 1:-1],)
-    before = [str(a) for a in u.args[:keep - 1]]
-    after = [str(a) for a in u.args[keep:]]
-    start = len(u.root.name) + 1 + sum(map(len, before)) + 2 * len(before)
-    end = len(kept) - 1 - sum(map(len, after)) - 2 * len(after)
-    return (*before, kept[start:end], *after)
-
-
-def _fire(u: App, kept: Kept, rule: Rule) -> Tuple[Term, Kept]:
+def _fire(u: App, rule: Rule, line: str, at: int, end: int
+          ) -> Tuple[Term, str]:
     """The contractum of u by a rule whose left-hand side matches u, and
-    its kept text.  The matched subterms are read at the variables of
-    the left-hand side (`Rule.shape`), with their kept texts: each
-    application's arguments are split once, the last one sliced out.
-    The right-hand side is built children first (`Rule.rhs_order`), each
-    application's text joined from its arguments'; ground parts are
+    its text, where u's text is line[at:end].  The matched subterms are
+    read at the variables of the left-hand side (`Rule.shape`), with
+    the spans of their texts in the line.  An argument's text starts
+    after its parent's name and "(" if it is the first, else 2
+    characters after its left sibling's ends; it ends 1 character before
+    its parent's if it is the last, else its width (`_width`) after its
+    start.  So only arguments with a right sibling are measured.  The
+    right-hand side is built children first (`Rule.rhs_order`), each
+    application's text joined from its arguments' and its width kept;
+    a variable's text is sliced from the line, and ground parts are
     shared, and printed when their parent is joined."""
     source = rule.source
     shape = source.shape
     n = len(shape)
-    terms = [u] * (n + 1)  # what each row of the shape met; the last, u
-    texts = [kept] * (n + 1)
-    splits: List[Optional[tuple]] = [None] * (n + 1)
-    theta: Dict[Var, Tuple[Term, Kept]] = {}
+    # Per row of the shape and last for u: the subterm met, where the
+    # text of its next argument starts, and where its own text ends.
+    terms = [u] * (n + 1)
+    nexts = [at + len(u.root.name) + 1] * (n + 1)
+    ends = [end] * (n + 1)
+    spans: Dict[Var, Tuple[Term, int, int]] = {}
     for k, (parent, i, _, p, _) in enumerate(shape):
-        args = splits[parent]
-        if args is None:
-            g = terms[parent]
-            args = splits[parent] = _split(texts[parent], g, len(g.args))
+        g = terms[parent]
+        a = g.args[i - 1]
+        start = nexts[parent]
+        stop = ends[parent] - 1 if i == len(g.args) else start + _width(a)
+        nexts[parent] = stop + 2
         if p.__class__ is Var:
-            theta[p] = (terms[parent].args[i - 1], args[i - 1])
+            spans[p] = a, start, stop
         else:
-            terms[k] = terms[parent].args[i - 1]
-            texts[k] = args[i - 1]
-    out: List[Tuple[Term, Kept]] = []
+            terms[k], nexts[k], ends[k] = a, start + len(a.root.name) + 1, stop
+    out: List[Tuple[Term, Optional[str]]] = []
     for p in source.rhs_order:
         if p.__class__ is Var:
-            a, x = theta[p]
-            if x is None:  # printed once, however often it occurs
-                theta[p] = a, x = a, str(a)
-            out.append((a, x))
+            a, start, stop = spans[p]
+            out.append((a, line[start:stop]))
         elif p.ground:
             del out[len(out) - len(p.args):]
             out.append((p, None))
         else:
-            args, kids, shown = [], [], []
-            for a, x in reversed(out[-len(p.args):]):  # first to last
-                args.append(a)
-                if x is None:
-                    x = str(a)
-                kids.append(x)
-                shown.append(x if x.__class__ is str else x[0])
+            kids = out[:-len(p.args) - 1:-1]  # first to last
             del out[-len(p.args):]
-            out.append((App(p.root, tuple(args)),
-                        (f"{p.root.name}({', '.join(shown)})", tuple(kids))))
-    return out[0]
-
-
-def _open(u: App, kept: Kept, position: Position
-          ) -> Tuple[List[tuple], Term, Kept]:
-    """An operation frame around `position` of the call u: per
-    application on the path, (it, its arguments' kept texts, the
-    argument's index, its text left and right of that argument); then
-    the subterm there and its kept text.  The other arguments on the
-    path are printed if no text is kept for them."""
-    levels = []
-    for i in position:
-        kids = [str(a) if x is None and j != i else x
-                for j, (a, x) in enumerate(zip(u.args, _split(kept, u, i)), 1)]
-        before = [_text(x, u) + ", " for x in kids[:i - 1]]
-        after = [", " + _text(x, u) for x in kids[i:]]
-        levels.append((u, kids, i, "".join([u.root.name, "(", *before]),
-                       "".join([*after, ")"])))
-        u, kept = u.args[i - 1], kids[i - 1]
-    return levels, u, kept
-
-
-def _plug(levels: List[tuple], u: Term, kept: Kept) -> Tuple[App, Kept]:
-    """The call of an operation frame with u in its hole, and its kept
-    text."""
-    for sub, kids, i, left, right in reversed(levels):
-        text = _text(kept, u)
-        u = App(sub.root, (*sub.args[:i - 1], u, *sub.args[i:]))
-        kids[i - 1] = kept if kept is not None else text
-        kept = (left + text + right, tuple(kids))
-    return u, kept
+            shown = ", ".join([str(a) if x is None else x for a, x in kids])
+            text = f"{p.root.name}({shown})"
+            built = App(p.root, tuple([a for a, _ in kids]))
+            _set_app_width(built, len(text))
+            out.append((built, text))
+    a, x = out[0]
+    return a, str(a) if x is None else x
 
 
 def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
@@ -709,109 +635,75 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     constructor position, so no step changes them.  Below it, the needed
     descent (`nns` in redex mode) runs in one call's own tree.  Where a
     branch's inductive position holds an operation-rooted subterm, an
-    operation frame is pushed (the call, the branch, and the call's text
-    left and right of the position) and the subterm is in focus.  At a
-    leaf the focus is the redex, and its contractum replaces it.  A
-    focus in head normal form is plugged into the frame on top, and the
-    descent resumes at that frame's branch, on the new constructor, not
-    from the root of the call's tree: the choices above it read
-    constructors that no step below changes.  Frames are plugged only
-    when they are finished or the run stops, so a step builds its
-    contractum and the path of the frame it finishes.
+    operation frame is pushed (the call, the branch and the offset of
+    the call's text) and the subterm is in focus.  At a leaf the focus is the redex, and its contractum
+    replaces it.  A focus in head normal form is plugged into the frame
+    on top, and the descent restarts at the root of that call's tree,
+    which costs at most the depth of one definitional tree.  Frames are
+    plugged only when they are finished or the run stops, so a step
+    builds its contractum and the path of the frame it finishes.
 
-    The text of the focus is kept beside it (`Kept`), so a line joins
-    kept texts only: the text left of the top call, kept as one string,
-    the texts of the operation frames, the focus's, and the text right
-    of the top call, whose pending arguments are printed when a line
-    first needs them.  A contractum's text is its right-hand side's,
-    with the texts of the matched subterms in place of its variables;
-    those are cut from the focus's text (`_fire`), which prints at most
-    their siblings, and the terms of the goal are printed when first
-    needed.
+    The text is one string, the current line.  Operation frames and the
+    focus hold the offsets of their texts in it, counted from the widths
+    of the subterms they step over (`_width`), which are measured, not
+    printed.  A step splices the contractum's text over the redex's
+    (`_fire`), so only the goal and the ground parts of right-hand
+    sides are printed.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
     trace: List[str] = []
+    line = str(t)
+    if t.__class__ is App:
+        _set_app_width(t, len(line))
+    # The constructor frames, with their finished arguments, and the
+    # operation frames, (call, branch, the offset of the call's text).
     frames: List[Tuple[App, List[Term]]] = []
-    # What is right of the top call, leftmost on top: the arguments
-    # still to cross, with their kept texts, and a ")" that closes each
-    # frame; the texts of its bottom items, as far as a line has needed
-    # them, and theirs joined.
-    rest: List[Union[Tuple[Term, Kept], str]] = []
-    shown: List[str] = []
-    left = right = ""
-    # The operation frames, (branch, levels of `_open`), and their texts
-    # left and right of their holes.
-    calls: List[Tuple[DefTree, List[tuple]]] = []
-    lefts: List[str] = []
-    rights: List[str] = []
-    u, kept = t, None
+    calls: List[Tuple[App, DefTree, int]] = []
+    u, at = t, 0  # the focus and the offset of its text
     suspended = False
     while True:
-        start = None
         if u.__class__ is Var or u.root.kind == CONSTRUCTOR:
             if calls:
-                start, levels = calls.pop()
-                del lefts[-1], rights[-1]
-                u, kept = _plug(levels, u, kept)
+                call, node, at = calls.pop()
+                u = replace_at(call, node.position, u)
             elif u.constructor_term:
-                left += _text(kept, u)
-                while rest:
-                    frames[-1][1].append(u)
-                    item = rest.pop()
-                    if len(shown) > len(rest):
-                        right = right[len(shown.pop()):]
-                    if item.__class__ is not str:
-                        u, kept = item
-                        left += ", "
+                end = at + _width(u)
+                while frames:
+                    app, done = frames[-1]
+                    done.append(u)
+                    if len(done) < len(app.args):
+                        u, at = app.args[len(done)], end + 2
                         break
-                    app, done = frames.pop()
+                    frames.pop()
                     u = App(app.root, tuple(done))
-                    left += ")"
+                    end += 1
                 else:
                     return u, trace, False
                 continue
             else:
-                kids = _split(kept, u, 1)
                 frames.append((u, []))
-                rest.append(")")
-                rest += zip(u.args[:0:-1], kids[:0:-1])
-                left += u.root.name + "("
-                u, kept = u.args[0], kids[0]
+                u, at = u.args[0], at + len(u.root.name) + 1
                 continue
         if len(trace) >= max_steps:
             break
-        found = nns(u, trees, None, redex=True, start=start)
+        found = nns(u, trees, None, redex=True)
         if found is None:
             suspended = True
             break
         node, sub = found
         if sub is not None:
-            levels, u, kept = _open(u, kept, node.position)
-            calls.append((node, levels))
-            lefts.append("".join([level[3] for level in levels]))
-            rights.append("".join([level[4] for level in reversed(levels)]))
+            calls.append((u, node, at))
+            for i in node.position:
+                at += (len(u.root.name) + 2 * i - 1
+                       + sum(map(_width, u.args[:i - 1])))
+                u = u.args[i - 1]
             continue
-        u, kept = _fire(u, kept, node.rule)
-        text = _text(kept, u)
-        if kept is None:
-            kept = text
-        if len(shown) < len(rest):
-            first = len(shown)
-            for k in range(first, len(rest)):
-                item = rest[k]
-                if item.__class__ is not str:
-                    a, x = item
-                    if x is None:  # printed once, for the line and the crossing
-                        rest[k] = a, x = a, str(a)
-                    item = ", " + _text(x, a)
-                shown.append(item)
-            right = "".join(reversed(shown[first:])) + right
-        if calls:
-            text = "".join(lefts) + text + "".join(reversed(rights))
-        trace.append(f"{left}{text}{right}")
-    for _, levels in reversed(calls):
-        for sub, _, i, _, _ in reversed(levels):
-            u = App(sub.root, (*sub.args[:i - 1], u, *sub.args[i:]))
+        end = at + _width(u)
+        u, text = _fire(u, node.rule, line, at, end)
+        line = line[:at] + text + line[end:]
+        trace.append(line)
+    for call, node, _ in reversed(calls):
+        u = replace_at(call, node.position, u)
     for app, done in reversed(frames):
         u = App(app.root, (*done, u, *app.args[len(done) + 1:]))
     return u, trace, suspended

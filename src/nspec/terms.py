@@ -128,10 +128,12 @@ class App(Frozen):
     Walkers use them to skip whole subterms.  The hash is computed on
     first use (few terms are ever hashed) and kept in `_hash`; it is
     the hash of `(root, args)`, found bottom-up by a loop
-    (`_hash_app`), so a term of any depth can be hashed.
+    (`_hash_app`), so a term of any depth can be hashed.  The length of
+    its text is measured and kept in the same way (`_width`).
     """
 
-    __slots__ = ("root", "args", "ground", "constructor_term", "_hash")
+    __slots__ = ("root", "args", "ground", "constructor_term", "_hash",
+                 "_width")
     _fields = ("root", "args")
 
     def __init__(self, root: Symbol, args: Tuple["Term", ...] = ()) -> None:
@@ -229,6 +231,7 @@ _set_args = App.args.__set__
 _set_ground = App.ground.__set__
 _set_constructor_term = App.constructor_term.__set__
 _set_app_hash = App._hash.__set__
+_set_app_width = App._width.__set__
 
 
 def _hash_app(t: App) -> int:
@@ -243,6 +246,31 @@ def _hash_app(t: App) -> int:
     for u in reversed(unhashed):
         _set_app_hash(u, hash((u.root, u.args)))
     return t._hash
+
+
+def _width(t: Term) -> int:
+    """len(str(t)), without printing t.  An application's width is
+    stored in its `_width` slot on first use, with that of every
+    subterm not measured yet, children before parents, as `_hash_app`
+    does: its symbol's name, and per argument the argument's width and
+    2 characters, "(" and ")" or ", "."""
+    if t.__class__ is Var:
+        return len(t.name)
+    try:
+        return t._width
+    except AttributeError:
+        pass
+    unmeasured = [t]
+    for u in unmeasured:  # the list grows as it is walked
+        for a in u.args:
+            if a.__class__ is App and getattr(a, "_width", None) is None:
+                unmeasured.append(a)
+    for u in reversed(unmeasured):
+        n = len(u.root.name) + 2 * len(u.args)
+        for a in u.args:
+            n += len(a.name) if a.__class__ is Var else a._width
+        _set_app_width(u, n)
+    return t._width
 
 
 def is_operation_rooted(t: Term) -> bool:
@@ -388,9 +416,6 @@ class Substitution:
     def apply(self, t: Term) -> Term:
         """sigma(t), sharing every subterm that sigma does not change."""
         return _applied(self._map, t)
-
-
-IDENTITY = Substitution()
 
 
 def _hash_bindings(m: Dict[Var, Term]) -> int:

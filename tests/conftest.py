@@ -22,7 +22,6 @@ from nspec import (
     Substitution,
     Symbol,
     Var,
-    IDENTITY,
     add_strict_equality,
     canonical_rename,
     compose,
@@ -37,6 +36,9 @@ from nspec import (
 )
 from nspec.deftree import preorder
 from nspec.terms import CONSTRUCTOR, OPERATION, Demand, Fail
+
+# The empty substitution.
+IDENTITY = Substitution()
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,7 +145,7 @@ def generic_calls(program):
 
 
 # Goals on the corpus programs, by file stem, that acceptance criterion 9
-# checks for divergent steps and independent answers.
+# checks for disjoint steps and independent answers.
 CORPUS_GOALS = [
     ("leq", "leq(X, add(X, X))"), ("leq", "leq(X, Y)"),
     ("leq", "add(X, Y)"), ("leq", "eq(leq(X, s(0)), true)"),

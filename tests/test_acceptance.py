@@ -25,7 +25,6 @@ from conftest import (
     steps_view,
 )
 from nspec import (
-    App,
     Bounds,
     Branch,
     FreshVars,
@@ -244,26 +243,11 @@ def test_criterion_08_root_stable_unfolding_safety(gfh, pe_gfh):
             ("{X -> s(0)}", "true")}
 
 
-def _diverges_on_constructors(a, b):
-    """Whether two needed steps share a canonical prefix and then bind the
-    same variable to differently rooted constructors."""
-    for phi_a, phi_b in zip(a.canonical, b.canonical):
-        if phi_a == phi_b:
-            continue
-        if len(phi_a) != 1 or len(phi_b) != 1:
-            return False
-        (var_a, image_a), = phi_a.mapping.items()
-        (var_b, image_b), = phi_b.mapping.items()
-        return (var_a == var_b and isinstance(image_a, App)
-                and isinstance(image_b, App) and image_a.root != image_b.root)
-    return False
-
-
 def test_criterion_09_property_suite_corpus_and_random(
         leq, append, double, gfh, loop,
         pe_leq, pe_append, pe_double, pe_gfh):
     with criterion(9, "specializations stay inductively sequential, needed "
-                      "steps diverge on constructors, answers are pairwise "
+                      "steps are pairwise disjoint, answers are pairwise "
                       "independent, and answer sets survive specialization "
                       "(corpus + 200 random programs)"):
         problems = []
@@ -293,17 +277,18 @@ def test_criterion_09_property_suite_corpus_and_random(
 
             trees = is_inductively_sequential(program).trees
             for call in calls:
-                # (b) canonical substitutions of distinct needed steps
-                # share a prefix, then instantiate one variable to
-                # different constructors.
+                # (b) distinct needed steps are disjoint: their
+                # substitutions disagree non-unifiably on the call's
+                # variables.
                 steps = nns(call, trees, FreshVars(avoid=vars_of(call)))
                 if len(steps) >= 2:
                     multi_step += 1
                 for i in range(len(steps)):
                     for j in range(i + 1, len(steps)):
-                        if not _diverges_on_constructors(steps[i], steps[j]):
+                        if not independent(steps[i].subst, steps[j].subst,
+                                           vars_of(call)):
                             problems.append(
-                                f"seed {seed}: steps not divergent on {call}:"
+                                f"seed {seed}: steps not disjoint on {call}:"
                                 f" {steps[i]} vs {steps[j]}")
                 # (c) computed answers of one goal are pairwise independent.
                 answers = search(call, program, bounds=bounds).answers
@@ -329,8 +314,9 @@ def test_criterion_09_property_suite_corpus_and_random(
             steps = nns(goal, trees, FreshVars(avoid=vars_of(goal)))
             for i in range(len(steps)):
                 for j in range(i + 1, len(steps)):
-                    if not _diverges_on_constructors(steps[i], steps[j]):
-                        problems.append(f"corpus steps not divergent: {source}")
+                    if not independent(steps[i].subst, steps[j].subst,
+                                       vars_of(goal)):
+                        problems.append(f"corpus steps not disjoint: {source}")
             answers = search(goal, program,
                              bounds=Bounds(max_steps=8, max_nodes=400)).answers
             goal_vars = vars_of(goal)

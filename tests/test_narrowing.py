@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     CORPUS_GOALS,
+    IDENTITY,
     ParentFreshVars,
     answer_set,
     below_recursion_limit,
@@ -53,7 +54,6 @@ from nspec.terms import (
     App,
     Demand,
     FreshVars,
-    IDENTITY,
     Substitution,
     Succ,
     Symbol,
@@ -91,7 +91,7 @@ def _a_step():
     f = Symbol("f", 1, "operation")
     rule = Rule(App(f, (Var("X_1"),)), Var("X_1"), "R1")
     sigma = Substitution({Var("Y"): App(Symbol("0", 0, "constructor"))})
-    return Step((1,), rule, sigma, (sigma,))
+    return Step((1,), rule, sigma)
 
 
 class TestRecords:
@@ -162,17 +162,6 @@ class TestNeededSteps:
         assert strategy_steps(t, program, "needed", trees, FreshVars()) == []
         assert strategy_steps(t, program, "needed", trees, FreshVars(),
                               count=True) == 0
-
-    def test_canonical_decomposition(self, leq_prog, leq_trees):
-        steps = nns(goal(leq_prog, "leq(X, add(X, X))"), leq_trees, FreshVars())
-        for step in steps:
-            assert step.subst == parent_compose_canonical(step.canonical)
-            for phi in step.canonical:
-                assert len(phi) <= 1
-                for image in phi.mapping.values():
-                    assert isinstance(image, App)
-                    assert image.root.kind == "constructor"
-                    assert all(isinstance(a, Var) for a in image.args)
 
 
 class TestLazySteps:
@@ -722,6 +711,11 @@ class TestAnswersAgreeWithEagerComposition:
 
 
 PEANO = Path(__file__).parent.parent / "bench" / "programs" / "peano.flp"
+# The program files of the tests and of the benchmark.
+PROGRAM_FILES = [path for folder in ("tests/data", "tests/data/interp",
+                                     "bench/programs")
+                 for path in sorted((Path(__file__).parent.parent / folder)
+                                    .glob("*.flp"))]
 
 # The algebraic laws of the benchmark's narrow_wide workload, on peano.flp.
 WIDE_LAWS = (
@@ -798,9 +792,10 @@ def ref_nns(t, node, trees, gen):
 
 
 def parent_compose_canonical(parts):
-    """The composition of a needed step's canonical parts as a left fold
-    of `compose`, cubic in the number of parts: the reference for the
-    step's substitution, which `nns` reads off its bindings."""
+    """The composition of the reference descent's elementary parts, each
+    binding one variable to a shallow constructor pattern, as a left
+    fold of `compose`, cubic in the number of parts: the reference for
+    a needed step's substitution, which `nns` reads off its bindings."""
     acc = IDENTITY
     for phi in parts:
         if phi:
@@ -813,9 +808,8 @@ def _subst_view(sigma):
     return repr(sigma), [(x.name, str(t)) for x, t in sigma.mapping.items()]
 
 
-def _step_view(position, rule, subst, canonical):
-    return (position, str(rule), rule.label, rule.variables,
-            _subst_view(subst), [_subst_view(phi) for phi in canonical])
+def _step_view(position, rule, subst):
+    return position, str(rule), rule.label, rule.variables, _subst_view(subst)
 
 
 def _descent_goals(program, call, strategy="needed"):
@@ -828,9 +822,8 @@ def _descent_goals(program, call, strategy="needed"):
 def _assert_descent_matches_reference(t, trees):
     tree = trees[t.root.name]
     gen, ref_gen = FreshVars(vars_of(t)), FreshVars(vars_of(t))
-    new = [_step_view(s.position, s.rule, s.subst, s.canonical)
-           for s in nns(t, trees, gen)]
-    ref = [_step_view(pos, rule, parent_compose_canonical(parts), parts)
+    new = [_step_view(s.position, s.rule, s.subst) for s in nns(t, trees, gen)]
+    ref = [_step_view(pos, rule, parent_compose_canonical(parts))
            for pos, rule, parts in ref_nns(t, tree, trees, ref_gen)]
     assert new == ref, t
     # The same names were drawn: the same next suffix and fresh name.
@@ -893,7 +886,7 @@ def ref_lns(t, at, program, gen):
         variant = parent_renamed(rule, gen)
         outcome = linear_unify(variant.lhs, sub)
         if isinstance(outcome, Succ):
-            steps.append(Step(at, variant, outcome.subst, (outcome.subst,)))
+            steps.append(Step(at, variant, outcome.subst))
         elif isinstance(outcome, Demand):
             for q in outcome.positions:
                 demanded.setdefault(at + q)
@@ -920,7 +913,7 @@ def parent_lns(t, program, gen):
                 variant = parent_renamed(rule, gen)
                 sigma = parent_solve(parent_linear_walk(variant.lhs, sub))
                 if sigma is not None:
-                    steps.append(Step(at, variant, sigma, (sigma,)))
+                    steps.append(Step(at, variant, sigma))
                 continue
             gen.suffixed(rule.variables)
             if isinstance(walked, Demand):
@@ -933,7 +926,7 @@ def parent_lns(t, program, gen):
 def _assert_lazy_descent_matches_reference(t, program):
     gen, ref_gen, parent_gen = (FreshVars(vars_of(t)) for _ in range(3))
     new, ref, parent = (
-        [_step_view(s.position, s.rule, s.subst, s.canonical) for s in steps]
+        [_step_view(s.position, s.rule, s.subst) for s in steps]
         for steps in (lns(t, program, gen), ref_lns(t, (), program, ref_gen),
                       parent_lns(t, program, parent_gen)))
     assert new == ref == parent, t
@@ -960,21 +953,15 @@ class TestLookAhead:
         not one per constructor of the signature."""
         trees = is_inductively_sequential(program).trees
         assert len(trees["eq"].children) == width
-        images = []
-        of = Substitution._of
-        monkeypatch.setattr(Substitution, "_of", staticmethod(
-            lambda m: (images.append(m), of(m))[1]))
         y = Var("Y")
         for k in (1, 5):
             t = goal(program, f"eq(Y, {'s(' * k}0{')' * k})")
-            images.clear()
-            [step] = nns(t, trees, FreshVars())
-            parts = [phi for phi in step.canonical if y in phi.mapping]
-            assert [list(phi.mapping) for phi in parts] == [[y]], k
-            # The maps built that bind Y: that part and the step's own
-            # substitution, not one per constructor of the signature.
-            assert [m for m in images if y in m] == [
-                parts[0]._map, step.subst._map], k
+            steps = []
+            # The one term built is the binding of Y, not one binding
+            # per constructor of the signature.
+            assert _terms_built(monkeypatch, lambda: steps.extend(
+                nns(t, trees, FreshVars()))) == 1, k
+            [step] = steps
             assert step.subst.mapping == {y: App(program.signature.get("s"),
                                                  (Var("V1"),))}
 
@@ -1304,6 +1291,34 @@ class TestRewriteAgreesWithTheParentLoop:
             assert rewrite_normalize(t, program, max_steps) == (
                 reached, [str(u) for u in trace], parent_stuck), max_steps
 
+    @pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda path: path.stem)
+    def test_rule_instances_of_every_program_file(self, path):
+        """Each rule's sides, and instances of its left-hand side by
+        small ground constructor terms, alone and under a constructor,
+        stopped at the first step, the third and the sixtieth."""
+        program = add_strict_equality(parse_program(path.read_text()))
+        ctors = [c for c in program.signature if c.kind == "constructor"]
+        rng = random.Random(path.stem)
+
+        def ground(depth):
+            c = rng.choice([c for c in ctors if depth and c.arity or not c.arity])
+            return App(c, tuple(ground(depth - 1) for _ in range(c.arity)))
+
+        wrap = max(ctors, key=lambda c: c.arity)
+        goals = []
+        for rule in program.rules:
+            goals += [rule.lhs, rule.rhs]
+            for _ in range(3):
+                t = Substitution({x: ground(rng.randint(0, 2))
+                                  for x in vars_of(rule.lhs)}).apply(rule.lhs)
+                goals += [t, App(wrap, (t,) * wrap.arity)]
+        for t in goals:
+            for max_steps in (1, 3, 60):
+                reached, trace, parent_stuck = parent_rewrite_normalize(
+                    t, program, max_steps)
+                assert rewrite_normalize(t, program, max_steps) == (
+                    reached, [str(u) for u in trace], parent_stuck), (t, max_steps)
+
 
 def _tree_terms(program, call, strategy):
     """Every node term of a bounded search tree from call, constructor
@@ -1403,22 +1418,6 @@ class TestCountingSteps:
                               for node in result.root.nodes()] + [result.complete])
             assert views == [[("inner", 1), ("incomplete", 1), False],
                              [("inner", 1), ("failing", 0), True]], strategy
-
-
-class TestComposeCanonical:
-    """A needed step's substitution is the composition of its canonical
-    parts, read off the descent's bindings; the left fold of `compose`
-    is its reference."""
-
-    @pytest.mark.parametrize("name, source", CORPUS_GOALS + [
-        ("leq", "leq(Y, Y) ~ true"), ("append", "append(Xs, Xs) ~ Xs")])
-    def test_corpus_steps(self, name, source):
-        program = load(f"{name}.flp")
-        trees = is_inductively_sequential(program).trees
-        for t in _descent_goals(program, goal(program, source)):
-            for step in nns(t, trees, FreshVars(vars_of(t))):
-                assert (_subst_view(step.subst)
-                        == _subst_view(parent_compose_canonical(step.canonical))), t
 
 
 def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
@@ -1535,6 +1534,8 @@ REWRITE_SHAPES = [
     ("append", lambda k: f"append({list_text(['0'] * k)}, nil)",
      lambda k: list_text(['0'] * k)),
     ("leq", lambda k: _spine(k, nat_text(1)), lambda k: nat_text(1)),
+    ("append", lambda k: list_text(["append(nil, nil)"] * k),
+     lambda k: list_text(["nil"] * k)),
 ]
 
 
@@ -1555,14 +1556,15 @@ class TestStepCostFollowsTheWalk:
             trees = is_inductively_sequential(program).trees
             t = goal(program, "f(X)")
             [step] = nns(t, trees, FreshVars())
-            assert len(step.canonical) == k + 2
+            assert step.subst.apply(X) == goal(program, f"{'s(' * k}0{')' * k}")
             per_part[k] = _terms_built(
                 monkeypatch, lambda: nns(t, trees, FreshVars())) / k
         # Linear growth gives 1; the cubic fold gave about 16.
         assert per_part[400] < 1.5 * per_part[100], per_part
 
     @pytest.mark.parametrize("name, source, value", REWRITE_SHAPES,
-                             ids=["add", "double", "append", "nested add"])
+                             ids=["add", "double", "append", "nested add",
+                                  "prefix of calls"])
     def test_rewriting_builds_no_constructor_prefix(
             self, monkeypatch, name, source, value):
         """A rewrite step builds its contractum, and each constructor of
@@ -1583,16 +1585,18 @@ class TestStepCostFollowsTheWalk:
             assert built <= 4 * len(trace), (k, built / len(trace))
 
     @pytest.mark.parametrize("name, source, value", REWRITE_SHAPES,
-                             ids=["add", "double", "append", "nested add"])
+                             ids=["add", "double", "append", "nested add",
+                                  "prefix of calls"])
     def test_rewriting_prints_a_constant_per_step(
             self, monkeypatch, name, source, value):
         """After the goal, the printer returns at most a few characters
-        per step: a line is joined from kept texts, and a contractum's
-        text from its right-hand side and the texts of its matched
-        subterms, so only terms of the goal that no line has shown yet
-        are printed (about 1 character a step here, 4 on lists of
-        `s(0)`).  Printing the rewritten call at each step printed about
-        a whole line per step."""
+        per step: a step splices its contractum's text into the line,
+        joined from its right-hand side and the texts of its matched
+        subterms, sliced at offsets counted from measured widths, so
+        only ground parts of right-hand sides are printed.  Printing the
+        rewritten call at each step printed about a whole line per step,
+        and cutting kept texts printed, at each call of the prefix of
+        calls, every call to its right."""
         program = load(f"{name}.flp")
         printed = []
         text = App.__str__

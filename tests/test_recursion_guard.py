@@ -84,12 +84,14 @@ def apply(sigma, t):
 
 
 def test_terms_module_has_no_self_calling_function():
-    """Equality, hashing, the walkers, the flattening of a pattern and
-    the overlay test of linear unification loop over explicit stacks."""
+    """Equality, hashing, measuring the printed width, the walkers, the
+    flattening of a pattern and the overlay test of linear unification
+    loop over explicit stacks."""
     source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
-    assert {"__eq__", "__hash__", "flatten", "linear_walk", "linear_overlay"} <= defined
+    assert {"__eq__", "__hash__", "_width", "flatten", "linear_walk",
+            "linear_overlay"} <= defined
     assert self_calling_functions(source) == []
 
 
@@ -97,16 +99,16 @@ def test_narrowing_steps_and_redexes_do_not_call_themselves():
     """The step descents, which also count steps and find redexes, the
     crossing of constructor prefixes, the rewrite loop, the tree
     expansion and the preorder of a narrowing tree, which its readers
-    such as the JSON dump use, loop over explicit stacks; so do the
-    rewrite loop's helpers, which cut kept texts (`_split`), contract
-    the focus (`_fire`), and open and plug operation frames (`_open`,
-    `_plug`)."""
+    such as the JSON dump use, loop over explicit stacks; so does the
+    rewrite loop's contraction of the focus (`_fire`), which slices the
+    texts of the matched subterms at offsets counted by `terms._width`,
+    itself a loop (see the `terms.py` check)."""
     source = (SRC / "nspec" / "narrowing.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
     walkers = {"nns", "lns", "_cross_prefix", "rewrite_normalize",
                "strategy_steps", "expand", "preorder", "node_to_dict",
-               "_split", "_fire", "_open", "_plug"}
+               "_fire"}
     assert walkers <= defined
     assert "_nns" not in defined  # folded into the loop of nns
     assert self_calling_functions(source) == []

@@ -8,9 +8,11 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CORPUS_GOALS, ParentFreshVars, is_idempotent, is_variant,
-                      load, parent_linear_walk, parent_match, parent_solve,
-                      ref_str, renaming, restrict)
+from conftest import (CORPUS_GOALS, IDENTITY, ParentFreshVars,
+                      below_recursion_limit, generic_calls, is_idempotent,
+                      is_variant, load, parent_linear_walk, parent_match,
+                      parent_solve, random_program, random_term, ref_str,
+                      renaming, restrict)
 from nspec.program import Signature
 from nspec.syntax import parse_term
 from nspec.terms import (
@@ -19,7 +21,6 @@ from nspec.terms import (
     Demand,
     Fail,
     FreshVars,
-    IDENTITY,
     Substitution,
     Succ,
     Symbol,
@@ -42,6 +43,7 @@ from nspec.terms import (
     vars_of,
     _preorder,
     _solve,
+    _width,
 )
 
 ZERO = Symbol("0", 0, "constructor")
@@ -126,7 +128,7 @@ class TestValueClasses:
     @pytest.mark.parametrize("value, name", [
         (Var("X"), "name"), (S, "arity"), (num(1), "args"), (num(1), "ground"),
         (num(1), "root"), (num(1), "constructor_term"), (Var("X"), "_hash"),
-        (Var("X"), "other")])
+        (num(1), "_width"), (Var("X"), "other")])
     def test_assignment_raises(self, value, name):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -869,6 +871,25 @@ def test_printer_agrees_with_the_reference_on_random_terms():
         assert str(t) == ref_str(t)
 
 
+def test_width_is_the_length_of_the_printed_term():
+    """`_width` measures without printing: the corpus goals, and calls
+    of random programs on variables and on random arguments, each
+    subterm measured after one other subterm was."""
+    rng = random.Random(5)
+    goals = [parse_term(source, load(f"{name}.flp").signature)
+             for name, source in CORPUS_GOALS]
+    for seed in range(60):
+        program = random_program(seed)
+        ops = [sym for sym in program.signature if sym.kind == "operation"]
+        goals += generic_calls(program)
+        goals += [App(f, tuple(random_term(rng, [X, Y], ops, 3)
+                               for _ in range(f.arity))) for f in ops]
+    for t in goals:
+        parts = [u for _, u in subterms(t)]
+        _width(rng.choice(parts))
+        assert [_width(u) for u in parts] == [len(str(u)) for u in parts], t
+
+
 @given(TERMS, st.dictionaries(VARS, TERMS, max_size=3))
 def test_apply_agrees_with_recursive_reference(t, mapping):
     assert Substitution(mapping).apply(t) == ref_apply(mapping, t)
@@ -1044,6 +1065,15 @@ class TestDeepTerms:
         assert not thread.is_alive()
         assert printed == ["f(" * DEEP + "0" + ", 0)" * DEEP,
                            "cons(0, " * DEEP + "nil" + ")" * DEEP]
+
+    def test_width_below_a_recursion_limit_of_100(self):
+        """Measured with the limit lowered to 100; one of the two towers
+        is partly measured."""
+        t = leq(tower(DEEP, X), tower(DEEP, add(X, Y)))
+        assert _width(subterm_at(t, (2,) + (1,) * (DEEP // 2))) == len(
+            text(DEEP // 2, "add(X, Y)"))
+        assert below_recursion_limit(lambda: _width(t)) == len(
+            f"leq({text(DEEP, 'X')}, {text(DEEP, 'add(X, Y)')})")
 
     def test_hash_below_a_recursion_limit_of_100(self):
         """Hashed in a new thread, whose stack starts empty, with the
