@@ -17,7 +17,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from . import __version__
 from .deftree import DefTree, Leaf, ProgramClassError, is_inductively_sequential, preorder, uniform_transform
@@ -186,7 +186,7 @@ def _cmd_check(args) -> int:
             "trees": {name: _tree_dict(tree)
                       for name, tree in trees.trees.items()},
         }
-        print(_json_text(payload))
+        _write_json(payload, sys.stdout)
         return 0
     yn = lambda flag: "yes" if flag else "no"
     print(f"left-linear: {yn(report.left_linear)}")
@@ -254,31 +254,30 @@ def _cmd_eval(args) -> int:
     print(f"{len(result.answers)} answer(s), {state}")
     if args.tree:
         with open(args.tree, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(node_to_dict(result.root)) + "\n")
+            _write_json(node_to_dict(result.root), handle)
     return 0
 
 
-def _json_text(value) -> str:
+def _json_text(value) -> Iterator[str]:
     """`json.dumps(value, indent=2)` for dicts with string keys, lists and
-    scalars, written from an explicit stack: a narrowing tree nests
+    scalars, in chunks, from an explicit stack: a narrowing tree nests
     three containers per level, deeper than the `json` module's
-    recursive encoder can go."""
-    out: List[str] = []
+    recursive encoder can go, and its text can be far larger than it."""
     # Containers and scalars to encode, with their nesting level, and
     # the text between them.
     stack: List[object] = [(value, 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            out.append(item)
+            yield item
             continue
         v, level = item
         if not (isinstance(v, (dict, list)) and v):
-            out.append(json.dumps(v))
+            yield json.dumps(v)
             continue
         pad = "\n" + "  " * (level + 1)
         is_dict = isinstance(v, dict)
-        out.append("{" if is_dict else "[")
+        yield "{" if is_dict else "["
         stack.append("\n" + "  " * level + ("}" if is_dict else "]"))
         entries = list(v.items()) if is_dict else [(None, x) for x in v]
         for i in reversed(range(len(entries))):
@@ -286,7 +285,12 @@ def _json_text(value) -> str:
             stack.append((x, level + 1))
             stack.append(("," if i else "") + pad
                          + (json.dumps(key) + ": " if is_dict else ""))
-    return "".join(out)
+
+
+def _write_json(value, handle: TextIO) -> None:
+    """Write `_json_text(value)` and a newline to handle, chunk by chunk."""
+    handle.writelines(_json_text(value))
+    handle.write("\n")
 
 
 def _cmd_uniform(args) -> int:
@@ -317,7 +321,7 @@ def _cmd_peval(args) -> int:
     if args.map_out:
         mapping = {str(s): str(p) for s, p in outcome.result.renaming.items()}
         with open(args.map_out, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(mapping) + "\n")
+            _write_json(mapping, handle)
     return 0
 
 
@@ -328,7 +332,7 @@ def _cmd_tree(args) -> int:
     gen = FreshVars(start=args.seed)
     result = search(goal, program, args.strategy, bounds, gen)
     if args.format == "json":
-        print(_json_text(node_to_dict(result.root)))
+        _write_json(node_to_dict(result.root), sys.stdout)
     else:
         for line in _narrow_tree_lines(result.root):
             print(line)

@@ -16,13 +16,13 @@ it with the partial evaluator's local control.  A step is applied in
 one walk along its position (`narrow`): the rule is matched through the
 step's substitution and only the path above the redex is rebuilt.
 Rewriting (`rewrite_normalize`) takes needed steps that bind no
-variable, found by the needed descent's redex mode, which draws no
-names and builds no `Step`.  It is an abstract machine: frames above the
-focus, for the constructor prefix and for the calls whose inductive
-argument is being evaluated, are built once, when they are finished;
+variable.  It is an abstract machine that walks the definitional tree
+of the call in focus, so it draws no names and builds no `Step`: frames
+above the focus, for the constructor prefix and for the calls whose
+inductive argument is being evaluated, are built once, when they are
+finished, and an operation frame resumes the walk at its own branch;
 the focus is the redex, contracted at its root; and the trace is one
-line of text, over which each step splices its contractum's text at
-the focus's offset.
+line of text, over which each step splices its contractum's text.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple, Union)
 
-from .deftree import DefTree, Leaf, require_class
+from .deftree import Branch, DefTree, Leaf, require_class
 from .program import Program, Rule
 from .terms import (
     App,
@@ -93,9 +93,9 @@ def _tree_of(trees: Dict[str, DefTree], f: Symbol) -> Optional[DefTree]:
     return None
 
 
-def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
-        count: bool = False, at: Optional[tuple] = None, redex: bool = False
-        ) -> Union[List[Step], int, Optional[Tuple[DefTree, Optional[App]]]]:
+def nns(t: Term, trees: Dict[str, DefTree], gen: FreshVars,
+        count: bool = False, at: Optional[tuple] = None
+        ) -> Union[List[Step], int]:
     """Needed narrowing steps of an operation-rooted term t, from the
     definitional tree of its root (none, and no step, when it has none).
     `trees` comes from `deftree.require_class`; `gen` must already avoid
@@ -129,13 +129,7 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
 
     With `count`, the number of steps is returned instead: the same
     fresh variables are drawn and each leaf advances `gen` past its
-    renaming, but no rule variant or step is built.  With `redex`, the
-    descent looks for a rewrite step, one that binds nothing, in t's own
-    tree: it returns (leaf, None) at the first leaf it reaches, whose
-    rule rewrites t at its root, (branch, subterm) at the first branch
-    whose inductive position holds an operation-rooted subterm, and None
-    at the first variable it would bind or when no child matches.  It
-    reads no `gen` and builds no variant or step.
+    renaming, but no rule variant or step is built.
     """
     if not is_operation_rooted(t):
         raise ValueError(f"needed narrowing needs an operation-rooted term, got {t}")
@@ -158,8 +152,6 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
             bound[x] = App(ctor, gen.fresh_tuple(ctor.arity))
             stack.append(x)
         if isinstance(node, Leaf):
-            if redex:
-                return node, None
             if count:
                 gen.skip(node.rule.variables)
                 found += 1
@@ -179,8 +171,6 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
         if sub.__class__ is Var:
             sub = bound.get(sub, sub)
         if sub.__class__ is Var:
-            if redex:
-                return None
             for child, ctor in zip(reversed(node.children), reversed(node.constructors)):
                 if child.__class__ is not Leaf:
                     v = u
@@ -205,13 +195,9 @@ def nns(t: Term, trees: Dict[str, DefTree], gen: Optional[FreshVars],
                     stack.append((child, u, at, None))
                     break
         else:
-            if redex:
-                return node, sub
             inner = _tree_of(trees, sub.root)
             if inner is not None:
                 stack.append((inner, sub, (node.position, at), None))
-    if redex:
-        return None
     return found if count else steps
 
 
@@ -618,12 +604,11 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     step while it binds nothing.
 
     Returns (final term, trace, suspended), where the trace holds the
-    text of each intermediate term.  On an inductively sequential
-    program the needed descent of a term meets no variable exactly when
-    it yields at most one step, binding nothing; so the term is
-    suspended when it has no step or its first step binds one of its
-    variables.  A term reached at the `max_steps` bound is not
-    suspended; it may not be a normal form.
+    text of each intermediate term.  The term is suspended when the walk
+    below meets a variable, or a constructor that no rule accepts: on an
+    inductively sequential program, that is when it has no needed step
+    or its step binds one of its variables.  A term reached at the
+    `max_steps` bound is not suspended; it may not be a normal form.
 
     The loop is the evaluation stack of an abstract machine for
     inductively sequential rewriting (Antoy, Hanus, Massey and Steiner,
@@ -632,16 +617,17 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     "The Zipper", JFP 1997).  Above the leftmost-outermost
     operation-rooted subterm is a frame per constructor application,
     with its finished arguments: needed narrowing never steps at a
-    constructor position, so no step changes them.  Below it, the needed
-    descent (`nns` in redex mode) runs in one call's own tree.  Where a
-    branch's inductive position holds an operation-rooted subterm, an
-    operation frame is pushed (the call, the branch and the offset of
-    the call's text) and the subterm is in focus.  At a leaf the focus is the redex, and its contractum
-    replaces it.  A focus in head normal form is plugged into the frame
-    on top, and the descent restarts at the root of that call's tree,
-    which costs at most the depth of one definitional tree.  Frames are
-    plugged only when they are finished or the run stops, so a step
-    builds its contractum and the path of the frame it finishes.
+    constructor position, so no step changes them.  Below it, the loop
+    walks the definitional tree of the call in focus.  A constructor at
+    a branch's inductive position selects its child; an operation-rooted
+    subterm there is put in focus under an operation frame (the call,
+    the branch and the offset of the call's text).  At a leaf the focus
+    is the redex, and its contractum replaces it.  A focus in head
+    normal form is plugged into the frame on top, and the walk resumes
+    at that frame's branch: the branches above it chose on constructors
+    that the plug keeps.  Frames are plugged only when they are finished
+    or the run stops, so a step builds its contractum and the path of
+    the frame it finishes.
 
     The text is one string, the current line.  Operation frames and the
     focus hold the offsets of their texts in it, counted from the widths
@@ -660,53 +646,62 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     frames: List[Tuple[App, List[Term]]] = []
     calls: List[Tuple[App, DefTree, int]] = []
     u, at = t, 0  # the focus and the offset of its text
-    suspended = False
     while True:
-        if u.__class__ is Var or u.root.kind == CONSTRUCTOR:
-            if calls:
-                call, node, at = calls.pop()
-                u = replace_at(call, node.position, u)
-            elif u.constructor_term:
-                end = at + _width(u)
-                while frames:
-                    app, done = frames[-1]
-                    done.append(u)
-                    if len(done) < len(app.args):
-                        u, at = app.args[len(done)], end + 2
-                        break
-                    frames.pop()
-                    u = App(app.root, tuple(done))
-                    end += 1
-                else:
-                    return u, trace, False
-                continue
+        if u.__class__ is App and u.root.kind != CONSTRUCTOR:
+            node = _tree_of(trees, u.root)
+        elif calls:
+            call, node, at = calls.pop()
+            u = replace_at(call, node.position, u)
+        elif u.constructor_term:
+            end = at + _width(u)
+            while frames:
+                app, done = frames[-1]
+                done.append(u)
+                if len(done) < len(app.args):
+                    u, at = app.args[len(done)], end + 2
+                    break
+                frames.pop()
+                u = App(app.root, tuple(done))
+                end += 1
             else:
-                frames.append((u, []))
-                u, at = u.args[0], at + len(u.root.name) + 1
-                continue
+                return u, trace, False
+            continue
+        else:
+            frames.append((u, []))
+            u, at = u.args[0], at + len(u.root.name) + 1
+            continue
         if len(trace) >= max_steps:
             break
-        found = nns(u, trees, None, redex=True)
-        if found is None:
-            suspended = True
+        while node.__class__ is Branch:
+            sub = u
+            for i in node.position:
+                sub = sub.args[i - 1]
+            if sub.__class__ is Var or sub.root.kind != CONSTRUCTOR:
+                break
+            for child, ctor in zip(node.children, node.constructors):
+                if ctor == sub.root:
+                    node = child
+                    break
+            else:
+                node = None
+        if node.__class__ is Leaf:
+            end = at + _width(u)
+            u, text = _fire(u, node.rule, line, at, end)
+            line = line[:at] + text + line[end:]
+            trace.append(line)
+        elif node is None or sub.__class__ is Var:
             break
-        node, sub = found
-        if sub is not None:
+        else:
             calls.append((u, node, at))
             for i in node.position:
                 at += (len(u.root.name) + 2 * i - 1
                        + sum(map(_width, u.args[:i - 1])))
                 u = u.args[i - 1]
-            continue
-        end = at + _width(u)
-        u, text = _fire(u, node.rule, line, at, end)
-        line = line[:at] + text + line[end:]
-        trace.append(line)
     for call, node, _ in reversed(calls):
         u = replace_at(call, node.position, u)
     for app, done in reversed(frames):
         u = App(app.root, (*done, u, *app.args[len(done) + 1:]))
-    return u, trace, suspended
+    return u, trace, len(trace) < max_steps  # below the bound: suspended
 
 
 def node_to_dict(node: Node) -> dict:

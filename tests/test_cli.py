@@ -16,7 +16,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import list_text, nat_text, random_program
+from conftest import list_text, nat_text, random_program, traced_peak
 from nspec import cli, oracle
 from nspec.syntax import parse_program, print_program
 
@@ -135,6 +135,33 @@ class TestCheck:
             assert node["position"] == [1] * (depth + 1)
             [node], depth = node["children"], depth + 1
         assert (depth, node["pattern"]) == (k + 1, f"f({'s(' * k}0{')' * k})")
+
+    def test_json_is_written_as_it_is_made(self, tmp_path):
+        """The JSON text of a deep tree grows as the cube of the pattern
+        depth, the tree as its square: written in chunks as it is made,
+        the text is never held whole, and `check` allocates at its peak
+        (`traced_peak`) less than half the text it writes.  Joining the
+        text before writing it allocated about 2.6 times the text."""
+        k = 150
+        f = tmp_path / "deep.flp"
+        f.write_text("constructors 0/0 s/1 ;\noperations f/1 ;\n"
+                     f"f({'s(' * k}0{')' * k}) -> 0 ;\n")
+
+        class Sink(io.TextIOBase):
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+        sink = Sink()
+
+        def check():
+            with redirect_stdout(sink):
+                assert cli.main(["check", str(f), "--format", "json"]) == 0
+
+        peak = traced_peak(check)
+        assert sink.size > 5 * 10 ** 6 and peak < sink.size / 2, (peak, sink.size)
 
 
 class TestEval:
@@ -746,7 +773,9 @@ JSON_VALUES = st.recursive(
 
 @given(JSON_VALUES)
 def test_json_text_equals_the_json_module(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    out = io.StringIO()
+    cli._write_json(value, out)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
 
 
 # --- fuzz gate: every input ends in an exit code -------------------------

@@ -1611,6 +1611,30 @@ class TestStepCostFollowsTheWalk:
             assert sum(printed) - len(str(t)) <= 4 * len(trace), (
                 k, sum(printed), len(trace))
 
+    @pytest.mark.parametrize("source, value", [
+        (lambda k: _spine(k, nat_text(1)), lambda k: nat_text(1)),
+        (lambda k: f"leq({_spine(k, nat_text(1))}, {nat_text(k + 100)})",
+         lambda k: "true"),
+    ], ids=["nested add", "leq over a spine"])
+    def test_one_tree_lookup_per_rewrite_step(self, monkeypatch, source, value):
+        """The loop looks a call's definitional tree up once, when the
+        call comes into focus, and walks it from there; an operation
+        frame resumes the walk at its own branch once the argument it
+        waits for is in head normal form.  Restarting the descent at the
+        root of the call's tree after each plug looked it up twice per
+        step."""
+        program = load("leq.flp")
+        lookups = []
+        lookup = narrowing._tree_of
+        monkeypatch.setattr(narrowing, "_tree_of", lambda *args: (
+            lookups.append(None), lookup(*args))[1])
+        for k in (250, 1000, 2000):
+            t = goal(program, source(k))
+            del lookups[:]
+            final, trace, suspended = rewrite_normalize(t, program, 10 ** 5)
+            assert trace[-1] == value(k) and not suspended
+            assert len(lookups) == len(trace), (k, len(lookups) / len(trace))
+
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_step_cost_per_nested_call_is_flat(self, strategy):
         """Counted, not built, steps: the positions that the pending
