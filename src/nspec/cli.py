@@ -38,24 +38,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive(text: str) -> int:
+def _integer(low: int, message: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+    if value < low:
+        raise argparse.ArgumentTypeError(message)
     return value
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+_positive = functools.partial(_integer, 1, "must be at least 1")
+_non_negative = functools.partial(_integer, 0, "must not be negative")
 
 
 def build_parser() -> _ArgumentParser:
@@ -229,22 +223,24 @@ def _cmd_eval(args) -> int:
                         "--strategy rewrite builds no tree")
     program = _load(args.file)
     goal = parse_term(args.expr, program.signature)
-    text = str(goal)
-    print(f"goal: {text}")
     if args.strategy == "rewrite":
-        final, trace, suspended = rewrite_normalize(goal, program,
-                                                    args.max_steps)
-        for line in trace:
+        try:
+            final, trace, suspended = rewrite_normalize(goal, program,
+                                                        args.max_steps)
+        except ProgramClassError:
+            print(f"goal: {goal}")  # as a search prints it before this error
+            raise
+        print(f"goal: {trace[0]}")
+        for line in trace[1:]:
             print(f"-> {line}")
-        if trace:
-            text = trace[-1]
         if suspended:
-            print(f"suspended at: {text}")
+            print(f"suspended at: {trace[-1]}")
         elif is_constructor_term(final):
-            print(f"normal form: {text}")
+            print(f"normal form: {trace[-1]}")
         else:
-            print(f"incomplete (bounds reached) at: {text}")
+            print(f"incomplete (bounds reached) at: {trace[-1]}")
         return 0
+    print(f"goal: {goal}")
     bounds = Bounds(args.max_steps, args.max_nodes, args.max_solutions)
     gen = FreshVars(start=args.seed)
     result = search(goal, program, args.strategy, bounds, gen)
@@ -373,22 +369,19 @@ def _parser() -> _ArgumentParser:
     return build_parser()
 
 
+# The exit code of each error a command may end in, tried in this order.
+_EXIT_CODES = {ParseError: 2, ProgramError: 2, ProgramClassError: 3,
+               PEControlError: 4, OSError: 1, ValueError: 1, VisitedCapError: 1}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, ProgramError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProgramClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PEControlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError, VisitedCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -212,24 +212,16 @@ def require_class(program: Program, strategy: str, head: str
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _fresh_operation_name(base: str, index: int, signature: Signature,
-                          taken: set) -> str:
-    name = f"{base}_{index}"
-    while name in signature or name in taken:
-        index += 1
-        name = f"{base}_{index}"
-    return name
-
-
 def uniform_transform(program: Program) -> Program:
     """Flatten nested patterns into a uniform program.
 
     Each function's definitional tree is walked top-down: the root branch
     keeps the function's name, every deeper branch becomes a fresh
-    operation applied to the variables of its pattern in left-to-right
-    order, and each branch level emits one rule per child constructor
-    (its right-hand side is the original rule's at a leaf, or a call to
-    the child's fresh operation at an inner branch).  The tree is walked
+    operation f_k (`Signature.fresh_name`, k counting per function from
+    1) applied to the variables of its pattern in left-to-right order,
+    and each branch level emits one rule per child constructor (its
+    right-hand side is the original rule's at a leaf, or a call to the
+    child's fresh operation at an inner branch).  The tree is walked
     in preorder (`preorder`), so any pattern depth works.
     """
     trees = require_class(program, "needed", "not inductively sequential: ")
@@ -239,7 +231,7 @@ def uniform_transform(program: Program) -> Program:
     new_rules: List[Rule] = []
 
     for op in program.defined_operations():
-        counter = 0
+        k = 1
         # The branches on the path to the current node, with their calls.
         level: List[Tuple[Branch, App]] = []
         for node, depth in preorder(trees[op.name]):
@@ -254,9 +246,7 @@ def uniform_transform(program: Program) -> Program:
                 continue
             call = lhs
             if depth:
-                counter += 1
-                name = _fresh_operation_name(op.name, counter, signature, taken)
-                taken.add(name)
+                name, k = signature.fresh_name(f"{op.name}_", k, taken)
                 args = vars_of(node.pattern)
                 sym = Symbol(name, len(args), OPERATION)
                 signature.declare(sym)

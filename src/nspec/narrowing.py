@@ -3,26 +3,26 @@
 Two step strategies are provided: `nns` computes needed narrowing steps
 by descending a definitional tree, `lns` computes lazy narrowing steps
 by linear unification against every rule, descending into demanded
-positions.  Both need a program that passed `deftree.require_class`
-and a `FreshVars` that already avoids the term's and the program's
-variables.  Both descents loop over explicit stacks, so nested calls
-are limited by memory, not by the recursion limit.  `expand` grows the
+positions.  Both need a program that passed `deftree.require_class` and
+a `FreshVars` that already avoids the term's and the program's
+variables.  Both descents loop over explicit stacks, so nested calls are
+limited by memory, not by the recursion limit.  `expand` grows the
 narrowing tree of a term under either strategy with an explicit stack,
 decides each node's fate once (`Node.cause`), and only counts the steps
 of a node that a bound stops; two leaf policies use it.  `search` bounds
 it by `Bounds` and collects (answer, constructor term) pairs at the
-success leaves; `peval.unfold` bounds it by the unfold depth and cuts
-it with the partial evaluator's local control.  A step is applied in
-one walk along its position (`narrow`): the rule is matched through the
-step's substitution and only the path above the redex is rebuilt.
-Rewriting (`rewrite_normalize`) takes needed steps that bind no
-variable.  It is an abstract machine that walks the definitional tree
-of the call in focus, so it draws no names and builds no `Step`: frames
-above the focus, for the constructor prefix and for the calls whose
-inductive argument is being evaluated, are built once, when they are
-finished, and an operation frame resumes the walk at its own branch;
-the focus is the redex, contracted at its root; and the trace is one
-line of text, over which each step splices its contractum's text.
+success leaves; `peval.unfold` bounds it by the unfold depth and cuts it
+with the partial evaluator's local control.  `narrow` contracts a step
+in one walk along its position: the rule is matched through the step's
+substitution and only the path above the redex is rebuilt.  Rewriting
+(`rewrite_normalize`) takes needed steps that bind no variable.  It is
+an abstract machine that walks the definitional tree of the call in
+focus, so it draws no names and builds no `Step`: frames above the
+focus, for the constructor prefix and for the calls whose inductive
+argument is being evaluated, are built once, when they are finished, and
+an operation frame resumes the walk at its own branch; the focus is the
+redex, contracted at its root; and the trace is the goal's text and,
+per step, the last line with the contractum's text over the redex's.
 """
 
 from __future__ import annotations
@@ -261,23 +261,18 @@ def lns(t: Term, program: Program, gen: FreshVars, count: bool = False,
 def narrow(t: Term, step: Step) -> Term:
     """The term reached from t by one narrowing step: sigma(t[r]_p) for
     the step's position p, rule l -> r and substitution sigma, built in
-    one walk (`_contract`)."""
-    return _contract(t, step.position, step.rule, step.subst._map)
-
-
-def _contract(t: Term, position: Position, rule: Rule,
-              sigma: Dict[Var, Term]) -> Term:
-    """sigma(t[r]_p) for the rule l -> r at position p, without building
-    sigma(t) or sigma(t|p).  p is a position of t, as a narrowing step's
-    always is, and l is matched against t|p through sigma: a variable of
-    t under a constructor of l is replaced by its image, which is never
-    substituted again, and a variable of l takes sigma of the subterm it
-    meets, so sigma is applied once even when it is not idempotent.
-    Only the ancestors of the redex are rebuilt, their other arguments
-    under sigma.  The rule's source rewrites in its place: a renaming is
-    a bijection on variables and the rhs has no variable that the lhs
-    lacks, so both give the same contractum, and a variant's own parts
-    are never built."""
+    one walk along p, without building sigma(t) or sigma(t|p).  p is a
+    position of t, as a narrowing step's always is, and l is matched
+    against t|p through sigma: a variable of t under a constructor of l
+    is replaced by its image, which is never substituted again, and a
+    variable of l takes sigma of the subterm it meets, so sigma is
+    applied once even when it is not idempotent.  Only the ancestors of
+    the redex are rebuilt, their other arguments under sigma.  The
+    rule's source rewrites in its place: a renaming is a bijection on
+    variables and the rhs has no variable that the lhs lacks, so both
+    give the same contractum, and a variant's own parts are never
+    built."""
+    position, rule, sigma = step.position, step.rule, step.subst._map
     path = _path(t, position)
     source = rule.source
     theta: Dict[Var, Term] = {}
@@ -437,11 +432,11 @@ def expand(term: Term, program: Program, strategy: str,
 
     Each new node's `Node.cause` is decided once, in this order: a
     constructor term is a `SUCCESS` leaf; `cut(node, ancestors)`, given
-    the ancestor terms root first (a list it must not keep), returns an
-    incomplete leaf's cause or None; a term without steps is a `FAILING`
-    leaf; at `max_depth` (`DEPTH`), once the node budget is spent
-    (`BUDGET`) or once `max_solutions` success leaves were found (`CAP`),
-    an incomplete one, whose steps are counted, not built (`Node.offered`;
+    a new list of the ancestor terms, root first, returns an incomplete
+    leaf's cause or None; a term without steps is a `FAILING` leaf; at
+    `max_depth` (`DEPTH`), once the node budget is spent (`BUDGET`) or
+    once `max_solutions` success leaves were found (`CAP`), an
+    incomplete one, whose steps are counted, not built (`Node.offered`;
     `gen` draws the same names either way).  At most `max_nodes` nodes
     are created; a node whose expansion the budget or the cap stops
     keeps its children and gets that cause too.
@@ -461,10 +456,8 @@ def expand(term: Term, program: Program, strategy: str,
     budget = max_nodes - 1
     cap = math.inf if max_solutions is None else max_solutions
     complete = True
-    # The stack holds the path from the root to the node being expanded,
-    # and `path` the terms of its nodes, root first.
+    # The stack holds the path from the root to the node being expanded.
     stack: List[Tuple[Node, Iterator[Step], Chain]] = []
-    path: List[Term] = []
 
     def bound() -> Optional[str]:
         """The bound that stops all further expansion, if any."""
@@ -480,7 +473,7 @@ def expand(term: Term, program: Program, strategy: str,
             node.cause = SUCCESS
             successes.append((node, chain))
             return
-        cause = None if cut is None else cut(node, path)
+        cause = None if cut is None else cut(node, [n.term for n, _, _ in stack])
         if cause is None:
             cause = DEPTH if len(stack) >= max_depth else bound()
             if cause is None:
@@ -488,7 +481,6 @@ def expand(term: Term, program: Program, strategy: str,
                 node.offered = len(steps)
                 if steps:
                     stack.append((node, iter(steps), chain))
-                    path.append(t)
                     return
             else:
                 node.offered = strategy_steps(t, program, strategy, trees, gen,
@@ -514,7 +506,6 @@ def expand(term: Term, program: Program, strategy: str,
             node.cause = cause
             complete = False
         stack.pop()
-        path.pop()
     return root, successes, complete
 
 
@@ -604,11 +595,14 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     step while it binds nothing.
 
     Returns (final term, trace, suspended), where the trace holds the
-    text of each intermediate term.  The term is suspended when the walk
-    below meets a variable, or a constructor that no rule accepts: on an
-    inductively sequential program, that is when it has no needed step
-    or its step binds one of its variables.  A term reached at the
-    `max_steps` bound is not suspended; it may not be a normal form.
+    text of every term of the derivation, the goal's first and the final
+    term's last, so the run took len(trace) - 1 <= max_steps steps.  The
+    term is suspended when the walk below meets a variable, or a
+    constructor that no rule accepts: on an inductively sequential
+    program, that is when it has no needed step or its step binds one of
+    its variables.  A run that stops short of a normal form is suspended
+    exactly when it took fewer than `max_steps` steps; the term it
+    reached at the bound may not be a normal form.
 
     The loop is the evaluation stack of an abstract machine for
     inductively sequential rewriting (Antoy, Hanus, Massey and Steiner,
@@ -637,8 +631,8 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
     sides are printed.
     """
     trees = require_class(program, "needed", _NEEDED_CLASS)
-    trace: List[str] = []
     line = str(t)
+    trace = [line]
     if t.__class__ is App:
         _set_app_width(t, len(line))
     # The constructor frames, with their finished arguments, and the
@@ -670,7 +664,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
             frames.append((u, []))
             u, at = u.args[0], at + len(u.root.name) + 1
             continue
-        if len(trace) >= max_steps:
+        if len(trace) > max_steps:
             break
         while node.__class__ is Branch:
             sub = u
@@ -701,7 +695,7 @@ def rewrite_normalize(t: Term, program: Program, max_steps: int = 1000
         u = replace_at(call, node.position, u)
     for app, done in reversed(frames):
         u = App(app.root, (*done, u, *app.args[len(done) + 1:]))
-    return u, trace, len(trace) < max_steps  # below the bound: suspended
+    return u, trace, len(trace) <= max_steps  # below the bound: suspended
 
 
 def node_to_dict(node: Node) -> dict:

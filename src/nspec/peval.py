@@ -304,7 +304,7 @@ def independent_renaming(S: Sequence[Term], signature: Signature
     """An independent renaming: the fresh pattern rootname_peK(x1..xn)
     of the K-th element of S, over its distinct variables in order of
     first occurrence; K counts globally and skips names already
-    declared."""
+    declared (`Signature.fresh_name`)."""
     rho: Dict[Term, App] = {}
     taken: Set[str] = set()
     k = 0
@@ -312,12 +312,7 @@ def independent_renaming(S: Sequence[Term], signature: Signature
         if not is_operation_rooted(s):
             raise ValueError(f"cannot rename non-operation-rooted term {s}")
         variables = vars_of(s)
-        while True:
-            name = f"{s.root.name}_pe{k}"
-            k += 1
-            if name not in signature and name not in taken:
-                break
-        taken.add(name)
+        name, k = signature.fresh_name(f"{s.root.name}_pe", k, taken)
         sym = Symbol(name, len(variables), OPERATION)
         rho[s] = App(sym, variables)
     return rho

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .terms import (
     App,
@@ -142,6 +142,16 @@ class Signature:
 
     def __contains__(self, name: str) -> bool:
         return name in self._table
+
+    def fresh_name(self, stem: str, k: int, taken: Set[str]) -> Tuple[str, int]:
+        """The first name stem + str(i), i >= k, neither declared nor in
+        `taken`, which it joins, and i + 1."""
+        while True:
+            name = f"{stem}{k}"
+            k += 1
+            if name not in self._table and name not in taken:
+                taken.add(name)
+                return name, k
 
     def __iter__(self):
         return iter(self._table.values())

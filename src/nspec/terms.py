@@ -234,16 +234,23 @@ _set_app_hash = App._hash.__set__
 _set_app_width = App._width.__set__
 
 
-def _hash_app(t: App) -> int:
-    """Store the hash of t and of every subterm not hashed yet.  They
-    are listed breadth-first and hashed in reverse, children before
-    parents, so that hashing `(root, args)` only reads stored hashes."""
-    unhashed = [t]
-    for u in unhashed:  # the list grows as it is walked
+def _unfilled(t: App, slot: str) -> List[App]:
+    """t and every application below it whose lazy `slot` is not filled
+    yet, breadth-first, so children come after their parents.  A filled
+    application is not entered: all below it is filled too."""
+    unfilled = [t]
+    for u in unfilled:  # the list grows as it is walked
         for a in u.args:
-            if isinstance(a, App) and getattr(a, "_hash", None) is None:
-                unhashed.append(a)
-    for u in reversed(unhashed):
+            if a.__class__ is App and getattr(a, slot, None) is None:
+                unfilled.append(a)
+    return unfilled
+
+
+def _hash_app(t: App) -> int:
+    """Store the hash of t and of every subterm not hashed yet, children
+    before parents (`_unfilled`), so that hashing `(root, args)` only
+    reads stored hashes."""
+    for u in reversed(_unfilled(t, "_hash")):
         _set_app_hash(u, hash((u.root, u.args)))
     return t._hash
 
@@ -251,21 +258,16 @@ def _hash_app(t: App) -> int:
 def _width(t: Term) -> int:
     """len(str(t)), without printing t.  An application's width is
     stored in its `_width` slot on first use, with that of every
-    subterm not measured yet, children before parents, as `_hash_app`
-    does: its symbol's name, and per argument the argument's width and
-    2 characters, "(" and ")" or ", "."""
+    subterm not measured yet, children before parents (`_unfilled`):
+    its symbol's name, and per argument the argument's width and 2
+    characters, "(" and ")" or ", "."""
     if t.__class__ is Var:
         return len(t.name)
     try:
         return t._width
     except AttributeError:
         pass
-    unmeasured = [t]
-    for u in unmeasured:  # the list grows as it is walked
-        for a in u.args:
-            if a.__class__ is App and getattr(a, "_width", None) is None:
-                unmeasured.append(a)
-    for u in reversed(unmeasured):
+    for u in reversed(_unfilled(t, "_width")):
         n = len(u.root.name) + 2 * len(u.args)
         for a in u.args:
             n += len(a.name) if a.__class__ is Var else a._width

@@ -571,45 +571,45 @@ class TestRewriteNormalize:
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, "add(s(0), s(0))"), leq_prog)
         assert str(final) == "s(s(0))"
-        assert trace == ["s(add(0, s(0)))", "s(s(0))"]
+        assert trace == ["add(s(0), s(0))", "s(add(0, s(0)))", "s(s(0))"]
         assert not suspended
 
     def test_suspends_instead_of_guessing(self, leq_prog):
         t = goal(leq_prog, "leq(X, add(0, 0))")
         final, trace, suspended = rewrite_normalize(t, leq_prog)
         assert final == t
-        assert trace == []
+        assert trace == [str(t)]
         assert suspended
 
     def test_step_bound_is_not_a_suspension(self, leq_prog):
         t = goal(leq_prog, "add(" + "s(" * 150 + "0" + ")" * 150 + ", 0)")
         final, trace, suspended = rewrite_normalize(t, leq_prog, max_steps=25)
         assert not suspended
-        assert len(trace) == 25 and str(final) == trace[-1]
+        assert len(trace) - 1 == 25 and str(final) == trace[-1]
         assert str(final).startswith("s(" * 25 + "add(")
 
     def test_equation_normalizes_to_true(self, leq_prog):
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, "leq(0, 0) ~ true"), leq_prog)
         assert str(final) == "true"
-        assert trace == ["eq(true, true)", "true"]
+        assert trace == ["eq(leq(0, 0), true)", "eq(true, true)", "true"]
         assert not suspended
 
     def test_root_redex(self, leq_prog):
         final, trace, suspended = rewrite_normalize(goal(leq_prog, "leq(0, 0)"), leq_prog)
-        assert trace == ["true"]
+        assert trace == ["leq(0, 0)", "true"]
         assert str(final) == trace[-1] and not suspended
 
     def test_demanded_inner_redex(self, leq_prog):
         for source, first in [("leq(add(0, 0), 0)", "leq(0, 0)"),
                               ("add(add(0, 0), add(0, 0))", "add(0, add(0, 0))")]:
             _, trace, suspended = rewrite_normalize(goal(leq_prog, source), leq_prog)
-            assert trace[0] == first, source
+            assert trace[1] == first, source
             assert not suspended
 
     def test_suspends_on_demanded_variable(self, leq_prog):
         t = goal(leq_prog, "leq(X, 0)")
-        assert rewrite_normalize(t, leq_prog) == (t, [], True)
+        assert rewrite_normalize(t, leq_prog) == (t, [str(t)], True)
 
     def test_final_term_is_plugged_from_the_frames(self, append_prog):
         """A run that stops inside a constructor prefix returns the whole
@@ -626,7 +626,7 @@ class TestRewriteNormalize:
             goal(append_prog, reached), reached, False)
         t = goal(append_prog, f"cons({list_text(xs)}, "
                               f"cons(append(X, nil), {pending}))")
-        assert rewrite_normalize(t, append_prog) == (t, [], True)
+        assert rewrite_normalize(t, append_prog) == (t, [str(t)], True)
 
     def test_rewriting_draws_no_names_and_builds_no_variants(
             self, monkeypatch, leq_prog, loop_prog):
@@ -653,10 +653,10 @@ class TestRewriteNormalize:
         two = "s(s(0))"
         final, trace, suspended = rewrite_normalize(
             goal(leq_prog, f"leq({two}, add({two}, {two}))"), leq_prog)
-        assert (str(final), len(trace), suspended) == ("true", 5, False)
+        assert (str(final), len(trace) - 1, suspended) == ("true", 5, False)
         final, trace, suspended = rewrite_normalize(
             goal(loop_prog, "g(0)"), loop_prog, max_steps=1000)
-        assert (str(final), len(trace), suspended) == ("g(0)", 1000, False)
+        assert (str(final), len(trace) - 1, suspended) == ("g(0)", 1000, False)
         assert calls == []
 
 
@@ -1011,10 +1011,9 @@ class TestShapesAreBuiltOnce:
 
     def test_parse_builds_no_shape_and_rewriting_each_once(self, built):
         program = peano()
-        final, trace, suspended = rewrite_normalize(
-            goal(program, "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))"),
-            program)
-        assert suspended and trace == [] and built == []  # no rule fired
+        t = goal(program, "length(append(Xs, Ys)) ~ add(length(Ys), length(Xs))")
+        final, trace, suspended = rewrite_normalize(t, program)
+        assert suspended and trace == [str(t)] and built == []  # no rule fired
         t = goal(program, "double(s(s(0))) ~ s(s(s(s(0))))")
         final, _, _ = rewrite_normalize(t, program)
         assert str(final) == "true"
@@ -1243,7 +1242,7 @@ class TestRewriteAgreesWithTheParentLoop:
                     reached, trace, parent_stuck = parent_rewrite_normalize(
                         t, program, max_steps)
                     assert (final, lines, stuck) == (
-                        reached, [str(u) for u in trace], parent_stuck), (
+                        reached, [str(u) for u in [t] + trace], parent_stuck), (
                         seed, t, max_steps)
                     for before, after in zip([t] + trace, trace):
                         assert after in one_step_rewrites(program, before), (seed, t)
@@ -1283,13 +1282,13 @@ class TestRewriteAgreesWithTheParentLoop:
         program = load(f"{name}.flp")
         t = goal(program, source)
         final, lines, suspended = rewrite_normalize(t, program, 10 ** 4)
-        assert (len(lines), suspended) == (steps, stuck)
+        assert (len(lines) - 1, suspended) == (steps, stuck)
         # Stops at 1, at 2, in the middle of the run and at its end.
         for max_steps in sorted({1, 2, steps // 2, steps, steps + 1}):
             reached, trace, parent_stuck = parent_rewrite_normalize(
                 t, program, max_steps)
             assert rewrite_normalize(t, program, max_steps) == (
-                reached, [str(u) for u in trace], parent_stuck), max_steps
+                reached, [str(u) for u in [t] + trace], parent_stuck), max_steps
 
     @pytest.mark.parametrize("path", PROGRAM_FILES, ids=lambda path: path.stem)
     def test_rule_instances_of_every_program_file(self, path):
@@ -1317,7 +1316,7 @@ class TestRewriteAgreesWithTheParentLoop:
                 reached, trace, parent_stuck = parent_rewrite_normalize(
                     t, program, max_steps)
                 assert rewrite_normalize(t, program, max_steps) == (
-                    reached, [str(u) for u in trace], parent_stuck), (t, max_steps)
+                    reached, [str(u) for u in [t] + trace], parent_stuck), (t, max_steps)
 
 
 def _tree_terms(program, call, strategy):
@@ -1425,7 +1424,7 @@ def test_nested_calls_deeper_than_the_recursion_limit(leq_prog, leq_trees):
     t = goal(leq_prog, "add(" * depth + "0" + ", 0)" * depth)
     [step] = nns(t, leq_trees, FreshVars())
     assert step.position == (1,) * (depth - 1)
-    _, [reached], suspended = rewrite_normalize(t, leq_prog, max_steps=1)
+    _, [_, reached], suspended = rewrite_normalize(t, leq_prog, max_steps=1)
     assert reached == str(narrow(t, step)) and not suspended
     [step] = lns(t, leq_prog, FreshVars())
     assert step.position == (1,) * (depth - 1)
@@ -1582,7 +1581,8 @@ class TestStepCostFollowsTheWalk:
                 rewrite_normalize(t, program, max_steps=10 ** 4)))
             [(final, trace, suspended)] = runs
             assert trace[-1] == value(k) and not suspended
-            assert built <= 4 * len(trace), (k, built / len(trace))
+            steps = len(trace) - 1
+            assert built <= 4 * steps, (k, built / steps)
 
     @pytest.mark.parametrize("name, source, value", REWRITE_SHAPES,
                              ids=["add", "double", "append", "nested add",
@@ -1608,8 +1608,8 @@ class TestStepCostFollowsTheWalk:
                 del printed[:]
                 final, trace, suspended = rewrite_normalize(t, program, 10 ** 4)
             assert trace[-1] == value(k) and not suspended
-            assert sum(printed) - len(str(t)) <= 4 * len(trace), (
-                k, sum(printed), len(trace))
+            assert sum(printed) - len(str(t)) <= 4 * (len(trace) - 1), (
+                k, sum(printed), len(trace) - 1)
 
     @pytest.mark.parametrize("source, value", [
         (lambda k: _spine(k, nat_text(1)), lambda k: nat_text(1)),
@@ -1633,7 +1633,8 @@ class TestStepCostFollowsTheWalk:
             del lookups[:]
             final, trace, suspended = rewrite_normalize(t, program, 10 ** 5)
             assert trace[-1] == value(k) and not suspended
-            assert len(lookups) == len(trace), (k, len(lookups) / len(trace))
+            steps = len(trace) - 1
+            assert len(lookups) == steps, (k, len(lookups) / steps)
 
     @pytest.mark.parametrize("strategy", ["needed", "lazy"])
     def test_step_cost_per_nested_call_is_flat(self, strategy):

@@ -136,6 +136,19 @@ class TestSignature:
         assert [s.name for s in sig.constructors()] == ["0"]
         assert [s.name for s in sig.operations()] == ["f"]
 
+    def test_fresh_name_skips_declared_and_taken_names(self):
+        """The one name drawer of `uniform_transform` and
+        `peval.independent_renaming`: the first free index from k, the
+        index after it, and the name added to `taken`."""
+        sig = Signature([F1, Symbol("f_0", 1, "operation"),
+                         Symbol("f_2", 0, "constructor")])
+        taken = {"f_1"}
+        assert sig.fresh_name("f_", 0, taken) == ("f_3", 4)
+        assert sig.fresh_name("f_", 4, taken) == ("f_4", 5)
+        assert sig.fresh_name("g", 1, taken) == ("g1", 2)
+        assert taken == {"f_1", "f_3", "f_4", "g1"}
+        assert "f_3" not in sig
+
 
 class TestProgram:
     def test_constructor_root_rejected(self):

@@ -84,14 +84,15 @@ def apply(sigma, t):
 
 
 def test_terms_module_has_no_self_calling_function():
-    """Equality, hashing, measuring the printed width, the walkers, the
+    """Equality, hashing, measuring the printed width, the walk that
+    lists the applications whose lazy slot is unfilled, the walkers, the
     flattening of a pattern and the overlay test of linear unification
     loop over explicit stacks."""
     source = (SRC / "nspec" / "terms.py").read_text(encoding="utf-8")
     defined = {fn.name for fn in ast.walk(ast.parse(source))
                if isinstance(fn, ast.FunctionDef)}
-    assert {"__eq__", "__hash__", "_width", "flatten", "linear_walk",
-            "linear_overlay"} <= defined
+    assert {"__eq__", "__hash__", "_width", "_unfilled", "flatten",
+            "linear_walk", "linear_overlay"} <= defined
     assert self_calling_functions(source) == []
 
 
