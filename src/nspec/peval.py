@@ -34,6 +34,7 @@ from .terms import (
     Var,
     _preorder,
     _put,
+    _size,
     is_constructor_term,
     is_operation_rooted,
     match,
@@ -72,14 +73,21 @@ def embeds(s: Term, t: Term) -> bool:
     entered k of its sub-goals: first the dives into b's arguments (one
     success decides the pair), then the couplings of the arguments (one
     failure decides it); `answer` carries the outcome of the frame that
-    ended last.  Three facts decide a pair at once: a term embeds into
-    itself (tested by identity, which shared subterms give cheaply), and
+    ended last.  Four facts decide a pair at once: a term embeds into
+    itself (tested by identity, which shared subterms give cheaply);
     neither a variable nor an operation symbol of a can be mapped into a
-    b that has none.  Every other pair is decided once per call and
-    remembered by the identity of its terms, which s and t keep alive:
-    the dives and couplings of two chains meet the same pairs again and
-    again, exponentially often in the chains' length.
+    b that has none; and a embeds only into a b with at least as many
+    nodes (Leuschel, SAS 1998), read from the `_size` slots that the
+    first two calls below fill for every subterm of s and t.  So a dive
+    into a smaller argument ends at once, and `s^j(0)` is decided
+    against `s^i(0)` in time linear in i.  Every other pair is decided
+    once per call and remembered by the identity of its terms, which s
+    and t keep alive: the dives and couplings of two chains meet the
+    same pairs again and again, exponentially often in the chains'
+    length.
     """
+    _size(s)
+    _size(t)
     stack = [[s, t, 0]]
     answer = False
     decided: Dict[Tuple[int, int], bool] = {}
@@ -89,7 +97,8 @@ def embeds(s: Term, t: Term) -> bool:
         if not k:
             if (isinstance(b, Var) or a is b
                     or b.ground and not a.ground
-                    or b.constructor_term and not a.constructor_term):
+                    or b.constructor_term and not a.constructor_term
+                    or a.__class__ is App and a._size > b._size):
                 answer = a is b or isinstance(a, Var) and isinstance(b, Var)
                 stack.pop()
                 continue

@@ -15,7 +15,7 @@ term.
 from __future__ import annotations
 
 from operator import is_
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 CONSTRUCTOR = "constructor"
 OPERATION = "operation"
@@ -129,11 +129,12 @@ class App(Frozen):
     first use (few terms are ever hashed) and kept in `_hash`; it is
     the hash of `(root, args)`, found bottom-up by a loop
     (`_hash_app`), so a term of any depth can be hashed.  The length of
-    its text is measured and kept in the same way (`_width`).
+    its text is measured and kept in the same way (`_width`), and so is
+    its number of nodes (`_size`).
     """
 
     __slots__ = ("root", "args", "ground", "constructor_term", "_hash",
-                 "_width")
+                 "_width", "_size")
     _fields = ("root", "args")
 
     def __init__(self, root: Symbol, args: Tuple["Term", ...] = ()) -> None:
@@ -232,6 +233,7 @@ _set_ground = App.ground.__set__
 _set_constructor_term = App.constructor_term.__set__
 _set_app_hash = App._hash.__set__
 _set_app_width = App._width.__set__
+_set_app_size = App._size.__set__
 
 
 def _unfilled(t: App, slot: str) -> List[App]:
@@ -273,6 +275,25 @@ def _width(t: Term) -> int:
             n += len(a.name) if a.__class__ is Var else a._width
         _set_app_width(u, n)
     return t._width
+
+
+def _size(t: Term) -> int:
+    """The number of nodes of t, its subterm occurrences.  An
+    application's size is stored in its `_size` slot on first use, with
+    that of every subterm not measured yet, children before parents
+    (`_unfilled`): 1, and per argument the argument's size."""
+    if t.__class__ is Var:
+        return 1
+    try:
+        return t._size
+    except AttributeError:
+        pass
+    for u in reversed(_unfilled(t, "_size")):
+        n = 1
+        for a in u.args:
+            n += 1 if a.__class__ is Var else a._size
+        _set_app_size(u, n)
+    return t._size
 
 
 def is_operation_rooted(t: Term) -> bool:
@@ -456,13 +477,17 @@ _FINISH = object()  # on the stack of `_rebuild`: finish the term below
 
 
 def _rebuild(t: Term, final: Dict[Var, Term],
-             pending: Dict[Var, Term] = {}) -> Term:
+             pending: Dict[Var, Term] = {},
+             name: Optional[Callable[[Var], Var]] = None) -> Term:
     """t with each variable of `final` replaced by its image as it is,
     and each variable of `pending` by its binding rebuilt in turn, which
-    is then stored in `final`.  Unchanged subterms, ground ones among
-    them, are shared; ground subterms are not entered.  `apply`
-    passes its map as `final`; `resolve_chain` passes the triangular
-    bindings of a chain as `pending`, where no variable may reach itself.
+    is then stored in `final`; with `name`, any other variable is
+    replaced by `name` of it, also stored in `final`.  Variables are met
+    from left to right.  Unchanged subterms, ground ones among them, are
+    shared; ground subterms are not entered.  `apply` passes its map as
+    `final`; `resolve_chain` passes the triangular bindings of a chain
+    as `pending`, where no variable may reach itself; `canonical_rename`
+    passes `name`, which draws the next canonical name.
     """
     stack: List[object] = [t]
     out: List[Term] = []
@@ -482,8 +507,11 @@ def _rebuild(t: Term, final: Dict[Var, Term],
                 out.append(final[u])
             elif u in pending:
                 stack += (u, _FINISH, pending[u])
-            else:
+            elif name is None:
                 out.append(u)
+            else:
+                final[u] = v = name(u)
+                out.append(v)
         elif u.ground:
             out.append(u)
         else:
@@ -568,7 +596,9 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
     The result is kept literal (not re-normalized): matching f(X, Y)
     against f(Y, X) legitimately yields the swap {X -> Y, Y -> X}.  Its
     keys are pattern variables, so it is built without the checks of
-    the constructor; identity bindings are dropped by a name test.
+    the constructor; identity bindings are dropped by a name test.  A
+    ground subterm of the pattern binds nothing, so it is compared with
+    its target whole (by identity, then `==`), not node by node.
     """
     bound: Dict[Var, Term] = {}
     stack = [(pattern, t)]
@@ -580,6 +610,9 @@ def match(pattern: Term, t: Term) -> Optional[Substitution]:
                     return None
             else:
                 bound[p] = u
+        elif p.ground:
+            if p is not u and p != u:
+                return None
         else:
             if isinstance(u, Var) or p.root != u.root:
                 return None
@@ -801,23 +834,25 @@ def canonical_rename(terms: Sequence[Term], keep: Iterable[Var] = (),
 
     Variables are renamed to <prefix>1, <prefix>2, ... in order of first
     occurrence across the whole sequence, skipping names that collide
-    with kept variables.  Used to compare answers up to renaming.
+    with kept variables.  Used to compare answers up to renaming.  Each
+    variable is named when the one rebuilding walk per term meets it
+    first; a variable that already has its name stays the same object,
+    so an already canonical term comes back as itself.
     """
-    keep_set = set(keep)
-    taken = {v.name for v in keep_set}
-    mapping: Dict[Var, Term] = {}
+    mapping: Dict[Var, Term] = {v: v for v in keep}
+    taken = {v.name for v in mapping}
     counter = 0
-    for t in terms:
-        for x in vars_of(t):
-            if x in keep_set or x in mapping:
-                continue
-            while True:
-                counter += 1
-                name = f"{prefix}{counter}"
-                if name not in taken:
-                    break
-            mapping[x] = Var(name)
-    return [_rebuild(t, mapping) for t in terms]
+
+    def name(x: Var) -> Var:
+        nonlocal counter
+        while True:
+            counter += 1
+            drawn = f"{prefix}{counter}"
+            if drawn not in taken:
+                break
+        return x if x.name == drawn else Var(drawn)
+
+    return [_rebuild(t, mapping, name=name) for t in terms]
 
 
 def variant_key(t: Term) -> Term:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, files, exit codes, determinism."""
 
 import functools
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,8 @@ from typing import Optional
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import list_text, nat_text, random_program, traced_peak
+from conftest import (calls_counted, list_text, nat_text, random_program,
+                      traced_peak)
 from nspec import cli, oracle
 from nspec.syntax import parse_program, print_program
 
@@ -534,15 +536,29 @@ class TestPeval:
 
     def test_a_deep_call_ends_in_a_control_error(self):
         """Comparing the deep calls of S used to recurse once per level
-        (the generated `App.__eq__`).  At a recursion limit of 100, a
-        120-deep numeral stands for the 600-deep one of the default
-        limit, which `embeds` takes minutes over."""
-        proc = run_below_recursion_limit(
-            100, "peval", LEQ, "-s", f"leq(X, {'s(' * 120}0{')' * 120})")
+        (the generated `App.__eq__`), and `embeds` took about two
+        minutes over the 600-deep numeral.  The error's text is pinned
+        by its digest, taken when `embeds` still decided every pair of
+        subterms."""
+        proc = run("peval", LEQ, "-s", f"leq(X, {nat_text(600)})")
         assert proc.returncode == 4, proc.stderr[-300:]
         assert proc.stderr.startswith(
             "error: no closed specialization after 32 iterations")
         assert "Traceback" not in proc.stderr
+        assert hashlib.sha256(proc.stderr.encode()).hexdigest() == (
+            "56301e0c61a85b7995d82c6404661e694d3b64a2e66fd3f271631ca0711f6f22")
+
+    def test_a_deep_call_costs_a_linear_amount_of_work(self):
+        """A term embeds only into one at least as large, so `embeds`
+        decides a dive into a smaller argument at once, and the whole
+        command makes about 1,100 calls per level of the numeral, counted
+        by a profile hook, not timed.  Deciding every pair of subterms
+        made 20 million calls at k = 100."""
+        for k in (100, 300, 600):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                calls = calls_counted(lambda: cli.main(
+                    ["peval", LEQ, "-s", f"leq(X, {nat_text(k)})"]))
+            assert calls <= 1500 * k, (k, calls)
 
 
 class TestTree:

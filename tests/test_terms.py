@@ -42,6 +42,7 @@ from nspec.terms import (
     variant_key,
     vars_of,
     _preorder,
+    _size,
     _solve,
     _width,
 )
@@ -768,9 +769,44 @@ def test_match_keeps_a_swap_and_drops_identities():
     assert match(leq(X, X), leq(X, Y)) is None
 
 
+def test_match_compares_ground_pattern_subterms_whole():
+    """A ground subterm of the pattern is compared with its target as a
+    whole: equal but built apart, differing only at its deepest leaf
+    (another constant, or a variable), and against a variable."""
+    def three(leaf):
+        return App(S, (App(S, (App(S, (leaf,)),)),))
+
+    nil = App(Symbol("nil", 0, "constructor"))
+    assert _same_match(leq(X, num(3)), leq(Y, num(3))).mapping == {X: Y}
+    assert _same_match(add(num(2), X), parse_term("add(s(s(0)), 0)", SIGNATURE)
+                       ).mapping == {X: num(0)}
+    assert _same_match(leq(X, num(3)), leq(Y, three(nil))) is None
+    assert _same_match(leq(X, num(3)), leq(Y, three(Y))) is None
+    assert _same_match(leq(X, num(3)), leq(Y, X)) is None
+    assert _same_match(leq(num(1), X), leq(Y, num(1))) is None
+    shared = num(4)
+    assert _same_match(leq(shared, X), leq(shared, Y)).mapping == {X: Y}
+
+
 @given(TERMS)
 def test_size_counts_subterm_occurrences(t):
     assert sum(1 for _ in _preorder(t)) == len(list(subterms(t)))
+
+
+FILL = {"_size": _size, "_hash": hash, "_width": _width}
+
+
+@given(TERMS, TERMS, st.sampled_from(sorted(FILL)), st.randoms())
+def test_size_counts_the_nodes_whichever_slot_was_filled_first(t, s, slot, rnd):
+    """`_size` is stored in a lazy slot, as the hash and the width are:
+    terms that share subterms, one of which had its `_size`, `_hash` or
+    `_width` filled first, each count their nodes."""
+    parts = [u for _, u in subterms(t)]
+    FILL[slot](rnd.choice(parts))
+    built = [leq(t, s), add(App(S, (t,)), t), *parts]
+    for u in built:
+        for v in _preorder(u):
+            assert _size(v) == sum(1 for _ in _preorder(v)), v
 
 
 # --- iterative walkers against recursive references ------------------------
@@ -905,6 +941,22 @@ def test_replace_at_agrees_with_recursive_reference(t, s):
 def test_canonical_rename_agrees_with_recursive_reference(terms, keep):
     keep = frozenset(keep) | {Var("V2")}
     assert canonical_rename(terms, keep) == ref_canonical_rename(terms, keep)
+
+
+def test_canonical_rename_shares_what_it_does_not_rename():
+    """Ground subterms come back as the same objects, an already
+    canonical term comes back as itself, and a kept V1 makes V2 the
+    first name drawn."""
+    v1, v2, v3 = Var("V1"), Var("V2"), Var("V3")
+    t = leq(X, add(num(5), Y))
+    [renamed] = canonical_rename([t])
+    assert renamed == leq(v1, add(num(5), v2))
+    assert renamed.args[1].args[0] is t.args[1].args[0]
+    canonical = leq(v1, add(num(5), App(S, (v2,))))
+    assert variant_key(canonical) is canonical
+    assert canonical_rename([canonical, add(v2, v3)]) == [canonical, add(v2, v3)]
+    assert canonical_rename([leq(X, Y), add(Y, v1)], keep=[v1]) == [
+        leq(v2, v3), add(v3, v1)]
 
 
 def ref_is_ground(t):
